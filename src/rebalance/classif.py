@@ -22,7 +22,7 @@ from typing import Mapping
 import numpy as np
 
 from ._util import balanced_quota, floor_frac, inverted_quota, nominal_freqs, sample_sd
-from .distance import Metric, MetricContext, build_context, pairwise
+from .distance import Metric, build_context, knn_table, nearest
 from .tabular import ColumnKind, Dataset, class_counts
 
 __all__ = [
@@ -98,10 +98,13 @@ class StrategyOutcome:
     warnings: list[str] = field(default_factory=list)
 
 
-def _check_known_classes(percs: Mapping[str, float], counts: Mapping[str, int]) -> None:
+def _check_percs(percs: Mapping[str, float], counts: Mapping[str, int]) -> None:
     unknown = sorted(set(percs) - set(counts))
     if unknown:
         raise ResampleError(f"percentages name unknown classes: {unknown}")
+    for c, perc in sorted(percs.items()):
+        if not math.isfinite(perc):
+            raise ResampleError(f"percentage for class {c!r} must be a finite number")
 
 
 def resolve_targets_under(counts: Mapping[str, int], spec: ClassPercSpec) -> dict[str, int]:
@@ -113,7 +116,7 @@ def resolve_targets_under(counts: Mapping[str, int], spec: ClassPercSpec) -> dic
     if spec.mode == "extreme":
         m = min(counts.values())
         return {c: m * m // counts[c] for c in labels}
-    _check_known_classes(spec.percs, counts)
+    _check_percs(spec.percs, counts)
     out = {}
     for c in labels:
         perc = spec.percs.get(c)
@@ -137,7 +140,7 @@ def resolve_targets_over(counts: Mapping[str, int], spec: ClassPercSpec) -> dict
     if spec.mode == "extreme":
         m = max(counts.values())
         return {c: round(m * m / counts[c]) for c in labels}
-    _check_known_classes(spec.percs, counts)
+    _check_percs(spec.percs, counts)
     out = {}
     for c in labels:
         perc = spec.percs.get(c)
@@ -162,7 +165,7 @@ def _resolve_mixed(counts: Mapping[str, int], spec: ClassPercSpec) -> dict[str, 
     if spec.mode == "extreme":
         quota = inverted_quota([counts[c] for c in labels], total)
         return dict(zip(labels, quota))
-    _check_known_classes(spec.percs, counts)
+    _check_percs(spec.percs, counts)
     out = {}
     for c in labels:
         perc = spec.percs.get(c)
@@ -298,13 +301,6 @@ def _resolve_cl(cl, counts: Mapping[str, int], smaller_ok: bool = True) -> list[
     return sorted(set(labels))
 
 
-def _nn1(metric: Metric, ctx: MetricContext) -> np.ndarray:
-    d = pairwise(metric, ctx)
-    np.fill_diagonal(d, np.inf)
-    # argmin returns the first minimum, i.e. the lowest row index on ties
-    return d.argmin(axis=1)
-
-
 def tomek_classif(
     ds: Dataset,
     metric: Metric,
@@ -323,8 +319,7 @@ def tomek_classif(
         raise ResampleError(f"rem must be 'both' or 'maj', not {rem!r}")
     counts = class_counts(ds)
     cl_set = set(_resolve_cl(cl, counts))
-    ctx = build_context(metric, ds)
-    nn = _nn1(metric, ctx)
+    _, nn = nearest(metric, build_context(metric, ds))
     labels = ds.target_column.values
     to_remove: set[int] = set()
     for i in range(ds.n_rows):
@@ -371,7 +366,6 @@ def cnn_classif(
     unimportant = sorted(set(counts) - set(important))
     rng = np.random.default_rng(seed)
     by_class = _class_indices(ds)
-    labels = ds.target_column.values
     kept_mask = np.zeros(ds.n_rows, dtype=bool)
     for label in important:
         kept_mask[by_class[label]] = True
@@ -380,18 +374,29 @@ def cnn_classif(
         kept_mask[idx[rng.integers(len(idx))]] = True
 
     ctx = build_context(metric, ds)
-    d = pairwise(metric, ctx)
+    labels = ds.target_column.values
+    # each row's nearest kept row so far, under argmin's order: a NaN
+    # distance first, then the lowest distance, then the lowest index
+    best_d = np.full(ds.n_rows, np.inf)
+    best_i = np.full(ds.n_rows, ds.n_rows)
+    new = np.nonzero(kept_mask)[0]
     while True:
-        kept_idx = np.nonzero(kept_mask)[0]
-        pred = kept_idx[d[:, kept_idx].argmin(axis=1)]
-        mis = [
-            i
-            for i in range(ds.n_rows)
-            if not kept_mask[i] and labels[pred[i]] != labels[i]
-        ]
-        if not mis:
+        q = np.nonzero(~kept_mask)[0]
+        d, pos = nearest(metric, ctx, q, new)
+        i = new[pos]
+        old_d, old_i = best_d[q], best_i[q]
+        nan, old_nan = np.isnan(d), np.isnan(old_d)
+        better = (
+            (nan & (~old_nan | (i < old_i)))
+            | (d < old_d)
+            | ((d == old_d) & (i < old_i))
+        )
+        best_d[q[better]] = d[better]
+        best_i[q[better]] = i[better]
+        new = q[labels[best_i[q]] != labels[q]]
+        if not len(new):
             break
-        kept_mask[mis] = True
+        kept_mask[new] = True
     kept = np.nonzero(kept_mask)[0].astype(np.intp)
     removed = [int(i) for i in np.nonzero(~kept_mask)[0]]
     outcome = StrategyOutcome(ds.take(kept), removed, [])
@@ -436,13 +441,6 @@ def oss_classif(
     return outcome, important, unimportant
 
 
-def _knn_table(d: np.ndarray, k: int) -> np.ndarray:
-    """First k neighbour indices per row (ties to the lower index)."""
-    np.fill_diagonal(d, np.inf)
-    order = np.argsort(d, axis=1, kind="stable")
-    return order[:, :k]
-
-
 def enn_classif(
     ds: Dataset,
     metric: Metric,
@@ -461,8 +459,7 @@ def enn_classif(
         raise ResampleError("k must satisfy 1 <= k < number of rows")
     counts = class_counts(ds)
     cl_set = set(_resolve_cl(cl, counts))
-    ctx = build_context(metric, ds)
-    nbrs = _knn_table(pairwise(metric, ctx), k)
+    nbrs = knn_table(metric, build_context(metric, ds), k)
     labels = ds.target_column.values
     need = math.ceil(k / 2)
     marked = np.zeros(n, dtype=bool)
@@ -506,8 +503,7 @@ def ncl_classif(
         raise ResampleError("no key classes to clean around")
     key_set = set(key)
     outside = set(counts) - key_set
-    ctx = build_context(metric, ds)
-    nbrs = _knn_table(pairwise(metric, ctx), k)
+    nbrs = knn_table(metric, build_context(metric, ds), k)
     labels = ds.target_column.values
     need = math.ceil(k / 2)
     min_key = min(counts[c] for c in key)
@@ -555,8 +551,8 @@ def gauss_noise_classif(
     sample standard deviation of that feature.  Nominal features are
     drawn from the within-class value frequencies.
     """
-    if pert < 0:
-        raise ResampleError("pert must be non-negative")
+    if not (math.isfinite(pert) and pert >= 0):
+        raise ResampleError("pert must be a finite non-negative number")
     counts = class_counts(ds)
     targets = _resolve_mixed(counts, spec)
     rng = np.random.default_rng(seed)
@@ -653,11 +649,8 @@ def smote_classif(
             blocks.append(block)
             added.extend(AddedRow(int(s), synthetic=True) for s in seeds)
             continue
-        d = pairwise(metric, ctx, rows=idx)
-        np.fill_diagonal(d, np.inf)
-        order = np.argsort(d, axis=1, kind="stable")
         k_eff = min(k, len(idx) - 1)
-        nbr_table = order[:, :k_eff]
+        nbr_table = knn_table(metric, ctx, k_eff, rows=idx)
 
         seed_pos = rng.integers(0, len(idx), size=extra)
         nbr_pick = rng.integers(0, k_eff, size=extra)

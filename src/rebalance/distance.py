@@ -1,4 +1,4 @@
-"""Distance metrics over mixed-type rows, with brute-force k-NN.
+"""Distance metrics over mixed-type rows, and a blocked neighbour engine.
 
 Eight metrics are supported.  The plain numeric family (euclidean,
 manhattan, minkowsky, chebyshev, canberra) requires all-numeric
@@ -10,6 +10,24 @@ class-conditional.
 A MetricContext caches the per-feature statistics a metric needs
 (ranges, standard deviations, value-difference tables) so that row
 distances are pure lookups.
+
+The neighbour engine (``nearest`` and ``knn_table``) never holds the
+full n x m distance matrix.  It measures a chunk of query rows against
+every candidate at a time, at most ``BLOCK_PAIRS`` distances per chunk
+(one row when a single row is wider), and reduces the chunk at once to
+each row's nearest candidate or k nearest candidates.  Peak memory is
+therefore O(BLOCK_PAIRS + n*k) rather than O(n*m).  On equal distance
+the candidate listed first wins.
+
+The plain metrics give a NaN distance when a cell is missing, and the
+two reductions order NaN the way their dense forms always did:
+
+- ``nearest`` follows ``argmin``: the first NaN candidate ranks
+  nearest of all.  Tomek links, OSS and CNN use it.
+- ``knn_table`` follows a stable ``argsort`` with the row itself at an
+  infinite distance: NaN ranks after every number, the row itself
+  included, so a row whose distances are all NaN lists itself first.
+  ENN, NCL, SMOTE and SMOTER use it.
 """
 
 from __future__ import annotations
@@ -28,11 +46,17 @@ __all__ = [
     "build_context",
     "distance",
     "knn",
+    "knn_table",
+    "nearest",
     "pairwise",
 ]
 
 PLAIN_METRICS = ("euclidean", "manhattan", "minkowsky", "chebyshev", "canberra")
 METRIC_NAMES = PLAIN_METRICS + ("overlap", "heom", "hvdm")
+
+# distances the neighbour engine computes per chunk; _block holds a few
+# float64 temporaries of this size, about 40 B per pair in all
+BLOCK_PAIRS = 1 << 18
 
 
 class MetricError(ValueError):
@@ -50,8 +74,8 @@ class Metric:
         if self.name not in METRIC_NAMES:
             raise MetricError(f"unknown distance {self.name!r}")
         if self.name == "minkowsky":
-            if self.p is None or not (self.p > 0):
-                raise MetricError("the minkowsky distance requires p > 0")
+            if self.p is None or not (0 < self.p < math.inf):
+                raise MetricError("the minkowsky distance requires a finite p > 0")
         elif self.p is not None:
             raise MetricError(f"the {self.name} distance takes no p")
 
@@ -281,8 +305,11 @@ def _block(metric: Metric, ctx: MetricContext, rows_a: np.ndarray,
                 acc += term * term
             else:  # hvdm
                 pair = ctx.vdm_pair[j]
-                term = pair[np.maximum(a, 0), np.maximum(b, 0)]
-                term = np.where(missing, 1.0, term)
+                if pair.size:
+                    term = pair[np.maximum(a, 0), np.maximum(b, 0)]
+                    term = np.where(missing, 1.0, term)
+                else:  # no cell of the column is present
+                    term = np.ones(shape)
                 acc += term * term
     if name in ("euclidean", "heom", "hvdm"):
         return np.sqrt(acc)
@@ -295,6 +322,78 @@ def pairwise(metric: Metric, ctx: MetricContext, rows=None) -> np.ndarray:
     """Full distance matrix over the given row indices (all by default)."""
     idx = np.arange(ctx.n_rows) if rows is None else np.asarray(rows, dtype=np.intp)
     return _block(metric, ctx, idx, idx)
+
+
+def _row_chunks(metric: Metric, ctx: MetricContext, rows: np.ndarray,
+                cols: np.ndarray | None = None):
+    """Yield (start, block): distances of row chunks against all of cols.
+
+    With ``cols`` omitted, rows are measured against themselves and
+    each row's distance to itself is set to infinity.
+    """
+    self_pairs = cols is None
+    if self_pairs:
+        cols = rows
+    step = max(1, BLOCK_PAIRS // max(len(cols), 1))
+    for start in range(0, len(rows), step):
+        block = _block(metric, ctx, rows[start:start + step], cols)
+        if self_pairs:
+            i = np.arange(len(block))
+            block[i, start + i] = np.inf
+        yield start, block
+
+
+def nearest(metric: Metric, ctx: MetricContext, rows=None,
+            cols=None) -> tuple[np.ndarray, np.ndarray]:
+    """Distance to, and position in ``cols`` of, each row's nearest col.
+
+    ``rows`` defaults to all rows.  With ``cols`` omitted, the
+    candidates are ``rows`` themselves minus the row itself.  The rule
+    is ``argmin``'s: the lowest distance wins, ties go to the earlier
+    position, and a NaN distance beats every number (the first NaN
+    wins).
+    """
+    rows = np.arange(ctx.n_rows) if rows is None else np.asarray(rows, dtype=np.intp)
+    if cols is not None:
+        cols = np.asarray(cols, dtype=np.intp)
+    dist = np.empty(len(rows))
+    pos = np.empty(len(rows), dtype=np.intp)
+    for start, block in _row_chunks(metric, ctx, rows, cols):
+        best = block.argmin(axis=1)
+        stop = start + len(block)
+        pos[start:stop] = best
+        dist[start:stop] = block[np.arange(len(block)), best]
+    return dist, pos
+
+
+def knn_table(metric: Metric, ctx: MetricContext, k: int,
+              rows=None) -> np.ndarray:
+    """Positions in ``rows`` (all rows by default) of each row's k nearest.
+
+    Row i of the result equals the first k entries of a stable argsort
+    of row i of ``pairwise(metric, ctx, rows)`` with its diagonal set to
+    infinity: ascending distance, ties to the earlier position, NaN
+    after every number.  Requires 1 <= k < len(rows).
+    """
+    rows = np.arange(ctx.n_rows) if rows is None else np.asarray(rows, dtype=np.intp)
+    if not 1 <= k < len(rows):
+        raise MetricError("k must satisfy 1 <= k < number of rows")
+    table = np.empty((len(rows), k), dtype=np.intp)
+    first_k = np.arange(k)
+    for start, block in _row_chunks(metric, ctx, rows):
+        # every candidate at or below the k-th distance survives, so a
+        # tie across the cut still goes to the earlier position; a NaN
+        # k-th distance means fewer than k numbers, and the whole row
+        # goes to the sort
+        kth = np.partition(block, k - 1, axis=1)[:, k - 1]
+        keep = block <= kth[:, None]
+        keep[np.isnan(kth)] = True
+        r, c = np.nonzero(keep)
+        order = np.lexsort((c, block[r, c], r))
+        counts = keep.sum(axis=1)
+        offsets = np.cumsum(counts) - counts
+        table[start:start + len(block)] = c[order[offsets[:, None] + first_k]]
+    return table
 
 
 def knn(

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._util import balanced_quota, floor_frac, inverted_quota, nominal_freqs, sample_sd
 from .classif import AddedRow, ResampleError, StrategyOutcome
-from .distance import Metric, build_context, distance, pairwise
+from .distance import Metric, build_context, distance, knn_table
 from .relevance import BumpPartition, RelevanceFn, find_bumps
 from .tabular import ColumnKind, Dataset
 
@@ -81,11 +81,13 @@ class ImpSampParams:
     o: float | None = None
 
 
-def _explicit_len_check(spec: BumpPercSpec, n_bumps: int, what: str) -> None:
+def _explicit_check(spec: BumpPercSpec, n_bumps: int, what: str) -> None:
     if len(spec.percs) != n_bumps:
         raise ResampleError(
             f"expected one percentage per {what} ({n_bumps}), got {len(spec.percs)}"
         )
+    if not all(math.isfinite(p) for p in spec.percs):
+        raise ResampleError("bump percentages must be finite numbers")
 
 
 def rand_under_regress(
@@ -103,7 +105,7 @@ def rand_under_regress(
     if not normals:
         raise ResampleError("no bump below the relevance threshold to under-sample")
     if spec.mode == "explicit":
-        _explicit_len_check(spec, len(normals), "Normal bump")
+        _explicit_check(spec, len(normals), "Normal bump")
         for p in spec.percs:
             if not 0 < p <= 1:
                 raise ResampleError("under-sampling percentages must be in (0, 1]")
@@ -149,7 +151,7 @@ def rand_over_regress(
     if not rares:
         raise ResampleError("no bump above the relevance threshold to over-sample")
     if spec.mode == "explicit":
-        _explicit_len_check(spec, len(rares), "Rare bump")
+        _explicit_check(spec, len(rares), "Rare bump")
         for p in spec.percs:
             if p < 0:
                 raise ResampleError("over-sampling percentages must be non-negative")
@@ -183,7 +185,7 @@ def _mixed_bump_targets(spec: BumpPercSpec, part: BumpPartition,
         return balanced_quota(total, len(bumps))
     if spec.mode == "extreme":
         return inverted_quota(counts, total)
-    _explicit_len_check(spec, len(bumps), "bump")
+    _explicit_check(spec, len(bumps), "bump")
     targets = []
     for p, b in zip(spec.percs, bumps):
         if b.rare:
@@ -221,8 +223,8 @@ def gauss_noise_regress(
     N(0, pert * sd) with sd taken within the bump.  Explicit rare-bump
     percentages are additive, like random over-sampling.
     """
-    if pert < 0:
-        raise ResampleError("pert must be non-negative")
+    if not (math.isfinite(pert) and pert >= 0):
+        raise ResampleError("pert must be a finite non-negative number")
     part = find_bumps(ds, fn, thr_rel)
     if not part.bumps:
         raise ResampleError("empty dataset")
@@ -325,11 +327,8 @@ def smoter(
             blocks.append(block)
             added.extend(AddedRow(int(s), synthetic=True) for s in seeds)
             continue
-        d = pairwise(metric, ctx, rows=idx)
-        np.fill_diagonal(d, np.inf)
-        order = np.argsort(d, axis=1, kind="stable")
         k_eff = min(k, b.count - 1)
-        nbr_table = order[:, :k_eff]
+        nbr_table = knn_table(metric, ctx, k_eff, rows=idx)
 
         seed_pos = rng.integers(0, b.count, size=extra)
         nbr_pick = rng.integers(0, k_eff, size=extra)
@@ -438,8 +437,8 @@ def imp_samp_regress(
             raise ResampleError("mode B needs both u and o")
         if not 0 <= u <= 1:
             raise ResampleError("u must lie in [0, 1]")
-        if o < 0:
-            raise ResampleError("o must be non-negative")
+        if not (math.isfinite(o) and o >= 0):
+            raise ResampleError("o must be a finite non-negative number")
         drop = rng.random(ds.n_rows) < u * (1.0 - phi)
         kept = np.nonzero(~drop)[0].astype(np.intp)
         total_phi = float(phi.sum())

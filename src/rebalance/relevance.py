@@ -156,7 +156,10 @@ def build_relevance_extremes(values, extr_type: str = "both") -> RelevanceFn:
     """Relevance from the boxplot of the observed target values."""
     if extr_type not in ("high", "low", "both"):
         raise RelevanceError(f"unknown extremes type {extr_type!r}")
-    y = np.asarray(values, dtype=np.float64)
+    try:
+        y = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError):  # a nominal target
+        raise RelevanceError("target values must be present and numeric") from None
     if len(y) == 0 or np.any(np.isnan(y)):
         raise RelevanceError("target values must be present and numeric")
     y_min, y_max = float(y.min()), float(y.max())

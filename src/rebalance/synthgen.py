@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .tabular import Column, ColumnKind, Dataset
+from .tabular import Column, ColumnKind, Dataset, TabularError
 
 __all__ = ["gen_imbc", "gen_imbr"]
 
@@ -28,7 +28,7 @@ def gen_imbc(n_rows: int = 1000, seed: int | None = None) -> Dataset:
     plus 70% of {X1 < -7, X2 = fish}; normal everywhere else.
     """
     if n_rows < 1:
-        raise ValueError("n_rows must be positive")
+        raise TabularError("n_rows must be positive")
     rng = np.random.default_rng(seed)
     x1 = rng.normal(0.0, 4.0, size=n_rows)
 
@@ -78,7 +78,7 @@ def gen_imbr(n_rows: int = 1000, seed: int | None = None) -> Dataset:
     geometrically unusual points.
     """
     if n_rows < 1:
-        raise ValueError("n_rows must be positive")
+        raise TabularError("n_rows must be positive")
     rng = np.random.default_rng(seed)
     n_ring = int(round(0.05 * n_rows))
     n_bulk = n_rows - n_ring

@@ -195,3 +195,24 @@ def imbr_bump_expectation(n_rows, thr_rel):
     t = _bisect(lambda s: 3 * s * s - 2 * s ** 3, 0.0, 1.0, thr_rel)
     rare = n_rows * (1.0 - cdf(med + t * (fence - med)))
     return n_rows - rare, rare
+
+
+def cnn_full_matrix_oracle(d, labels, kept):
+    """The dense CNN loop: 1-NN against the kept set until consistent.
+
+    ``d`` is the full distance matrix (a numpy array), ``labels`` the
+    class of each row and ``kept`` the initial kept mask.  Each round
+    takes ``argmin`` over the kept columns of every row (so the first
+    NaN distance counts as nearest) and pulls in every row the kept set
+    misclassifies.  Returns the final kept mask as a list of bools.
+    """
+    n = len(labels)
+    kept = list(kept)
+    while True:
+        kept_idx = [i for i in range(n) if kept[i]]
+        pred = [kept_idx[int(j)] for j in d[:, kept_idx].argmin(axis=1)]
+        mis = [i for i in range(n) if not kept[i] and labels[pred[i]] != labels[i]]
+        if not mis:
+            return kept
+        for i in mis:
+            kept[i] = True

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -277,3 +281,45 @@ def test_oss_report_lists_class_roles(imbc_csv, tmp_path):
     payload = json.loads(rep.read_text())
     assert payload["important_classes"] == ["rare1", "rare2"]
     assert payload["unimportant_classes"] == ["normal"]
+
+
+@pytest.mark.parametrize("args", [
+    ("gaussnoise", "--pert", "nan"),
+    ("gaussnoise-r", "--pert", "inf"),
+    ("randover-r", "--c-perc", "nan"),
+    ("randover", "--c-perc", "rare2=nan"),
+    ("smote", "--dist", "heom", "--c-perc", "rare2=inf"),
+    ("smote-r", "--c-perc", "0.5,inf"),
+    ("impsamp-r", "--u", "0.5", "--o", "nan"),
+])
+def test_non_finite_numbers_are_data_errors(imbc_csv, imbr_csv, tmp_path, capsys, args):
+    src, target = (imbr_csv, "Tgt") if args[0].endswith("-r") else (imbc_csv, "Class")
+    out = tmp_path / "o.csv"
+    code = run([*args, "--in", str(src), "--out", str(out), "--target", target])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
+def test_gen_zero_rows_is_a_data_error(tmp_path, capsys):
+    assert run(["gen", "imbc", "--rows", "0", "--out", str(tmp_path / "g.csv")]) == 1
+    assert capsys.readouterr().err == "error: n_rows must be positive\n"
+
+
+def test_smote_r_on_a_nominal_target_is_a_data_error(imbc_csv, tmp_path, capsys):
+    code = run(["smote-r", "--in", str(imbc_csv), "--out", str(tmp_path / "o.csv"),
+                "--target", "Class"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: target values must be present and numeric\n"
+
+
+@pytest.mark.parametrize("module", ["rebalance", "rebalance.cli"])
+def test_python_m_entry_points(module):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", module, "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: rebalance ")

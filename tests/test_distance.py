@@ -23,8 +23,9 @@ def numeric_ds(matrix, labels=None):
 def test_minkowsky_needs_positive_p():
     with pytest.raises(MetricError):
         Metric("minkowsky")
-    with pytest.raises(MetricError):
-        Metric("minkowsky", p=0)
+    for p in (0, float("nan"), float("inf")):
+        with pytest.raises(MetricError):
+            Metric("minkowsky", p=p)
     with pytest.raises(MetricError):
         Metric("euclidean", p=2)
 
@@ -233,6 +234,18 @@ def test_hvdm_missing_contributes_one():
     ds, ctx = toy_ctx()
     d = distance(ctx.metric, ctx, (None, np.nan), ds.row(0))
     assert d == pytest.approx(np.sqrt(2.0), abs=1e-12)
+
+
+def test_hvdm_all_missing_nominal_column_contributes_one():
+    # a nominal column with no value present has an empty VDM table
+    ds = labelled(["p", "q", "p"], {"c": ("nom", [None, None, None]),
+                                     "x": ("num", [0.0, 1.0, 2.0])})
+    ctx = ctx_for("hvdm", ds)
+    d = pairwise(ctx.metric, ctx)
+    want = [[distance(ctx.metric, ctx, ds.row(i), ds.row(j)) for j in range(3)]
+            for i in range(3)]
+    np.testing.assert_allclose(d, want, atol=1e-12)
+    assert d[0, 0] == 1.0
 
 
 def test_hvdm_four_sd_uses_sample_sd():
