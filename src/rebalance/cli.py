@@ -19,7 +19,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .classif import (
@@ -63,7 +62,7 @@ from .tabular import (
     write_dataset,
 )
 
-__all__ = ["RunConfig", "run", "main"]
+__all__ = ["run", "main"]
 
 CLASSIF_COMMANDS = (
     "randunder",
@@ -84,20 +83,6 @@ REGRESS_COMMANDS = (
     "smote-r",
     "impsamp-r",
 )
-
-
-@dataclass
-class RunConfig:
-    """Everything one invocation needs, resolved from argv and the env."""
-
-    command: str
-    input: str | None
-    output: str | None
-    target: str | None
-    seed: int | None
-    report: str | None
-    threads: int
-    params: dict = field(default_factory=dict)
 
 
 def _parse_c_perc_classif(text: str) -> ClassPercSpec:
@@ -256,7 +241,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", type=float, default=None)
     p.add_argument("--o", type=float, default=None)
     # mode A uses --thr-rel/--c-perc; giving --u/--o switches to mode B
-    p.set_defaults(thr_rel_given=False)
 
     p = sub.add_parser("gen", help="generate a synthetic dataset")
     p.add_argument("variant", choices=["imbc", "imbr"])
@@ -486,20 +470,10 @@ def run(argv: list[str]) -> int:
             gen = gen_imbc if args.variant == "imbc" else gen_imbr
             ds = gen(args.rows, seed=args.seed)
             write_dataset(ds, args.output)
-            config = RunConfig(
-                command="gen",
-                input=None,
-                output=args.output,
-                target=ds.target,
-                seed=args.seed,
-                report=args.report,
-                threads=threads,
-                params={"variant": args.variant, "rows": args.rows},
-            )
             if args.report:
                 payload = {
                     "command": "gen",
-                    "params": config.params,
+                    "params": {"variant": args.variant, "rows": args.rows},
                     "seed": args.seed,
                     "output": args.output,
                     "n_rows": ds.n_rows,

@@ -11,6 +11,26 @@ A MetricContext caches the per-feature statistics a metric needs
 (ranges, standard deviations, value-difference tables) so that row
 distances are pure lookups.
 
+One kernel computes every distance.  Its operands are per-feature
+arrays, values for a numeric feature and codes for a nominal one
+(``encode_rows``).  It has two forms: a block, query rows against
+candidate columns, which ``pairwise`` and the neighbour engine use; and
+a paired form (``paired_distances``), row i against row i, which SMOTER
+uses for its synthetic rows and ``distance()`` for one pair of cell
+sequences.  Per feature, the kernel computes its term in place in one
+preallocated buffer and adds it to a second, and the first term goes
+straight into the result.  A missing cell makes a HEOM or HVDM term 1.
+That override is applied only where a chunk's row or column operands
+hold a missing cell, and it is read from the operands' NaN values and
+-1 codes, never from a NaN result: inf - inf stays NaN.  HEOM and
+overlap add nominal mismatches as booleans, since a 0/1 term is its own
+square.  HVDM reads nominal terms from the squared value-difference
+table, which is padded with a row and column of 1.0 that code -1
+(missing) indexes, plus an all-zero-frequency row for values unseen at
+build time (only ``distance()`` meets those).  A block gathers a term
+with two 1-D ``take``s, one for the query rows' table rows and one for
+the candidate columns.
+
 The neighbour engine (``nearest`` and ``knn_table``) never holds the
 full n x m distance matrix.  It measures a chunk of query rows against
 every candidate at a time, at most ``BLOCK_PAIRS`` distances per chunk
@@ -37,6 +57,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._util import sample_sd
 from .tabular import ColumnKind, Dataset
 
 __all__ = [
@@ -45,17 +66,22 @@ __all__ = [
     "MetricError",
     "build_context",
     "distance",
+    "encode_rows",
     "knn",
     "knn_table",
     "nearest",
+    "paired_distances",
     "pairwise",
 ]
 
 PLAIN_METRICS = ("euclidean", "manhattan", "minkowsky", "chebyshev", "canberra")
 METRIC_NAMES = PLAIN_METRICS + ("overlap", "heom", "hvdm")
+# metrics that sum squared terms and take the square root
+SQUARED = ("euclidean", "heom", "hvdm")
 
-# distances the neighbour engine computes per chunk; _block holds a few
-# float64 temporaries of this size, about 40 B per pair in all
+# distances the neighbour engine computes per chunk; the kernel holds
+# two float64 buffers of this size (canberra a third) and, for nominal
+# mismatches, one bool buffer: 17 B per pair, 24 B under canberra
 BLOCK_PAIRS = 1 << 18
 
 
@@ -93,8 +119,7 @@ class MetricContext:
     nom_encode: dict[int, dict[str, int]] = field(default_factory=dict)
     ranges: dict[int, float] = field(default_factory=dict)
     four_sd: dict[int, float] = field(default_factory=dict)
-    vdm_prob: dict[int, np.ndarray] = field(default_factory=dict)
-    vdm_pair: dict[int, np.ndarray] = field(default_factory=dict)
+    vdm_sq: dict[int, np.ndarray] = field(default_factory=dict)
     classes: tuple[str, ...] = ()
 
 
@@ -108,13 +133,6 @@ def _encode_nominal(values: np.ndarray) -> tuple[np.ndarray, dict[str, int]]:
         count=len(values),
     )
     return codes, encode
-
-
-def _sample_sd(values: np.ndarray) -> float:
-    vals = values[~np.isnan(values)]
-    if len(vals) < 2:
-        return 0.0
-    return float(np.std(vals, ddof=1))
 
 
 def build_context(metric: Metric, ds: Dataset) -> MetricContext:
@@ -161,7 +179,7 @@ def build_context(metric: Metric, ds: Dataset) -> MetricContext:
             )
     elif metric.name == "hvdm":
         for j, vals in ctx.num_values.items():
-            ctx.four_sd[j] = 4.0 * _sample_sd(vals)
+            ctx.four_sd[j] = 4.0 * sample_sd(vals)
         labels = ds.target_column.values
         if any(v is None for v in labels):
             raise MetricError("missing value in the target column")
@@ -178,11 +196,16 @@ def build_context(metric: Metric, ds: Dataset) -> MetricContext:
             probs = np.divide(
                 counts, totals, out=np.zeros_like(counts), where=totals > 0
             )
-            ctx.vdm_prob[j] = probs
             # q=2 value difference: euclidean norm between the two
-            # conditional probability vectors
+            # conditional probability vectors, squared.  Row n_vals holds
+            # values unseen at build time (all-zero frequencies); the
+            # last row and column, which code -1 indexes, missing cells.
+            probs = np.vstack([probs, np.zeros((1, len(classes)))])
             diffs = probs[:, None, :] - probs[None, :, :]
-            ctx.vdm_pair[j] = np.sqrt((diffs**2).sum(axis=2))
+            pair = np.sqrt((diffs**2).sum(axis=2))
+            sq = np.ones((n_vals + 2, n_vals + 2))
+            sq[:-1, :-1] = pair * pair
+            ctx.vdm_sq[j] = sq
     return ctx
 
 
@@ -192,130 +215,145 @@ def _is_missing(v) -> bool:
     return isinstance(v, float) and math.isnan(v)
 
 
+def encode_rows(ctx: MetricContext, rows) -> list[np.ndarray]:
+    """Kernel operands of the given rows, one array per feature.
+
+    A numeric feature gives its values (NaN missing), a nominal one its
+    codes (-1 missing).
+    """
+    return [
+        ctx.num_values[j][rows] if kind == "num" else ctx.nom_codes[j][rows]
+        for j, kind in enumerate(ctx.kinds)
+    ]
+
+
+def _nominal_code(metric: Metric, ctx: MetricContext, j: int, v, first) -> int:
+    # a value unseen at build time gets a code past the table: the same
+    # code as an equal unseen ``first``, a different one otherwise.
+    # Under HVDM every unseen value takes the all-zero frequency row.
+    if _is_missing(v):
+        return -1
+    encode = ctx.nom_encode[j]
+    if v in encode:
+        return encode[v]
+    return len(encode) + int(metric.name != "hvdm" and v != first)
+
+
 def distance(metric: Metric, ctx: MetricContext, row_a, row_b) -> float:
     """Distance between two feature-cell sequences.
 
-    Rows need not belong to the context's dataset; nominal values never
-    seen at context build time use all-zero conditional frequencies
-    under HVDM.
+    Rows need not belong to the context's dataset.  A nominal value
+    never seen at context build time has all-zero conditional
+    frequencies under HVDM, and equals only itself under HEOM and
+    overlap.
     """
     if len(row_a) != len(ctx.kinds) or len(row_b) != len(ctx.kinds):
         raise MetricError("row width does not match the context")
-    name = metric.name
-    if name in PLAIN_METRICS:
-        acc = 0.0
-        for x, y in zip(row_a, row_b):
-            diff = abs(x - y)
-            if name == "euclidean":
-                acc += diff * diff
-            elif name == "manhattan":
-                acc += diff
-            elif name == "minkowsky":
-                acc += diff ** metric.p
-            elif name == "chebyshev":
-                acc = max(acc, diff)
-            else:  # canberra; 0/0 counts as 0
-                denom = abs(x) + abs(y)
-                if denom > 0:
-                    acc += diff / denom
-                elif diff != diff:  # NaN propagates
-                    acc += diff
-        if name == "euclidean":
-            return math.sqrt(acc)
-        if name == "minkowsky":
-            return acc ** (1.0 / metric.p)
-        return float(acc)
-
-    if name == "overlap":
-        return float(sum(0.0 if x == y else 1.0 for x, y in zip(row_a, row_b)))
-
-    # heom / hvdm
-    acc = 0.0
+    a, b = [], []
     for j, kind in enumerate(ctx.kinds):
         x, y = row_a[j], row_b[j]
-        if _is_missing(x) or _is_missing(y):
-            d = 1.0
-        elif kind == "nom":
-            if name == "heom":
-                d = 0.0 if x == y else 1.0
-            else:
-                probs = ctx.vdm_prob[j]
-                zeros = np.zeros(probs.shape[1])
-                cx = ctx.nom_encode[j].get(x, -1)
-                cy = ctx.nom_encode[j].get(y, -1)
-                px = probs[cx] if cx >= 0 else zeros
-                py = probs[cy] if cy >= 0 else zeros
-                d = float(np.sqrt(((px - py) ** 2).sum()))
+        if kind == "num":
+            a.append(np.array([x], dtype=np.float64))
+            b.append(np.array([y], dtype=np.float64))
         else:
+            a.append(np.array([_nominal_code(metric, ctx, j, x, x)]))
+            b.append(np.array([_nominal_code(metric, ctx, j, y, x)]))
+    return float(paired_distances(metric, ctx, a, b)[0])
+
+
+def _override(term: np.ndarray, miss_a: np.ndarray, miss_b: np.ndarray,
+              value) -> None:
+    """Set ``term`` to ``value`` wherever either operand's cell is missing."""
+    for miss in (miss_a, miss_b):
+        if miss.any():
+            np.copyto(term, value, where=miss)
+
+
+def _kernel(metric: Metric, ctx: MetricContext, a: list, b: list,
+            shape: tuple[int, ...]) -> np.ndarray:
+    """Distances between the operands ``a`` and ``b``, broadcast to shape.
+
+    ``a[j]`` and ``b[j]`` hold feature j as ``encode_rows`` gives it:
+    columns (n, 1) against rows (1, m) for a block, or two 1-D arrays
+    for the paired form.
+    """
+    name = metric.name
+    acc = np.empty(shape)
+    tmp = np.empty(shape) if len(ctx.kinds) > 1 else None
+    hits = None
+    for j, kind in enumerate(ctx.kinds):
+        x, y = a[j], b[j]
+        # the first term goes straight into acc, the rest through tmp
+        term = acc if j == 0 else tmp
+        if kind == "nom" and name != "hvdm":
+            # a 0/1 mismatch is its own square
+            if hits is None:
+                hits = np.empty(shape, dtype=bool)
+            np.not_equal(x, y, out=hits)
             if name == "heom":
-                rng = ctx.ranges[j]
-                d = abs(x - y) / rng if rng > 0 else 0.0
+                _override(hits, x < 0, y < 0, True)
+            if j:
+                np.add(acc, hits, out=acc)
             else:
-                denom = ctx.four_sd[j]
-                d = abs(x - y) / denom if denom > 0 else 0.0
-        acc += d * d
-    return math.sqrt(acc)
+                np.copyto(acc, hits)
+            continue
+        if kind == "nom":
+            sq = ctx.vdm_sq[j]
+            if x.ndim == 2:
+                # the query rows' table rows, then the candidates'
+                # columns; "wrap" sends code -1 to the padded last
+                # column and lets take write into term unbuffered
+                sq.take(x[:, 0], axis=0).take(y[0], axis=1, out=term, mode="wrap")
+            else:
+                np.copyto(term, sq[x, y])
+        else:
+            np.subtract(x, y, out=term)
+            if name not in SQUARED:  # a square needs no sign
+                np.abs(term, out=term)
+            if name in ("heom", "hvdm"):
+                scale = ctx.ranges[j] if name == "heom" else ctx.four_sd[j]
+                if scale > 0:
+                    np.divide(term, scale, out=term)
+                else:
+                    term.fill(0.0)
+                _override(term, np.isnan(x), np.isnan(y), 1.0)
+            if name in SQUARED:
+                np.multiply(term, term, out=term)
+            elif name == "minkowsky":
+                term **= metric.p
+            elif name == "canberra":  # 0/0 counts as 0, NaN propagates
+                denom = np.abs(x) + np.abs(y)
+                with np.errstate(invalid="ignore"):
+                    np.divide(term, denom, out=term, where=denom > 0)
+        if not j:
+            continue
+        if name == "chebyshev":
+            np.maximum(acc, term, out=acc)
+        else:
+            np.add(acc, term, out=acc)
+    if name in SQUARED:
+        np.sqrt(acc, out=acc)
+    elif name == "minkowsky":
+        acc **= 1.0 / metric.p
+    return acc
 
 
 def _block(metric: Metric, ctx: MetricContext, rows_a: np.ndarray,
            rows_b: np.ndarray) -> np.ndarray:
-    """Distance matrix between two index arrays, vectorized per feature."""
-    name = metric.name
-    shape = (len(rows_a), len(rows_b))
-    acc = np.zeros(shape)
-    for j, kind in enumerate(ctx.kinds):
-        if kind == "num":
-            vals = ctx.num_values[j]
-            a = vals[rows_a][:, None]
-            b = vals[rows_b][None, :]
-            diff = np.abs(a - b)
-            if name in ("euclidean", "heom", "hvdm"):
-                if name == "heom":
-                    rng = ctx.ranges[j]
-                    term = diff / rng if rng > 0 else np.zeros(shape)
-                elif name == "hvdm":
-                    denom = ctx.four_sd[j]
-                    term = diff / denom if denom > 0 else np.zeros(shape)
-                else:
-                    term = diff
-                if name != "euclidean":
-                    term = np.where(np.isnan(a) | np.isnan(b), 1.0, term)
-                acc += term * term
-            elif name == "manhattan":
-                acc += diff
-            elif name == "minkowsky":
-                acc += diff ** metric.p
-            elif name == "chebyshev":
-                acc = np.maximum(acc, diff)
-            else:  # canberra
-                denom = np.abs(a) + np.abs(b)
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    term = diff / denom
-                term[denom == 0] = 0.0
-                acc += term
-        else:
-            codes = ctx.nom_codes[j]
-            a = codes[rows_a][:, None]
-            b = codes[rows_b][None, :]
-            missing = (a < 0) | (b < 0)
-            if name == "overlap":
-                acc += (a != b).astype(np.float64)
-            elif name == "heom":
-                term = np.where(missing, 1.0, (a != b).astype(np.float64))
-                acc += term * term
-            else:  # hvdm
-                pair = ctx.vdm_pair[j]
-                if pair.size:
-                    term = pair[np.maximum(a, 0), np.maximum(b, 0)]
-                    term = np.where(missing, 1.0, term)
-                else:  # no cell of the column is present
-                    term = np.ones(shape)
-                acc += term * term
-    if name in ("euclidean", "heom", "hvdm"):
-        return np.sqrt(acc)
-    if name == "minkowsky":
-        return acc ** (1.0 / metric.p)
-    return acc
+    """Distance matrix between two index arrays."""
+    a = [v[:, None] for v in encode_rows(ctx, rows_a)]
+    b = [v[None, :] for v in encode_rows(ctx, rows_b)]
+    return _kernel(metric, ctx, a, b, (len(rows_a), len(rows_b)))
+
+
+def paired_distances(metric: Metric, ctx: MetricContext, a: list,
+                     b: list) -> np.ndarray:
+    """Distance between row i of ``a`` and row i of ``b``, for every i.
+
+    ``a`` and ``b`` are operands as ``encode_rows`` gives them, of
+    equal length; rows built outside the dataset reuse its codes.
+    """
+    return _kernel(metric, ctx, a, b, (len(a[0]),))
 
 
 def pairwise(metric: Metric, ctx: MetricContext, rows=None) -> np.ndarray:

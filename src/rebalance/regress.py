@@ -22,7 +22,7 @@ import numpy as np
 
 from ._util import balanced_quota, floor_frac, inverted_quota, nominal_freqs, sample_sd
 from .classif import AddedRow, ResampleError, StrategyOutcome
-from .distance import Metric, build_context, distance, knn_table
+from .distance import Metric, build_context, encode_rows, knn_table, paired_distances
 from .relevance import BumpPartition, RelevanceFn, find_bumps
 from .tabular import ColumnKind, Dataset
 
@@ -293,7 +293,11 @@ def smoter(
 
     Explicit rare-bump percentages are multiplicative: the final bump
     size is trunc(perc * count).  The synthetic target is the
-    inverse-distance weighted mean of the two parent targets.
+    inverse-distance weighted mean of the two parent targets.  Each
+    bump's synthetic rows and both parent distances come from one
+    vectorised pass.  A plain metric makes NaN distances at missing
+    feature cells; a synthetic target that comes out NaN raises
+    ResampleError.
     """
     if k < 1:
         raise ResampleError("k must be at least 1")
@@ -306,7 +310,7 @@ def smoter(
     y = ds.target_column.values
     feat_cols = ds.feature_columns
     parts = []
-    blocks: list[dict[str, list]] = []
+    blocks: list[dict[str, Sequence]] = []
     added: list[AddedRow] = []
     warnings: list[str] = []
     for b, t in zip(part.bumps, targets):
@@ -336,32 +340,36 @@ def smoter(
         nbr_pos = nbr_table[seed_pos, nbr_pick]
         seeds = idx[seed_pos]
         nbrs = idx[nbr_pos]
-        block = {c.name: [] for c in ds.columns}
         coin = {
             c.name: rng.random(size=extra) < 0.5
             for c in feat_cols
             if c.kind is ColumnKind.NOMINAL
         }
-        for i in range(extra):
-            si, ni = int(seeds[i]), int(nbrs[i])
-            new_feats = []
-            for c in feat_cols:
-                if c.kind is ColumnKind.NUMERIC:
-                    s_val = float(c.values[si])
-                    n_val = float(c.values[ni])
-                    v = s_val + float(u[i]) * (n_val - s_val)
-                else:
-                    v = c.values[si] if coin[c.name][i] else c.values[ni]
-                new_feats.append(v)
-                block[c.name].append(v)
-            d1 = distance(metric, ctx, new_feats, ds.row(si))
-            d2 = distance(metric, ctx, new_feats, ds.row(ni))
-            y1, y2 = float(y[si]), float(y[ni])
-            if d1 + d2 == 0:
-                new_y = (y1 + y2) / 2.0
+        seed_ops = encode_rows(ctx, seeds)
+        nbr_ops = encode_rows(ctx, nbrs)
+        new_ops = []
+        block = {}
+        for c, s_op, n_op in zip(feat_cols, seed_ops, nbr_ops):
+            if c.kind is ColumnKind.NUMERIC:
+                block[c.name] = s_op + u * (n_op - s_op)
+                new_ops.append(block[c.name])
             else:
-                new_y = (d2 * y1 + d1 * y2) / (d1 + d2)
-            block[ds.target].append(new_y)
+                pick = coin[c.name]
+                block[c.name] = np.where(pick, c.values[seeds], c.values[nbrs])
+                new_ops.append(np.where(pick, s_op, n_op))
+        d1 = paired_distances(metric, ctx, new_ops, seed_ops)
+        d2 = paired_distances(metric, ctx, new_ops, nbr_ops)
+        y1, y2 = y[seeds], y[nbrs]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            new_y = np.where(d1 + d2 == 0, (y1 + y2) / 2.0,
+                             (d2 * y1 + d1 * y2) / (d1 + d2))
+        if np.isnan(new_y).any():
+            raise ResampleError(
+                f"synthetic targets are NaN: the {metric.name} distance is NaN "
+                "where a feature cell is missing; --dist heom handles "
+                "missing cells"
+            )
+        block[ds.target] = new_y
         blocks.append(block)
         added.extend(AddedRow(int(s), synthetic=True) for s in seeds)
     kept = np.sort(np.concatenate(parts))

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 
 def _is_missing(v) -> bool:
     if v is None:
@@ -128,6 +130,68 @@ def hvdm_oracle(a, b, kinds, sds, vdm_tables):
             d = abs(x - y) / (4.0 * sd) if sd > 0 else 0.0
         total += d * d
     return math.sqrt(total)
+
+
+def scalar_distance_oracle(name, p, kinds, a, b, ranges, four_sd, vdm_tables):
+    """One distance between two cell sequences, one pair at a time.
+
+    The scalar loop the library used before its distances came from one
+    vectorised kernel.  ``name`` and ``p`` name the metric; ``ranges``
+    (HEOM) and ``four_sd`` (HVDM) map each numeric feature position to
+    its statistic, and ``vdm_tables`` is ``vdm_tables_oracle``'s output.
+    A nominal value absent from a VDM table has all-zero frequencies.
+    The HVDM nominal term sums with numpy, as the loop did, so that the
+    sum is associated as the library's table is.  Chebyshev lets a NaN
+    difference win, as the module documents for a missing cell under a
+    plain metric (the loop's built-in ``max`` skipped it).
+    """
+    if name in ("euclidean", "manhattan", "minkowsky", "chebyshev", "canberra"):
+        acc = 0.0
+        for x, y in zip(a, b):
+            diff = abs(x - y)
+            if name == "euclidean":
+                acc += diff * diff
+            elif name == "manhattan":
+                acc += diff
+            elif name == "minkowsky":
+                acc += diff ** p
+            elif name == "chebyshev":
+                acc = diff if diff != diff else max(acc, diff)
+            else:  # canberra; 0/0 counts as 0
+                denom = abs(x) + abs(y)
+                if denom > 0:
+                    acc += diff / denom
+                elif diff != diff:  # NaN propagates
+                    acc += diff
+        if name == "euclidean":
+            return math.sqrt(acc)
+        if name == "minkowsky":
+            return acc ** (1.0 / p)
+        return float(acc)
+
+    if name == "overlap":
+        return float(sum(0.0 if x == y else 1.0 for x, y in zip(a, b)))
+
+    # heom / hvdm
+    acc = 0.0
+    for j, kind in enumerate(kinds):
+        x, y = a[j], b[j]
+        if _is_missing(x) or _is_missing(y):
+            d = 1.0
+        elif kind == "nom":
+            if name == "heom":
+                d = 0.0 if x == y else 1.0
+            else:
+                classes, probs = vdm_tables[j]
+                zero = {c: 0.0 for c in classes}
+                px = np.array([probs.get(x, zero)[c] for c in classes])
+                py = np.array([probs.get(y, zero)[c] for c in classes])
+                d = float(np.sqrt(((px - py) ** 2).sum()))
+        else:
+            scale = ranges[j] if name == "heom" else four_sd[j]
+            d = abs(x - y) / scale if scale > 0 else 0.0
+        acc += d * d
+    return math.sqrt(acc)
 
 
 def knn_oracle(dists, candidates, k):

@@ -3,6 +3,7 @@
 import numpy as np
 
 from rebalance import Column, ColumnKind, Dataset
+from rebalance.synthgen import gen_imbr
 
 KIND = {"num": ColumnKind.NUMERIC, "nom": ColumnKind.NOMINAL}
 
@@ -59,4 +60,24 @@ def toy_mixed_ds():
             "colour": ("nom", [r[0] for r in TOY_ROWS]),
             "size": ("num", [r[1] for r in TOY_ROWS]),
         },
+    )
+
+
+def blanked_imbr(n_rows=1000, seed=0):
+    """``gen imbr`` with blank X1 cells on rows i % 37 == 5 and blank X2
+    cells on rows i % 53 == 11; under a plain metric their distances
+    are NaN."""
+    ds = gen_imbr(n_rows, seed=seed)
+    i = np.arange(n_rows)
+    x1 = ds.column("X1").values.copy()
+    x2 = ds.column("X2").values.copy()
+    x1[i % 37 == 5] = np.nan
+    x2[i % 53 == 11] = np.nan
+    return Dataset(
+        [
+            Column("X1", ColumnKind.NUMERIC, x1),
+            Column("X2", ColumnKind.NUMERIC, x2),
+            ds.column("Tgt"),
+        ],
+        target="Tgt",
     )

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from rebalance import class_counts, read_dataset
+from rebalance import class_counts, read_dataset, write_dataset
 from rebalance.cli import run
+
+from _toys import blanked_imbr
 
 
 @pytest.fixture()
@@ -312,6 +314,21 @@ def test_smote_r_on_a_nominal_target_is_a_data_error(imbc_csv, tmp_path, capsys)
                 "--target", "Class"])
     assert code == 1
     assert capsys.readouterr().err == "error: target values must be present and numeric\n"
+
+
+def test_smote_r_names_nan_distances_from_blank_cells(tmp_path, capsys):
+    # under euclidean a blank feature cell makes NaN distances, and so
+    # NaN synthetic targets; the error must say so, not blame the target
+    src, out = tmp_path / "blank.csv", tmp_path / "o.csv"
+    write_dataset(blanked_imbr(), str(src))
+    code = run(["smote-r", "--dist", "euclidean", "--in", str(src),
+                "--out", str(out), "--target", "Tgt"])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "NaN" in err[0] and "euclidean" in err[0] and "--dist heom" in err[0]
+    assert "target column" not in err[0]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("module", ["rebalance", "rebalance.cli"])

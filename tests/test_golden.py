@@ -25,8 +25,9 @@ import numpy as np
 import pytest
 
 from rebalance.cli import run
-from rebalance.synthgen import gen_imbr
 from rebalance.tabular import Column, ColumnKind, Dataset, write_dataset
+
+from _toys import blanked_imbr
 
 GOLDEN = Path(__file__).with_name("golden.json")
 ROWS = 1000
@@ -49,20 +50,12 @@ CASES = _cases()
 
 
 def _imbr_nan() -> Dataset:
-    ds = gen_imbr(ROWS, seed=0)
-    i = np.arange(ROWS)
-    x1 = ds.column("X1").values.copy()
-    x2 = ds.column("X2").values.copy()
-    x1[i % 37 == 5] = np.nan
-    x2[i % 53 == 11] = np.nan
+    ds = blanked_imbr(ROWS)
     y = ds.column("Tgt").values
     label = np.where(y >= 20.0, "ring", "bulk").astype(object)
     return Dataset(
-        [
-            Column("X1", ColumnKind.NUMERIC, x1),
-            Column("X2", ColumnKind.NUMERIC, x2),
-            Column("Class", ColumnKind.NOMINAL, label),
-        ],
+        [ds.column("X1"), ds.column("X2"),
+         Column("Class", ColumnKind.NOMINAL, label)],
         target="Class",
     )
 
