@@ -1,12 +1,25 @@
-"""Golden corpus: pinned sha256 digests of neighbour-strategy output CSVs.
+"""Golden corpus: pinned sha256 digests of every subcommand's output.
 
 Every case runs one CLI subcommand on a fixed 1,000-row input and
-compares the sha256 of the output CSV with ``golden.json``.  The inputs
-are ``gen imbc`` and ``gen imbr`` at seed 0, plus a numeric-only copy
-of ``gen imbr`` with a fixed pattern of blank ``X1``/``X2`` cells and a
-nominal ``Class`` column (``ring`` for targets of 20 and above, else
-``bulk``).  Under the euclidean distance a blank cell makes a distance
-NaN, so that copy pins how each strategy orders NaN distances.
+compares the sha256 of the output CSV and of the ``--report`` JSON with
+``golden.json``.  The report is hashed without its wall time, without
+the ``threads`` field older reports carried, and with the working
+directory cut out of its paths, so the pin also guards the recorded
+``params``, counts, warnings and bumps.
+
+The inputs are ``gen imbc`` and ``gen imbr`` at seed 0, plus three
+copies:
+
+- ``imbr-nan``: numeric-only ``gen imbr`` with a fixed pattern of blank
+  ``X1``/``X2`` cells and a nominal ``Class`` column (``ring`` for
+  targets of 20 and above, else ``bulk``).  Under the euclidean
+  distance a blank cell makes a distance NaN, so it pins how each
+  strategy orders NaN distances.
+- ``imbc-solo``: ``gen imbc`` with row 0 relabelled ``solo``, a
+  single-row class.
+- ``imbr`` with ``rel-solo.csv``: relevance points that make the single
+  largest target the only row at relevance 1, so ``--thr-rel 1`` gives
+  a single-row Rare bump.
 
 A change that means to alter output bytes re-records the digests with
 
@@ -25,6 +38,7 @@ import numpy as np
 import pytest
 
 from rebalance.cli import run
+from rebalance.synthgen import gen_imbc
 from rebalance.tabular import Column, ColumnKind, Dataset, write_dataset
 
 from _toys import blanked_imbr
@@ -32,7 +46,11 @@ from _toys import blanked_imbr
 GOLDEN = Path(__file__).with_name("golden.json")
 ROWS = 1000
 
-TARGETS = {"imbc": "Class", "imbr": "Tgt", "imbr-nan": "Class"}
+TARGETS = {"imbc": "Class", "imbr": "Tgt", "imbr-nan": "Class", "imbc-solo": "Class"}
+# the two largest gen imbr targets at 1,000 rows and seed 0 are
+# 23.120 and 23.375: only the largest reaches relevance 1
+REL_SOLO = "23.2,0,0\n23.3,1,0\n"
+SOLO_BUMP = ("--rel-points", "{work}/rel-solo.csv", "--thr-rel", "1")
 
 
 def _cases() -> dict[str, tuple[str, tuple[str, ...]]]:
@@ -43,6 +61,44 @@ def _cases() -> dict[str, tuple[str, tuple[str, ...]]]:
         cases[f"{cmd}-euclidean-nan"] = ("imbr-nan", (cmd, "--dist", "euclidean"))
     for dist in ("euclidean", "heom"):
         cases[f"smote-r-{dist}"] = ("imbr", ("smote-r", "--dist", dist))
+    imbc = {
+        "randunder": ("randunder",),
+        "randunder-extreme-repl": ("randunder", "--c-perc", "extreme", "--repl"),
+        "randover": ("randover",),
+        "randover-explicit": ("randover", "--c-perc", "rare1=2.5,rare2=1.5"),
+        "impsamp": ("impsamp",),
+        "impsamp-extreme": ("impsamp", "--c-perc", "extreme"),
+        "impsamp-mixed": ("impsamp", "--c-perc", "normal=0.5,rare1=4"),
+        "gaussnoise": ("gaussnoise",),
+        "gaussnoise-pert0": ("gaussnoise", "--pert", "0"),
+        "gaussnoise-mixed-repl": (
+            "gaussnoise", "--c-perc", "normal=0.5,rare2=3", "--repl"),
+        "smote-heom-extreme": ("smote", "--dist", "heom", "--c-perc", "extreme"),
+        "smote-heom-mixed": (
+            "smote", "--dist", "heom", "--c-perc", "normal=0.5,rare1=3,rare2=2"),
+        "smote-heom-repl": ("smote", "--dist", "heom", "--repl"),
+    }
+    imbr = {
+        "randunder-r": ("randunder-r",),
+        "randunder-r-extreme-repl": ("randunder-r", "--c-perc", "extreme", "--repl"),
+        "randover-r": ("randover-r",),
+        "randover-r-explicit": ("randover-r", "--c-perc", "1.5"),
+        "gaussnoise-r": ("gaussnoise-r",),
+        "gaussnoise-r-pert0": ("gaussnoise-r", "--pert", "0"),
+        "gaussnoise-r-mixed-repl": ("gaussnoise-r", "--c-perc", "0.5,2", "--repl"),
+        "impsamp-r-a": ("impsamp-r",),
+        "impsamp-r-a-extreme": ("impsamp-r", "--c-perc", "extreme", "--thr-rel", "0.7"),
+        "impsamp-r-b": ("impsamp-r", "--u", "0.5", "--o", "1.0"),
+        "smote-r-euclidean-extreme": ("smote-r", "--c-perc", "extreme"),
+        "smote-r-euclidean-mixed": ("smote-r", "--c-perc", "0.5,3", "--k", "3"),
+        "smote-r-heom-repl": ("smote-r", "--dist", "heom", "--repl"),
+        "gaussnoise-r-solo": ("gaussnoise-r", *SOLO_BUMP),
+        "smote-r-solo": ("smote-r", *SOLO_BUMP),
+    }
+    cases.update((name, ("imbc", args)) for name, args in imbc.items())
+    cases.update((name, ("imbr", args)) for name, args in imbr.items())
+    cases["gaussnoise-solo"] = ("imbc-solo", ("gaussnoise",))
+    cases["smote-heom-solo"] = ("imbc-solo", ("smote", "--dist", "heom"))
     return cases
 
 
@@ -60,21 +116,44 @@ def _imbr_nan() -> Dataset:
     )
 
 
+def _imbc_solo() -> Dataset:
+    ds = gen_imbc(ROWS, seed=0)
+    label = ds.column("Class").values.copy()
+    label[0] = "solo"
+    return Dataset(
+        [ds.column("X1"), ds.column("X2"), Column("Class", ColumnKind.NOMINAL, label)],
+        target="Class",
+    )
+
+
 def write_inputs(workdir: Path) -> None:
     for variant in ("imbc", "imbr"):
         path = workdir / f"{variant}.csv"
         assert run(["gen", variant, "--rows", str(ROWS), "--seed", "0",
                     "--out", str(path)]) == 0
     write_dataset(_imbr_nan(), str(workdir / "imbr-nan.csv"))
+    write_dataset(_imbc_solo(), str(workdir / "imbc-solo.csv"))
+    (workdir / "rel-solo.csv").write_text(REL_SOLO)
 
 
-def digest(name: str, workdir: Path) -> str:
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digests(name: str, workdir: Path) -> tuple[str, str]:
+    """sha256 of the case's output CSV and of its normalised report."""
     source, args = CASES[name]
     out = workdir / f"out-{name}.csv"
-    code = run([*args, "--in", str(workdir / f"{source}.csv"),
-                "--target", TARGETS[source], "--out", str(out), "--seed", "0"])
+    rep = workdir / f"report-{name}.json"
+    code = run([*(a.format(work=workdir) for a in args),
+                "--in", str(workdir / f"{source}.csv"), "--target", TARGETS[source],
+                "--out", str(out), "--report", str(rep), "--seed", "0"])
     assert code == 0, f"{name} exited {code}"
-    return hashlib.sha256(out.read_bytes()).hexdigest()
+    report = json.loads(rep.read_text())
+    for key in ("elapsed_seconds", "threads"):
+        report.pop(key, None)
+    text = json.dumps(report, sort_keys=True).replace(str(workdir), "")
+    return _sha256(out.read_bytes()), _sha256(text.encode())
 
 
 @pytest.fixture(scope="module")
@@ -85,19 +164,25 @@ def inputs(tmp_path_factory) -> Path:
 
 
 def test_corpus_covers_every_case():
-    assert sorted(json.loads(GOLDEN.read_text())) == sorted(CASES)
+    golden = json.loads(GOLDEN.read_text())
+    assert sorted(golden["csv"]) == sorted(golden["report"]) == sorted(CASES)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_digest(name, inputs):
-    expected = json.loads(GOLDEN.read_text())[name]
-    assert digest(name, inputs) == expected
+    golden = json.loads(GOLDEN.read_text())
+    csv_digest, report_digest = digests(name, inputs)
+    assert csv_digest == golden["csv"][name]
+    assert report_digest == golden["report"][name]
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         write_inputs(workdir)
-        pinned = {name: digest(name, workdir) for name in sorted(CASES)}
-    GOLDEN.write_text(json.dumps(pinned, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(pinned)} digests to {GOLDEN}", file=sys.stderr)
+        pinned = {name: digests(name, workdir) for name in sorted(CASES)}
+    GOLDEN.write_text(json.dumps(
+        {"csv": {n: d[0] for n, d in pinned.items()},
+         "report": {n: d[1] for n, d in pinned.items()}},
+        indent=2, sort_keys=True) + "\n")
+    print(f"wrote {len(pinned)} case digests to {GOLDEN}", file=sys.stderr)
