@@ -1,7 +1,14 @@
 #!/bin/sh
 # End-to-end CLI session: generate data, rebalance it two ways, diff the
 # class counts via the JSON reports.  Everything lands in a temp dir.
+# Runs the package from this checkout: python3 -m rebalance with src on
+# PYTHONPATH, so nothing needs installing.
 set -e
+
+src=$(cd "$(dirname "$0")/../src" && pwd)
+PYTHONPATH="$src${PYTHONPATH:+:$PYTHONPATH}"
+export PYTHONPATH
+rebalance() { python3 -m rebalance "$@"; }
 
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT

@@ -11,18 +11,28 @@ Class percentage specs come in three modes.  Balance and Extreme
 derive per-class targets from the class counts alone; explicit mode
 maps class labels to percentages (shrink below 1, grow above 1,
 classes not named stay untouched).
+
+The strategies that move groups toward row targets (random under- and
+over-sampling, importance sampling, Gaussian noise and SMOTE, here and
+their bump twins in ``rebalance.regress``) run through one driver,
+``_resample``: it shrinks each group above its target to a sorted
+random sample, lets a grow callback add rows to each group below it,
+and builds the output and the removed/added bookkeeping once.  Groups
+are classes in label order or bumps in partition order.  Two
+synthesisers serve classes and bumps alike: ``_noise_rows`` (Gaussian
+noise) and ``_smote_rows`` (SMOTE interpolation).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from ._util import balanced_quota, floor_frac, inverted_quota, nominal_freqs, sample_sd
-from .distance import Metric, build_context, knn_table, nearest
+from .distance import Metric, MetricContext, build_context, knn_table, nearest
 from .tabular import ColumnKind, Dataset, class_counts
 
 __all__ = [
@@ -202,14 +212,133 @@ def _class_indices(ds: Dataset) -> dict[str, np.ndarray]:
     return {c: np.array(idx, dtype=np.intp) for c, idx in sorted(out.items())}
 
 
-def _bookkeep(n: int, kept: np.ndarray) -> tuple[list[int], list[AddedRow]]:
-    """Removed indices and duplicate-row descriptors for a kept multiset."""
-    counts = np.bincount(kept, minlength=n)
+def _class_groups(ds: Dataset, targets: Mapping[str, int]) -> list[tuple]:
+    """Driver groups: (label, row indices, target) in label order."""
+    return [(c, idx, targets[c]) for c, idx in _class_indices(ds).items()]
+
+
+def _resample(
+    ds: Dataset,
+    groups: Sequence[tuple],
+    rng: np.random.Generator,
+    grow: Callable | None = None,
+    repl: bool = False,
+    warnings: list[str] | None = None,
+) -> StrategyOutcome:
+    """The shrink/grow driver shared by the class and bump strategies.
+
+    ``groups`` holds (key, row indices, target) per class or bump.  A
+    group above its target keeps a sorted sample of its rows drawn with
+    ``repl``.  Any other group keeps every row, and when it is below its
+    target ``grow(key, idx, extra)`` adds ``extra`` rows: it returns
+    their seed rows and a column block, or None for plain replicas of
+    the seeds.  The output holds the kept rows in row order, then the
+    replicas, then the blocks, each in group order.  A row kept twice
+    or replicated counts as an added copy, a block row as synthetic.
+    """
+    parts, replicas, blocks, grown = [], [], [], []
+    for key, idx, t in groups:
+        if t < len(idx):
+            parts.append(np.sort(rng.choice(idx, size=t, replace=repl)))
+            continue
+        parts.append(idx)
+        if t > len(idx):
+            seeds, block = grow(key, idx, t - len(idx))
+            # replicas ride in the one take, which is cheaper than
+            # appending copies of nominal cells
+            if block is None:
+                replicas.append(seeds)
+            else:
+                blocks.append(block)
+            grown += [AddedRow(int(s), synthetic=block is not None) for s in seeds]
+    kept = np.sort(np.concatenate(parts))
+    out = ds.take(np.concatenate([kept, *replicas]))
+    if blocks:
+        out = out.append({c: np.concatenate([b[c] for b in blocks]) for c in blocks[0]})
+    counts = np.bincount(kept, minlength=ds.n_rows)
     removed = [int(i) for i in np.nonzero(counts == 0)[0]]
-    added = []
-    for i in np.nonzero(counts > 1)[0]:
-        added.extend([AddedRow(int(i), synthetic=False)] * (int(counts[i]) - 1))
-    return removed, added
+    copies = [
+        AddedRow(int(i), synthetic=False)
+        for i in np.nonzero(counts > 1)[0]
+        for _ in range(counts[i] - 1)
+    ]
+    return StrategyOutcome(out, removed, copies + grown, warnings or [])
+
+
+def _replicas(rng: np.random.Generator) -> Callable:
+    """Grow callback: replicas of rows drawn uniformly from the group."""
+    return lambda key, idx, extra: (rng.choice(idx, size=extra, replace=True), None)
+
+
+def _copies(ds: Dataset, idx: np.ndarray, extra: int) -> tuple[np.ndarray, dict]:
+    """Grow a single-row group with synthetic rows that copy it."""
+    seeds = np.repeat(idx, extra)
+    return seeds, {c.name: c.values[seeds] for c in ds.columns}
+
+
+def _noise_rows(
+    ds: Dataset, rng: np.random.Generator, pert: float, idx: np.ndarray, extra: int
+) -> tuple[np.ndarray, dict]:
+    """Gaussian-noise synthesis, shared by classes and bumps.
+
+    Each new row copies a seed row drawn uniformly from ``idx`` and
+    adds N(0, pert * sd) to every numeric column, a numeric target
+    included, where sd is the sample standard deviation within the
+    group.  A nominal feature is drawn from its frequencies within the
+    group; it is copied from the seed when ``pert`` is 0 or the group
+    has no present cell.  A nominal target is copied with no draw.
+    """
+    seeds = rng.choice(idx, size=extra, replace=True)
+    block = {}
+    for col in ds.columns:
+        vals = col.values
+        if col.kind is ColumnKind.NUMERIC:
+            sd = sample_sd(vals[idx])
+            block[col.name] = vals[seeds] + rng.normal(0.0, 1.0, size=extra) * pert * sd
+        elif pert == 0 or col.name == ds.target:
+            block[col.name] = vals[seeds]
+        else:
+            values, freqs = nominal_freqs(vals[idx])
+            block[col.name] = (
+                np.array(values, dtype=object)[rng.choice(len(values), size=extra, p=freqs)]
+                if values else vals[seeds]
+            )
+    return seeds, block
+
+
+def _smote_rows(
+    ds: Dataset, metric: Metric, ctx: MetricContext, k: int, rng: np.random.Generator,
+    idx: np.ndarray, extra: int,
+) -> tuple[np.ndarray, np.ndarray, dict, dict]:
+    """SMOTE synthesis, shared by classes and bumps.
+
+    Each new row takes a seed row drawn uniformly from ``idx`` (two rows
+    or more) and one of its min(k, len(idx) - 1) nearest neighbours
+    within ``idx``.  A numeric column moves a uniform fraction of the
+    way from the seed to the neighbour, a nominal feature copies one of
+    the two ends at even odds, and a nominal target is copied from the
+    seed.  The draws come in one order: seed positions, neighbour
+    picks, fractions, then one coin per nominal feature in column
+    order.  Returns the seeds, their neighbours, the block and each
+    nominal feature's coins (True takes the seed's value).
+    """
+    k_eff = min(k, len(idx) - 1)
+    nbr_table = knn_table(metric, ctx, k_eff, rows=idx)
+    seed_pos = rng.integers(0, len(idx), size=extra)
+    nbr_pick = rng.integers(0, k_eff, size=extra)
+    u = rng.random(size=extra)
+    seeds, nbrs = idx[seed_pos], idx[nbr_table[seed_pos, nbr_pick]]
+    block, coins = {}, {}
+    for col in ds.columns:
+        s_vals, n_vals = col.values[seeds], col.values[nbrs]
+        if col.kind is ColumnKind.NUMERIC:
+            block[col.name] = s_vals + u * (n_vals - s_vals)
+        elif col.name == ds.target:
+            block[col.name] = s_vals
+        else:
+            coins[col.name] = rng.random(size=extra) < 0.5
+            block[col.name] = np.where(coins[col.name], s_vals, n_vals)
+    return seeds, nbrs, block, coins
 
 
 def rand_under_classif(
@@ -219,20 +348,9 @@ def rand_under_classif(
     seed: int | None = None,
 ) -> StrategyOutcome:
     """Randomly drop rows of the classes ``spec`` shrinks."""
-    counts = class_counts(ds)
-    targets = resolve_targets_under(counts, spec)
+    targets = resolve_targets_under(class_counts(ds), spec)
     rng = np.random.default_rng(seed)
-    by_class = _class_indices(ds)
-    parts = []
-    for label, idx in by_class.items():
-        t = targets[label]
-        if t < len(idx):
-            parts.append(np.sort(rng.choice(idx, size=t, replace=repl)))
-        else:
-            parts.append(idx)
-    kept = np.sort(np.concatenate(parts))
-    removed, added = _bookkeep(ds.n_rows, kept)
-    return StrategyOutcome(ds.take(kept), removed, added)
+    return _resample(ds, _class_groups(ds, targets), rng, repl=repl)
 
 
 def rand_over_classif(
@@ -241,19 +359,9 @@ def rand_over_classif(
     seed: int | None = None,
 ) -> StrategyOutcome:
     """Append uniformly chosen replicas until each class meets its target."""
-    counts = class_counts(ds)
-    targets = resolve_targets_over(counts, spec)
+    targets = resolve_targets_over(class_counts(ds), spec)
     rng = np.random.default_rng(seed)
-    by_class = _class_indices(ds)
-    replicas = []
-    for label, idx in by_class.items():
-        extra = targets[label] - len(idx)
-        if extra > 0:
-            replicas.append(rng.choice(idx, size=extra, replace=True))
-    seeds = np.concatenate(replicas) if replicas else np.empty(0, dtype=np.intp)
-    final = np.concatenate([np.arange(ds.n_rows, dtype=np.intp), seeds])
-    added = [AddedRow(int(s), synthetic=False) for s in seeds]
-    return StrategyOutcome(ds.take(final), [], added)
+    return _resample(ds, _class_groups(ds, targets), rng, _replicas(rng))
 
 
 def imp_samp_classif(
@@ -262,26 +370,9 @@ def imp_samp_classif(
     seed: int | None = None,
 ) -> StrategyOutcome:
     """Move every class toward its target by dropping or replicating."""
-    counts = class_counts(ds)
-    targets = _resolve_impsamp(counts, spec)
+    targets = _resolve_impsamp(class_counts(ds), spec)
     rng = np.random.default_rng(seed)
-    by_class = _class_indices(ds)
-    parts = []
-    replicas = []
-    for label, idx in by_class.items():
-        t = targets[label]
-        if t < len(idx):
-            parts.append(np.sort(rng.choice(idx, size=t, replace=False)))
-        else:
-            parts.append(idx)
-            if t > len(idx):
-                replicas.append(rng.choice(idx, size=t - len(idx), replace=True))
-    kept = np.sort(np.concatenate(parts))
-    seeds = np.concatenate(replicas) if replicas else np.empty(0, dtype=np.intp)
-    final = np.concatenate([kept, seeds])
-    removed, _ = _bookkeep(ds.n_rows, kept)
-    added = [AddedRow(int(s), synthetic=False) for s in seeds]
-    return StrategyOutcome(ds.take(final), removed, added)
+    return _resample(ds, _class_groups(ds, targets), rng, _replicas(rng))
 
 
 def _resolve_cl(cl, counts: Mapping[str, int], smaller_ok: bool = True) -> list[str]:
@@ -529,14 +620,6 @@ def ncl_classif(
     return StrategyOutcome(ds.take(kept), sorted(to_remove), [], warnings)
 
 
-def _shrink_grow_split(
-    by_class: dict[str, np.ndarray], targets: Mapping[str, int]
-) -> tuple[list[str], list[str]]:
-    shrink = [c for c, idx in by_class.items() if targets[c] < len(idx)]
-    grow = [c for c, idx in by_class.items() if targets[c] > len(idx)]
-    return shrink, grow
-
-
 def gauss_noise_classif(
     ds: Dataset,
     spec: ClassPercSpec,
@@ -553,51 +636,10 @@ def gauss_noise_classif(
     """
     if not (math.isfinite(pert) and pert >= 0):
         raise ResampleError("pert must be a finite non-negative number")
-    counts = class_counts(ds)
-    targets = _resolve_mixed(counts, spec)
+    targets = _resolve_mixed(class_counts(ds), spec)
     rng = np.random.default_rng(seed)
-    by_class = _class_indices(ds)
-    labels_order = list(by_class)
-    parts = []
-    blocks: list[dict[str, list]] = []
-    added: list[AddedRow] = []
-    for label in labels_order:
-        idx = by_class[label]
-        t = targets[label]
-        if t < len(idx):
-            parts.append(np.sort(rng.choice(idx, size=t, replace=repl)))
-            continue
-        parts.append(idx)
-        extra = t - len(idx)
-        if extra == 0:
-            continue
-        seeds = rng.choice(idx, size=extra, replace=True)
-        block: dict[str, list] = {}
-        for col in ds.columns:
-            if col.name == ds.target:
-                block[col.name] = [label] * extra
-            elif col.kind is ColumnKind.NUMERIC:
-                sd = sample_sd(col.values[idx])
-                noise = rng.normal(0.0, 1.0, size=extra) * pert * sd
-                block[col.name] = list(col.values[seeds] + noise)
-            elif pert == 0:
-                # noise-free runs must replicate rows exactly
-                block[col.name] = list(col.values[seeds])
-            else:
-                values, freqs = nominal_freqs(col.values[idx])
-                if not values:
-                    block[col.name] = [None] * extra
-                else:
-                    pick = rng.choice(len(values), size=extra, p=freqs)
-                    block[col.name] = [values[i] for i in pick]
-        blocks.append(block)
-        added.extend(AddedRow(int(s), synthetic=True) for s in seeds)
-    kept = np.sort(np.concatenate(parts))
-    out = ds.take(kept)
-    for block in blocks:
-        out = out.append(block)
-    removed, dup_added = _bookkeep(ds.n_rows, kept)
-    return StrategyOutcome(out, removed, dup_added + added)
+    return _resample(ds, _class_groups(ds, targets), rng,
+                     lambda _, idx, extra: _noise_rows(ds, rng, pert, idx, extra), repl)
 
 
 def smote_classif(
@@ -618,65 +660,19 @@ def smote_classif(
     """
     if k < 1:
         raise ResampleError("k must be at least 1")
-    counts = class_counts(ds)
-    targets = _resolve_mixed(counts, spec)
+    targets = _resolve_mixed(class_counts(ds), spec)
     ctx = build_context(metric, ds)
     rng = np.random.default_rng(seed)
-    by_class = _class_indices(ds)
-    parts = []
-    blocks: list[dict[str, list]] = []
-    added: list[AddedRow] = []
     warnings: list[str] = []
-    for label, idx in by_class.items():
-        t = targets[label]
-        if t < len(idx):
-            parts.append(np.sort(rng.choice(idx, size=t, replace=repl)))
-            continue
-        parts.append(idx)
-        extra = t - len(idx)
-        if extra == 0:
-            continue
+
+    def grow(label, idx, extra):
         if len(idx) == 1:
             warnings.append(
                 f"SmoteClassif: class {label!r} has a single example; "
                 "synthetic rows are plain replicas"
             )
-            seeds = np.repeat(idx, extra)
-            block = {
-                c.name: list(c.values[seeds]) if c.name != ds.target else [label] * extra
-                for c in ds.columns
-            }
-            blocks.append(block)
-            added.extend(AddedRow(int(s), synthetic=True) for s in seeds)
-            continue
-        k_eff = min(k, len(idx) - 1)
-        nbr_table = knn_table(metric, ctx, k_eff, rows=idx)
+            return _copies(ds, idx, extra)
+        seeds, _, block, _ = _smote_rows(ds, metric, ctx, k, rng, idx, extra)
+        return seeds, block
 
-        seed_pos = rng.integers(0, len(idx), size=extra)
-        nbr_pick = rng.integers(0, k_eff, size=extra)
-        u = rng.random(size=extra)
-        nbr_pos = nbr_table[seed_pos, nbr_pick]
-        seeds = idx[seed_pos]
-        nbrs = idx[nbr_pos]
-        block = {}
-        for col in ds.columns:
-            if col.name == ds.target:
-                block[col.name] = [label] * extra
-            elif col.kind is ColumnKind.NUMERIC:
-                s_vals = col.values[seeds]
-                n_vals = col.values[nbrs]
-                block[col.name] = list(s_vals + u * (n_vals - s_vals))
-            else:
-                coin = rng.random(size=extra) < 0.5
-                block[col.name] = [
-                    col.values[seeds[i]] if coin[i] else col.values[nbrs[i]]
-                    for i in range(extra)
-                ]
-        blocks.append(block)
-        added.extend(AddedRow(int(s), synthetic=True) for s in seeds)
-    kept = np.sort(np.concatenate(parts))
-    out = ds.take(kept)
-    for block in blocks:
-        out = out.append(block)
-    removed, dup_added = _bookkeep(ds.n_rows, kept)
-    return StrategyOutcome(out, removed, dup_added + added, warnings)
+    return _resample(ds, _class_groups(ds, targets), rng, grow, repl, warnings)

@@ -5,6 +5,16 @@ name, regression twins with a ``-r`` suffix) plus ``gen`` for the
 bundled synthetic dataset generators.  Input and output are CSV files
 with a header row; an optional JSON report captures what the run did.
 
+``COMMANDS`` is the one table of resampling subcommands.  An entry
+names its strategy function, looked up in this module each time the
+command runs, and its options with their defaults.  The parser is
+built from the table; each option reaches the strategy as the keyword
+of the same name (``--c-perc`` as ``spec``, ``--dist`` with ``--p`` as
+``metric``), and the report's ``params`` record each option under its
+name.  Two kinds of entries carry a hook: ``impsamp-r`` picks mode A
+or mode B from its options, and ``cnn``/``oss`` report the important
+and unimportant class lists they return.
+
 Exit codes: 0 for success (warnings included), 2 for usage errors, 1
 for data or parameter errors.  A fixed ``--seed`` makes the output CSV
 and the report byte-identical across runs, except for the wall-time
@@ -16,11 +26,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Mapping
 
+# COMMANDS reaches the strategies by name, through this module's globals
 from .classif import (
     ClassPercSpec,
     ResampleError,
@@ -36,7 +47,7 @@ from .classif import (
     smote_classif,
     tomek_classif,
 )
-from .distance import Metric, MetricError
+from .distance import METRIC_NAMES, Metric, MetricError
 from .regress import (
     BumpPercSpec,
     ImpSampParams,
@@ -63,26 +74,6 @@ from .tabular import (
 )
 
 __all__ = ["run", "main"]
-
-CLASSIF_COMMANDS = (
-    "randunder",
-    "randover",
-    "impsamp",
-    "tomek",
-    "cnn",
-    "oss",
-    "enn",
-    "ncl",
-    "gaussnoise",
-    "smote",
-)
-REGRESS_COMMANDS = (
-    "randunder-r",
-    "randover-r",
-    "gaussnoise-r",
-    "smote-r",
-    "impsamp-r",
-)
 
 
 def _parse_c_perc_classif(text: str) -> ClassPercSpec:
@@ -138,142 +129,10 @@ def _parse_rel(text: str) -> str:
     )
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rebalance",
-        description="Resample imbalanced tabular datasets.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    io_parent = argparse.ArgumentParser(add_help=False)
-    io_parent.add_argument("--in", dest="input", required=True, metavar="FILE")
-    io_parent.add_argument("--out", dest="output", required=True, metavar="FILE")
-    io_parent.add_argument("--target", required=True, metavar="NAME")
-    io_parent.add_argument("--seed", type=int, default=0)
-    io_parent.add_argument("--report", default=None, metavar="FILE")
-
-    dist_parent = argparse.ArgumentParser(add_help=False)
-    dist_parent.add_argument(
-        "--dist",
-        default="euclidean",
-        choices=[
-            "euclidean",
-            "manhattan",
-            "minkowsky",
-            "chebyshev",
-            "canberra",
-            "overlap",
-            "heom",
-            "hvdm",
-        ],
-    )
-    dist_parent.add_argument(
-        "--p", type=float, default=2.0, help="exponent for --dist minkowsky"
-    )
-
-    rel_parent = argparse.ArgumentParser(add_help=False)
-    rel_parent.add_argument("--rel", type=_parse_rel, default="auto")
-    rel_parent.add_argument("--rel-points", default=None, metavar="FILE")
-    rel_parent.add_argument("--thr-rel", type=float, default=0.5)
-
-    def classif(name: str, **kwargs) -> argparse.ArgumentParser:
-        parents = [io_parent] + kwargs.pop("parents", [])
-        return sub.add_parser(name, parents=parents, **kwargs)
-
-    p = classif("randunder", help="random under-sampling (classification)")
-    p.add_argument("--c-perc", type=_parse_c_perc_classif, default=ClassPercSpec.balance())
-    p.add_argument("--repl", action="store_true")
-
-    p = classif("randover", help="random over-sampling (classification)")
-    p.add_argument("--c-perc", type=_parse_c_perc_classif, default=ClassPercSpec.balance())
-
-    p = classif("impsamp", help="importance sampling (classification)")
-    p.add_argument("--c-perc", type=_parse_c_perc_classif, default=ClassPercSpec.balance())
-
-    p = classif("tomek", parents=[dist_parent], help="Tomek link removal")
-    p.add_argument("--cl", type=_parse_cl, default="all")
-    p.add_argument("--rem", choices=["both", "maj"], default="both")
-
-    p = classif("cnn", parents=[dist_parent], help="condensed nearest neighbours")
-    p.add_argument("--cl", type=_parse_cl, default="smaller")
-
-    p = classif("oss", parents=[dist_parent], help="one-sided selection")
-    p.add_argument("--cl", type=_parse_cl, default="smaller")
-    p.add_argument("--start", choices=["cnn", "tomek"], default="cnn")
-
-    p = classif("enn", parents=[dist_parent], help="edited nearest neighbours")
-    p.add_argument("--cl", type=_parse_cl, default="all")
-    p.add_argument("--k", type=int, default=3)
-
-    p = classif("ncl", parents=[dist_parent], help="neighbourhood cleaning")
-    p.add_argument("--cl", type=_parse_cl, default="smaller")
-    p.add_argument("--k", type=int, default=3)
-
-    p = classif("gaussnoise", help="Gaussian-noise synthesis (classification)")
-    p.add_argument("--c-perc", type=_parse_c_perc_classif, default=ClassPercSpec.balance())
-    p.add_argument("--pert", type=float, default=0.1)
-    p.add_argument("--repl", action="store_true")
-
-    p = classif("smote", parents=[dist_parent], help="smote synthesis (classification)")
-    p.add_argument("--c-perc", type=_parse_c_perc_classif, default=ClassPercSpec.balance())
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--repl", action="store_true")
-
-    p = classif("randunder-r", parents=[rel_parent], help="random under-sampling (regression)")
-    p.add_argument("--c-perc", type=_parse_c_perc_regress, default=BumpPercSpec.balance())
-    p.add_argument("--repl", action="store_true")
-
-    p = classif("randover-r", parents=[rel_parent], help="random over-sampling (regression)")
-    p.add_argument("--c-perc", type=_parse_c_perc_regress, default=BumpPercSpec.balance())
-
-    p = classif("gaussnoise-r", parents=[rel_parent], help="Gaussian-noise synthesis (regression)")
-    p.add_argument("--c-perc", type=_parse_c_perc_regress, default=BumpPercSpec.balance())
-    p.add_argument("--pert", type=float, default=0.1)
-    p.add_argument("--repl", action="store_true")
-
-    p = classif("smote-r", parents=[rel_parent, dist_parent], help="smote synthesis (regression)")
-    p.add_argument("--c-perc", type=_parse_c_perc_regress, default=BumpPercSpec.balance())
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--repl", action="store_true")
-
-    p = classif("impsamp-r", parents=[rel_parent], help="importance sampling (regression)")
-    p.add_argument("--c-perc", type=_parse_c_perc_regress, default=None)
-    p.add_argument("--u", type=float, default=None)
-    p.add_argument("--o", type=float, default=None)
-    # mode A uses --thr-rel/--c-perc; giving --u/--o switches to mode B
-
-    p = sub.add_parser("gen", help="generate a synthetic dataset")
-    p.add_argument("variant", choices=["imbc", "imbr"])
-    p.add_argument("--rows", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", dest="output", required=True, metavar="FILE")
-    p.add_argument("--report", default=None, metavar="FILE")
-
-    return parser
-
-
-def _read_threads() -> int:
-    raw = os.environ.get("REBALANCE_THREADS")
-    if raw is None:
-        return 0
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ResampleError(
-            f"REBALANCE_THREADS must be a non-negative integer, got {raw!r}"
-        ) from None
-    if threads < 0:
-        raise ResampleError(
-            f"REBALANCE_THREADS must be a non-negative integer, got {raw!r}"
-        )
-    return threads
-
-
 def _metric_from(args: argparse.Namespace) -> Metric:
-    name = getattr(args, "dist", "euclidean")
-    if name == "minkowsky":
+    if args.dist == "minkowsky":
         return Metric("minkowsky", p=args.p)
-    return Metric(name)
+    return Metric(args.dist)
 
 
 def _read_rel_points(path: str) -> RelevanceFn:
@@ -316,8 +175,6 @@ def _bump_summary(ds: Dataset, fn: RelevanceFn, thr_rel: float) -> list[dict]:
 
 
 def _spec_repr(spec) -> str | dict | list:
-    if spec is None:
-        return None
     if spec.mode == "explicit":
         if isinstance(spec, ClassPercSpec):
             return dict(spec.percs)
@@ -325,123 +182,183 @@ def _spec_repr(spec) -> str | dict | list:
     return spec.mode
 
 
-def _dispatch_classif(args: argparse.Namespace, ds: Dataset):
-    command = args.command
-    seed = args.seed
-    extra: dict = {}
-    if command == "randunder":
-        out = rand_under_classif(ds, args.c_perc, repl=args.repl, seed=seed)
-        params = {"c_perc": _spec_repr(args.c_perc), "repl": args.repl}
-    elif command == "randover":
-        out = rand_over_classif(ds, args.c_perc, seed=seed)
-        params = {"c_perc": _spec_repr(args.c_perc)}
-    elif command == "impsamp":
-        out = imp_samp_classif(ds, args.c_perc, seed=seed)
-        params = {"c_perc": _spec_repr(args.c_perc)}
-    elif command == "tomek":
-        out = tomek_classif(ds, _metric_from(args), cl=args.cl, rem=args.rem, seed=seed)
-        params = {"dist": args.dist, "cl": args.cl, "rem": args.rem}
-    elif command == "cnn":
-        out, important, unimportant = cnn_classif(
-            ds, _metric_from(args), cl=args.cl, seed=seed
-        )
-        params = {"dist": args.dist, "cl": args.cl}
-        extra = {"important_classes": important, "unimportant_classes": unimportant}
-    elif command == "oss":
-        out, important, unimportant = oss_classif(
-            ds, _metric_from(args), cl=args.cl, start=args.start, seed=seed
-        )
-        params = {"dist": args.dist, "cl": args.cl, "start": args.start}
-        extra = {"important_classes": important, "unimportant_classes": unimportant}
-    elif command == "enn":
-        out = enn_classif(ds, _metric_from(args), k=args.k, cl=args.cl, seed=seed)
-        params = {"dist": args.dist, "cl": args.cl, "k": args.k}
-    elif command == "ncl":
-        out = ncl_classif(ds, _metric_from(args), k=args.k, cl=args.cl, seed=seed)
-        params = {"dist": args.dist, "cl": args.cl, "k": args.k}
-    elif command == "gaussnoise":
-        out = gauss_noise_classif(
-            ds, args.c_perc, pert=args.pert, repl=args.repl, seed=seed
-        )
-        params = {"c_perc": _spec_repr(args.c_perc), "pert": args.pert, "repl": args.repl}
-    elif command == "smote":
-        out = smote_classif(
-            ds, args.c_perc, k=args.k, metric=_metric_from(args),
-            repl=args.repl, seed=seed,
-        )
-        params = {"c_perc": _spec_repr(args.c_perc), "k": args.k, "dist": args.dist, "repl": args.repl}
-    else:  # pragma: no cover - guarded by argparse choices
-        raise ResampleError(f"unknown command {command!r}")
-
-    report = {
-        "class_counts_before": dict(class_counts(ds)),
-        "class_counts_after": dict(class_counts(out.dataset)),
-    }
-    report.update(extra)
-    return out, params, report
+def _impsamp_r_mode(args: argparse.Namespace) -> tuple[dict, dict]:
+    """impsamp-r: mode B with --u/--o, else mode A with --thr-rel/--c-perc."""
+    if args.u is not None or args.o is not None:
+        if args.c_perc is not None:
+            raise ResampleError("--c-perc cannot be combined with --u/--o")
+        return {"params": ImpSampParams(u=args.u, o=args.o)}, {"u": args.u, "o": args.o}
+    spec = BumpPercSpec.balance() if args.c_perc is None else args.c_perc
+    return (
+        {"params": ImpSampParams(thr_rel=args.thr_rel, spec=spec)},
+        {"thr_rel": args.thr_rel, "c_perc": _spec_repr(spec)},
+    )
 
 
-def _dispatch_regress(args: argparse.Namespace, ds: Dataset):
-    command = args.command
-    seed = args.seed
-    fn = _relevance_from(args, ds)
+def _class_lists(result) -> tuple[StrategyOutcome, dict]:
+    """cnn, oss: report the class lists the strategy returns."""
+    out, important, unimportant = result
+    return out, {"important_classes": important, "unimportant_classes": unimportant}
 
-    if command == "impsamp-r":
-        mode_b = args.u is not None or args.o is not None
-        if mode_b:
-            if args.c_perc is not None:
-                raise ResampleError("--c-perc cannot be combined with --u/--o")
-            params_obj = ImpSampParams(u=args.u, o=args.o)
-            params = {"u": args.u, "o": args.o}
-            thr = None
+
+@dataclass(frozen=True)
+class Command:
+    """One resampling subcommand."""
+
+    strategy: str                  # a strategy function of this module
+    help: str
+    options: Mapping[str, object]  # option -> default; the report's params
+    regress: bool = False
+    # args -> (strategy keywords, params), in place of the options' own
+    prepare: Callable | None = None
+    # strategy result -> (outcome, extra report fields)
+    finish: Callable | None = None
+
+
+# argparse settings of each option; the default comes from the command
+ARGUMENTS = {
+    "c_perc": {},  # the type depends on the command's family
+    "thr_rel": {"type": float},
+    "dist": {"choices": METRIC_NAMES},
+    "cl": {"type": _parse_cl},
+    "rem": {"choices": ["both", "maj"]},
+    "start": {"choices": ["cnn", "tomek"]},
+    "k": {"type": int},
+    "pert": {"type": float},
+    "repl": {"action": "store_true"},
+    "u": {"type": float},
+    "o": {"type": float},
+}
+
+COMMANDS = {
+    "randunder": Command(
+        "rand_under_classif", "random under-sampling (classification)",
+        {"c_perc": "balance", "repl": False}),
+    "randover": Command(
+        "rand_over_classif", "random over-sampling (classification)",
+        {"c_perc": "balance"}),
+    "impsamp": Command(
+        "imp_samp_classif", "importance sampling (classification)",
+        {"c_perc": "balance"}),
+    "tomek": Command(
+        "tomek_classif", "Tomek link removal",
+        {"dist": "euclidean", "cl": "all", "rem": "both"}),
+    "cnn": Command(
+        "cnn_classif", "condensed nearest neighbours",
+        {"dist": "euclidean", "cl": "smaller"}, finish=_class_lists),
+    "oss": Command(
+        "oss_classif", "one-sided selection",
+        {"dist": "euclidean", "cl": "smaller", "start": "cnn"}, finish=_class_lists),
+    "enn": Command(
+        "enn_classif", "edited nearest neighbours",
+        {"dist": "euclidean", "cl": "all", "k": 3}),
+    "ncl": Command(
+        "ncl_classif", "neighbourhood cleaning",
+        {"dist": "euclidean", "cl": "smaller", "k": 3}),
+    "gaussnoise": Command(
+        "gauss_noise_classif", "Gaussian-noise synthesis (classification)",
+        {"c_perc": "balance", "pert": 0.1, "repl": False}),
+    "smote": Command(
+        "smote_classif", "smote synthesis (classification)",
+        {"dist": "euclidean", "c_perc": "balance", "k": 5, "repl": False}),
+    "randunder-r": Command(
+        "rand_under_regress", "random under-sampling (regression)",
+        {"thr_rel": 0.5, "c_perc": "balance", "repl": False}, regress=True),
+    "randover-r": Command(
+        "rand_over_regress", "random over-sampling (regression)",
+        {"thr_rel": 0.5, "c_perc": "balance"}, regress=True),
+    "gaussnoise-r": Command(
+        "gauss_noise_regress", "Gaussian-noise synthesis (regression)",
+        {"thr_rel": 0.5, "c_perc": "balance", "pert": 0.1, "repl": False},
+        regress=True),
+    "smote-r": Command(
+        "smoter", "smote synthesis (regression)",
+        {"thr_rel": 0.5, "dist": "euclidean", "c_perc": "balance", "k": 5,
+         "repl": False}, regress=True),
+    # mode A uses --thr-rel/--c-perc; giving --u/--o switches to mode B
+    "impsamp-r": Command(
+        "imp_samp_regress", "importance sampling (regression)",
+        {"thr_rel": 0.5, "c_perc": None, "u": None, "o": None},
+        regress=True, prepare=_impsamp_r_mode),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="rebalance",
+        description="Resample imbalanced tabular datasets.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        p.add_argument("--in", dest="input", required=True, metavar="FILE")
+        p.add_argument("--out", dest="output", required=True, metavar="FILE")
+        p.add_argument("--target", required=True, metavar="NAME")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--report", default=None, metavar="FILE")
+        if cmd.regress:
+            p.add_argument("--rel", type=_parse_rel, default="auto")
+            p.add_argument("--rel-points", default=None, metavar="FILE")
+        for opt, default in cmd.options.items():
+            settings = dict(ARGUMENTS[opt], default=default)
+            if opt == "c_perc":
+                settings["type"] = (
+                    _parse_c_perc_regress if cmd.regress else _parse_c_perc_classif
+                )
+            p.add_argument("--" + opt.replace("_", "-"), **settings)
+            if opt == "dist":
+                p.add_argument(
+                    "--p", type=float, default=2.0, help="exponent for --dist minkowsky"
+                )
+
+    p = sub.add_parser("gen", help="generate a synthetic dataset")
+    p.add_argument("variant", choices=["imbc", "imbr"])
+    p.add_argument("--rows", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", dest="output", required=True, metavar="FILE")
+    p.add_argument("--report", default=None, metavar="FILE")
+    return parser
+
+
+def _options(cmd: Command, args: argparse.Namespace) -> tuple[dict, dict]:
+    """Strategy keywords and report params of a command's options."""
+    kwargs, params = {}, {}
+    for opt in cmd.options:
+        value = getattr(args, opt)
+        if opt == "c_perc":
+            kwargs["spec"], params[opt] = value, _spec_repr(value)
+        elif opt == "dist":
+            kwargs["metric"], params[opt] = _metric_from(args), value
         else:
-            spec = args.c_perc if args.c_perc is not None else BumpPercSpec.balance()
-            thr = args.thr_rel
-            params_obj = ImpSampParams(thr_rel=thr, spec=spec)
-            params = {"thr_rel": thr, "c_perc": _spec_repr(spec)}
-        out = imp_samp_regress(ds, fn, params_obj, seed=seed)
-    elif command == "randunder-r":
-        thr = args.thr_rel
-        out = rand_under_regress(ds, fn, thr, args.c_perc, repl=args.repl, seed=seed)
-        params = {"thr_rel": thr, "c_perc": _spec_repr(args.c_perc), "repl": args.repl}
-    elif command == "randover-r":
-        thr = args.thr_rel
-        out = rand_over_regress(ds, fn, thr, args.c_perc, seed=seed)
-        params = {"thr_rel": thr, "c_perc": _spec_repr(args.c_perc)}
-    elif command == "gaussnoise-r":
-        thr = args.thr_rel
-        out = gauss_noise_regress(
-            ds, fn, thr, args.c_perc, pert=args.pert, repl=args.repl, seed=seed
-        )
-        params = {
-            "thr_rel": thr,
-            "c_perc": _spec_repr(args.c_perc),
-            "pert": args.pert,
-            "repl": args.repl,
-        }
-    else:  # smote-r
-        thr = args.thr_rel
-        out = smoter(
-            ds, fn, thr, args.c_perc, k=args.k, metric=_metric_from(args),
-            repl=args.repl, seed=seed,
-        )
-        params = {
-            "thr_rel": thr,
-            "c_perc": _spec_repr(args.c_perc),
-            "k": args.k,
-            "dist": args.dist,
-            "repl": args.repl,
-        }
+            kwargs[opt] = params[opt] = value
+    return kwargs, params
 
+
+def _dispatch(args: argparse.Namespace, ds: Dataset):
+    """Run the command's strategy: its outcome, params and report fields."""
+    cmd = COMMANDS[args.command]
+    fn = _relevance_from(args, ds) if cmd.regress else None
+    if cmd.prepare:
+        kwargs, params = cmd.prepare(args)
+    else:
+        kwargs, params = _options(cmd, args)
+    # looked up at call time, so a wrapper installed on this module counts
+    strategy = globals()[cmd.strategy]
+    lead = (ds, fn) if cmd.regress else (ds,)
+    result = strategy(*lead, **kwargs, seed=args.seed)
+    out, report = cmd.finish(result) if cmd.finish else (result, {})
+    if not cmd.regress:
+        report["class_counts_before"] = dict(class_counts(ds))
+        report["class_counts_after"] = dict(class_counts(out.dataset))
+        return out, params, report
     params["relevance"] = (
         {"points_file": args.rel_points}
         if args.rel_points is not None
         else {"auto": args.rel}
     )
-    report = {}
-    if thr is not None:
-        report["bumps_before"] = _bump_summary(ds, fn, thr)
-        report["bumps_after"] = _bump_summary(out.dataset, fn, thr)
+    if "thr_rel" in params:
+        report["bumps_before"] = _bump_summary(ds, fn, params["thr_rel"])
+        report["bumps_after"] = _bump_summary(out.dataset, fn, params["thr_rel"])
     return out, params, report
 
 
@@ -462,8 +379,6 @@ def run(argv: list[str]) -> int:
 
     started = time.perf_counter()
     try:
-        threads = _read_threads()
-
         if args.command == "gen":
             from .synthgen import gen_imbc, gen_imbr
 
@@ -477,17 +392,13 @@ def run(argv: list[str]) -> int:
                     "seed": args.seed,
                     "output": args.output,
                     "n_rows": ds.n_rows,
-                    "threads": threads,
                     "elapsed_seconds": time.perf_counter() - started,
                 }
                 _write_report(args.report, payload)
             return 0
 
         ds = read_dataset(args.input, target=args.target)
-        if args.command in CLASSIF_COMMANDS:
-            out, params, extra = _dispatch_classif(args, ds)
-        else:
-            out, params, extra = _dispatch_regress(args, ds)
+        out, params, extra = _dispatch(args, ds)
 
         write_dataset(out.dataset, args.output)
         for warning in out.warnings:
@@ -505,7 +416,6 @@ def run(argv: list[str]) -> int:
                 "removed": len(out.removed),
                 "added": len(out.added),
                 "warnings": out.warnings,
-                "threads": threads,
                 "elapsed_seconds": time.perf_counter() - started,
             }
             payload.update(extra)

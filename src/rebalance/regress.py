@@ -10,6 +10,14 @@ random over-sampling is additive (a percentage adds that fraction on
 top), smote-style over-sampling is multiplicative (the percentage fixes
 the final size), and Balance / Extreme modes derive absolute per-bump
 targets from the bump sizes alone.
+
+SMOTER is SMOTE on bumps, and the random and Gaussian-noise strategies
+follow their classification twins: all of them run through the
+shrink/grow driver and the synthesisers of ``rebalance.classif``, with
+bumps, in partition order, standing in for classes.  SMOTER adds its
+distance-weighted target on top of the shared SMOTE rows.
+Importance sampling drops rows by relevance weight and stays outside
+the driver.
 """
 
 from __future__ import annotations
@@ -20,10 +28,19 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import balanced_quota, floor_frac, inverted_quota, nominal_freqs, sample_sd
-from .classif import AddedRow, ResampleError, StrategyOutcome
-from .distance import Metric, build_context, encode_rows, knn_table, paired_distances
-from .relevance import BumpPartition, RelevanceFn, find_bumps
+from ._util import balanced_quota, floor_frac, inverted_quota
+from .classif import (
+    AddedRow,
+    ResampleError,
+    StrategyOutcome,
+    _copies,
+    _noise_rows,
+    _replicas,
+    _resample,
+    _smote_rows,
+)
+from .distance import Metric, build_context, encode_rows, paired_distances
+from .relevance import Bump, BumpPartition, RelevanceFn, find_bumps
 from .tabular import ColumnKind, Dataset
 
 __all__ = [
@@ -90,6 +107,20 @@ def _explicit_check(spec: BumpPercSpec, n_bumps: int, what: str) -> None:
         raise ResampleError("bump percentages must be finite numbers")
 
 
+def _bump_groups(bumps: Sequence[Bump], targets: Sequence[int],
+                 rare: bool | None = None) -> list[tuple]:
+    """Driver groups for every bump, in partition order.
+
+    ``targets`` covers the bumps of one side (``rare``) or all of them
+    (None); the other side keeps its size.
+    """
+    it = iter(targets)
+    return [
+        (b, b.indices, next(it) if rare is None or b.rare == rare else b.count)
+        for b in bumps
+    ]
+
+
 def rand_under_regress(
     ds: Dataset,
     fn: RelevanceFn,
@@ -122,19 +153,7 @@ def rand_under_regress(
                 min(total_rare * total_rare // b.count, b.count) for b in normals
             ]
     rng = np.random.default_rng(seed)
-    parts = [b.indices for b in rares]
-    for b, t in zip(normals, targets):
-        if t < b.count:
-            parts.append(np.sort(rng.choice(b.indices, size=t, replace=repl)))
-        else:
-            parts.append(b.indices)
-    kept = np.sort(np.concatenate(parts))
-    counts = np.bincount(kept, minlength=ds.n_rows)
-    removed = [int(i) for i in np.nonzero(counts == 0)[0]]
-    added = []
-    for i in np.nonzero(counts > 1)[0]:
-        added.extend([AddedRow(int(i), synthetic=False)] * (int(counts[i]) - 1))
-    return StrategyOutcome(ds.take(kept), removed, added)
+    return _resample(ds, _bump_groups(part.bumps, targets, rare=False), rng, repl=repl)
 
 
 def rand_over_regress(
@@ -164,15 +183,9 @@ def rand_over_regress(
             extras = [m for _ in rares]
         else:
             extras = [m * m // b.count for b in rares]
+    targets = [b.count + extra for b, extra in zip(rares, extras)]
     rng = np.random.default_rng(seed)
-    replicas = []
-    for b, extra in zip(rares, extras):
-        if extra > 0:
-            replicas.append(rng.choice(b.indices, size=extra, replace=True))
-    seeds = np.concatenate(replicas) if replicas else np.empty(0, dtype=np.intp)
-    final = np.concatenate([np.arange(ds.n_rows, dtype=np.intp), seeds])
-    added = [AddedRow(int(s), synthetic=False) for s in seeds]
-    return StrategyOutcome(ds.take(final), [], added)
+    return _resample(ds, _bump_groups(part.bumps, targets, rare=True), rng, _replicas(rng))
 
 
 def _mixed_bump_targets(spec: BumpPercSpec, part: BumpPartition,
@@ -230,53 +243,17 @@ def gauss_noise_regress(
         raise ResampleError("empty dataset")
     targets = _mixed_bump_targets(spec, part, additive_rare=True)
     rng = np.random.default_rng(seed)
-    parts = []
-    blocks: list[dict[str, list]] = []
-    added: list[AddedRow] = []
     warnings: list[str] = []
-    for b, t in zip(part.bumps, targets):
-        idx = b.indices
-        if t < b.count:
-            parts.append(np.sort(rng.choice(idx, size=t, replace=repl)))
-            continue
-        parts.append(idx)
-        extra = t - b.count
-        if extra == 0:
-            continue
-        if b.count == 1:
+
+    def grow(bump, idx, extra):
+        if len(idx) == 1:
             warnings.append(
                 "GaussNoiseRegress: a single-example bump was grown with "
                 "noise-free replicas"
             )
-        seeds = rng.choice(idx, size=extra, replace=True)
-        block: dict[str, list] = {}
-        for col in ds.columns:
-            if col.kind is ColumnKind.NUMERIC:
-                sd = sample_sd(col.values[idx])
-                noise = rng.normal(0.0, 1.0, size=extra) * pert * sd
-                block[col.name] = list(col.values[seeds] + noise)
-            elif pert == 0:
-                # noise-free runs must replicate rows exactly
-                block[col.name] = list(col.values[seeds])
-            else:
-                values, freqs = nominal_freqs(col.values[idx])
-                if not values:
-                    block[col.name] = [None] * extra
-                else:
-                    pick = rng.choice(len(values), size=extra, p=freqs)
-                    block[col.name] = [values[i] for i in pick]
-        blocks.append(block)
-        added.extend(AddedRow(int(s), synthetic=True) for s in seeds)
-    kept = np.sort(np.concatenate(parts))
-    out = ds.take(kept)
-    for block in blocks:
-        out = out.append(block)
-    counts = np.bincount(kept, minlength=ds.n_rows)
-    removed = [int(i) for i in np.nonzero(counts == 0)[0]]
-    dup_added = []
-    for i in np.nonzero(counts > 1)[0]:
-        dup_added.extend([AddedRow(int(i), synthetic=False)] * (int(counts[i]) - 1))
-    return StrategyOutcome(out, removed, dup_added + added, warnings)
+        return _noise_rows(ds, rng, pert, idx, extra)
+
+    return _resample(ds, _bump_groups(part.bumps, targets), rng, grow, repl, warnings)
 
 
 def smoter(
@@ -309,54 +286,22 @@ def smoter(
     rng = np.random.default_rng(seed)
     y = ds.target_column.values
     feat_cols = ds.feature_columns
-    parts = []
-    blocks: list[dict[str, Sequence]] = []
-    added: list[AddedRow] = []
     warnings: list[str] = []
-    for b, t in zip(part.bumps, targets):
-        idx = b.indices
-        if t < b.count:
-            parts.append(np.sort(rng.choice(idx, size=t, replace=repl)))
-            continue
-        parts.append(idx)
-        extra = t - b.count
-        if extra == 0:
-            continue
-        if b.count == 1:
+
+    def grow(bump, idx, extra):
+        if len(idx) == 1:
             warnings.append(
                 "SmoteRegress: a single-example bump was grown with plain replicas"
             )
-            seeds = np.repeat(idx, extra)
-            block = {c.name: list(c.values[seeds]) for c in ds.columns}
-            blocks.append(block)
-            added.extend(AddedRow(int(s), synthetic=True) for s in seeds)
-            continue
-        k_eff = min(k, b.count - 1)
-        nbr_table = knn_table(metric, ctx, k_eff, rows=idx)
-
-        seed_pos = rng.integers(0, b.count, size=extra)
-        nbr_pick = rng.integers(0, k_eff, size=extra)
-        u = rng.random(size=extra)
-        nbr_pos = nbr_table[seed_pos, nbr_pick]
-        seeds = idx[seed_pos]
-        nbrs = idx[nbr_pos]
-        coin = {
-            c.name: rng.random(size=extra) < 0.5
-            for c in feat_cols
-            if c.kind is ColumnKind.NOMINAL
-        }
+            return _copies(ds, idx, extra)
+        seeds, nbrs, block, coins = _smote_rows(ds, metric, ctx, k, rng, idx, extra)
         seed_ops = encode_rows(ctx, seeds)
         nbr_ops = encode_rows(ctx, nbrs)
-        new_ops = []
-        block = {}
-        for c, s_op, n_op in zip(feat_cols, seed_ops, nbr_ops):
-            if c.kind is ColumnKind.NUMERIC:
-                block[c.name] = s_op + u * (n_op - s_op)
-                new_ops.append(block[c.name])
-            else:
-                pick = coin[c.name]
-                block[c.name] = np.where(pick, c.values[seeds], c.values[nbrs])
-                new_ops.append(np.where(pick, s_op, n_op))
+        new_ops = [
+            block[c.name] if c.kind is ColumnKind.NUMERIC
+            else np.where(coins[c.name], s_op, n_op)
+            for c, s_op, n_op in zip(feat_cols, seed_ops, nbr_ops)
+        ]
         d1 = paired_distances(metric, ctx, new_ops, seed_ops)
         d2 = paired_distances(metric, ctx, new_ops, nbr_ops)
         y1, y2 = y[seeds], y[nbrs]
@@ -370,18 +315,9 @@ def smoter(
                 "missing cells"
             )
         block[ds.target] = new_y
-        blocks.append(block)
-        added.extend(AddedRow(int(s), synthetic=True) for s in seeds)
-    kept = np.sort(np.concatenate(parts))
-    out = ds.take(kept)
-    for block in blocks:
-        out = out.append(block)
-    counts = np.bincount(kept, minlength=ds.n_rows)
-    removed = [int(i) for i in np.nonzero(counts == 0)[0]]
-    dup_added = []
-    for i in np.nonzero(counts > 1)[0]:
-        dup_added.extend([AddedRow(int(i), synthetic=False)] * (int(counts[i]) - 1))
-    return StrategyOutcome(out, removed, dup_added + added, warnings)
+        return seeds, block
+
+    return _resample(ds, _bump_groups(part.bumps, targets), rng, grow, repl, warnings)
 
 
 def imp_samp_regress(

@@ -242,18 +242,14 @@ def find_bumps(ds: Dataset, fn: RelevanceFn, thr_rel: float) -> BumpPartition:
         raise RelevanceError("missing value in the target column")
     order = np.lexsort((np.arange(len(y)), y))
     rare = fn(y[order]) >= thr_rel
-    bumps = []
-    start = 0
-    for i in range(1, len(order) + 1):
-        if i == len(order) or rare[i] != rare[start]:
-            run = order[start:i]
-            bumps.append(
-                Bump(
-                    rare=bool(rare[start]),
-                    indices=run.copy(),
-                    y_low=float(y[run[0]]),
-                    y_high=float(y[run[-1]]),
-                )
-            )
-            start = i
-    return BumpPartition(tuple(bumps))
+    starts = np.flatnonzero(rare[1:] != rare[:-1]) + 1
+    runs = np.split(order, starts) if len(order) else []
+    return BumpPartition(tuple(
+        Bump(
+            rare=bool(rare[start]),
+            indices=run,
+            y_low=float(y[run[0]]),
+            y_high=float(y[run[-1]]),
+        )
+        for start, run in zip([0, *starts], runs)
+    ))

@@ -280,3 +280,23 @@ def cnn_full_matrix_oracle(d, labels, kept):
             return kept
         for i in mis:
             kept[i] = True
+
+
+def find_bumps_loop_oracle(y, phi, thr_rel):
+    """Bumps as the plain per-row loop cuts them.
+
+    ``y`` holds the targets and ``phi`` their relevance, both in row
+    order.  Rows are sorted by (target, row index), and every maximal
+    run with relevance >= ``thr_rel``, or below it, is one bump.
+    Returns (rare, row indices, lowest target, highest target) per bump.
+    """
+    order = sorted(range(len(y)), key=lambda i: (y[i], i))
+    rare = [phi[i] >= thr_rel for i in order]
+    bumps = []
+    start = 0
+    for i in range(1, len(order) + 1):
+        if i == len(order) or rare[i] != rare[start]:
+            run = order[start:i]
+            bumps.append((rare[start], run, float(y[run[0]]), float(y[run[-1]])))
+            start = i
+    return bumps

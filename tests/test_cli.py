@@ -236,31 +236,6 @@ def test_nominal_feature_with_default_distance_fails(imbc_csv, tmp_path, capsys)
     assert "not possible to use with nominal features" in err
 
 
-def test_threads_env_validation(imbc_csv, tmp_path, monkeypatch):
-    monkeypatch.setenv("REBALANCE_THREADS", "many")
-    code = run(
-        ["randunder", "--in", str(imbc_csv), "--out", str(tmp_path / "o.csv"),
-         "--target", "Class", "--seed", "1"]
-    )
-    assert code == 1
-    monkeypatch.setenv("REBALANCE_THREADS", "2")
-    code = run(
-        ["randunder", "--in", str(imbc_csv), "--out", str(tmp_path / "o.csv"),
-         "--target", "Class", "--seed", "1"]
-    )
-    assert code == 0
-
-
-def test_threads_recorded_in_report(imbc_csv, tmp_path, monkeypatch):
-    monkeypatch.setenv("REBALANCE_THREADS", "3")
-    rep = tmp_path / "r.json"
-    run(
-        ["randunder", "--in", str(imbc_csv), "--out", str(tmp_path / "o.csv"),
-         "--target", "Class", "--seed", "1", "--report", str(rep)]
-    )
-    assert json.loads(rep.read_text())["threads"] == 3
-
-
 def test_minkowsky_requires_p(imbc_csv, tmp_path):
     src = tmp_path / "num.csv"
     run(["gen", "imbr", "--seed", "0", "--out", str(src)])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rebalance import (
     ControlPoint,
@@ -280,3 +282,23 @@ def test_find_bumps_needs_numeric_target():
     fn = build_relevance_range(WAVE)
     with pytest.raises(RelevanceError, match="numeric target"):
         find_bumps(ds, fn, 0.5)
+
+
+TIED = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 8.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    y=st.lists(TIED | st.floats(-10, 10), max_size=60),
+    points=st.lists(
+        st.tuples(st.floats(-12, 12), st.sampled_from([0.0, 1.0]) | st.floats(0, 1)),
+        min_size=2, max_size=6, unique_by=lambda p: p[0],
+    ),
+    thr=st.sampled_from([0.0, 1.0]) | st.floats(0, 1),
+)
+def test_find_bumps_matches_loop_oracle(y, points, thr):
+    # tied targets, relevance exactly 0 or 1, and thresholds of 0 and 1
+    fn = build_relevance_range(points)
+    part = find_bumps(regression_ds(y), fn, thr)
+    got = [(b.rare, b.indices.tolist(), b.y_low, b.y_high) for b in part.bumps]
+    assert got == oracle.find_bumps_loop_oracle(y, fn(np.array(y, dtype=float)), thr)
