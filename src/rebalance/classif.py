@@ -15,8 +15,8 @@ classes not named stay untouched).
 The strategies that move groups toward row targets (random under- and
 over-sampling, importance sampling, Gaussian noise and SMOTE, here and
 their bump twins in ``rebalance.regress``) run through one driver,
-``_resample``: it shrinks each group above its target to a sorted
-random sample, lets a grow callback add rows to each group below it,
+``_resample``: it shrinks each group above its target to a random
+sample, lets a grow callback add rows to each group below it,
 and builds the output and the removed/added bookkeeping once.  Groups
 are classes in label order or bumps in partition order.  Two
 synthesisers serve classes and bumps alike: ``_noise_rows`` (Gaussian
@@ -228,7 +228,7 @@ def _resample(
     """The shrink/grow driver shared by the class and bump strategies.
 
     ``groups`` holds (key, row indices, target) per class or bump.  A
-    group above its target keeps a sorted sample of its rows drawn with
+    group above its target keeps a random sample of its rows drawn with
     ``repl``.  Any other group keeps every row, and when it is below its
     target ``grow(key, idx, extra)`` adds ``extra`` rows: it returns
     their seed rows and a column block, or None for plain replicas of
@@ -239,7 +239,7 @@ def _resample(
     parts, replicas, blocks, grown = [], [], [], []
     for key, idx, t in groups:
         if t < len(idx):
-            parts.append(np.sort(rng.choice(idx, size=t, replace=repl)))
+            parts.append(rng.choice(idx, size=t, replace=repl))
             continue
         parts.append(idx)
         if t > len(idx):

@@ -16,6 +16,8 @@ copies:
   strategy orders NaN distances.
 - ``imbc-solo``: ``gen imbc`` with row 0 relabelled ``solo``, a
   single-row class.
+- ``imbc-swapped``: ``gen imbc`` with the nominal ``X2`` before the
+  numeric ``X1``, which pins that synthesis draws column by column.
 - ``imbr`` with ``rel-solo.csv``: relevance points that make the single
   largest target the only row at relevance 1, so ``--thr-rel 1`` gives
   a single-row Rare bump.
@@ -45,7 +47,8 @@ from _toys import blanked_imbr
 GOLDEN = Path(__file__).with_name("golden.json")
 ROWS = 1000
 
-TARGETS = {"imbc": "Class", "imbr": "Tgt", "imbr-nan": "Class", "imbc-solo": "Class"}
+TARGETS = {"imbc": "Class", "imbr": "Tgt", "imbr-nan": "Class", "imbc-solo": "Class",
+           "imbc-swapped": "Class"}
 # the two largest gen imbr targets at 1,000 rows and seed 0 are
 # 23.120 and 23.375: only the largest reaches relevance 1
 REL_SOLO = "23.2,0,0\n23.3,1,0\n"
@@ -98,6 +101,8 @@ def _cases() -> dict[str, tuple[str, tuple[str, ...]]]:
     cases.update((name, ("imbr", args)) for name, args in imbr.items())
     cases["gaussnoise-solo"] = ("imbc-solo", ("gaussnoise",))
     cases["smote-heom-solo"] = ("imbc-solo", ("smote", "--dist", "heom"))
+    cases["gaussnoise-swapped"] = ("imbc-swapped", ("gaussnoise",))
+    cases["smote-heom-swapped"] = ("imbc-swapped", ("smote", "--dist", "heom"))
     return cases
 
 
@@ -125,6 +130,11 @@ def _imbc_solo() -> Dataset:
     )
 
 
+def _imbc_swapped() -> Dataset:
+    ds = gen_imbc(ROWS, seed=0)
+    return Dataset([ds.column("X2"), ds.column("X1"), ds.column("Class")], target="Class")
+
+
 def write_inputs(workdir: Path) -> None:
     for variant in ("imbc", "imbr"):
         path = workdir / f"{variant}.csv"
@@ -132,6 +142,7 @@ def write_inputs(workdir: Path) -> None:
                     "--out", str(path)]) == 0
     write_dataset(_imbr_nan(), str(workdir / "imbr-nan.csv"))
     write_dataset(_imbc_solo(), str(workdir / "imbc-solo.csv"))
+    write_dataset(_imbc_swapped(), str(workdir / "imbc-swapped.csv"))
     (workdir / "rel-solo.csv").write_text(REL_SOLO)
 
 
