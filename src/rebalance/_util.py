@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 
+from .tabular import nominal_codes
+
 
 def floor_frac(perc: float, n: int) -> int:
     """trunc(perc * n) under ordinary float arithmetic."""
@@ -44,15 +46,10 @@ def sample_sd(values: np.ndarray) -> float:
     return float(np.std(vals, ddof=1))
 
 
-def nominal_freqs(values: np.ndarray) -> tuple[list[str], np.ndarray]:
+def nominal_freqs(values: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
     """Observed labels (sorted) and their relative frequencies."""
-    counts: dict[str, int] = {}
-    for v in values:
-        if v is None:
-            continue
-        counts[v] = counts.get(v, 0) + 1
-    labels = sorted(counts)
-    freqs = np.array([counts[v] for v in labels], dtype=np.float64)
+    codes, labels = nominal_codes(values)
+    freqs = np.bincount(codes[codes >= 0], minlength=len(labels)).astype(np.float64)
     if len(freqs):
         freqs /= freqs.sum()
     return labels, freqs

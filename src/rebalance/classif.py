@@ -15,12 +15,18 @@ classes not named stay untouched).
 The strategies that move groups toward row targets (random under- and
 over-sampling, importance sampling, Gaussian noise and SMOTE, here and
 their bump twins in ``rebalance.regress``) run through one driver,
-``_resample``: it shrinks each group above its target to a random
-sample, lets a grow callback add rows to each group below it,
-and builds the output and the removed/added bookkeeping once.  Groups
-are classes in label order or bumps in partition order.  Two
-synthesisers serve classes and bumps alike: ``_noise_rows`` (Gaussian
-noise) and ``_smote_rows`` (SMOTE interpolation).
+``_resample``: a shrink callback picks the rows each group above its
+target keeps (a uniform sample, ``_sample``, or regression importance
+sampling's relevance-weighted drop), a grow callback adds rows to each
+group below it, and ``_outcome`` builds the output and the
+removed/added bookkeeping once.  Groups are classes in label order or
+bumps in partition order.  Two synthesisers serve classes and bumps
+alike: ``_noise_rows`` (Gaussian noise) and ``_smote_rows`` (SMOTE
+interpolation).
+
+The editing rules (Tomek links, ENN, NCL and the Tomek pass of OSS) are
+array expressions over one k-NN or 1-NN table and each row's class
+code, the label's position in label order (``tabular.nominal_codes``).
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ import numpy as np
 
 from ._util import balanced_quota, floor_frac, inverted_quota, nominal_freqs, sample_sd
 from .distance import Metric, MetricContext, build_context, knn_table, nearest
-from .tabular import ColumnKind, Dataset, class_counts
+from .tabular import ColumnKind, Dataset, class_counts, nominal_codes
 
 __all__ = [
     "ClassPercSpec",
@@ -65,31 +71,36 @@ class ResampleError(ValueError):
 
 
 @dataclass(frozen=True)
-class ClassPercSpec:
-    """Per-class resampling intensity: balance, extreme, or explicit."""
+class _PercSpec:
+    """Per-group resampling intensity: balance, extreme, or explicit.
+
+    The class and bump specs differ only in their explicit percentages.
+    """
 
     mode: str
-    percs: Mapping[str, float] | None = None
+    percs: object = None
 
     @classmethod
-    def balance(cls) -> "ClassPercSpec":
+    def balance(cls):
         return cls("balance")
 
     @classmethod
-    def extreme(cls) -> "ClassPercSpec":
+    def extreme(cls):
         return cls("extreme")
-
-    @classmethod
-    def explicit(cls, percs: Mapping[str, float]) -> "ClassPercSpec":
-        if not percs:
-            raise ResampleError("explicit percentage spec is empty")
-        return cls("explicit", dict(percs))
 
     def __post_init__(self) -> None:
         if self.mode not in ("balance", "extreme", "explicit"):
             raise ResampleError(f"unknown percentage mode {self.mode!r}")
         if self.mode == "explicit" and not self.percs:
             raise ResampleError("explicit percentage spec is empty")
+
+
+class ClassPercSpec(_PercSpec):
+    """Per-class intensity; explicit percentages map class labels."""
+
+    @classmethod
+    def explicit(cls, percs: Mapping[str, float]) -> "ClassPercSpec":
+        return cls("explicit", dict(percs))
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,13 +119,24 @@ class StrategyOutcome:
     warnings: list[str] = field(default_factory=list)
 
 
-def _check_percs(percs: Mapping[str, float], counts: Mapping[str, int]) -> None:
+def _explicit_targets(counts: Mapping[str, int], percs: Mapping[str, float],
+                      valid: Callable[[float], bool], rule: str) -> dict[str, int]:
+    """Explicit-mode targets: trunc(perc * count) for each class ``percs``
+    names, whose percentage must pass ``valid`` (else ``rule`` names the
+    class in the error); every other class keeps its count.
+    """
     unknown = sorted(set(percs) - set(counts))
     if unknown:
         raise ResampleError(f"percentages name unknown classes: {unknown}")
     for c, perc in sorted(percs.items()):
         if not math.isfinite(perc):
             raise ResampleError(f"percentage for class {c!r} must be a finite number")
+    out = dict(sorted(counts.items()))
+    for c, perc in sorted(percs.items()):
+        if not valid(perc):
+            raise ResampleError(rule.format(c))
+        out[c] = floor_frac(perc, counts[c])
+    return out
 
 
 def resolve_targets_under(counts: Mapping[str, int], spec: ClassPercSpec) -> dict[str, int]:
@@ -126,19 +148,8 @@ def resolve_targets_under(counts: Mapping[str, int], spec: ClassPercSpec) -> dic
     if spec.mode == "extreme":
         m = min(counts.values())
         return {c: m * m // counts[c] for c in labels}
-    _check_percs(spec.percs, counts)
-    out = {}
-    for c in labels:
-        perc = spec.percs.get(c)
-        if perc is None:
-            out[c] = counts[c]
-            continue
-        if not 0 < perc <= 1:
-            raise ResampleError(
-                f"under-sampling percentage for class {c!r} must be in (0, 1]"
-            )
-        out[c] = floor_frac(perc, counts[c])
-    return out
+    return _explicit_targets(counts, spec.percs, lambda p: 0 < p <= 1,
+                             "under-sampling percentage for class {!r} must be in (0, 1]")
 
 
 def resolve_targets_over(counts: Mapping[str, int], spec: ClassPercSpec) -> dict[str, int]:
@@ -150,19 +161,8 @@ def resolve_targets_over(counts: Mapping[str, int], spec: ClassPercSpec) -> dict
     if spec.mode == "extreme":
         m = max(counts.values())
         return {c: round(m * m / counts[c]) for c in labels}
-    _check_percs(spec.percs, counts)
-    out = {}
-    for c in labels:
-        perc = spec.percs.get(c)
-        if perc is None:
-            out[c] = counts[c]
-            continue
-        if perc < 1:
-            raise ResampleError(
-                f"over-sampling percentage for class {c!r} must be at least 1"
-            )
-        out[c] = floor_frac(perc, counts[c])
-    return out
+    return _explicit_targets(counts, spec.percs, lambda p: p >= 1,
+                             "over-sampling percentage for class {!r} must be at least 1")
 
 
 def _resolve_mixed(counts: Mapping[str, int], spec: ClassPercSpec) -> dict[str, int]:
@@ -175,41 +175,30 @@ def _resolve_mixed(counts: Mapping[str, int], spec: ClassPercSpec) -> dict[str, 
     if spec.mode == "extreme":
         quota = inverted_quota([counts[c] for c in labels], total)
         return dict(zip(labels, quota))
-    _check_percs(spec.percs, counts)
-    out = {}
-    for c in labels:
-        perc = spec.percs.get(c)
-        if perc is None:
-            out[c] = counts[c]
-            continue
-        if perc <= 0:
-            raise ResampleError(f"percentage for class {c!r} must be positive")
-        out[c] = floor_frac(perc, counts[c])
-    return out
+    return _explicit_targets(counts, spec.percs, lambda p: p > 0,
+                             "percentage for class {!r} must be positive")
 
 
 def _resolve_impsamp(counts: Mapping[str, int], spec: ClassPercSpec) -> dict[str, int]:
-    labels = sorted(counts)
-    total = sum(counts.values())
+    """Mixed targets, except that Balance gives every class trunc(total / k)."""
     if spec.mode == "balance":
-        base = total // len(labels)
-        return {c: base for c in labels}
-    if spec.mode == "extreme":
-        quota = inverted_quota([counts[c] for c in labels], total)
-        return dict(zip(labels, quota))
+        return dict.fromkeys(sorted(counts), sum(counts.values()) // len(counts))
     return _resolve_mixed(counts, spec)
 
 
 def _class_indices(ds: Dataset) -> dict[str, np.ndarray]:
-    labels = ds.target_column.values
-    if ds.target_column.kind is not ColumnKind.NOMINAL:
-        raise ResampleError("classification strategies need a nominal target")
-    out: dict[str, list[int]] = {}
-    for i, v in enumerate(labels):
-        if v is None:
-            raise ResampleError("missing value in the target column")
-        out.setdefault(v, []).append(i)
-    return {c: np.array(idx, dtype=np.intp) for c, idx in sorted(out.items())}
+    """Each class's row indices, ascending, in label order.
+
+    Callers have checked the target with ``class_counts``.
+    """
+    codes, labels = nominal_codes(ds.target_column.values)
+    ends = np.cumsum(np.bincount(codes, minlength=len(labels)))
+    return dict(zip(labels, np.split(np.argsort(codes, kind="stable"), ends[:-1])))
+
+
+def _class_mask(labels: Sequence[str], chosen) -> np.ndarray:
+    """Per class code: whether its label is in ``chosen``."""
+    return np.array([c in chosen for c in labels], dtype=bool)
 
 
 def _class_groups(ds: Dataset, targets: Mapping[str, int]) -> list[tuple]:
@@ -220,26 +209,23 @@ def _class_groups(ds: Dataset, targets: Mapping[str, int]) -> list[tuple]:
 def _resample(
     ds: Dataset,
     groups: Sequence[tuple],
-    rng: np.random.Generator,
+    shrink: Callable,
     grow: Callable | None = None,
-    repl: bool = False,
     warnings: list[str] | None = None,
 ) -> StrategyOutcome:
     """The shrink/grow driver shared by the class and bump strategies.
 
     ``groups`` holds (key, row indices, target) per class or bump.  A
-    group above its target keeps a random sample of its rows drawn with
-    ``repl``.  Any other group keeps every row, and when it is below its
+    group above its target keeps the rows ``shrink(idx, target)``
+    returns.  Any other group keeps every row, and when it is below its
     target ``grow(key, idx, extra)`` adds ``extra`` rows: it returns
     their seed rows and a column block, or None for plain replicas of
-    the seeds.  The output holds the kept rows in row order, then the
-    replicas, then the blocks, each in group order.  A row kept twice
-    or replicated counts as an added copy, a block row as synthetic.
+    the seeds.  The callbacks run in group order.
     """
     parts, replicas, blocks, grown = [], [], [], []
     for key, idx, t in groups:
         if t < len(idx):
-            parts.append(rng.choice(idx, size=t, replace=repl))
+            parts.append(shrink(idx, t))
             continue
         parts.append(idx)
         if t > len(idx):
@@ -252,6 +238,23 @@ def _resample(
                 blocks.append(block)
             grown += [AddedRow(int(s), synthetic=block is not None) for s in seeds]
     kept = np.sort(np.concatenate(parts))
+    return _outcome(ds, kept, replicas, blocks, grown, warnings)
+
+
+def _outcome(
+    ds: Dataset,
+    kept: np.ndarray,
+    replicas: Sequence[np.ndarray],
+    blocks: Sequence[dict],
+    grown: list[AddedRow],
+    warnings: list[str] | None = None,
+) -> StrategyOutcome:
+    """The output and bookkeeping of kept rows plus added ones.
+
+    The output holds ``kept`` (row order, a row may repeat), then the
+    replicas, then the column blocks.  ``grown`` describes the replicas
+    and block rows; a row kept twice is one more added copy.
+    """
     out = ds.take(np.concatenate([kept, *replicas]))
     if blocks:
         out = out.append({c: np.concatenate([b[c] for b in blocks]) for c in blocks[0]})
@@ -263,6 +266,11 @@ def _resample(
         for _ in range(counts[i] - 1)
     ]
     return StrategyOutcome(out, removed, copies + grown, warnings or [])
+
+
+def _sample(rng: np.random.Generator, repl: bool = False) -> Callable:
+    """Shrink callback: a uniform sample of the group, drawn with ``repl``."""
+    return lambda idx, t: rng.choice(idx, size=t, replace=repl)
 
 
 def _replicas(rng: np.random.Generator) -> Callable:
@@ -350,7 +358,7 @@ def rand_under_classif(
     """Randomly drop rows of the classes ``spec`` shrinks."""
     targets = resolve_targets_under(class_counts(ds), spec)
     rng = np.random.default_rng(seed)
-    return _resample(ds, _class_groups(ds, targets), rng, repl=repl)
+    return _resample(ds, _class_groups(ds, targets), _sample(rng, repl))
 
 
 def rand_over_classif(
@@ -361,7 +369,7 @@ def rand_over_classif(
     """Append uniformly chosen replicas until each class meets its target."""
     targets = resolve_targets_over(class_counts(ds), spec)
     rng = np.random.default_rng(seed)
-    return _resample(ds, _class_groups(ds, targets), rng, _replicas(rng))
+    return _resample(ds, _class_groups(ds, targets), _sample(rng), _replicas(rng))
 
 
 def imp_samp_classif(
@@ -372,7 +380,7 @@ def imp_samp_classif(
     """Move every class toward its target by dropping or replicating."""
     targets = _resolve_impsamp(class_counts(ds), spec)
     rng = np.random.default_rng(seed)
-    return _resample(ds, _class_groups(ds, targets), rng, _replicas(rng))
+    return _resample(ds, _class_groups(ds, targets), _sample(rng), _replicas(rng))
 
 
 def _resolve_cl(cl, counts: Mapping[str, int], smaller_ok: bool = True) -> list[str]:
@@ -392,6 +400,12 @@ def _resolve_cl(cl, counts: Mapping[str, int], smaller_ok: bool = True) -> list[
     return sorted(set(labels))
 
 
+def _edited(ds: Dataset, drop: np.ndarray, warnings: list[str]) -> StrategyOutcome:
+    """Outcome of an editing rule: the rows ``drop`` marks go."""
+    return StrategyOutcome(ds.take(np.flatnonzero(~drop)), np.flatnonzero(drop).tolist(),
+                           [], warnings)
+
+
 def tomek_classif(
     ds: Dataset,
     metric: Metric,
@@ -409,32 +423,16 @@ def tomek_classif(
     if rem not in ("both", "maj"):
         raise ResampleError(f"rem must be 'both' or 'maj', not {rem!r}")
     counts = class_counts(ds)
-    cl_set = set(_resolve_cl(cl, counts))
+    code, labels = nominal_codes(ds.target_column.values)
+    in_cl = _class_mask(labels, _resolve_cl(cl, counts))[code]
+    size = np.array(list(counts.values()))[code]
     _, nn = nearest(metric, build_context(metric, ds))
-    labels = ds.target_column.values
-    to_remove: set[int] = set()
-    for i in range(ds.n_rows):
-        j = int(nn[i])
-        if j <= i or nn[j] != i or labels[i] == labels[j]:
-            continue
-        in_i, in_j = labels[i] in cl_set, labels[j] in cl_set
-        if in_i and in_j:
-            if rem == "both":
-                to_remove.update((i, j))
-            else:
-                ci, cj = counts[labels[i]], counts[labels[j]]
-                # no strict majority: leave the tied pair alone
-                if ci > cj:
-                    to_remove.add(i)
-                elif cj > ci:
-                    to_remove.add(j)
-        elif in_i:
-            to_remove.add(i)
-        elif in_j:
-            to_remove.add(j)
-    warnings = [] if to_remove else [WARN_TOMEK_NONE]
-    kept = np.array(sorted(set(range(ds.n_rows)) - to_remove), dtype=np.intp)
-    return StrategyOutcome(ds.take(kept), sorted(to_remove), [], warnings)
+    link = (nn[nn] == np.arange(ds.n_rows)) & (code != code[nn])
+    # a row drops when its partner's class may not lose rows, or under
+    # "maj" when its own class is strictly bigger: a tied pair stays
+    drop = link & in_cl & ((rem == "both") | ~in_cl[nn] | (size > size[nn]))
+    warnings = [] if drop.any() else [WARN_TOMEK_NONE]
+    return _edited(ds, drop, warnings)
 
 
 def cnn_classif(
@@ -455,17 +453,15 @@ def cnn_classif(
     if set(important) == set(counts):
         raise ResampleError("every class is marked important: nothing to condense")
     unimportant = sorted(set(counts) - set(important))
+    code, labels = nominal_codes(ds.target_column.values)
+    kept_mask = _class_mask(labels, important)[code]
     rng = np.random.default_rng(seed)
     by_class = _class_indices(ds)
-    kept_mask = np.zeros(ds.n_rows, dtype=bool)
-    for label in important:
-        kept_mask[by_class[label]] = True
     for label in unimportant:
         idx = by_class[label]
         kept_mask[idx[rng.integers(len(idx))]] = True
 
     ctx = build_context(metric, ds)
-    labels = ds.target_column.values
     # each row's nearest kept row so far, under argmin's order: a NaN
     # distance first, then the lowest distance, then the lowest index
     best_d = np.full(ds.n_rows, np.inf)
@@ -484,14 +480,11 @@ def cnn_classif(
         )
         best_d[q[better]] = d[better]
         best_i[q[better]] = i[better]
-        new = q[labels[best_i[q]] != labels[q]]
+        new = q[code[best_i[q]] != code[q]]
         if not len(new):
             break
         kept_mask[new] = True
-    kept = np.nonzero(kept_mask)[0].astype(np.intp)
-    removed = [int(i) for i in np.nonzero(~kept_mask)[0]]
-    outcome = StrategyOutcome(ds.take(kept), removed, [])
-    return outcome, important, unimportant
+    return _edited(ds, ~kept_mask, []), important, unimportant
 
 
 def oss_classif(
@@ -521,11 +514,9 @@ def oss_classif(
     else:
         first = tomek_classif(ds, metric, cl=unimportant, rem="both")
         second, _, _ = cnn_classif(first.dataset, metric, cl=important, seed=seed)
-    orig_ids = np.array(
-        sorted(set(range(ds.n_rows)) - set(first.removed)), dtype=np.intp
-    )
-    kept_orig = np.delete(orig_ids, second.removed)
-    removed = sorted(set(range(ds.n_rows)) - {int(i) for i in kept_orig})
+    # second.removed indexes the rows the first phase kept
+    kept = np.delete(np.delete(np.arange(ds.n_rows), first.removed), second.removed)
+    removed = np.setdiff1d(np.arange(ds.n_rows), kept).tolist()
     outcome = StrategyOutcome(
         second.dataset, removed, [], first.warnings + second.warnings
     )
@@ -549,26 +540,17 @@ def enn_classif(
     if not 1 <= k < n:
         raise ResampleError("k must satisfy 1 <= k < number of rows")
     counts = class_counts(ds)
-    cl_set = set(_resolve_cl(cl, counts))
+    code, labels = nominal_codes(ds.target_column.values)
+    in_cl = _class_mask(labels, _resolve_cl(cl, counts))[code]
     nbrs = knn_table(metric, build_context(metric, ds), k)
-    labels = ds.target_column.values
-    need = math.ceil(k / 2)
-    marked = np.zeros(n, dtype=bool)
-    for i in range(n):
-        if labels[i] not in cl_set:
-            continue
-        same = sum(1 for j in nbrs[i] if labels[j] == labels[i])
-        if same < need:
-            marked[i] = True
+    same = (code[nbrs] == code[:, None]).sum(axis=1)
+    marked = in_cl & (same < math.ceil(k / 2))
     rng = np.random.default_rng(seed)
-    by_class = _class_indices(ds)
-    for label, idx in by_class.items():
+    for idx in _class_indices(ds).values():
         if marked[idx].all():
             marked[idx[rng.integers(len(idx))]] = False
-    removed = [int(i) for i in np.nonzero(marked)[0]]
-    warnings = [] if removed else [WARN_ENN_NONE]
-    kept = np.nonzero(~marked)[0].astype(np.intp)
-    return StrategyOutcome(ds.take(kept), removed, [], warnings)
+    warnings = [] if marked.any() else [WARN_ENN_NONE]
+    return _edited(ds, marked, warnings)
 
 
 def ncl_classif(
@@ -592,32 +574,19 @@ def ncl_classif(
     key = _resolve_cl(cl, counts)
     if not key:
         raise ResampleError("no key classes to clean around")
-    key_set = set(key)
-    outside = set(counts) - key_set
+    code, labels = nominal_codes(ds.target_column.values)
+    is_key = _class_mask(labels, key)
+    sizes = np.array(list(counts.values()))
+    # outside classes whose rows A2 may take
+    takeable = ~is_key & (sizes >= 0.5 * sizes[is_key].min())
     nbrs = knn_table(metric, build_context(metric, ds), k)
-    labels = ds.target_column.values
-    need = math.ceil(k / 2)
-    min_key = min(counts[c] for c in key)
-
-    a1: set[int] = set()
-    for i in range(n):
-        if labels[i] not in outside:
-            continue
-        diff = sum(1 for j in nbrs[i] if labels[j] != labels[i])
-        if diff >= need:
-            a1.add(i)
-    a2: set[int] = set()
-    for i in range(n):
-        if labels[i] not in key_set:
-            continue
-        for j in nbrs[i]:
-            j = int(j)
-            if labels[j] in outside and counts[labels[j]] >= 0.5 * min_key:
-                a2.add(j)
-    to_remove = a1 | a2
-    warnings = [] if a1 else [WARN_ENN_NONE]
-    kept = np.array(sorted(set(range(n)) - to_remove), dtype=np.intp)
-    return StrategyOutcome(ds.take(kept), sorted(to_remove), [], warnings)
+    diff = (code[nbrs] != code[:, None]).sum(axis=1)
+    a1 = ~is_key[code] & (diff >= math.ceil(k / 2))
+    near_key = nbrs[is_key[code]].ravel()
+    drop = a1.copy()
+    drop[near_key[takeable[code[near_key]]]] = True
+    warnings = [] if a1.any() else [WARN_ENN_NONE]
+    return _edited(ds, drop, warnings)
 
 
 def gauss_noise_classif(
@@ -638,8 +607,8 @@ def gauss_noise_classif(
         raise ResampleError("pert must be a finite non-negative number")
     targets = _resolve_mixed(class_counts(ds), spec)
     rng = np.random.default_rng(seed)
-    return _resample(ds, _class_groups(ds, targets), rng,
-                     lambda _, idx, extra: _noise_rows(ds, rng, pert, idx, extra), repl)
+    return _resample(ds, _class_groups(ds, targets), _sample(rng, repl),
+                     lambda _, idx, extra: _noise_rows(ds, rng, pert, idx, extra))
 
 
 def smote_classif(
@@ -675,4 +644,4 @@ def smote_classif(
         seeds, _, block, _ = _smote_rows(ds, metric, ctx, k, rng, idx, extra)
         return seeds, block
 
-    return _resample(ds, _class_groups(ds, targets), rng, grow, repl, warnings)
+    return _resample(ds, _class_groups(ds, targets), _sample(rng, repl), grow, warnings)

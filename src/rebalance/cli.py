@@ -129,6 +129,15 @@ def _parse_rel(text: str) -> str:
     )
 
 
+def _seed(text: str) -> int:
+    # numpy's generators take no negative seed
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"bad seed {text!r}; expected a non-negative integer"
+        )
+    return int(text)
+
+
 def _metric_from(args: argparse.Namespace) -> Metric:
     if args.dist == "minkowsky":
         return Metric("minkowsky", p=args.p)
@@ -136,22 +145,26 @@ def _metric_from(args: argparse.Namespace) -> Metric:
 
 
 def _read_rel_points(path: str) -> RelevanceFn:
-    points = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            if len(row) not in (2, 3):
-                raise RelevanceError(
-                    f"relevance point on line {lineno} needs y,phi[,dphi]"
-                )
-            try:
-                vals = [float(v) for v in row]
-            except ValueError:
-                raise RelevanceError(
-                    f"bad relevance point on line {lineno}: {row!r}"
-                ) from None
-            points.append(ControlPoint(*vals))
+        try:
+            rows = list(csv.reader(fh))
+        except UnicodeDecodeError as exc:
+            raise RelevanceError(f"relevance points are not UTF-8 text: {exc}") from None
+    points = []
+    for lineno, row in enumerate(rows, start=1):
+        if not row:
+            continue
+        if len(row) not in (2, 3):
+            raise RelevanceError(
+                f"relevance point on line {lineno} needs y,phi[,dphi]"
+            )
+        try:
+            vals = [float(v) for v in row]
+        except ValueError:
+            raise RelevanceError(
+                f"bad relevance point on line {lineno}: {row!r}"
+            ) from None
+        points.append(ControlPoint(*vals))
     return build_relevance_range(points)
 
 
@@ -294,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--in", dest="input", required=True, metavar="FILE")
         p.add_argument("--out", dest="output", required=True, metavar="FILE")
         p.add_argument("--target", required=True, metavar="NAME")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--report", default=None, metavar="FILE")
         if cmd.regress:
             p.add_argument("--rel", type=_parse_rel, default="auto")
@@ -314,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a synthetic dataset")
     p.add_argument("variant", choices=["imbc", "imbr"])
     p.add_argument("--rows", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", dest="output", required=True, metavar="FILE")
     p.add_argument("--report", default=None, metavar="FILE")
     return parser

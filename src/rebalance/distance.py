@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import sample_sd
-from .tabular import ColumnKind, Dataset
+from .tabular import ColumnKind, Dataset, nominal_codes
 
 __all__ = [
     "Metric",
@@ -123,18 +123,6 @@ class MetricContext:
     classes: tuple[str, ...] = ()
 
 
-def _encode_nominal(values: np.ndarray) -> tuple[np.ndarray, dict[str, int]]:
-    # codes are assigned in sorted value order; -1 marks a missing cell
-    seen = sorted({v for v in values if v is not None})
-    encode = {v: i for i, v in enumerate(seen)}
-    codes = np.fromiter(
-        (encode[v] if v is not None else -1 for v in values),
-        dtype=np.int64,
-        count=len(values),
-    )
-    return codes, encode
-
-
 def build_context(metric: Metric, ds: Dataset) -> MetricContext:
     """Validate the metric against the schema and cache its statistics."""
     feats = ds.feature_columns
@@ -167,9 +155,9 @@ def build_context(metric: Metric, ds: Dataset) -> MetricContext:
         if kinds[j] == "num":
             ctx.num_values[j] = col.values
         else:
-            codes, encode = _encode_nominal(col.values)
+            codes, values = nominal_codes(col.values)
             ctx.nom_codes[j] = codes
-            ctx.nom_encode[j] = encode
+            ctx.nom_encode[j] = {v: i for i, v in enumerate(values)}
 
     if metric.name == "heom":
         for j, vals in ctx.num_values.items():
@@ -180,16 +168,12 @@ def build_context(metric: Metric, ds: Dataset) -> MetricContext:
     elif metric.name == "hvdm":
         for j, vals in ctx.num_values.items():
             ctx.four_sd[j] = 4.0 * sample_sd(vals)
-        labels = ds.target_column.values
-        if any(v is None for v in labels):
+        y, ctx.classes = nominal_codes(ds.target_column.values)
+        if (y < 0).any():
             raise MetricError("missing value in the target column")
-        classes = sorted(set(labels))
-        ctx.classes = tuple(classes)
-        class_idx = {c: i for i, c in enumerate(classes)}
-        y = np.fromiter((class_idx[v] for v in labels), dtype=np.int64)
         for j, codes in ctx.nom_codes.items():
             n_vals = len(ctx.nom_encode[j])
-            counts = np.zeros((n_vals, len(classes)), dtype=np.float64)
+            counts = np.zeros((n_vals, len(ctx.classes)), dtype=np.float64)
             mask = codes >= 0
             np.add.at(counts, (codes[mask], y[mask]), 1.0)
             totals = counts.sum(axis=1, keepdims=True)
@@ -200,7 +184,7 @@ def build_context(metric: Metric, ds: Dataset) -> MetricContext:
             # conditional probability vectors, squared.  Row n_vals holds
             # values unseen at build time (all-zero frequencies); the
             # last row and column, which code -1 indexes, missing cells.
-            probs = np.vstack([probs, np.zeros((1, len(classes)))])
+            probs = np.vstack([probs, np.zeros((1, len(ctx.classes)))])
             diffs = probs[:, None, :] - probs[None, :, :]
             pair = np.sqrt((diffs**2).sum(axis=2))
             sq = np.ones((n_vals + 2, n_vals + 2))

@@ -16,8 +16,10 @@ follow their classification twins: all of them run through the
 shrink/grow driver and the synthesisers of ``rebalance.classif``, with
 bumps, in partition order, standing in for classes.  SMOTER adds its
 distance-weighted target on top of the shared SMOTE rows.
-Importance sampling drops rows by relevance weight and stays outside
-the driver.
+Importance sampling's mode A runs through the driver too, with a
+relevance-weighted drop as its shrink callback and relevance-weighted
+replicas as its grow callback; mode B has no bumps and builds its
+outcome with the driver's ``_outcome``.
 """
 
 from __future__ import annotations
@@ -33,10 +35,13 @@ from .classif import (
     AddedRow,
     ResampleError,
     StrategyOutcome,
+    _PercSpec,
     _copies,
     _noise_rows,
+    _outcome,
     _replicas,
     _resample,
+    _sample,
     _smote_rows,
 )
 from .distance import Metric, build_context, encode_rows, paired_distances
@@ -54,33 +59,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BumpPercSpec:
-    """Per-bump resampling intensity: balance, extreme, or explicit."""
-
-    mode: str
-    percs: tuple[float, ...] | None = None
-
-    @classmethod
-    def balance(cls) -> "BumpPercSpec":
-        return cls("balance")
-
-    @classmethod
-    def extreme(cls) -> "BumpPercSpec":
-        return cls("extreme")
+class BumpPercSpec(_PercSpec):
+    """Per-bump intensity; explicit percentages list one number per bump."""
 
     @classmethod
     def explicit(cls, percs: Sequence[float]) -> "BumpPercSpec":
-        percs = tuple(float(p) for p in percs)
-        if not percs:
-            raise ResampleError("explicit percentage spec is empty")
-        return cls("explicit", percs)
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("balance", "extreme", "explicit"):
-            raise ResampleError(f"unknown percentage mode {self.mode!r}")
-        if self.mode == "explicit" and not self.percs:
-            raise ResampleError("explicit percentage spec is empty")
+        return cls("explicit", tuple(float(p) for p in percs))
 
 
 @dataclass(frozen=True)
@@ -98,13 +82,34 @@ class ImpSampParams:
     o: float | None = None
 
 
-def _explicit_check(spec: BumpPercSpec, n_bumps: int, what: str) -> None:
-    if len(spec.percs) != n_bumps:
+# explicit percentage rules, one per kind of bump: which percentages
+# are valid, the error for the others, and (perc, count) -> target
+_UNDER = (lambda p: 0 < p <= 1, "under-sampling percentages must be in (0, 1]", floor_frac)
+_ADDITIVE = (lambda p: p >= 0, "over-sampling percentages must be non-negative",
+            lambda p, n: n + floor_frac(p, n))
+_MULTIPLICATIVE = (lambda p: p >= 1, "over-sampling percentages must be at least 1",
+                  floor_frac)
+
+
+def _explicit_targets(spec: BumpPercSpec, bumps: Sequence[Bump], what: str,
+                      rare_rule: tuple | None = None) -> list[int]:
+    """Targets of an explicit spec, one percentage per bump in ``bumps``.
+
+    Normal bumps follow ``_UNDER`` and Rare bumps ``rare_rule``.
+    """
+    if len(spec.percs) != len(bumps):
         raise ResampleError(
-            f"expected one percentage per {what} ({n_bumps}), got {len(spec.percs)}"
+            f"expected one percentage per {what} ({len(bumps)}), got {len(spec.percs)}"
         )
     if not all(math.isfinite(p) for p in spec.percs):
         raise ResampleError("bump percentages must be finite numbers")
+    targets = []
+    for p, b in zip(spec.percs, bumps):
+        valid, error, target = rare_rule if b.rare else _UNDER
+        if not valid(p):
+            raise ResampleError(error)
+        targets.append(target(p, b.count))
+    return targets
 
 
 def _bump_groups(bumps: Sequence[Bump], targets: Sequence[int],
@@ -136,11 +141,7 @@ def rand_under_regress(
     if not normals:
         raise ResampleError("no bump below the relevance threshold to under-sample")
     if spec.mode == "explicit":
-        _explicit_check(spec, len(normals), "Normal bump")
-        for p in spec.percs:
-            if not 0 < p <= 1:
-                raise ResampleError("under-sampling percentages must be in (0, 1]")
-        targets = [floor_frac(p, b.count) for p, b in zip(spec.percs, normals)]
+        targets = _explicit_targets(spec, normals, "Normal bump")
     else:
         total_rare = sum(b.count for b in rares)
         if total_rare == 0:
@@ -153,7 +154,7 @@ def rand_under_regress(
                 min(total_rare * total_rare // b.count, b.count) for b in normals
             ]
     rng = np.random.default_rng(seed)
-    return _resample(ds, _bump_groups(part.bumps, targets, rare=False), rng, repl=repl)
+    return _resample(ds, _bump_groups(part.bumps, targets, rare=False), _sample(rng, repl))
 
 
 def rand_over_regress(
@@ -170,11 +171,7 @@ def rand_over_regress(
     if not rares:
         raise ResampleError("no bump above the relevance threshold to over-sample")
     if spec.mode == "explicit":
-        _explicit_check(spec, len(rares), "Rare bump")
-        for p in spec.percs:
-            if p < 0:
-                raise ResampleError("over-sampling percentages must be non-negative")
-        extras = [floor_frac(p, b.count) for p, b in zip(spec.percs, rares)]
+        targets = _explicit_targets(spec, rares, "Rare bump", _ADDITIVE)
     else:
         if not normals:
             raise ResampleError("no bump below the relevance threshold")
@@ -183,13 +180,14 @@ def rand_over_regress(
             extras = [m for _ in rares]
         else:
             extras = [m * m // b.count for b in rares]
-    targets = [b.count + extra for b, extra in zip(rares, extras)]
+        targets = [b.count + extra for b, extra in zip(rares, extras)]
     rng = np.random.default_rng(seed)
-    return _resample(ds, _bump_groups(part.bumps, targets, rare=True), rng, _replicas(rng))
+    return _resample(ds, _bump_groups(part.bumps, targets, rare=True), _sample(rng),
+                     _replicas(rng))
 
 
 def _mixed_bump_targets(spec: BumpPercSpec, part: BumpPartition,
-                        additive_rare: bool) -> list[int]:
+                        rare_rule: tuple) -> list[int]:
     """Absolute per-bump targets for the shrink-and-grow strategies."""
     bumps = part.bumps
     counts = [b.count for b in bumps]
@@ -198,27 +196,7 @@ def _mixed_bump_targets(spec: BumpPercSpec, part: BumpPartition,
         return balanced_quota(total, len(bumps))
     if spec.mode == "extreme":
         return inverted_quota(counts, total)
-    _explicit_check(spec, len(bumps), "bump")
-    targets = []
-    for p, b in zip(spec.percs, bumps):
-        if b.rare:
-            if additive_rare:
-                if p < 0:
-                    raise ResampleError(
-                        "over-sampling percentages must be non-negative"
-                    )
-                targets.append(b.count + floor_frac(p, b.count))
-            else:
-                if p < 1:
-                    raise ResampleError(
-                        "over-sampling percentages must be at least 1"
-                    )
-                targets.append(floor_frac(p, b.count))
-        else:
-            if not 0 < p <= 1:
-                raise ResampleError("under-sampling percentages must be in (0, 1]")
-            targets.append(floor_frac(p, b.count))
-    return targets
+    return _explicit_targets(spec, bumps, "bump", rare_rule)
 
 
 def gauss_noise_regress(
@@ -241,7 +219,7 @@ def gauss_noise_regress(
     part = find_bumps(ds, fn, thr_rel)
     if not part.bumps:
         raise ResampleError("empty dataset")
-    targets = _mixed_bump_targets(spec, part, additive_rare=True)
+    targets = _mixed_bump_targets(spec, part, _ADDITIVE)
     rng = np.random.default_rng(seed)
     warnings: list[str] = []
 
@@ -253,7 +231,8 @@ def gauss_noise_regress(
             )
         return _noise_rows(ds, rng, pert, idx, extra)
 
-    return _resample(ds, _bump_groups(part.bumps, targets), rng, grow, repl, warnings)
+    return _resample(ds, _bump_groups(part.bumps, targets), _sample(rng, repl), grow,
+                     warnings)
 
 
 def smoter(
@@ -281,7 +260,7 @@ def smoter(
     part = find_bumps(ds, fn, thr_rel)
     if not part.rare_bumps:
         raise ResampleError("no bump above the relevance threshold to over-sample")
-    targets = _mixed_bump_targets(spec, part, additive_rare=False)
+    targets = _mixed_bump_targets(spec, part, _MULTIPLICATIVE)
     ctx = build_context(metric, ds)
     rng = np.random.default_rng(seed)
     y = ds.target_column.values
@@ -317,7 +296,14 @@ def smoter(
         block[ds.target] = new_y
         return seeds, block
 
-    return _resample(ds, _bump_groups(part.bumps, targets), rng, grow, repl, warnings)
+    return _resample(ds, _bump_groups(part.bumps, targets), _sample(rng, repl), grow,
+                     warnings)
+
+
+def _proportional(w: np.ndarray) -> np.ndarray | None:
+    """Draw probabilities proportional to ``w``, or None (uniform) if it sums to 0."""
+    total = w.sum()
+    return w / total if total > 0 else None
 
 
 def imp_samp_regress(
@@ -351,51 +337,28 @@ def imp_samp_regress(
         if params.thr_rel is None or params.spec is None:
             raise ResampleError("mode A needs both thr_rel and a bump spec")
         part = find_bumps(ds, fn, params.thr_rel)
-        targets = _mixed_bump_targets(params.spec, part, additive_rare=True)
-        parts = []
-        replicas = []
-        for b, t in zip(part.bumps, targets):
-            idx = b.indices
-            if t < b.count:
-                w = 1.0 - phi[idx]
-                total = w.sum()
-                p = w / total if total > 0 else None
-                drop = rng.choice(idx, size=b.count - t, replace=False, p=p)
-                parts.append(np.setdiff1d(idx, drop))
-            else:
-                parts.append(idx)
-                if t > b.count:
-                    w = phi[idx]
-                    total = w.sum()
-                    p = w / total if total > 0 else None
-                    replicas.append(
-                        rng.choice(idx, size=t - b.count, replace=True, p=p)
-                    )
-        kept = np.sort(np.concatenate(parts))
-        seeds = (
-            np.concatenate(replicas) if replicas else np.empty(0, dtype=np.intp)
-        )
-    else:
-        u, o = params.u, params.o
-        if u is None or o is None:
-            raise ResampleError("mode B needs both u and o")
-        if not 0 <= u <= 1:
-            raise ResampleError("u must lie in [0, 1]")
-        if not (math.isfinite(o) and o >= 0):
-            raise ResampleError("o must be a finite non-negative number")
-        drop = rng.random(ds.n_rows) < u * (1.0 - phi)
-        kept = np.nonzero(~drop)[0].astype(np.intp)
-        total_phi = float(phi.sum())
-        m = int(math.floor(o * total_phi))
-        if m > 0:
-            seeds = rng.choice(
-                np.arange(ds.n_rows), size=m, replace=True, p=phi / total_phi
-            )
-        else:
-            seeds = np.empty(0, dtype=np.intp)
+        targets = _mixed_bump_targets(params.spec, part, _ADDITIVE)
 
-    final = np.concatenate([kept, seeds])
-    counts = np.bincount(kept, minlength=ds.n_rows)
-    removed = [int(i) for i in np.nonzero(counts == 0)[0]]
+        def shrink(idx, t):
+            p = _proportional(1.0 - phi[idx])
+            return np.setdiff1d(idx, rng.choice(idx, size=len(idx) - t, replace=False, p=p))
+
+        def grow(_, idx, extra):
+            return rng.choice(idx, size=extra, replace=True, p=_proportional(phi[idx])), None
+
+        return _resample(ds, _bump_groups(part.bumps, targets), shrink, grow)
+
+    u, o = params.u, params.o
+    if u is None or o is None:
+        raise ResampleError("mode B needs both u and o")
+    if not 0 <= u <= 1:
+        raise ResampleError("u must lie in [0, 1]")
+    if not (math.isfinite(o) and o >= 0):
+        raise ResampleError("o must be a finite non-negative number")
+    drop = rng.random(ds.n_rows) < u * (1.0 - phi)
+    total_phi = float(phi.sum())
+    m = int(math.floor(o * total_phi))
+    seeds = (rng.choice(ds.n_rows, size=m, p=phi / total_phi) if m > 0
+             else np.empty(0, dtype=np.intp))
     added = [AddedRow(int(s), synthetic=False) for s in seeds]
-    return StrategyOutcome(ds.take(final), removed, added)
+    return _outcome(ds, np.flatnonzero(~drop), [seeds], [], added)

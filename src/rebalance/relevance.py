@@ -64,7 +64,10 @@ def _limit_slopes(ys: np.ndarray, phis: np.ndarray, raw: np.ndarray) -> np.ndarr
     capped at 3x the smaller adjacent secant.
     """
     n = len(ys)
-    secants = np.diff(phis) / np.diff(ys)
+    # points closer than 1/max-float overflow their secant to inf, which
+    # only lifts the 3x cap on that side
+    with np.errstate(over="ignore"):
+        secants = np.diff(phis) / np.diff(ys)
     m = raw.astype(np.float64).copy()
     for k in range(n):
         adjacent = []
@@ -104,20 +107,24 @@ class RelevanceFn:
         scalar = values.ndim == 0
         values = np.atleast_1d(values)
         ys, phis, m = self.ys, self.phis, self.slopes
-        seg = np.clip(np.searchsorted(ys, values, side="right") - 1, 0, len(ys) - 2)
+        # constant beyond the outer control points (a NaN stays NaN);
+        # the cubic is evaluated strictly between them only
+        out = values.copy()
+        out[values <= ys[0]] = phis[0]
+        out[values >= ys[-1]] = phis[-1]
+        inner = (values > ys[0]) & (values < ys[-1])
+        x = values[inner]
+        seg = np.searchsorted(ys, x, side="right") - 1
         h = ys[seg + 1] - ys[seg]
-        t = (values - ys[seg]) / h
+        t = (x - ys[seg]) / h
         t2 = t * t
         t3 = t2 * t
-        out = (
+        out[inner] = (
             phis[seg] * (2 * t3 - 3 * t2 + 1)
             + m[seg] * h * (t3 - 2 * t2 + t)
             + phis[seg + 1] * (-2 * t3 + 3 * t2)
             + m[seg + 1] * h * (t3 - t2)
         )
-        # constant extrapolation beyond the outer control points
-        out = np.where(values <= ys[0], phis[0], out)
-        out = np.where(values >= ys[-1], phis[-1], out)
         out = np.clip(out, 0.0, 1.0)
         return float(out[0]) if scalar else out
 

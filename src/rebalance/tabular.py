@@ -5,6 +5,12 @@ A Dataset is a small columnar table: every column is either Numeric
 None marks a missing cell).  One column is designated as the target.
 The CSV layer is RFC-4180: empty fields are missing cells, everything
 else round-trips byte-for-byte (floats via shortest repr).
+
+``nominal_codes`` is the one place that turns nominal values into
+integers: each label's position in ``sorted()`` order (code-point
+order, which is UTF-8 byte order), -1 for a missing cell.  Class
+order, class counts, the metrics' value codes and every tie rule that
+follows from them rest on that order.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ __all__ = [
     "read_dataset",
     "write_dataset",
     "class_counts",
+    "nominal_codes",
 ]
 
 
@@ -145,19 +152,11 @@ class Dataset:
         sizes = {len(v) for v in block.values()}
         if len(block) != len(self.columns) or len(sizes) > 1:
             raise TabularError("appended block does not match the schema")
+        # a new Column converts nominal cells to str itself
         out = []
         for c in self.columns:
-            extra = block[c.name]
-            if c.kind is ColumnKind.NUMERIC:
-                vals = np.concatenate(
-                    [c.values, np.asarray(extra, dtype=np.float64)]
-                )
-            else:
-                tail = np.empty(len(extra), dtype=object)
-                for i, v in enumerate(extra):
-                    tail[i] = None if v is None else str(v)
-                vals = np.concatenate([c.values, tail])
-            out.append(Column(c.name, c.kind, vals))
+            extra = np.asarray(block[c.name], dtype=c.values.dtype)
+            out.append(Column(c.name, c.kind, np.concatenate([c.values, extra])))
         return Dataset(out, self.target)
 
     def row(self, i: int, feature_only: bool = True) -> tuple:
@@ -186,17 +185,29 @@ class ClassCounts(dict):
         return sum(self.values())
 
 
+def nominal_codes(values: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Integer codes of nominal cells, and the categories they index.
+
+    ``categories`` holds the present values in ``sorted()`` order, and
+    a cell's code is its value's position there, -1 for a missing cell.
+    """
+    cells = values.tolist()
+    categories = tuple(sorted(set(cells) - {None}))
+    index = {v: i for i, v in enumerate(categories)}
+    index[None] = -1
+    codes = np.fromiter(map(index.__getitem__, cells), dtype=np.intp, count=len(cells))
+    return codes, categories
+
+
 def class_counts(ds: Dataset) -> ClassCounts:
     """Count rows per class label, ordered by label byte order."""
     col = ds.target_column
     if col.kind is not ColumnKind.NOMINAL:
         raise TabularError("class counts need a nominal target column")
-    counts: dict[str, int] = {}
-    for v in col.values:
-        if v is None:
-            raise TabularError("missing value in the target column")
-        counts[v] = counts.get(v, 0) + 1
-    return ClassCounts(sorted(counts.items()))
+    codes, labels = nominal_codes(col.values)
+    if (codes < 0).any():
+        raise TabularError("missing value in the target column")
+    return ClassCounts(zip(labels, np.bincount(codes, minlength=len(labels)).tolist()))
 
 
 def _open_source(source) -> tuple[IO[str], bool]:
@@ -242,6 +253,8 @@ def read_dataset(
                 )
             for col, value in zip(cells, row):
                 col.append(value)
+    except UnicodeDecodeError as exc:
+        raise TabularError(f"input is not UTF-8 text: {exc}") from None
     finally:
         if owned:
             fh.close()

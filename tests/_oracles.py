@@ -300,3 +300,143 @@ def find_bumps_loop_oracle(y, phi, thr_rel):
             bumps.append((rare[start], run, float(y[run[0]]), float(y[run[-1]])))
             start = i
     return bumps
+
+
+# ------------------------------------------------ label coding and rules
+#
+# The loops below are the per-cell and per-row code the library ran
+# before nominal coding moved into ``tabular.nominal_codes`` and the
+# editing rules became array expressions.  ``labels`` is a sequence of
+# class labels in row order; neighbour tables come from the library's
+# engine, which ``tests/test_engine.py`` checks on its own.
+
+
+def nominal_codes_oracle(values):
+    """Codes in sorted label order, -1 for None, and the sorted labels."""
+    seen = sorted({v for v in values if v is not None})
+    encode = {v: i for i, v in enumerate(seen)}
+    return [encode[v] if v is not None else -1 for v in values], seen
+
+
+def label_counts_oracle(values):
+    """(label, count) pairs in sorted label order, None skipped."""
+    counts = {}
+    for v in values:
+        if v is not None:
+            counts[v] = counts.get(v, 0) + 1
+    return sorted(counts.items())
+
+
+def class_rows_oracle(labels):
+    """Label -> ascending row indices, in sorted label order."""
+    out = {}
+    for i, v in enumerate(labels):
+        out.setdefault(v, []).append(i)
+    return dict(sorted(out.items()))
+
+
+def tomek_oracle(labels, nn, cl_set, rem):
+    """Rows the Tomek pair loop removes.
+
+    ``nn`` is each row's nearest neighbour.  A link is a mutual pair
+    with different labels; an end whose class is not in ``cl_set``
+    stays, and under ``rem="maj"`` with both ends in ``cl_set`` only the
+    end of the strictly bigger class goes.
+    """
+    counts = dict(label_counts_oracle(labels))
+    out = set()
+    for i in range(len(labels)):
+        j = int(nn[i])
+        if j <= i or nn[j] != i or labels[i] == labels[j]:
+            continue
+        in_i, in_j = labels[i] in cl_set, labels[j] in cl_set
+        if in_i and in_j:
+            if rem == "both":
+                out.update((i, j))
+            elif counts[labels[i]] > counts[labels[j]]:
+                out.add(i)
+            elif counts[labels[j]] > counts[labels[i]]:
+                out.add(j)
+        elif in_i:
+            out.add(i)
+        elif in_j:
+            out.add(j)
+    return out
+
+
+def enn_oracle(labels, nbrs, cl_set, k, seed):
+    """Rows ENN removes: fewer than ceil(k/2) same-class neighbours.
+
+    A class whose rows are all marked gets one back, drawn per class in
+    label order from ``default_rng(seed)``.
+    """
+    need = math.ceil(k / 2)
+    marked = [
+        labels[i] in cl_set and sum(labels[j] == labels[i] for j in nbrs[i]) < need
+        for i in range(len(labels))
+    ]
+    rng = np.random.default_rng(seed)
+    for idx in class_rows_oracle(labels).values():
+        if all(marked[i] for i in idx):
+            marked[idx[rng.integers(len(idx))]] = False
+    return {i for i, m in enumerate(marked) if m}
+
+
+def ncl_oracle(labels, nbrs, key, k):
+    """(A1, A2) of neighbourhood cleaning around the ``key`` classes.
+
+    A1: rows outside the key classes with at least ceil(k/2) neighbours
+    of another class.  A2: neighbours of key rows whose class is outside
+    and holds at least half as many rows as the smallest key class.
+    """
+    counts = dict(label_counts_oracle(labels))
+    outside = set(counts) - set(key)
+    need = math.ceil(k / 2)
+    min_key = min(counts[c] for c in key)
+    a1, a2 = set(), set()
+    for i in range(len(labels)):
+        if labels[i] in outside:
+            if sum(labels[j] != labels[i] for j in nbrs[i]) >= need:
+                a1.add(i)
+        else:
+            for j in nbrs[i]:
+                j = int(j)
+                if labels[j] in outside and counts[labels[j]] >= 0.5 * min_key:
+                    a2.add(j)
+    return a1, a2
+
+
+def oss_removed_oracle(n, first_removed, second_removed):
+    """Original rows OSS removes, from its two phases' ``removed``.
+
+    The second phase ran on the rows the first kept, so its indices
+    count those rows only.
+    """
+    orig_ids = sorted(set(range(n)) - set(first_removed))
+    kept = [i for pos, i in enumerate(orig_ids) if pos not in set(second_removed)]
+    return sorted(set(range(n)) - set(kept))
+
+
+def imp_samp_mode_a_oracle(phi, bumps, targets, seed):
+    """Kept rows and replica seeds of importance sampling's mode A.
+
+    Per bump in order: above its target it drops count - target rows
+    drawn without replacement with weights 1 - phi; below it, it draws
+    the missing rows with replacement with weights phi.  A weight sum
+    of 0 draws uniformly.
+    """
+    rng = np.random.default_rng(seed)
+    kept, seeds = [], []
+    for idx, t in zip(bumps, targets):
+        if t < len(idx):
+            w = 1.0 - phi[idx]
+            p = w / w.sum() if w.sum() > 0 else None
+            drop = rng.choice(idx, size=len(idx) - t, replace=False, p=p)
+            kept += [i for i in idx if i not in set(drop.tolist())]
+            continue
+        kept += list(idx)
+        if t > len(idx):
+            w = phi[idx]
+            p = w / w.sum() if w.sum() > 0 else None
+            seeds += rng.choice(idx, size=t - len(idx), replace=True, p=p).tolist()
+    return sorted(kept), seeds

@@ -268,15 +268,47 @@ def test_oss_report_lists_class_roles(imbc_csv, tmp_path):
     ("smote", "--dist", "heom", "--c-perc", "rare2=inf"),
     ("smote-r", "--c-perc", "0.5,inf"),
     ("impsamp-r", "--u", "0.5", "--o", "nan"),
+    # files that are not UTF-8 text
+    ("randunder", "--in", "NOT_UTF8"),
+    ("randover-r", "--rel-points", "NOT_UTF8"),
 ])
 def test_non_finite_numbers_are_data_errors(imbc_csv, imbr_csv, tmp_path, capsys, args):
     src, target = (imbr_csv, "Tgt") if args[0].endswith("-r") else (imbc_csv, "Class")
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"X1,X2,Class\n1,\xff,normal\n")
+    args = [str(bad) if a == "NOT_UTF8" else a for a in args]
     out = tmp_path / "o.csv"
-    code = run([*args, "--in", str(src), "--out", str(out), "--target", target])
+    # a later --in replaces the default one
+    code = run([args[0], "--in", str(src), "--out", str(out), "--target", target, *args[1:]])
     assert code == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ("randunder", "--in", "i.csv", "--out", "o.csv", "--target", "Class"),
+    ("smote-r", "--in", "i.csv", "--out", "o.csv", "--target", "Tgt"),
+    ("gen", "imbc", "--out", "o.csv"),
+])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, args):
+    args = [str(tmp_path / a) if a.endswith(".csv") else a for a in args]
+    assert run([*args, "--seed", "-1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].endswith("argument --seed: bad seed '-1'; expected a non-negative integer")
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_close_relevance_points_print_one_error_line(tmp_path):
+    # the cubic between points 1e-300 apart overflowed outside them, and
+    # numpy's warnings went to stderr ahead of the error
+    src, pts = tmp_path / "imbr.csv", tmp_path / "pts.csv"
+    assert run(["gen", "imbr", "--rows", "50", "--out", str(src)]) == 0
+    pts.write_text("0,0,0\n1e-300,1,0\n")
+    proc = _python_m(["rebalance", "randover-r", "--in", str(src), "--out",
+                      str(tmp_path / "o.csv"), "--target", "Tgt", "--rel-points", str(pts)])
+    assert proc.returncode == 1
+    assert proc.stderr == "error: no bump below the relevance threshold\n"
 
 
 def test_gen_zero_rows_is_a_data_error(tmp_path, capsys):
@@ -306,12 +338,16 @@ def test_smote_r_names_nan_distances_from_blank_cells(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("module", ["rebalance", "rebalance.cli"])
-def test_python_m_entry_points(module):
+def _python_m(args):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", module, "--help"], env=env,
+    return subprocess.run([sys.executable, "-m", *args], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("module", ["rebalance", "rebalance.cli"])
+def test_python_m_entry_points(module):
+    proc = _python_m([module, "--help"])
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: rebalance ")

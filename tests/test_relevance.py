@@ -15,6 +15,10 @@ from rebalance import (
 import _oracles as oracle
 from _toys import regression_ds
 
+# evaluation and slope limiting must stay quiet, even for control points
+# closer together than 1/max-float
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 # five-point fixture whose relevance exceeds 0.5 exactly on
 # [0, 1.5] and [4.5, 7]
 WAVE = [(0, 1, 0), (3, 0, 0), (6, 1, 0), (7, 0.5, 1), (10, 0, 0)]
@@ -24,6 +28,15 @@ def test_hits_control_points_exactly():
     fn = build_relevance_range(WAVE)
     for y, phi, _ in WAVE:
         assert fn(y) == pytest.approx(phi, abs=1e-9)
+
+
+@pytest.mark.parametrize("gap", [1e-300, 2.225073858507203e-309])
+def test_close_control_points_evaluate_quietly(gap):
+    # the secant 1/gap overflows at the smaller gap, and the cubic would
+    # overflow outside the points; neither may warn
+    fn = build_relevance_range([(0.0, 0.0), (gap, 1.0)])
+    np.testing.assert_array_equal(fn(np.array([-5.0, 0.0, gap, 20.0])), [0, 0, 1, 1])
+    assert 0.0 < fn(gap / 2) < 1.0
 
 
 def test_two_point_interpolation():

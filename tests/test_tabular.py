@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rebalance import (
     Column,
@@ -13,8 +15,11 @@ from rebalance import (
     read_dataset,
     write_dataset,
 )
-from rebalance.tabular import dataset_to_csv_bytes, parses_as_number
+from rebalance._util import nominal_freqs
+from rebalance.classif import _class_indices
+from rebalance.tabular import dataset_to_csv_bytes, nominal_codes, parses_as_number
 
+import _oracles as oracle
 from _toys import labelled, make_ds
 
 
@@ -203,3 +208,32 @@ def test_class_counts_rejects_missing_labels():
     ds = make_ds([("cls", "nom", ["p", None])], "cls")
     with pytest.raises(TabularError, match="missing value in the target"):
         class_counts(ds)
+
+
+# labels whose byte order differs from a case-folded or locale order
+CELLS = st.sampled_from(["Z", "a", "ä", "é", "ab", ""]) | st.text(max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(CELLS | st.none(), max_size=40))
+def test_nominal_codes_match_dict_loop(values):
+    cells = np.array(values, dtype=object)
+    codes, categories = nominal_codes(cells)
+    want_codes, want_categories = oracle.nominal_codes_oracle(values)
+    assert codes.dtype == np.intp and codes.tolist() == want_codes
+    assert categories == tuple(want_categories)
+    labels, freqs = nominal_freqs(cells)
+    counts = oracle.label_counts_oracle(values)
+    assert list(labels) == [v for v, _ in counts]
+    total = sum(c for _, c in counts)
+    assert freqs.tolist() == [c / total for _, c in counts]
+
+
+@settings(max_examples=300, deadline=None)
+@given(labels=st.lists(CELLS, min_size=1, max_size=40))
+def test_class_counts_and_rows_match_dict_loops(labels):
+    ds = labelled(labels)
+    assert list(class_counts(ds).items()) == oracle.label_counts_oracle(labels)
+    rows = {c: idx.tolist() for c, idx in _class_indices(ds).items()}
+    assert rows == oracle.class_rows_oracle(labels)
+    assert list(rows) == list(class_counts(ds))
