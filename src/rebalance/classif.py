@@ -425,7 +425,7 @@ def tomek_classif(
     counts = class_counts(ds)
     code, labels = nominal_codes(ds.target_column.values)
     in_cl = _class_mask(labels, _resolve_cl(cl, counts))[code]
-    size = np.array(list(counts.values()))[code]
+    size = np.bincount(code)[code]
     _, nn = nearest(metric, build_context(metric, ds))
     link = (nn[nn] == np.arange(ds.n_rows)) & (code != code[nn])
     # a row drops when its partner's class may not lose rows, or under
@@ -576,7 +576,7 @@ def ncl_classif(
         raise ResampleError("no key classes to clean around")
     code, labels = nominal_codes(ds.target_column.values)
     is_key = _class_mask(labels, key)
-    sizes = np.array(list(counts.values()))
+    sizes = np.bincount(code)
     # outside classes whose rows A2 may take
     takeable = ~is_key & (sizes >= 0.5 * sizes[is_key].min())
     nbrs = knn_table(metric, build_context(metric, ds), k)
