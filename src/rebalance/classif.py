@@ -216,7 +216,7 @@ def _resample(
     """The shrink/grow driver shared by the class and bump strategies.
 
     ``groups`` holds (key, row indices, target) per class or bump.  A
-    group above its target keeps the rows ``shrink(idx, target)``
+    group above its target keeps the rows ``shrink(key, idx, target)``
     returns.  Any other group keeps every row, and when it is below its
     target ``grow(key, idx, extra)`` adds ``extra`` rows: it returns
     their seed rows and a column block, or None for plain replicas of
@@ -225,7 +225,7 @@ def _resample(
     parts, replicas, blocks, grown = [], [], [], []
     for key, idx, t in groups:
         if t < len(idx):
-            parts.append(shrink(idx, t))
+            parts.append(shrink(key, idx, t))
             continue
         parts.append(idx)
         if t > len(idx):
@@ -236,7 +236,7 @@ def _resample(
                 replicas.append(seeds)
             else:
                 blocks.append(block)
-            grown += [AddedRow(int(s), synthetic=block is not None) for s in seeds]
+            grown += [AddedRow(s, synthetic=block is not None) for s in seeds.tolist()]
     kept = np.sort(np.concatenate(parts))
     return _outcome(ds, kept, replicas, blocks, grown, warnings)
 
@@ -259,18 +259,18 @@ def _outcome(
     if blocks:
         out = out.append({c: np.concatenate([b[c] for b in blocks]) for c in blocks[0]})
     counts = np.bincount(kept, minlength=ds.n_rows)
-    removed = [int(i) for i in np.nonzero(counts == 0)[0]]
+    removed = np.flatnonzero(counts == 0).tolist()
+    repeated = np.flatnonzero(counts > 1)
     copies = [
-        AddedRow(int(i), synthetic=False)
-        for i in np.nonzero(counts > 1)[0]
-        for _ in range(counts[i] - 1)
+        AddedRow(i, synthetic=False)
+        for i in np.repeat(repeated, counts[repeated] - 1).tolist()
     ]
     return StrategyOutcome(out, removed, copies + grown, warnings or [])
 
 
 def _sample(rng: np.random.Generator, repl: bool = False) -> Callable:
     """Shrink callback: a uniform sample of the group, drawn with ``repl``."""
-    return lambda idx, t: rng.choice(idx, size=t, replace=repl)
+    return lambda key, idx, t: rng.choice(idx, size=t, replace=repl)
 
 
 def _replicas(rng: np.random.Generator) -> Callable:
@@ -513,7 +513,12 @@ def oss_classif(
         second = tomek_classif(first.dataset, metric, cl=unimportant, rem="both")
     else:
         first = tomek_classif(ds, metric, cl=unimportant, rem="both")
-        second, _, _ = cnn_classif(first.dataset, metric, cl=important, seed=seed)
+        if set(class_counts(first.dataset)) <= set(important):
+            # the Tomek pass left no row of an unimportant class: CNN has
+            # nothing to condense
+            second = StrategyOutcome(first.dataset, [], [], [])
+        else:
+            second, _, _ = cnn_classif(first.dataset, metric, cl=important, seed=seed)
     # second.removed indexes the rows the first phase kept
     kept = np.delete(np.delete(np.arange(ds.n_rows), first.removed), second.removed)
     removed = np.setdiff1d(np.arange(ds.n_rows), kept).tolist()

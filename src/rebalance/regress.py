@@ -339,9 +339,16 @@ def imp_samp_regress(
         part = find_bumps(ds, fn, params.thr_rel)
         targets = _mixed_bump_targets(params.spec, part, _ADDITIVE)
 
-        def shrink(idx, t):
+        def shrink(bump, idx, t):
             p = _proportional(1.0 - phi[idx])
-            return np.setdiff1d(idx, rng.choice(idx, size=len(idx) - t, replace=False, p=p))
+            drop = len(idx) - t
+            if p is not None and np.count_nonzero(p) < drop:
+                raise ResampleError(
+                    f"the {'Rare' if bump.rare else 'Normal'} bump of targets "
+                    f"{bump.y_low!r} to {bump.y_high!r} must lose {drop} rows but holds "
+                    f"only {np.count_nonzero(p)} with relevance below 1"
+                )
+            return np.setdiff1d(idx, rng.choice(idx, size=drop, replace=False, p=p))
 
         def grow(_, idx, extra):
             return rng.choice(idx, size=extra, replace=True, p=_proportional(phi[idx])), None
@@ -360,5 +367,5 @@ def imp_samp_regress(
     m = int(math.floor(o * total_phi))
     seeds = (rng.choice(ds.n_rows, size=m, p=phi / total_phi) if m > 0
              else np.empty(0, dtype=np.intp))
-    added = [AddedRow(int(s), synthetic=False) for s in seeds]
+    added = [AddedRow(s, synthetic=False) for s in seeds.tolist()]
     return _outcome(ds, np.flatnonzero(~drop), [seeds], [], added)

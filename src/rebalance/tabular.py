@@ -6,6 +6,13 @@ None marks a missing cell).  One column is designated as the target.
 The CSV layer is RFC-4180: empty fields are missing cells, everything
 else round-trips byte-for-byte (floats via shortest repr).
 
+The CSV layer works column by column over blocks of ``BLOCK_ROWS``
+rows, so no buffer holds more than one block of records or output
+text.  Each column of a block is parsed or formatted at once; each
+distinct nominal value of a block is quoted once, by ``csv.writer``.
+The reader, ``take`` and ``append`` build columns from cells already
+in column form and do not convert them again.
+
 ``nominal_codes`` is the one place that turns nominal values into
 integers: each label's position in ``sorted()`` order (code-point
 order, which is UTF-8 byte order), -1 for a missing cell.  Class
@@ -17,10 +24,10 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, islice
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -53,6 +60,10 @@ class ColumnKind(Enum):
 # stay nominal, so parsing is regex-gated.
 _NUMERIC_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z")
 
+# rows per block of the CSV reader and writer: what either holds of
+# records or output text at a time
+BLOCK_ROWS = 1 << 12
+
 
 def parses_as_number(text: str) -> bool:
     """True if ``text`` is a finite real literal (sign/scientific ok)."""
@@ -80,6 +91,13 @@ class Column:
                 vals[i] = None if v is None else str(v)
             self.values = vals
 
+    @classmethod
+    def _of(cls, name: str, kind: ColumnKind, values: np.ndarray) -> "Column":
+        """A column over ``values`` already in column form: no conversion."""
+        col = object.__new__(cls)
+        col.name, col.kind, col.values = name, kind, values
+        return col
+
     def __len__(self) -> int:
         return len(self.values)
 
@@ -96,7 +114,7 @@ class Column:
         return all(x == y for x, y in zip(self.values, other.values))
 
     def take(self, indices: np.ndarray) -> "Column":
-        return Column(self.name, self.kind, self.values[np.asarray(indices)])
+        return Column._of(self.name, self.kind, self.values[np.asarray(indices)])
 
 
 @dataclass
@@ -152,11 +170,11 @@ class Dataset:
         sizes = {len(v) for v in block.values()}
         if len(block) != len(self.columns) or len(sizes) > 1:
             raise TabularError("appended block does not match the schema")
-        # a new Column converts nominal cells to str itself
+        # only the new cells are converted, by a Column of their own
         out = []
         for c in self.columns:
-            extra = np.asarray(block[c.name], dtype=c.values.dtype)
-            out.append(Column(c.name, c.kind, np.concatenate([c.values, extra])))
+            extra = Column(c.name, c.kind, block[c.name]).values
+            out.append(Column._of(c.name, c.kind, np.concatenate([c.values, extra])))
         return Dataset(out, self.target)
 
     def row(self, i: int, feature_only: bool = True) -> tuple:
@@ -191,10 +209,14 @@ def nominal_codes(values: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
     ``categories`` holds the present values in ``sorted()`` order, and
     a cell's code is its value's position there, -1 for a missing cell.
     """
-    cells = values.tolist()
-    categories = tuple(sorted(set(cells) - {None}))
+    return _codes(values.tolist(), None)
+
+
+def _codes(cells: list, missing) -> tuple[np.ndarray, tuple[str, ...]]:
+    """``nominal_codes`` of a list of cells, ``missing`` marking a missing one."""
+    categories = tuple(sorted(set(cells) - {missing}))
     index = {v: i for i, v in enumerate(categories)}
-    index[None] = -1
+    index[missing] = -1
     codes = np.fromiter(map(index.__getitem__, cells), dtype=np.intp, count=len(cells))
     return codes, categories
 
@@ -245,14 +267,13 @@ def read_dataset(
                 raise TabularError(
                     f"schema names unknown columns: {sorted(unknown)}"
                 )
-        cells: list[list[str]] = [[] for _ in header]
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise TabularError(
-                    f"row {lineno} has {len(row)} fields, expected {len(header)}"
-                )
-            for col, value in zip(cells, row):
-                col.append(value)
+        # per column, its cells as one tuple per block
+        parts: list[list[tuple[str, ...]]] = [[] for _ in header]
+        lineno = 2
+        while records := _read_block(reader, len(header), lineno):
+            for part, cells in zip(parts, zip(*records)):
+                part.append(cells)
+            lineno += len(records)
     except UnicodeDecodeError as exc:
         raise TabularError(f"input is not UTF-8 text: {exc}") from None
     finally:
@@ -260,44 +281,41 @@ def read_dataset(
             fh.close()
 
     columns = []
-    for name, raw in zip(header, cells):
+    for name, part in zip(header, parts):
+        raw = list(chain.from_iterable(part))
+        non_empty = list(filter(None, raw))
         declared = schema.get(name) if schema else None
-        non_empty = [v for v in raw if v != ""]
-        if declared is ColumnKind.NUMERIC:
-            bad = next((v for v in non_empty if not parses_as_number(v)), None)
-            if bad is not None:
-                raise TabularError(
-                    f"column {name!r} declared numeric but cell {bad!r} is not"
-                )
-            kind = ColumnKind.NUMERIC
-        elif declared is ColumnKind.NOMINAL:
-            kind = ColumnKind.NOMINAL
-        else:
-            kind = (
-                ColumnKind.NUMERIC
-                if all(parses_as_number(v) for v in non_empty)
-                else ColumnKind.NOMINAL
-            )
-        if name == target and any(v == "" for v in raw):
+        numeric = declared is not ColumnKind.NOMINAL and all(map(_NUMERIC_RE.match, non_empty))
+        if declared is ColumnKind.NUMERIC and not numeric:
+            bad = next(v for v in non_empty if not parses_as_number(v))
+            raise TabularError(f"column {name!r} declared numeric but cell {bad!r} is not")
+        if name == target and len(non_empty) < len(raw):
             raise TabularError("missing value in the target column")
-        if kind is ColumnKind.NUMERIC:
-            values = np.array(
-                [math.nan if v == "" else float(v) for v in raw], dtype=np.float64
-            )
+        if numeric:
+            values = np.full(len(raw), np.nan)
+            values[np.fromiter(map(bool, raw), dtype=bool, count=len(raw))] = list(
+                map(float, non_empty))
         else:
-            values = np.empty(len(raw), dtype=object)
-            for i, v in enumerate(raw):
-                values[i] = None if v == "" else v
-        columns.append(Column(name, kind, values))
+            codes, categories = _codes(raw, "")
+            # code -1, a missing cell, picks the trailing None
+            values = np.array([*categories, None], dtype=object)[codes]
+        kind = ColumnKind.NUMERIC if numeric else ColumnKind.NOMINAL
+        columns.append(Column._of(name, kind, values))
     return Dataset(columns, target)
 
 
-def _format_numeric(v: float) -> str:
-    if math.isnan(v):
-        return ""
-    # repr of a Python float is the shortest string that round-trips,
-    # never more than 17 significant digits
-    return repr(float(v))
+def _read_block(reader, width: int, lineno: int) -> list[list[str]]:
+    """The next ``BLOCK_ROWS`` records, the first being record ``lineno``."""
+    records: list[list[str]] = []
+    try:
+        records.extend(islice(reader, BLOCK_ROWS))
+    finally:
+        # a ragged record is reported ahead of a read error after it
+        sizes = list(map(len, records))
+        if sizes.count(width) < len(sizes):
+            i = next(i for i, size in enumerate(sizes) if size != width)
+            raise TabularError(f"row {lineno + i} has {sizes[i]} fields, expected {width}")
+    return records
 
 
 def write_dataset(ds: Dataset, sink) -> None:
@@ -312,16 +330,34 @@ def write_dataset(ds: Dataset, sink) -> None:
 def _write_rows(ds: Dataset, fh: IO[str]) -> None:
     writer = csv.writer(fh)
     writer.writerow([c.name for c in ds.columns])
-    converters = []
-    for c in ds.columns:
-        if c.kind is ColumnKind.NUMERIC:
-            converters.append(_format_numeric)
-        else:
-            converters.append(lambda v: "" if v is None else v)
-    for i in range(ds.n_rows):
-        writer.writerow(
-            [conv(c.values[i]) for conv, c in zip(converters, ds.columns)]
-        )
+    # csv quotes a field by its content alone, except that a row of one
+    # empty field is written '""' so that it is not a blank line
+    empty = _quote("", writer.dialect) if ds.n_cols == 1 else ""
+    for lo in range(0, ds.n_rows, BLOCK_ROWS):
+        fields = [_fields(c, slice(lo, lo + BLOCK_ROWS), writer.dialect, empty)
+                  for c in ds.columns]
+        fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
+
+
+def _fields(col: Column, rows: slice, dialect, empty: str) -> list[str]:
+    """The CSV fields of ``col``'s cells in ``rows``."""
+    values = col.values[rows]
+    if col.kind is ColumnKind.NUMERIC:
+        # repr of a Python float is the shortest string that round-trips
+        fields = np.array(list(map(float.__repr__, values.tolist())), dtype=object)
+        fields[np.isnan(values)] = empty
+        return fields.tolist()
+    codes, categories = nominal_codes(values)
+    # code -1, a missing cell, picks the trailing empty field
+    fields = [_quote(v, dialect) if v else empty for v in categories] + [empty]
+    return list(map(fields.__getitem__, codes.tolist()))
+
+
+def _quote(value: str, dialect) -> str:
+    """``value`` as ``csv.writer`` writes it in a row of ``dialect``."""
+    buf = io.StringIO()
+    csv.writer(buf, dialect).writerow([value])
+    return buf.getvalue().removesuffix(dialect.lineterminator)
 
 
 def dataset_to_csv_bytes(ds: Dataset) -> bytes:

@@ -3,14 +3,20 @@
 Everything here is written with plain Python loops, straight from the
 metric definitions, on purpose: no shared code with the library under
 test.  Rows are sequences of feature cells; numeric cells are floats
-(NaN = missing), nominal cells are strings (None = missing).
+(NaN = missing), nominal cells are strings (None = missing).  The CSV
+oracles return the library's own Dataset, so that results compare
+with ``==``.
 """
 
 from __future__ import annotations
 
+import csv
 import math
+import re
 
 import numpy as np
+
+from rebalance.tabular import Column, ColumnKind, Dataset, TabularError
 
 
 def _is_missing(v) -> bool:
@@ -440,3 +446,73 @@ def imp_samp_mode_a_oracle(phi, bumps, targets, seed):
             p = w / w.sum() if w.sum() > 0 else None
             seeds += rng.choice(idx, size=t - len(idx), replace=True, p=p).tolist()
     return sorted(kept), seeds
+
+
+# a plain or scientific real literal; "inf", "nan" and "1_0" are not
+_NUMBER = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z")
+
+
+def read_dataset_oracle(fh, target, schema=None):
+    """The row-wise CSV reader: every record, then column by column.
+
+    Raises the reader's ``TabularError`` messages in its order: header
+    checks, the first ragged record, then per column a declared-numeric
+    bad cell and a missing target cell.
+    """
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise TabularError("empty input: no header row") from None
+    if len(set(header)) != len(header):
+        raise TabularError("duplicate column names in header")
+    if target not in header:
+        raise TabularError(f"target column {target!r} not in header")
+    if schema:
+        unknown = set(schema) - set(header)
+        if unknown:
+            raise TabularError(f"schema names unknown columns: {sorted(unknown)}")
+    cells = [[] for _ in header]
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise TabularError(f"row {lineno} has {len(row)} fields, expected {len(header)}")
+        for col, value in zip(cells, row):
+            col.append(value)
+    columns = []
+    for name, raw in zip(header, cells):
+        declared = schema.get(name) if schema else None
+        non_empty = [v for v in raw if v != ""]
+        if declared is ColumnKind.NUMERIC:
+            bad = next((v for v in non_empty if not _NUMBER.match(v)), None)
+            if bad is not None:
+                raise TabularError(f"column {name!r} declared numeric but cell {bad!r} is not")
+            kind = ColumnKind.NUMERIC
+        elif declared is ColumnKind.NOMINAL:
+            kind = ColumnKind.NOMINAL
+        else:
+            numeric = all(_NUMBER.match(v) for v in non_empty)
+            kind = ColumnKind.NUMERIC if numeric else ColumnKind.NOMINAL
+        if name == target and any(v == "" for v in raw):
+            raise TabularError("missing value in the target column")
+        if kind is ColumnKind.NUMERIC:
+            values = [math.nan if v == "" else float(v) for v in raw]
+        else:
+            values = [None if v == "" else v for v in raw]
+        columns.append(Column(name, kind, values))
+    return Dataset(columns, target)
+
+
+def write_rows_oracle(ds, fh):
+    """The row-wise CSV writer: one ``csv.writer.writerow`` per row."""
+    writer = csv.writer(fh)
+    writer.writerow([c.name for c in ds.columns])
+    for i in range(ds.n_rows):
+        row = []
+        for c in ds.columns:
+            v = c.values[i]
+            if c.kind is ColumnKind.NUMERIC:
+                # repr of a float is the shortest string that round-trips
+                row.append("" if math.isnan(v) else repr(float(v)))
+            else:
+                row.append("" if v is None else v)
+        writer.writerow(row)

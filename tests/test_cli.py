@@ -271,12 +271,20 @@ def test_oss_report_lists_class_roles(imbc_csv, tmp_path):
     # files that are not UTF-8 text
     ("randunder", "--in", "NOT_UTF8"),
     ("randover-r", "--rel-points", "NOT_UTF8"),
+    # the Rare bump must lose 2 rows and only 1 has relevance below 1
+    ("impsamp-r", "--in", "FEW_ROWS", "--target", "y", "--rel-points", "REL_POINTS",
+     "--thr-rel", "0.3"),
 ])
 def test_non_finite_numbers_are_data_errors(imbc_csv, imbr_csv, tmp_path, capsys, args):
     src, target = (imbr_csv, "Tgt") if args[0].endswith("-r") else (imbc_csv, "Class")
     bad = tmp_path / "bad.csv"
     bad.write_bytes(b"X1,X2,Class\n1,\xff,normal\n")
-    args = [str(bad) if a == "NOT_UTF8" else a for a in args]
+    few = tmp_path / "few.csv"
+    few.write_text("x,y\n1,0\n2,0\n3,1.5\n4,2\n5,2\n")
+    points = tmp_path / "points.csv"
+    points.write_text("0,0\n0.5,0\n1,0\n2,1\n")
+    files = {"NOT_UTF8": bad, "FEW_ROWS": few, "REL_POINTS": points}
+    args = [str(files[a]) if a in files else a for a in args]
     out = tmp_path / "o.csv"
     # a later --in replaces the default one
     code = run([args[0], "--in", str(src), "--out", str(out), "--target", target, *args[1:]])

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from rebalance import (
     read_dataset,
     write_dataset,
 )
+import rebalance.tabular as tabular
 from rebalance._util import nominal_freqs
 from rebalance.classif import _class_indices
 from rebalance.tabular import dataset_to_csv_bytes, nominal_codes, parses_as_number
@@ -237,3 +239,45 @@ def test_class_counts_and_rows_match_dict_loops(labels):
     rows = {c: idx.tolist() for c, idx in _class_indices(ds).items()}
     assert rows == oracle.class_rows_oracle(labels)
     assert list(rows) == list(class_counts(ds))
+
+
+def test_take_and_append_convert_only_new_cells(monkeypatch):
+    ds = labelled(["p", "q", "p"], {"g": ("nom", ["a", None, "b"]), "x": ("num", [1.0, 2.0, 3.0])})
+    text = dataset_to_csv_bytes(ds).decode()
+    converted = []
+    convert = Column.__post_init__
+
+    def spy(col):
+        converted.append(len(col.values))
+        convert(col)
+
+    monkeypatch.setattr(Column, "__post_init__", spy)
+    assert list(ds.take([2, 0, 2]).column("g").values) == ["b", "a", "b"]
+    assert read_text(text, target="cls") == ds
+    assert converted == []
+    grown = ds.append({"g": ["c", None], "x": [4.0, 5.0], "cls": ["q", "p"]})
+    assert converted == [2, 2, 2]
+    assert list(grown.column("g").values) == ["a", None, "b", "c", None]
+
+
+def test_writer_memory_is_bounded_by_one_block():
+    class Discard:
+        def write(self, text):
+            return len(text)
+
+    n = 200_000
+    rng = np.random.default_rng(0)
+    ds = make_ds([
+        ("x", "num", np.where(rng.random(n) < 0.1, np.nan, rng.normal(size=n))),
+        ("g", "nom", np.array(["a", "b,c", None], dtype=object)[rng.integers(0, 3, n)]),
+        ("cls", "nom", np.array(["p", "q"], dtype=object)[rng.integers(0, 2, n)]),
+    ], "cls")
+    tracemalloc.start()
+    try:
+        write_dataset(ds, Discard())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a block's fields and text take a few hundred bytes a row; the
+    # whole table's would take about 36 MiB
+    assert peak < tabular.BLOCK_ROWS * 1024
