@@ -27,7 +27,7 @@ import io
 import re
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -60,9 +60,9 @@ class ColumnKind(Enum):
 # stay nominal, so parsing is regex-gated.
 _NUMERIC_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z")
 
-# rows per block of the CSV reader and writer: what either holds of
-# records or output text at a time
-BLOCK_ROWS = 1 << 12
+# rows in one block of the CSV reader and writer; neither holds more
+# records or output text than one block at a time
+BLOCK_ROWS = 1 << 11
 
 
 def parses_as_number(text: str) -> bool:
@@ -267,12 +267,11 @@ def read_dataset(
                 raise TabularError(
                     f"schema names unknown columns: {sorted(unknown)}"
                 )
-        # per column, its cells as one tuple per block
-        parts: list[list[tuple[str, ...]]] = [[] for _ in header]
+        cells: list[list[str]] = [[] for _ in header]
         lineno = 2
         while records := _read_block(reader, len(header), lineno):
-            for part, cells in zip(parts, zip(*records)):
-                part.append(cells)
+            for col, block in zip(cells, zip(*records)):
+                col.extend(block)
             lineno += len(records)
     except UnicodeDecodeError as exc:
         raise TabularError(f"input is not UTF-8 text: {exc}") from None
@@ -281,8 +280,7 @@ def read_dataset(
             fh.close()
 
     columns = []
-    for name, part in zip(header, parts):
-        raw = list(chain.from_iterable(part))
+    for name, raw in zip(header, cells):
         non_empty = list(filter(None, raw))
         declared = schema.get(name) if schema else None
         numeric = declared is not ColumnKind.NOMINAL and all(map(_NUMERIC_RE.match, non_empty))
@@ -292,15 +290,17 @@ def read_dataset(
         if name == target and len(non_empty) < len(raw):
             raise TabularError("missing value in the target column")
         if numeric:
+            present = np.fromiter(map(bool, raw), dtype=bool, count=len(raw))
             values = np.full(len(raw), np.nan)
-            values[np.fromiter(map(bool, raw), dtype=bool, count=len(raw))] = list(
-                map(float, non_empty))
+            values[present] = np.fromiter(map(float, non_empty), dtype=np.float64,
+                                          count=len(non_empty))
         else:
             codes, categories = _codes(raw, "")
             # code -1, a missing cell, picks the trailing None
             values = np.array([*categories, None], dtype=object)[codes]
         kind = ColumnKind.NUMERIC if numeric else ColumnKind.NOMINAL
         columns.append(Column._of(name, kind, values))
+        raw.clear()  # the column's text goes before the next is parsed
     return Dataset(columns, target)
 
 

@@ -128,10 +128,9 @@ def outcome(read, text, target, schema):
 def test_reader_matches_row_reader(case):
     got = outcome(read_dataset, *case)
     want = outcome(oracle.read_dataset_oracle, *case)
-    if isinstance(want, tuple):
-        assert got == want
-        return
     assert got == want
+    if isinstance(want, tuple):  # the same error type and message
+        return
     assert dataset_to_csv_bytes(got) == dataset_to_csv_bytes(want)
     for col in got.columns:
         if col.kind is ColumnKind.NUMERIC:
