@@ -32,12 +32,46 @@ with two 1-D ``take``s, one for the query rows' table rows and one for
 the candidate columns.
 
 The neighbour engine (``nearest`` and ``knn_table``) never holds the
-full n x m distance matrix.  It measures a chunk of query rows against
-every candidate at a time, at most ``BLOCK_PAIRS`` distances per chunk
-(one row when a single row is wider), and reduces the chunk at once to
-each row's nearest candidate or k nearest candidates.  Peak memory is
-therefore O(BLOCK_PAIRS + n*k) rather than O(n*m).  On equal distance
-the candidate listed first wins.
+full n x m distance matrix.  It walks the query rows sorted by one
+numeric feature and measures each chunk of consecutive sorted rows
+only against the slice of candidates, sorted the same way, that this
+feature cannot rule out (projection pruning after Friedman, Baskett
+and Shustek 1975):
+
+- The chunk is first measured against a window of sorted candidates
+  around it.  Each row's k-th distance in the window bounds its k-th
+  distance overall.
+- A candidate whose term in the sort feature alone exceeds that bound
+  cannot be among the row's k nearest.  Every term is >= 0, and IEEE
+  subtract, divide, square, add, ``maximum``, ``sqrt`` and the
+  minkowsky power are monotone, so a distance is never below the same
+  operations applied to one of its terms.  The term grows with the gap
+  in the feature, so the candidates left form one slice per row.
+- A radius in feature units (the bound times the feature's range, 4 sd
+  or 1) guesses the slice with ``searchsorted``.  The cut is then
+  decided in term space, with the kernel's own operations, on the first
+  candidate outside it on each side: only a term strictly ``>`` the
+  bound ends the slice there, else the slice runs to that end.  So the
+  slice may be wider than needed but never narrower, also where
+  ``gap / scale`` underflows to 0 while the gap is not 0.
+- When the chunk's slice lies inside the window, the window's block
+  already holds the answer; otherwise the slice is measured.  A block's
+  candidates are in position order, so the reductions' "earlier column
+  wins" is "lower position wins".
+
+The sort feature is the numeric one whose values spread widest in units
+of its scale.  On wider data a single feature bounds the distance less
+tightly than on ``gen imbc``'s one numeric feature, and the walk prunes
+less.  The walk is left out, and every candidate measured in position
+order, where the bound would not be exact: under canberra; under
+overlap, or with no numeric feature of finite positive scale; wherever
+a distance could be NaN (a plain metric with a missing cell, an
+infinite cell, a scale that overflowed); and for rows missing the sort
+feature.  Candidates missing it join every block.  No block holds more
+than ``BLOCK_PAIRS`` distances (one row when a single row is wider),
+and each is reduced at once to each row's nearest candidate or k
+nearest candidates, so peak memory is O(BLOCK_PAIRS + n*k) rather than
+O(n*m).  On equal distance the candidate listed first wins.
 
 The plain metrics give a NaN distance when a cell is missing, and the
 two reductions order NaN the way their dense forms always did:
@@ -253,6 +287,40 @@ def _override(term: np.ndarray, miss_a: np.ndarray, miss_b: np.ndarray,
             np.copyto(term, value, where=miss)
 
 
+def _numeric_term(metric: Metric, ctx: MetricContext, j: int, x: np.ndarray,
+                  y: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """Numeric feature j's term between operands ``x`` and ``y``, in ``term``."""
+    name = metric.name
+    np.subtract(x, y, out=term)
+    if name not in SQUARED:  # a square needs no sign
+        np.abs(term, out=term)
+    if name in ("heom", "hvdm"):
+        scale = _scale(metric, ctx, j)
+        if scale > 0:
+            np.divide(term, scale, out=term)
+        else:
+            term.fill(0.0)
+        _override(term, np.isnan(x), np.isnan(y), 1.0)
+    if name in SQUARED:
+        np.multiply(term, term, out=term)
+    elif name == "minkowsky":
+        term **= metric.p
+    elif name == "canberra":  # 0/0 counts as 0, NaN propagates
+        denom = np.abs(x) + np.abs(y)
+        with np.errstate(invalid="ignore"):
+            np.divide(term, denom, out=term, where=denom > 0)
+    return term
+
+
+def _finish(metric: Metric, acc: np.ndarray) -> np.ndarray:
+    """Turn summed terms into distances, in place."""
+    if metric.name in SQUARED:
+        np.sqrt(acc, out=acc)
+    elif metric.name == "minkowsky":
+        acc **= 1.0 / metric.p
+    return acc
+
+
 def _kernel(metric: Metric, ctx: MetricContext, a: list, b: list,
             shape: tuple[int, ...]) -> np.ndarray:
     """Distances between the operands ``a`` and ``b``, broadcast to shape.
@@ -291,35 +359,14 @@ def _kernel(metric: Metric, ctx: MetricContext, a: list, b: list,
             else:
                 np.copyto(term, sq[x, y])
         else:
-            np.subtract(x, y, out=term)
-            if name not in SQUARED:  # a square needs no sign
-                np.abs(term, out=term)
-            if name in ("heom", "hvdm"):
-                scale = ctx.ranges[j] if name == "heom" else ctx.four_sd[j]
-                if scale > 0:
-                    np.divide(term, scale, out=term)
-                else:
-                    term.fill(0.0)
-                _override(term, np.isnan(x), np.isnan(y), 1.0)
-            if name in SQUARED:
-                np.multiply(term, term, out=term)
-            elif name == "minkowsky":
-                term **= metric.p
-            elif name == "canberra":  # 0/0 counts as 0, NaN propagates
-                denom = np.abs(x) + np.abs(y)
-                with np.errstate(invalid="ignore"):
-                    np.divide(term, denom, out=term, where=denom > 0)
+            _numeric_term(metric, ctx, j, x, y, term)
         if not j:
             continue
         if name == "chebyshev":
             np.maximum(acc, term, out=acc)
         else:
             np.add(acc, term, out=acc)
-    if name in SQUARED:
-        np.sqrt(acc, out=acc)
-    elif name == "minkowsky":
-        acc **= 1.0 / metric.p
-    return acc
+    return _finish(metric, acc)
 
 
 def _block(metric: Metric, ctx: MetricContext, rows_a: np.ndarray,
@@ -346,23 +393,141 @@ def pairwise(metric: Metric, ctx: MetricContext, rows=None) -> np.ndarray:
     return _block(metric, ctx, idx, idx)
 
 
-def _row_chunks(metric: Metric, ctx: MetricContext, rows: np.ndarray,
-                cols: np.ndarray | None = None):
-    """Yield (start, block): distances of row chunks against all of cols.
+def _scale(metric: Metric, ctx: MetricContext, j: int) -> float:
+    """What numeric feature j's difference is divided by: 1 if nothing."""
+    if metric.name == "heom":
+        return ctx.ranges[j]
+    return ctx.four_sd[j] if metric.name == "hvdm" else 1.0
 
-    With ``cols`` omitted, rows are measured against themselves and
-    each row's distance to itself is set to infinity.
+
+def _sort_feature(metric: Metric, ctx: MetricContext, rows: np.ndarray,
+                  cols: np.ndarray) -> int | None:
+    """The numeric feature the engine prunes by, or None.
+
+    None where pruning would not be exact: under canberra, with no
+    numeric feature of finite positive scale, and wherever a distance
+    could be NaN (a plain metric with a missing cell, an infinite cell,
+    a HEOM or HVDM scale that overflowed).  Otherwise the feature whose
+    values over rows and cols spread widest in units of its scale.
+    """
+    if metric.name == "canberra":
+        return None
+    best, widest = None, 0.0
+    for j, values in ctx.num_values.items():
+        vals = values[rows] if cols is rows else values[np.concatenate([rows, cols])]
+        scale = _scale(metric, ctx, j)
+        if metric.name in PLAIN_METRICS:
+            if not np.isfinite(vals).all():
+                return None
+        elif np.isinf(vals).any() or not scale < np.inf:
+            return None
+        vals = vals[~np.isnan(vals)]
+        if scale > 0 and len(vals) and (vals.max() - vals.min()) / scale > widest:
+            best, widest = j, (vals.max() - vals.min()) / scale
+    return best
+
+
+def _row_chunks(metric: Metric, ctx: MetricContext, rows: np.ndarray,
+                cols: np.ndarray | None = None, k: int = 1):
+    """Yield (q, c, block): the distances of the rows at positions q
+    against the cols at positions c, c ascending.
+
+    Every row is in exactly one q, and its c holds every col at or
+    below its k-th distance.  With ``cols`` omitted, rows are measured
+    against themselves and each row's distance to itself is infinite.
     """
     self_pairs = cols is None
     if self_pairs:
         cols = rows
-    step = max(1, BLOCK_PAIRS // max(len(cols), 1))
-    for start in range(0, len(rows), step):
-        block = _block(metric, ctx, rows[start:start + step], cols)
+
+    def measure(q, c):
+        block = _block(metric, ctx, rows[q], cols[c])
         if self_pairs:
-            i = np.arange(len(block))
-            block[i, start + i] = np.inf
-        yield start, block
+            block[np.arange(len(q)), np.searchsorted(c, q)] = np.inf
+        return block
+
+    unsorted = np.arange(len(rows))
+    j = _sort_feature(metric, ctx, rows, cols)
+    if j is not None:
+        xc = ctx.num_values[j][cols]
+        c_order = np.argsort(xc, kind="stable")  # missing last, by position
+        n_c = len(cols) - int(np.isnan(xc).sum())
+        if n_c >= k + self_pairs:
+            xq = xc if self_pairs else ctx.num_values[j][rows]
+            q_order = c_order if self_pairs else np.argsort(xq, kind="stable")
+            n_q = len(rows) - int(np.isnan(xq).sum())
+            unsorted = q_order[n_q:]
+            yield from _sorted_chunks(
+                metric, ctx, j, k, measure, self_pairs,
+                xq, q_order[:n_q], xc[c_order[:n_c]], c_order[:n_c], c_order[n_c:],
+            )
+    step = max(1, BLOCK_PAIRS // max(len(cols), 1))
+    every = np.arange(len(cols))
+    for start in range(0, len(unsorted), step):
+        q = unsorted[start:start + step]
+        yield q, every, measure(q, every)
+
+
+def _sorted_chunks(metric, ctx, j, k, measure, self_pairs, xq, qs, xs, cs, blank):
+    """The sorted walk of ``_row_chunks``.
+
+    ``qs`` and ``cs`` are the positions of the rows and of the cols
+    that hold a value of feature j, ascending by it; ``xq`` are the
+    rows' values and ``xs`` the sorted cols' values.  ``blank`` are the
+    cols missing feature j, which join every block.
+    """
+    n = len(cs)
+    scale = _scale(metric, ctx, j)
+    # a chunk is up to isqrt(BLOCK_PAIRS) // 8 rows, 64 by default
+    chunk = max(1, math.isqrt(BLOCK_PAIRS) // 8)
+    margin = k + 1
+
+    def term_bound(v, x):
+        return _finish(metric, _numeric_term(metric, ctx, j, v, x, np.empty(len(v))))
+
+    def columns(lo, hi):
+        return np.sort(np.concatenate([cs[lo:hi], blank]))
+
+    start = 0
+    while start < len(qs):
+        stop = min(start + chunk, len(qs))
+        while True:
+            # the chunk's own span of sorted cols, widened by the margin
+            if self_pairs:
+                a, b = start, stop
+            else:
+                a = np.searchsorted(xs, xq[qs[start]], "left")
+                b = np.searchsorted(xs, xq[qs[stop - 1]], "right")
+            w_lo, w_hi = max(0, a - margin), min(n, b + margin)
+            width = w_hi - w_lo + len(blank)
+            if (stop - start) * width <= BLOCK_PAIRS or stop - start == 1:
+                break
+            stop = start + max(1, BLOCK_PAIRS // width)
+        q = qs[start:stop]
+        start = stop
+        c = columns(w_lo, w_hi)
+        block = measure(q, c)
+        bound = np.partition(block, k - 1, axis=1)[:, k - 1]
+        # a radius in feature units guesses each row's slice; the cut is
+        # then checked in term space on the first col outside it on each
+        # side, and a side that fails (a rounding-short radius, or a
+        # term that underflows to 0) runs to its end
+        v = xq[q]
+        reach = bound * (scale * (1.0 + 2.0**-20))
+        lo = np.searchsorted(xs, v - reach, "left")
+        hi = np.searchsorted(xs, v + reach, "right")
+        lo[~(term_bound(v, xs[np.maximum(lo - 1, 0)]) > bound)] = 0
+        hi[~(term_bound(v, xs[np.minimum(hi, n - 1)]) > bound)] = n
+        s_lo, s_hi = lo.min(), hi.max()
+        # the next chunk's margin: twice what this chunk's slice needed
+        margin = max(k + 1, 2 * (a - s_lo), 2 * (s_hi - b))
+        if w_lo <= s_lo and s_hi <= w_hi:
+            yield q, c, block
+            continue
+        step = max(1, BLOCK_PAIRS // (s_hi - s_lo + len(blank)))
+        for i in range(0, len(q), step):
+            c = columns(lo[i:i + step].min(), hi[i:i + step].max())
+            yield q[i:i + step], c, measure(q[i:i + step], c)
 
 
 def nearest(metric: Metric, ctx: MetricContext, rows=None,
@@ -380,12 +545,34 @@ def nearest(metric: Metric, ctx: MetricContext, rows=None,
         cols = np.asarray(cols, dtype=np.intp)
     dist = np.empty(len(rows))
     pos = np.empty(len(rows), dtype=np.intp)
-    for start, block in _row_chunks(metric, ctx, rows, cols):
+    for q, c, block in _row_chunks(metric, ctx, rows, cols):
         best = block.argmin(axis=1)
-        stop = start + len(block)
-        pos[start:stop] = best
-        dist[start:stop] = block[np.arange(len(block)), best]
+        pos[q] = c[best]
+        dist[q] = block[np.arange(len(q)), best]
     return dist, pos
+
+
+def _k_nearest(block: np.ndarray, k: int) -> np.ndarray:
+    """Columns of each row's k smallest entries, as a stable argsort
+    orders them: ascending, ties to the earlier column, NaN last."""
+    part = np.argpartition(block, k - 1, axis=1)[:, :k]
+    dist = np.take_along_axis(block, part, axis=1)
+    out = np.take_along_axis(part, np.lexsort((part, dist), axis=1), axis=1)
+    # a row whose k-th distance ties one outside the partitioned k, or
+    # is NaN (fewer than k numbers), sorts every candidate at or below
+    # it, so a tie across the cut still goes to the earlier column
+    kth = dist[:, k - 1]
+    slow = np.count_nonzero(block <= kth[:, None], axis=1) != k
+    if slow.any():
+        sub, kth = block[slow], kth[slow]
+        keep = sub <= kth[:, None]
+        keep[np.isnan(kth)] = True
+        r, c = np.nonzero(keep)
+        order = np.lexsort((c, sub[r, c], r))
+        counts = keep.sum(axis=1)
+        offsets = np.cumsum(counts) - counts
+        out[slow] = c[order[offsets[:, None] + np.arange(k)]]
+    return out
 
 
 def knn_table(metric: Metric, ctx: MetricContext, k: int,
@@ -401,20 +588,8 @@ def knn_table(metric: Metric, ctx: MetricContext, k: int,
     if not 1 <= k < len(rows):
         raise MetricError("k must satisfy 1 <= k < number of rows")
     table = np.empty((len(rows), k), dtype=np.intp)
-    first_k = np.arange(k)
-    for start, block in _row_chunks(metric, ctx, rows):
-        # every candidate at or below the k-th distance survives, so a
-        # tie across the cut still goes to the earlier position; a NaN
-        # k-th distance means fewer than k numbers, and the whole row
-        # goes to the sort
-        kth = np.partition(block, k - 1, axis=1)[:, k - 1]
-        keep = block <= kth[:, None]
-        keep[np.isnan(kth)] = True
-        r, c = np.nonzero(keep)
-        order = np.lexsort((c, block[r, c], r))
-        counts = keep.sum(axis=1)
-        offsets = np.cumsum(counts) - counts
-        table[start:start + len(block)] = c[order[offsets[:, None] + first_k]]
+    for q, c, block in _row_chunks(metric, ctx, rows, k=k):
+        table[q] = c[_k_nearest(block, k)]
     return table
 
 

@@ -246,9 +246,10 @@ def read_dataset(
     """Read an RFC-4180 CSV with a header row into a Dataset.
 
     Empty fields are missing cells.  Column kinds are taken from
-    ``schema`` where given and inferred otherwise: a column is Numeric
-    iff every non-empty cell parses as a finite real number.  A missing
-    cell in the target column is an error.
+    ``schema`` where given, each a ``ColumnKind``, and inferred
+    otherwise: a column is Numeric iff every non-empty cell parses as a
+    finite real number.  A missing cell in the target column is an
+    error.
     """
     fh, owned = _open_source(source)
     try:
@@ -267,6 +268,11 @@ def read_dataset(
                 raise TabularError(
                     f"schema names unknown columns: {sorted(unknown)}"
                 )
+            for name, kind in schema.items():
+                if not isinstance(kind, ColumnKind):
+                    raise TabularError(
+                        f"schema gives column {name!r} the kind {kind!r}, not a ColumnKind"
+                    )
         cells: list[list[str]] = [[] for _ in header]
         lineno = 2
         while records := _read_block(reader, len(header), lineno):

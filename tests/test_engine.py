@@ -6,6 +6,13 @@ the old full-matrix loop, on random mixed-type data with repeated
 values and missing cells, under all eight metrics.  Each check runs
 with the engine's chunk budget cut to 1 and to 7 distances, so chunk
 edges split the rows.
+
+The sorted walk, which measures each chunk only against the slice of
+candidates its sort feature cannot rule out, is checked the same way
+on larger finite tables where it prunes, at the default budget too,
+and on the edges of its cut: equal sort values, a zero-scale feature,
+and a term that underflows to 0.  A guard test holds the walk to its
+pair budget and to a fraction of the n x n pairs on ``gen imbc``.
 """
 
 import importlib
@@ -18,6 +25,7 @@ from hypothesis import strategies as st
 
 from rebalance import Metric, MetricError, build_context, cnn_classif, pairwise
 from rebalance.distance import METRIC_NAMES, PLAIN_METRICS, knn_table, nearest
+from rebalance.synthgen import gen_imbc
 
 import _oracles as oracle
 from _toys import make_ds
@@ -175,3 +183,194 @@ def test_knn_table_rejects_k_out_of_range():
     for k in (0, 2):
         with pytest.raises(MetricError, match="k must satisfy"):
             knn_table(metric, ctx, k)
+
+
+# the metrics under which the engine can prune, and the chunk budgets
+# the sorted walk is checked at: one distance, seven, and the default
+SORTED_METRICS = ("heom", "hvdm", "euclidean", "manhattan", "chebyshev", "minkowsky")
+BUDGETS = (1, 7, dist_mod.BLOCK_PAIRS)
+
+
+@st.composite
+def sortable_cases(draw):
+    """A finite mixed table of 20 to 80 rows, its metric and context.
+
+    Numeric columns mix a small integer grid (ties within and across a
+    chunk's cut) with spread-out floats; under HEOM and HVDM they may
+    miss cells, so rows without the sort feature go beside the walk.
+    """
+    name = draw(st.sampled_from(SORTED_METRICS))
+    n = draw(st.integers(20, 80))
+    extra = draw(st.lists(st.sampled_from(["num"] if name in PLAIN_METRICS else ["num", "nom"]),
+                          max_size=2))
+    number = st.one_of(st.integers(-3, 3).map(float), st.floats(-100, 100, allow_nan=False))
+    if name not in PLAIN_METRICS:
+        number = st.one_of(number, st.just(np.nan))
+    cols = []
+    for j, kind in enumerate(["num", *extra]):
+        pool = number if kind == "num" else st.sampled_from(NOMS)
+        cols.append((f"f{j}", kind, draw(st.lists(pool, min_size=n, max_size=n))))
+    labels = draw(st.lists(st.sampled_from(["x", "y", "z"]), min_size=n, max_size=n))
+    cols.append(("cls", "nom", labels))
+    ds = make_ds(cols, "cls")
+    p = draw(st.sampled_from([0.5, 1.0, 3.0])) if name == "minkowsky" else None
+    metric = Metric(name, p=p)
+    return ds, metric, build_context(metric, ds)
+
+
+def check_knn_table(metric, ctx, ks, rows=None):
+    order = np.argsort(dense(metric, ctx, rows), axis=1, kind="stable")
+    for block in BUDGETS:
+        with mock.patch.object(dist_mod, "BLOCK_PAIRS", block):
+            for k in ks:
+                got = knn_table(metric, ctx, k, rows=rows)
+                np.testing.assert_array_equal(got, order[:, :k])
+
+
+def check_nearest(metric, ctx, q=None, c=None):
+    if c is None:
+        d = dense(metric, ctx, q)
+    else:
+        d = pairwise(metric, ctx)[np.ix_(q, c)]
+    best = d.argmin(axis=1)
+    for block in BUDGETS:
+        with mock.patch.object(dist_mod, "BLOCK_PAIRS", block):
+            got_d, got_pos = nearest(metric, ctx, q, c)
+            np.testing.assert_array_equal(got_pos, best)
+            assert same_floats(got_d, d[np.arange(len(d)), best])
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=sortable_cases(), data=st.data())
+def test_sorted_walk_knn_table_matches_stable_argsort(case, data):
+    ds, metric, ctx = case
+    n = ds.n_rows
+    ks = sorted({1, data.draw(st.integers(1, 8))})
+    check_knn_table(metric, ctx, ks)
+    # SMOTE passes the rows of one class or bump
+    sub = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=10))))
+    check_knn_table(metric, ctx, [k for k in ks if k < len(sub)], rows=sub)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=sortable_cases(), data=st.data())
+def test_sorted_walk_nearest_matches_argmin(case, data):
+    ds, metric, ctx = case
+    n = ds.n_rows
+    check_nearest(metric, ctx)
+    # CNN passes the rows not yet kept against the rows kept last round
+    split = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    if split.all() or not split.any():
+        split[0] = not split[0]
+    check_nearest(metric, ctx, np.flatnonzero(split), np.flatnonzero(~split))
+    # and any rows against any cols, repeats included
+    pos = st.integers(0, n - 1)
+    q = np.array(data.draw(st.lists(pos, max_size=n)), dtype=np.intp)
+    c = np.array(data.draw(st.lists(pos, min_size=1, max_size=n)), dtype=np.intp)
+    check_nearest(metric, ctx, q, c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=sortable_cases(), seed=st.integers(0, 2**16), data=st.data())
+def test_sorted_walk_cnn_matches_full_matrix_loop(case, seed, data):
+    ds, metric, ctx = case
+    classes = sorted(set(ds.target_column.values))
+    if len(classes) < 2:
+        return
+    important = data.draw(st.lists(st.sampled_from(classes), min_size=1,
+                                    max_size=len(classes) - 1, unique=True))
+    removed = cnn_oracle_removed(ds, metric, ctx, important, seed)
+    for block in BUDGETS:
+        with mock.patch.object(dist_mod, "BLOCK_PAIRS", block):
+            out, _, _ = cnn_classif(ds, metric, cl=sorted(important), seed=seed)
+            assert out.removed == removed
+
+
+def edge_case(x, metric_name="heom", other=None):
+    rng = np.random.default_rng(0)
+    cols = [("x", "num", x)]
+    if other is not None:
+        cols.append(("o", "num" if metric_name in PLAIN_METRICS else "nom", other))
+    cols.append(("cls", "nom", list(rng.choice(["a", "b"], size=len(x)))))
+    metric = Metric(metric_name)
+    return metric, build_context(metric, make_ds(cols, "cls"))
+
+
+@pytest.mark.parametrize("name", ["heom", "hvdm", "euclidean"])
+def test_equal_sort_values_tie_at_a_zero_kth_distance(name):
+    # long runs of one value: most k-th distances are 0, every cut is a
+    # tie, and the lowest positions must win across chunks
+    rng = np.random.default_rng(1)
+    x = list(rng.choice([0.0, 0.0, 0.0, 1.0, 5.0], size=90))
+    metric, ctx = edge_case(x, name)
+    check_knn_table(metric, ctx, [1, 3, 7])
+    check_nearest(metric, ctx)
+    check_nearest(metric, ctx, np.arange(0, 90, 3), np.arange(1, 90, 2))
+
+
+@pytest.mark.parametrize("name", ["heom", "hvdm"])
+def test_zero_scale_feature_is_not_sorted_by(name):
+    # a constant first feature has range and sd 0, so its term is 0 for
+    # every pair and cannot prune; the walk sorts by the second one
+    rng = np.random.default_rng(2)
+    x = [4.0] * 60
+    metric, ctx = edge_case(x, name)
+    assert dist_mod._sort_feature(metric, ctx, np.arange(60), np.arange(60)) is None
+    check_knn_table(metric, ctx, [1, 4])
+    ds = make_ds([("c", "num", x), ("x", "num", list(rng.normal(size=60))),
+                  ("cls", "nom", ["a", "b"] * 30)], "cls")
+    ctx = build_context(metric, ds)
+    assert dist_mod._sort_feature(metric, ctx, np.arange(60), np.arange(60)) == 1
+    check_knn_table(metric, ctx, [1, 4])
+    check_nearest(metric, ctx)
+
+
+def test_term_that_underflows_to_zero_keeps_its_candidates():
+    # One row at 1e300 makes the HEOM range huge, so the others' gaps of
+    # 1e-20 divide to subnormals that square to exactly 0: their
+    # distances are all 0 though their values differ.  A radius of
+    # kth x range is then 0 and holds none of them; the cut checked in
+    # term space keeps them all, and the lowest positions win.
+    rng = np.random.default_rng(3)
+    x = list(rng.permutation(np.arange(1, 80) * 1e-20)) + [1e300]
+    metric, ctx = edge_case(x, "heom")
+    d = dense(metric, ctx)
+    assert (d[:-1, :-1][~np.eye(79, dtype=bool)] == 0).all()
+    check_knn_table(metric, ctx, [1, 3])
+    check_nearest(metric, ctx)
+    check_nearest(metric, ctx, np.arange(40, 80), np.arange(40))
+
+
+def test_row_missing_the_sort_feature_joins_every_block():
+    # Under HVDM the rows at -100 and 100 lie 1.12 x 4 sd apart, so
+    # their term exceeds the term of 1 that row 11, which misses x, has
+    # with every row.  Row 11 is the second nearest of both; were it
+    # sorted past 100 in the walk, the cut after 100 would drop it.
+    # Found by random search.
+    x = [1.0, 0.0, 1.0, 1.0, 100.0, 0.0, 1.0, -100.0, 0.0, 0.0, 0.0, np.nan]
+    ds = make_ds([("x", "num", x), ("o", "nom", list("bacbcabcbabc")),
+                  ("cls", "nom", list("pqqpqppqppqq"))], "cls")
+    metric = Metric("hvdm")
+    ctx = build_context(metric, ds)
+    check_knn_table(metric, ctx, [1, 2, 3])
+    check_nearest(metric, ctx)
+
+
+@pytest.mark.parametrize("name", ["heom", "hvdm"])
+def test_sorted_walk_prunes_gen_imbc_within_the_pair_budget(name):
+    # If pruning silently stops engaging, the pairs measured go back to
+    # n x n and this fails without any timing.
+    ds = gen_imbc(4000, seed=0)
+    metric = Metric(name)
+    ctx = build_context(metric, ds)
+    sizes = []
+    real_block = dist_mod._block
+
+    def spy(metric, ctx, rows_a, rows_b):
+        sizes.append(len(rows_a) * len(rows_b))
+        return real_block(metric, ctx, rows_a, rows_b)
+
+    with mock.patch.object(dist_mod, "_block", spy):
+        knn_table(metric, ctx, 3)
+    assert max(sizes) <= dist_mod.BLOCK_PAIRS
+    assert sum(sizes) < 0.15 * ds.n_rows ** 2

@@ -82,6 +82,12 @@ def test_schema_numeric_rejects_text():
         )
 
 
+def test_schema_value_must_be_a_column_kind():
+    # "nom" used to be ignored, so the column of digits read as numeric
+    with pytest.raises(TabularError, match=r"column 'zip' the kind 'nom', not a ColumnKind"):
+        read_text("zip,cls\n1,p\n2,q\n", target="cls", schema={"zip": "nom"})
+
+
 def test_schema_unknown_column():
     with pytest.raises(TabularError, match="unknown columns"):
         read_text("a,cls\n1,p\n", target="cls", schema={"zz": ColumnKind.NUMERIC})
