@@ -414,7 +414,7 @@ def _sort_feature(metric: Metric, ctx: MetricContext, rows: np.ndarray,
         return None
     best, widest = None, 0.0
     for j, values in ctx.num_values.items():
-        vals = values[rows] if cols is rows else values[np.concatenate([rows, cols])]
+        vals = values[np.concatenate([rows, cols])]
         scale = _scale(metric, ctx, j)
         if metric.name in PLAIN_METRICS:
             if not np.isfinite(vals).all():
@@ -507,7 +507,7 @@ def _sorted_chunks(metric, ctx, j, k, measure, self_pairs, xq, qs, xs, cs, blank
         start = stop
         c = columns(w_lo, w_hi)
         block = measure(q, c)
-        bound = np.partition(block, k - 1, axis=1)[:, k - 1]
+        bound = np.partition(block, k - 1, axis=1)[:, k - 1].copy()
         # a radius in feature units guesses each row's slice; the cut is
         # then checked in term space on the first col outside it on each
         # side, and a side that fails (a rounding-short radius, or a
@@ -524,6 +524,7 @@ def _sorted_chunks(metric, ctx, j, k, measure, self_pairs, xq, qs, xs, cs, blank
         if w_lo <= s_lo and s_hi <= w_hi:
             yield q, c, block
             continue
+        del block  # freed before the slice is measured
         step = max(1, BLOCK_PAIRS // (s_hi - s_lo + len(blank)))
         for i in range(0, len(q), step):
             c = columns(lo[i:i + step].min(), hi[i:i + step].max())
