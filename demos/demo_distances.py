@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 # Distance metrics over a hand-built mixed table: which ones accept
-# nominal columns, what the matrices look like, how knn ranks rows.
+# nominal columns, what the matrices look like, how knn_table ranks rows.
 
 import numpy as np
 
@@ -12,7 +12,7 @@ from rebalance import (
     MetricError,
     build_context,
     distance,
-    knn,
+    knn_table,
     pairwise,
 )
 
@@ -72,7 +72,7 @@ def main():
 
     ctx = build_context(Metric("heom"), ds)
     print("3 nearest to row 0 under heom:",
-          knn(Metric("heom"), ctx, ds, query=0, k=3))
+          knn_table(Metric("heom"), ctx, k=3)[0].tolist())
 
     # distance() also accepts raw cell sequences, handy for probing
     d = distance(Metric("heom"), ctx, ["red", 1.0], ["blue", np.nan])

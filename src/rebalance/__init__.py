@@ -30,7 +30,7 @@ from .distance import (
     MetricError,
     build_context,
     distance,
-    knn,
+    knn_table,
     pairwise,
 )
 from .regress import (
@@ -100,7 +100,7 @@ __all__ = [
     "gen_imbr",
     "imp_samp_classif",
     "imp_samp_regress",
-    "knn",
+    "knn_table",
     "ncl_classif",
     "oss_classif",
     "pairwise",

@@ -6,8 +6,6 @@ import math
 
 import numpy as np
 
-from .tabular import nominal_codes
-
 
 def floor_frac(perc: float, n: int) -> int:
     """trunc(perc * n) under ordinary float arithmetic."""
@@ -46,10 +44,12 @@ def sample_sd(values: np.ndarray) -> float:
     return float(np.std(vals, ddof=1))
 
 
-def nominal_freqs(values: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
-    """Observed labels (sorted) and their relative frequencies."""
-    codes, labels = nominal_codes(values)
-    freqs = np.bincount(codes[codes >= 0], minlength=len(labels)).astype(np.float64)
+def nominal_freqs(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The codes present among nominal ``codes`` (ascending) and their
+    relative frequencies."""
+    counts = np.bincount(codes[codes >= 0])
+    present = np.flatnonzero(counts)
+    freqs = counts[present].astype(np.float64)
     if len(freqs):
         freqs /= freqs.sum()
-    return labels, freqs
+    return present, freqs

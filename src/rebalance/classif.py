@@ -26,7 +26,9 @@ interpolation).
 
 The editing rules (Tomek links, ENN, NCL and the Tomek pass of OSS) are
 array expressions over one k-NN or 1-NN table and each row's class
-code, the label's position in label order (``tabular.nominal_codes``).
+code, the target column's code: the label's position in label order.
+The synthesisers' nominal cells are codes too, so the output is built
+from codes and no label is coded again.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 
 from ._util import balanced_quota, floor_frac, inverted_quota, nominal_freqs, sample_sd
 from .distance import Metric, MetricContext, build_context, knn_table, nearest
-from .tabular import ColumnKind, Dataset, class_counts, nominal_codes
+from .tabular import ColumnKind, Dataset, class_counts
 
 __all__ = [
     "ClassPercSpec",
@@ -191,7 +193,7 @@ def _class_indices(ds: Dataset) -> dict[str, np.ndarray]:
 
     Callers have checked the target with ``class_counts``.
     """
-    codes, labels = nominal_codes(ds.target_column.values)
+    codes, labels = ds.target_column.values, ds.target_column.categories
     ends = np.cumsum(np.bincount(codes, minlength=len(labels)))
     return dict(zip(labels, np.split(np.argsort(codes, kind="stable"), ends[:-1])))
 
@@ -230,8 +232,6 @@ def _resample(
         parts.append(idx)
         if t > len(idx):
             seeds, block = grow(key, idx, t - len(idx))
-            # replicas ride in the one take, which is cheaper than
-            # appending copies of nominal cells
             if block is None:
                 replicas.append(seeds)
             else:
@@ -255,9 +255,9 @@ def _outcome(
     replicas, then the column blocks.  ``grown`` describes the replicas
     and block rows; a row kept twice is one more added copy.
     """
-    out = ds.take(np.concatenate([kept, *replicas]))
-    if blocks:
-        out = out.append({c: np.concatenate([b[c] for b in blocks]) for c in blocks[0]})
+    block = ({c: np.concatenate([b[c] for b in blocks]) for c in blocks[0]}
+             if blocks else None)
+    out = ds.take(np.concatenate([kept, *replicas]), block)
     counts = np.bincount(kept, minlength=ds.n_rows)
     removed = np.flatnonzero(counts == 0).tolist()
     repeated = np.flatnonzero(counts > 1)
@@ -306,10 +306,10 @@ def _noise_rows(
         elif pert == 0 or col.name == ds.target:
             block[col.name] = vals[seeds]
         else:
-            values, freqs = nominal_freqs(vals[idx])
+            present, freqs = nominal_freqs(vals[idx])
             block[col.name] = (
-                np.array(values, dtype=object)[rng.choice(len(values), size=extra, p=freqs)]
-                if values else vals[seeds]
+                present[rng.choice(len(present), size=extra, p=freqs)]
+                if len(present) else vals[seeds]
             )
     return seeds, block
 
@@ -317,7 +317,7 @@ def _noise_rows(
 def _smote_rows(
     ds: Dataset, metric: Metric, ctx: MetricContext, k: int, rng: np.random.Generator,
     idx: np.ndarray, extra: int,
-) -> tuple[np.ndarray, np.ndarray, dict, dict]:
+) -> tuple[np.ndarray, np.ndarray, dict]:
     """SMOTE synthesis, shared by classes and bumps.
 
     Each new row takes a seed row drawn uniformly from ``idx`` (two rows
@@ -327,8 +327,7 @@ def _smote_rows(
     the two ends at even odds, and a nominal target is copied from the
     seed.  The draws come in one order: seed positions, neighbour
     picks, fractions, then one coin per nominal feature in column
-    order.  Returns the seeds, their neighbours, the block and each
-    nominal feature's coins (True takes the seed's value).
+    order.  Returns the seeds, their neighbours and the block.
     """
     k_eff = min(k, len(idx) - 1)
     nbr_table = knn_table(metric, ctx, k_eff, rows=idx)
@@ -336,7 +335,7 @@ def _smote_rows(
     nbr_pick = rng.integers(0, k_eff, size=extra)
     u = rng.random(size=extra)
     seeds, nbrs = idx[seed_pos], idx[nbr_table[seed_pos, nbr_pick]]
-    block, coins = {}, {}
+    block = {}
     for col in ds.columns:
         s_vals, n_vals = col.values[seeds], col.values[nbrs]
         if col.kind is ColumnKind.NUMERIC:
@@ -344,9 +343,8 @@ def _smote_rows(
         elif col.name == ds.target:
             block[col.name] = s_vals
         else:
-            coins[col.name] = rng.random(size=extra) < 0.5
-            block[col.name] = np.where(coins[col.name], s_vals, n_vals)
-    return seeds, nbrs, block, coins
+            block[col.name] = np.where(rng.random(size=extra) < 0.5, s_vals, n_vals)
+    return seeds, nbrs, block
 
 
 def rand_under_classif(
@@ -423,7 +421,7 @@ def tomek_classif(
     if rem not in ("both", "maj"):
         raise ResampleError(f"rem must be 'both' or 'maj', not {rem!r}")
     counts = class_counts(ds)
-    code, labels = nominal_codes(ds.target_column.values)
+    code, labels = ds.target_column.values, ds.target_column.categories
     in_cl = _class_mask(labels, _resolve_cl(cl, counts))[code]
     size = np.bincount(code)[code]
     _, nn = nearest(metric, build_context(metric, ds))
@@ -453,8 +451,8 @@ def cnn_classif(
     if set(important) == set(counts):
         raise ResampleError("every class is marked important: nothing to condense")
     unimportant = sorted(set(counts) - set(important))
-    code, labels = nominal_codes(ds.target_column.values)
-    kept_mask = _class_mask(labels, important)[code]
+    code = ds.target_column.values
+    kept_mask = _class_mask(ds.target_column.categories, important)[code]
     rng = np.random.default_rng(seed)
     by_class = _class_indices(ds)
     for label in unimportant:
@@ -545,7 +543,7 @@ def enn_classif(
     if not 1 <= k < n:
         raise ResampleError("k must satisfy 1 <= k < number of rows")
     counts = class_counts(ds)
-    code, labels = nominal_codes(ds.target_column.values)
+    code, labels = ds.target_column.values, ds.target_column.categories
     in_cl = _class_mask(labels, _resolve_cl(cl, counts))[code]
     nbrs = knn_table(metric, build_context(metric, ds), k)
     same = (code[nbrs] == code[:, None]).sum(axis=1)
@@ -579,8 +577,8 @@ def ncl_classif(
     key = _resolve_cl(cl, counts)
     if not key:
         raise ResampleError("no key classes to clean around")
-    code, labels = nominal_codes(ds.target_column.values)
-    is_key = _class_mask(labels, key)
+    code = ds.target_column.values
+    is_key = _class_mask(ds.target_column.categories, key)
     sizes = np.bincount(code)
     # outside classes whose rows A2 may take
     takeable = ~is_key & (sizes >= 0.5 * sizes[is_key].min())
@@ -646,7 +644,7 @@ def smote_classif(
                 "synthetic rows are plain replicas"
             )
             return _copies(ds, idx, extra)
-        seeds, _, block, _ = _smote_rows(ds, metric, ctx, k, rng, idx, extra)
+        seeds, _, block = _smote_rows(ds, metric, ctx, k, rng, idx, extra)
         return seeds, block
 
     return _resample(ds, _class_groups(ds, targets), _sample(rng, repl), grow, warnings)

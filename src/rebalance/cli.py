@@ -66,6 +66,7 @@ from .relevance import (
     find_bumps,
 )
 from .tabular import (
+    ColumnKind,
     Dataset,
     TabularError,
     class_counts,
@@ -171,6 +172,8 @@ def _read_rel_points(path: str) -> RelevanceFn:
 def _relevance_from(args: argparse.Namespace, ds: Dataset) -> RelevanceFn:
     if args.rel_points is not None:
         return _read_rel_points(args.rel_points)
+    if ds.target_column.kind is not ColumnKind.NUMERIC:  # its values would be codes
+        raise RelevanceError("target values must be present and numeric")
     return build_relevance_extremes(ds.target_column.values, extr_type=args.rel)
 
 

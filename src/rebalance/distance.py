@@ -92,7 +92,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import sample_sd
-from .tabular import ColumnKind, Dataset, nominal_codes
+from .tabular import ColumnKind, Dataset
 
 __all__ = [
     "Metric",
@@ -101,7 +101,6 @@ __all__ = [
     "build_context",
     "distance",
     "encode_rows",
-    "knn",
     "knn_table",
     "nearest",
     "paired_distances",
@@ -189,9 +188,8 @@ def build_context(metric: Metric, ds: Dataset) -> MetricContext:
         if kinds[j] == "num":
             ctx.num_values[j] = col.values
         else:
-            codes, values = nominal_codes(col.values)
-            ctx.nom_codes[j] = codes
-            ctx.nom_encode[j] = {v: i for i, v in enumerate(values)}
+            ctx.nom_codes[j] = col.values
+            ctx.nom_encode[j] = {v: i for i, v in enumerate(col.categories)}
 
     if metric.name == "heom":
         for j, vals in ctx.num_values.items():
@@ -202,7 +200,7 @@ def build_context(metric: Metric, ds: Dataset) -> MetricContext:
     elif metric.name == "hvdm":
         for j, vals in ctx.num_values.items():
             ctx.four_sd[j] = 4.0 * sample_sd(vals)
-        y, ctx.classes = nominal_codes(ds.target_column.values)
+        y, ctx.classes = ds.target_column.values, ds.target_column.categories
         if (y < 0).any():
             raise MetricError("missing value in the target column")
         for j, codes in ctx.nom_codes.items():
@@ -593,34 +591,3 @@ def knn_table(metric: Metric, ctx: MetricContext, k: int,
         table[q] = c[_k_nearest(block, k)]
     return table
 
-
-def knn(
-    metric: Metric,
-    ctx: MetricContext,
-    ds: Dataset,
-    query: int,
-    k: int,
-    candidates=None,
-) -> list[int]:
-    """Indices of the k nearest candidates, ascending by distance.
-
-    Ties break toward the lower row index.  Fewer than k candidates
-    returns them all.
-    """
-    if not 0 <= query < ctx.n_rows:
-        raise MetricError(f"query row {query} out of range")
-    if k < 1:
-        raise MetricError("k must be at least 1")
-    if candidates is None:
-        cand = np.concatenate(
-            [np.arange(query), np.arange(query + 1, ctx.n_rows)]
-        )
-    else:
-        cand = np.asarray(list(candidates), dtype=np.intp)
-        if len(cand) and (cand.min() < 0 or cand.max() >= ctx.n_rows):
-            raise MetricError("candidate row out of range")
-    if len(cand) == 0:
-        return []
-    dists = _block(metric, ctx, np.array([query], dtype=np.intp), cand)[0]
-    order = np.lexsort((cand, dists))
-    return [int(cand[i]) for i in order[: min(k, len(cand))]]

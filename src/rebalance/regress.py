@@ -264,7 +264,6 @@ def smoter(
     ctx = build_context(metric, ds)
     rng = np.random.default_rng(seed)
     y = ds.target_column.values
-    feat_cols = ds.feature_columns
     warnings: list[str] = []
 
     def grow(bump, idx, extra):
@@ -273,16 +272,11 @@ def smoter(
                 "SmoteRegress: a single-example bump was grown with plain replicas"
             )
             return _copies(ds, idx, extra)
-        seeds, nbrs, block, coins = _smote_rows(ds, metric, ctx, k, rng, idx, extra)
-        seed_ops = encode_rows(ctx, seeds)
-        nbr_ops = encode_rows(ctx, nbrs)
-        new_ops = [
-            block[c.name] if c.kind is ColumnKind.NUMERIC
-            else np.where(coins[c.name], s_op, n_op)
-            for c, s_op, n_op in zip(feat_cols, seed_ops, nbr_ops)
-        ]
-        d1 = paired_distances(metric, ctx, new_ops, seed_ops)
-        d2 = paired_distances(metric, ctx, new_ops, nbr_ops)
+        seeds, nbrs, block = _smote_rows(ds, metric, ctx, k, rng, idx, extra)
+        # the block's cells are kernel operands: values and codes
+        new_ops = [block[c.name] for c in ds.feature_columns]
+        d1 = paired_distances(metric, ctx, new_ops, encode_rows(ctx, seeds))
+        d2 = paired_distances(metric, ctx, new_ops, encode_rows(ctx, nbrs))
         y1, y2 = y[seeds], y[nbrs]
         with np.errstate(invalid="ignore", divide="ignore"):
             new_y = np.where(d1 + d2 == 0, (y1 + y2) / 2.0,

@@ -165,7 +165,7 @@ def build_relevance_extremes(values, extr_type: str = "both") -> RelevanceFn:
         raise RelevanceError(f"unknown extremes type {extr_type!r}")
     try:
         y = np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError):  # a nominal target
+    except (TypeError, ValueError):  # labels, not numbers
         raise RelevanceError("target values must be present and numeric") from None
     if len(y) == 0 or np.any(np.isnan(y)):
         raise RelevanceError("target values must be present and numeric")

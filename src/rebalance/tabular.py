@@ -1,23 +1,25 @@
 """Column-typed tabular data with strict CSV round-tripping.
 
 A Dataset is a small columnar table: every column is either Numeric
-(float64, NaN marks a missing cell) or Nominal (object array of strings,
-None marks a missing cell).  One column is designated as the target.
-The CSV layer is RFC-4180: empty fields are missing cells, everything
-else round-trips byte-for-byte (floats via shortest repr).
+(float64, NaN marks a missing cell) or Nominal.  One column is
+designated as the target.  The CSV layer is RFC-4180: empty fields are
+missing cells, everything else round-trips byte-for-byte (floats via
+shortest repr).
+
+A nominal column is coded once, when it is built: ``values`` holds
+integer codes, -1 for a missing cell, and ``categories`` the present
+labels in ``sorted()`` order (code-point order, which is UTF-8 byte
+order), a code being its label's position there.  ``_codes`` is the
+one place that turns labels into codes.  Every column built from
+another (``take``, ``append``) keeps only the categories some cell
+uses, so equal labels mean equal codes and categories.  Class order,
+class counts, the metrics' value codes and every tie rule that follows
+from them rest on that order.
 
 The CSV layer works column by column over blocks of ``BLOCK_ROWS``
 rows, so no buffer holds more than one block of records or output
 text.  Each column of a block is parsed or formatted at once; each
-distinct nominal value of a block is quoted once, by ``csv.writer``.
-The reader, ``take`` and ``append`` build columns from cells already
-in column form and do not convert them again.
-
-``nominal_codes`` is the one place that turns nominal values into
-integers: each label's position in ``sorted()`` order (code-point
-order, which is UTF-8 byte order), -1 for a missing cell.  Class
-order, class counts, the metrics' value codes and every tie rule that
-follows from them rest on that order.
+category of a nominal column is quoted once, by ``csv.writer``.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from __future__ import annotations
 import csv
 import io
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice
+from itertools import compress, islice
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -42,7 +44,6 @@ __all__ = [
     "read_dataset",
     "write_dataset",
     "class_counts",
-    "nominal_codes",
 ]
 
 
@@ -74,29 +75,49 @@ def parses_as_number(text: str) -> bool:
 class Column:
     """One named column.
 
-    values is float64 for NUMERIC columns (NaN = missing) and an object
-    array of str or None for NOMINAL columns.
+    ``Column(name, kind, cells)`` takes cells as values: floats for a
+    NUMERIC column (NaN = missing), labels for a NOMINAL one (None =
+    missing, any other value ``str()``-ed).  A NUMERIC column keeps
+    them as float64 ``values``.  A NOMINAL column keeps ``values`` as
+    np.intp codes, -1 for a missing cell, into ``categories``: the
+    labels its cells use, in ``sorted()`` order, and no other.
+    ``labels`` gives a NOMINAL column's cells back as labels.
     """
 
     name: str
     kind: ColumnKind
     values: np.ndarray
+    categories: tuple[str, ...] = field(default=(), init=False)
 
     def __post_init__(self) -> None:
         if self.kind is ColumnKind.NUMERIC:
             self.values = np.asarray(self.values, dtype=np.float64)
         else:
-            vals = np.empty(len(self.values), dtype=object)
-            for i, v in enumerate(self.values):
-                vals[i] = None if v is None else str(v)
-            self.values = vals
+            cells = [None if v is None else str(v) for v in self.values]
+            self.values, self.categories = _codes(cells, None)
 
     @classmethod
-    def _of(cls, name: str, kind: ColumnKind, values: np.ndarray) -> "Column":
-        """A column over ``values`` already in column form: no conversion."""
+    def _of(cls, name: str, kind: ColumnKind, values: np.ndarray,
+            categories: tuple[str, ...] = ()) -> "Column":
+        """A column over ``values`` already in column form: no conversion.
+
+        A nominal column drops the categories that no code uses.
+        """
+        if kind is ColumnKind.NOMINAL:
+            used = np.bincount(values + 1, minlength=len(categories) + 1)[1:] > 0
+            if not used.all():
+                # code -1, a missing cell, picks the trailing -1
+                values = np.append(np.cumsum(used) - 1, -1)[values]
+                categories = tuple(compress(categories, used))
         col = object.__new__(cls)
-        col.name, col.kind, col.values = name, kind, values
+        col.name, col.kind, col.values, col.categories = name, kind, values, categories
         return col
+
+    @property
+    def labels(self) -> np.ndarray:
+        """A nominal column's cells as an object array, None where missing."""
+        # code -1, a missing cell, picks the trailing None
+        return np.array([*self.categories, None], dtype=object)[self.values]
 
     def __len__(self) -> int:
         return len(self.values)
@@ -108,13 +129,17 @@ class Column:
             return False
         if len(self.values) != len(other.values):
             return False
+        a, b = self.values, other.values
         if self.kind is ColumnKind.NUMERIC:
-            a, b = self.values, other.values
             return bool(np.all((a == b) | (np.isnan(a) & np.isnan(b))))
-        return all(x == y for x, y in zip(self.values, other.values))
+        return self.categories == other.categories and bool(np.all(a == b))
 
-    def take(self, indices: np.ndarray) -> "Column":
-        return Column._of(self.name, self.kind, self.values[np.asarray(indices)])
+    def take(self, indices: np.ndarray, extra: np.ndarray | None = None) -> "Column":
+        """The cells at ``indices``, then the cells ``extra`` holds in column form."""
+        values = self.values[np.asarray(indices)]
+        if extra is not None:
+            values = np.concatenate([values, extra])
+        return Column._of(self.name, self.kind, values, self.categories)
 
 
 @dataclass
@@ -156,10 +181,16 @@ class Dataset:
     def feature_columns(self) -> list[Column]:
         return [c for c in self.columns if c.name != self.target]
 
-    def take(self, indices) -> "Dataset":
-        """New dataset with the given rows (duplicates allowed, order kept)."""
+    def take(self, indices, block: Mapping[str, np.ndarray] | None = None) -> "Dataset":
+        """New dataset with the given rows (duplicates allowed, order kept).
+
+        ``block``, if given, adds rows after them, one array per column
+        in column form: values of a numeric column, codes into this
+        dataset's categories of a nominal one.
+        """
         idx = np.asarray(indices, dtype=np.intp)
-        return Dataset([c.take(idx) for c in self.columns], self.target)
+        return Dataset([c.take(idx, None if block is None else block[c.name])
+                        for c in self.columns], self.target)
 
     def append(self, block: Mapping[str, Sequence]) -> "Dataset":
         """New dataset with extra rows given column-wise.
@@ -170,11 +201,18 @@ class Dataset:
         sizes = {len(v) for v in block.values()}
         if len(block) != len(self.columns) or len(sizes) > 1:
             raise TabularError("appended block does not match the schema")
-        # only the new cells are converted, by a Column of their own
         out = []
         for c in self.columns:
-            extra = Column(c.name, c.kind, block[c.name]).values
-            out.append(Column._of(c.name, c.kind, np.concatenate([c.values, extra])))
+            # only the new cells are converted, by a Column of their own
+            new = Column(c.name, c.kind, block[c.name])
+            cats = tuple(sorted({*c.categories, *new.categories}))
+            parts = [c.values, new.values]
+            if c.kind is ColumnKind.NOMINAL:
+                # both sides' codes into the merged categories
+                pos = {v: i for i, v in enumerate(cats)}
+                parts = [np.array([*map(pos.get, col.categories), -1])[col.values]
+                         for col in (c, new)]
+            out.append(Column._of(c.name, c.kind, np.concatenate(parts), cats))
         return Dataset(out, self.target)
 
     def row(self, i: int, feature_only: bool = True) -> tuple:
@@ -186,7 +224,7 @@ class Dataset:
             if c.kind is ColumnKind.NUMERIC:
                 cells.append(float(v))
             else:
-                cells.append(v)
+                cells.append(c.categories[v] if v >= 0 else None)
         return tuple(cells)
 
     def __eq__(self, other: object) -> bool:
@@ -203,17 +241,10 @@ class ClassCounts(dict):
         return sum(self.values())
 
 
-def nominal_codes(values: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Integer codes of nominal cells, and the categories they index.
-
-    ``categories`` holds the present values in ``sorted()`` order, and
-    a cell's code is its value's position there, -1 for a missing cell.
-    """
-    return _codes(values.tolist(), None)
-
-
 def _codes(cells: list, missing) -> tuple[np.ndarray, tuple[str, ...]]:
-    """``nominal_codes`` of a list of cells, ``missing`` marking a missing one."""
+    """Codes of a list of labels, ``missing`` marking a missing cell, and
+    the categories they index: the present labels in ``sorted()`` order.
+    """
     categories = tuple(sorted(set(cells) - {missing}))
     index = {v: i for i, v in enumerate(categories)}
     index[missing] = -1
@@ -226,10 +257,10 @@ def class_counts(ds: Dataset) -> ClassCounts:
     col = ds.target_column
     if col.kind is not ColumnKind.NOMINAL:
         raise TabularError("class counts need a nominal target column")
-    codes, labels = nominal_codes(col.values)
-    if (codes < 0).any():
+    if (col.values < 0).any():
         raise TabularError("missing value in the target column")
-    return ClassCounts(zip(labels, np.bincount(codes, minlength=len(labels)).tolist()))
+    counts = np.bincount(col.values, minlength=len(col.categories))
+    return ClassCounts(zip(col.categories, counts.tolist()))
 
 
 def _open_source(source) -> tuple[IO[str], bool]:
@@ -300,12 +331,11 @@ def read_dataset(
             values = np.full(len(raw), np.nan)
             values[present] = np.fromiter(map(float, non_empty), dtype=np.float64,
                                           count=len(non_empty))
+            categories = ()
         else:
-            codes, categories = _codes(raw, "")
-            # code -1, a missing cell, picks the trailing None
-            values = np.array([*categories, None], dtype=object)[codes]
+            values, categories = _codes(raw, "")
         kind = ColumnKind.NUMERIC if numeric else ColumnKind.NOMINAL
-        columns.append(Column._of(name, kind, values))
+        columns.append(Column._of(name, kind, values, categories))
         raw.clear()  # the column's text goes before the next is parsed
     return Dataset(columns, target)
 
@@ -339,24 +369,26 @@ def _write_rows(ds: Dataset, fh: IO[str]) -> None:
     # csv quotes a field by its content alone, except that a row of one
     # empty field is written '""' so that it is not a blank line
     empty = _quote("", writer.dialect) if ds.n_cols == 1 else ""
+    # each category's field, quoted once; code -1, a missing cell, picks
+    # the trailing empty field
+    quoted = [[_quote(v, writer.dialect) if v else empty for v in c.categories] + [empty]
+              for c in ds.columns]
     for lo in range(0, ds.n_rows, BLOCK_ROWS):
-        fields = [_fields(c, slice(lo, lo + BLOCK_ROWS), writer.dialect, empty)
-                  for c in ds.columns]
+        fields = [_fields(c, q, slice(lo, lo + BLOCK_ROWS), empty)
+                  for c, q in zip(ds.columns, quoted)]
         fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
 
 
-def _fields(col: Column, rows: slice, dialect, empty: str) -> list[str]:
-    """The CSV fields of ``col``'s cells in ``rows``."""
+def _fields(col: Column, quoted: list[str], rows: slice, empty: str) -> list[str]:
+    """The CSV fields of ``col``'s cells in ``rows``; ``quoted`` holds a
+    nominal column's field per code."""
     values = col.values[rows]
-    if col.kind is ColumnKind.NUMERIC:
-        # repr of a Python float is the shortest string that round-trips
-        fields = np.array(list(map(float.__repr__, values.tolist())), dtype=object)
-        fields[np.isnan(values)] = empty
-        return fields.tolist()
-    codes, categories = nominal_codes(values)
-    # code -1, a missing cell, picks the trailing empty field
-    fields = [_quote(v, dialect) if v else empty for v in categories] + [empty]
-    return list(map(fields.__getitem__, codes.tolist()))
+    if col.kind is ColumnKind.NOMINAL:
+        return list(map(quoted.__getitem__, values.tolist()))
+    # repr of a Python float is the shortest string that round-trips
+    fields = np.array(list(map(float.__repr__, values.tolist())), dtype=object)
+    fields[np.isnan(values)] = empty
+    return fields.tolist()
 
 
 def _quote(value: str, dialect) -> str:

@@ -311,7 +311,7 @@ def find_bumps_loop_oracle(y, phi, thr_rel):
 # ------------------------------------------------ label coding and rules
 #
 # The loops below are the per-cell and per-row code the library ran
-# before nominal coding moved into ``tabular.nominal_codes`` and the
+# before nominal columns were coded once in ``tabular`` and the
 # editing rules became array expressions.  ``labels`` is a sequence of
 # class labels in row order; neighbour tables come from the library's
 # engine, which ``tests/test_engine.py`` checks on its own.
@@ -508,8 +508,7 @@ def write_rows_oracle(ds, fh):
     writer.writerow([c.name for c in ds.columns])
     for i in range(ds.n_rows):
         row = []
-        for c in ds.columns:
-            v = c.values[i]
+        for c, v in zip(ds.columns, ds.row(i, feature_only=False)):
             if c.kind is ColumnKind.NUMERIC:
                 # repr of a float is the shortest string that round-trips
                 row.append("" if math.isnan(v) else repr(float(v)))

@@ -262,7 +262,7 @@ def test_criterion_4_neighbour_rule_properties():
     metric = Metric("heom")
     ctx = build_context(metric, ds)
     d = pairwise(metric, ctx)
-    labels = np.array(list(ds.target_column.values))
+    labels = np.array(list(ds.target_column.labels))
     bad = []
 
     d_nn = d.copy()
@@ -317,7 +317,7 @@ def test_criterion_5_synthesis_geometry():
     out = smote_classif(ds, ClassPercSpec.balance(), k=5, metric=metric, seed=0)
     ctx = build_context(metric, ds)
     x1 = ds.column("X1").values
-    labels = np.array(list(ds.target_column.values))
+    labels = np.array(list(ds.target_column.labels))
     synth = [a for a in out.added if a.synthetic]
     n_kept = out.dataset.n_rows - len(synth)
     sx = out.dataset.column("X1").values[n_kept:]
@@ -372,8 +372,8 @@ def test_criterion_5_synthesis_geometry():
     synth_g = [a for a in outg.added if a.synthetic]
     n_kept_g = outg.dataset.n_rows - len(synth_g)
     gx = outg.dataset.column("X1").values[n_kept_g:]
-    gc = outg.dataset.column("X2").values[n_kept_g:]
-    x2 = np.array(list(ds.column("X2").values))
+    gc = outg.dataset.column("X2").labels[n_kept_g:]
+    x2 = np.array(list(ds.column("X2").labels))
     for add, vx, vc in zip(synth_g, gx, gc):
         if vx != x1[add.seed]:
             bad.append("gauss pert=0 changed a numeric cell")
@@ -447,7 +447,7 @@ def test_criterion_7_generators():
     bad = []
     for seed in (0, 1, 2):
         ds = gen_imbc(1000, seed=seed)
-        vals, counts = np.unique(list(ds.column("X2").values), return_counts=True)
+        vals, counts = np.unique(list(ds.column("X2").labels), return_counts=True)
         got = dict(zip(vals, counts.tolist()))
         if got != {"cat": 300, "dog": 400, "fish": 300}:
             bad.append(f"X2 counts {got} at seed {seed}")

@@ -195,7 +195,7 @@ def test_rand_over_balance_appends_replicas():
     assert len(out.added) == 2
     for add in out.added:
         assert not add.synthetic
-        assert ds.target_column.values[add.seed] == "b"
+        assert ds.target_column.labels[add.seed] == "b"
 
 
 def test_rand_over_replicas_duplicate_whole_rows():
@@ -219,7 +219,7 @@ def test_imp_samp_moves_both_ways():
     out = imp_samp_classif(ds, ClassPercSpec.balance(), seed=0)
     assert dict(class_counts(out.dataset)) == {"a": 5, "b": 5}
     assert any(i < 8 for i in out.removed)
-    assert all(ds.target_column.values[a.seed] == "b" for a in out.added)
+    assert all(ds.target_column.labels[a.seed] == "b" for a in out.added)
 
 
 def test_imp_samp_shrink_never_duplicates():
@@ -298,7 +298,7 @@ def test_cnn_output_is_consistent():
     out, _, _ = cnn_classif(ds, Metric("euclidean"), seed=4)
     kept = np.array(sorted(set(range(ds.n_rows)) - set(out.removed)))
     x = ds.column("x").values
-    labels = ds.target_column.values
+    labels = ds.target_column.labels
     for i in range(ds.n_rows):
         cands = kept[kept != i] if i in kept else kept
         d = np.abs(x[cands] - x[i])
@@ -471,9 +471,9 @@ def test_gauss_noise_pert_zero_gives_replicas():
     ds = gauss_toy()
     out = gauss_noise_classif(ds, ClassPercSpec.explicit({"b": 3}), pert=0.0, seed=1)
     xs = ds.column("x").values
-    cs = ds.column("c").values
+    cs = ds.column("c").labels
     synth = out.dataset.column("x").values[ds.n_rows:]
-    synth_c = out.dataset.column("c").values[ds.n_rows:]
+    synth_c = out.dataset.column("c").labels[ds.n_rows:]
     assert len(synth) == 6
     assert set(synth) <= {10.0, 11.0, 12.0}
     for add, v, c in zip([a for a in out.added if a.synthetic], synth, synth_c):
@@ -483,7 +483,7 @@ def test_gauss_noise_pert_zero_gives_replicas():
 
 def test_gauss_noise_nominal_values_stay_within_class():
     out = gauss_noise_classif(gauss_toy(), ClassPercSpec.explicit({"b": 4}), seed=3)
-    synth_c = out.dataset.column("c").values[9:]
+    synth_c = out.dataset.column("c").labels[9:]
     assert set(synth_c) <= {"u", "v"}
 
 
@@ -566,7 +566,7 @@ def test_smote_mixed_features_with_heom():
         },
     )
     out = smote_classif(ds, ClassPercSpec.explicit({"b": 2}), metric=Metric("heom"), seed=1)
-    synth_c = out.dataset.column("c").values[8:]
+    synth_c = out.dataset.column("c").labels[8:]
     assert set(synth_c) <= {"u", "v"}  # nominal cells copy one of the two ends
 
 

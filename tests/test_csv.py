@@ -136,7 +136,8 @@ def test_reader_matches_row_reader(case):
         if col.kind is ColumnKind.NUMERIC:
             assert col.values.dtype == np.float64
         else:
-            assert all(v is None or type(v) is str for v in col.values)
+            assert col.values.dtype == np.intp
+            assert all(v is None or type(v) is str for v in col.labels)
 
 
 @settings(max_examples=200, deadline=None)

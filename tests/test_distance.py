@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rebalance import Metric, MetricError, build_context, distance, knn, pairwise
+from rebalance import Metric, MetricError, build_context, distance, knn_table, pairwise
 
 import _oracles as oracle
 from _toys import TOY_KINDS, TOY_LABELS, TOY_ROWS, labelled, make_ds, toy_mixed_ds
@@ -284,38 +284,19 @@ def test_hvdm_zero_sd_numeric_contributes_zero():
     assert distance(ctx.metric, ctx, ds.row(0), ds.row(1)) == 0.0
 
 
-# ------------------------------------------------------------------ knn
+# ------------------------------------------------------------ knn_table
 
 def test_knn_ascending_with_index_ties():
     # rows 1 and 3 are equidistant from row 0; the lower index wins
     ds = numeric_ds([[0.0], [1.0], [3.0], [1.0], [0.5]])
     ctx = ctx_for("euclidean", ds)
-    assert knn(ctx.metric, ctx, ds, query=0, k=3) == [4, 1, 3]
+    assert knn_table(ctx.metric, ctx, 3)[0].tolist() == [4, 1, 3]
 
 
 def test_knn_excludes_query_by_default():
     ds = numeric_ds([[0.0], [5.0], [6.0]])
     ctx = ctx_for("euclidean", ds)
-    assert knn(ctx.metric, ctx, ds, query=1, k=2) == [2, 0]
-
-
-def test_knn_fewer_candidates_than_k():
-    ds = numeric_ds([[0.0], [5.0]])
-    ctx = ctx_for("euclidean", ds)
-    assert knn(ctx.metric, ctx, ds, query=0, k=10) == [1]
-
-
-def test_knn_respects_candidate_subset():
-    ds = numeric_ds([[0.0], [1.0], [2.0], [3.0]])
-    ctx = ctx_for("euclidean", ds)
-    assert knn(ctx.metric, ctx, ds, query=0, k=2, candidates=[2, 3]) == [2, 3]
-
-
-def test_knn_rejects_bad_k():
-    ds = numeric_ds([[0.0], [1.0]])
-    ctx = ctx_for("euclidean", ds)
-    with pytest.raises(MetricError, match="k must be"):
-        knn(ctx.metric, ctx, ds, query=0, k=0)
+    assert knn_table(ctx.metric, ctx, 2)[1].tolist() == [2, 0]
 
 
 def test_knn_matches_oracle_on_random_data():
@@ -326,11 +307,11 @@ def test_knn_matches_oracle_on_random_data():
         ds = numeric_ds(m)
         ctx = ctx_for("manhattan", ds)
         dmat = pairwise(ctx.metric, ctx)
+        table = knn_table(ctx.metric, ctx, 4)
         for q in range(n):
             cands = [i for i in range(n) if i != q]
             want = oracle.knn_oracle(dmat[q], cands, 4)
-            got = knn(ctx.metric, ctx, ds, query=q, k=4)
-            assert got == want
+            assert table[q].tolist() == want
 
 
 def test_pairwise_is_symmetric_with_zero_diagonal():

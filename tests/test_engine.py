@@ -115,7 +115,7 @@ def test_nearest_matches_argmin(case, data):
 
 def cnn_oracle_removed(ds, metric, ctx, important, seed):
     """Rows the full-matrix CNN loop drops, from cnn_classif's start set."""
-    labels = list(ds.target_column.values)
+    labels = list(ds.target_column.labels)
     rng = np.random.default_rng(seed)
     kept = [lab in important for lab in labels]
     for label in sorted(set(labels) - set(important)):
@@ -129,7 +129,7 @@ def cnn_oracle_removed(ds, metric, ctx, important, seed):
 @given(case=cases(), seed=st.integers(0, 2**16), data=st.data())
 def test_cnn_matches_full_matrix_loop(case, seed, data):
     ds, metric, ctx = case
-    classes = sorted(set(ds.target_column.values))
+    classes = sorted(set(ds.target_column.labels))
     if len(classes) < 2:
         return
     important = data.draw(st.lists(st.sampled_from(classes), min_size=1,
@@ -274,7 +274,7 @@ def test_sorted_walk_nearest_matches_argmin(case, data):
 @given(case=sortable_cases(), seed=st.integers(0, 2**16), data=st.data())
 def test_sorted_walk_cnn_matches_full_matrix_loop(case, seed, data):
     ds, metric, ctx = case
-    classes = sorted(set(ds.target_column.values))
+    classes = sorted(set(ds.target_column.labels))
     if len(classes) < 2:
         return
     important = data.draw(st.lists(st.sampled_from(classes), min_size=1,

@@ -122,7 +122,7 @@ def _imbr_nan() -> Dataset:
 
 def _imbc_solo() -> Dataset:
     ds = gen_imbc(ROWS, seed=0)
-    label = ds.column("Class").values.copy()
+    label = ds.column("Class").labels
     label[0] = "solo"
     return Dataset(
         [ds.column("X1"), ds.column("X2"), Column("Class", ColumnKind.NOMINAL, label)],

@@ -80,7 +80,7 @@ def scalar(metric, ctx, ds):
     rows = [ds.row(i) for i in range(ds.n_rows)]
     kinds = list(ctx.kinds)
     ranges = oracle.ranges_oracle(rows, kinds)
-    tables = oracle.vdm_tables_oracle(rows, list(ds.target_column.values), kinds)
+    tables = oracle.vdm_tables_oracle(rows, list(ds.target_column.labels), kinds)
 
     def d(a, b):
         # the sd statistic is the context's: numpy's std sums in its own

@@ -59,7 +59,7 @@ def cases(draw):
 
 def cl_values(draw, ds):
     """'all', 'smaller' or a non-empty subset of the labels present."""
-    present = sorted(set(ds.target_column.values))
+    present = sorted(set(ds.target_column.labels))
     subset = draw(st.lists(st.sampled_from(present), min_size=1, unique=True))
     return draw(st.sampled_from(["all", "smaller", subset]))
 
@@ -74,7 +74,7 @@ def assert_edited(ds, out, removed):
 
 
 def tomek_reference(ds, metric, cl, rem):
-    labels = list(ds.target_column.values)
+    labels = list(ds.target_column.labels)
     _, nn = nearest(metric, build_context(metric, ds))
     cl_set = set(_resolve_cl(cl, class_counts(ds)))
     return oracle.tomek_oracle(labels, nn, cl_set, rem)
@@ -97,7 +97,7 @@ def test_enn_matches_row_loop(case, seed, data):
     k = data.draw(st.integers(1, ds.n_rows - 1))
     cl = cl_values(data.draw, ds)
     out = enn_classif(ds, metric, k=k, cl=cl, seed=seed)
-    labels = list(ds.target_column.values)
+    labels = list(ds.target_column.labels)
     nbrs = knn_table(metric, build_context(metric, ds), k)
     cl_set = set(_resolve_cl(cl, class_counts(ds)))
     assert_edited(ds, out, oracle.enn_oracle(labels, nbrs, cl_set, k, seed))
@@ -128,7 +128,7 @@ def test_ncl_matches_row_loop(case):
     if not key:  # "smaller" found no class: the strategy refuses
         return
     out = ncl_classif(ds, metric, k=k, cl=cl)
-    labels = list(ds.target_column.values)
+    labels = list(ds.target_column.labels)
     nbrs = knn_table(metric, build_context(metric, ds), k)
     a1, a2 = oracle.ncl_oracle(labels, nbrs, key, k)
     assert_edited(ds, out, a1 | a2)

@@ -18,22 +18,22 @@ def test_imbc_schema():
 def test_imbc_x2_counts_exact():
     for seed in (0, 1, 7):
         ds = gen_imbc(1000, seed=seed)
-        vals, counts = np.unique(list(ds.column("X2").values), return_counts=True)
+        vals, counts = np.unique(list(ds.column("X2").labels), return_counts=True)
         got = dict(zip(vals, counts))
         assert got == {"cat": 300, "dog": 400, "fish": 300}
 
 
 def test_imbc_x2_counts_scale_with_n():
     ds = gen_imbc(200, seed=3)
-    vals, counts = np.unique(list(ds.column("X2").values), return_counts=True)
+    vals, counts = np.unique(list(ds.column("X2").labels), return_counts=True)
     assert dict(zip(vals, counts)) == {"cat": 60, "dog": 80, "fish": 60}
 
 
 def test_imbc_rare_labels_confined_to_their_regions():
     ds = gen_imbc(1000, seed=5)
     x1 = ds.column("X1").values
-    x2 = np.array(list(ds.column("X2").values))
-    cls = np.array(list(ds.column("Class").values))
+    x2 = np.array(list(ds.column("X2").labels))
+    cls = np.array(list(ds.column("Class").labels))
 
     r1 = cls == "rare1"
     in_s1 = (x1 > 9) & np.isin(x2, ["cat", "dog"])

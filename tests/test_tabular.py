@@ -1,6 +1,8 @@
+import ast
 import io
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from rebalance import (
 import rebalance.tabular as tabular
 from rebalance._util import nominal_freqs
 from rebalance.classif import _class_indices
-from rebalance.tabular import dataset_to_csv_bytes, nominal_codes, parses_as_number
+from rebalance.tabular import dataset_to_csv_bytes, parses_as_number
 
 import _oracles as oracle
 from _toys import labelled, make_ds
@@ -41,7 +43,8 @@ def test_reads_header_and_infers_kinds():
 def test_empty_cells_are_missing():
     ds = read_text("a,b,cls\n1,,p\n,x,q\n", target="cls")
     assert math.isnan(ds.column("a").values[1])
-    assert ds.column("b").values[0] is None
+    assert ds.column("b").labels[0] is None
+    assert ds.column("b").values[0] == -1
 
 
 def test_inference_ignores_empty_cells():
@@ -72,7 +75,7 @@ def test_schema_overrides_inference():
         schema={"a": ColumnKind.NOMINAL},
     )
     assert ds.column("a").kind is ColumnKind.NOMINAL
-    assert list(ds.column("a").values) == ["1", "2"]
+    assert list(ds.column("a").labels) == ["1", "2"]
 
 
 def test_schema_numeric_rejects_text():
@@ -149,13 +152,13 @@ def test_quoted_fields_roundtrip():
     buf = io.StringIO()
     write_dataset(ds, buf)
     back = read_dataset(io.StringIO(buf.getvalue()), target="cls")
-    assert list(back.column("b").values) == ['say "hi"', "a,b"]
+    assert list(back.column("b").labels) == ['say "hi"', "a,b"]
 
 
 def test_take_allows_duplicates_and_keeps_order():
     ds = labelled(["p", "q", "r"], {"x": ("num", [1.0, 2.0, 3.0])})
     sub = ds.take([2, 0, 2])
-    assert list(sub.target_column.values) == ["r", "p", "r"]
+    assert list(sub.target_column.labels) == ["r", "p", "r"]
     np.testing.assert_array_equal(sub.column("x").values, [3.0, 1.0, 3.0])
 
 
@@ -163,7 +166,7 @@ def test_append_block():
     ds = labelled(["p"], {"x": ("num", [1.0])})
     grown = ds.append({"x": [2.0], "cls": ["q"]})
     assert grown.n_rows == 2
-    assert list(grown.target_column.values) == ["p", "q"]
+    assert list(grown.target_column.labels) == ["p", "q"]
     # the original is untouched
     assert ds.n_rows == 1
 
@@ -225,14 +228,13 @@ CELLS = st.sampled_from(["Z", "a", "ä", "é", "ab", ""]) | st.text(max_size=3)
 @settings(max_examples=300, deadline=None)
 @given(values=st.lists(CELLS | st.none(), max_size=40))
 def test_nominal_codes_match_dict_loop(values):
-    cells = np.array(values, dtype=object)
-    codes, categories = nominal_codes(cells)
+    col = Column("g", ColumnKind.NOMINAL, values)
     want_codes, want_categories = oracle.nominal_codes_oracle(values)
-    assert codes.dtype == np.intp and codes.tolist() == want_codes
-    assert categories == tuple(want_categories)
-    labels, freqs = nominal_freqs(cells)
+    assert col.values.dtype == np.intp and col.values.tolist() == want_codes
+    assert col.categories == tuple(want_categories)
+    present, freqs = nominal_freqs(col.values)
     counts = oracle.label_counts_oracle(values)
-    assert list(labels) == [v for v, _ in counts]
+    assert [col.categories[c] for c in present] == [v for v, _ in counts]
     total = sum(c for _, c in counts)
     assert freqs.tolist() == [c / total for _, c in counts]
 
@@ -258,12 +260,61 @@ def test_take_and_append_convert_only_new_cells(monkeypatch):
         convert(col)
 
     monkeypatch.setattr(Column, "__post_init__", spy)
-    assert list(ds.take([2, 0, 2]).column("g").values) == ["b", "a", "b"]
+    sub = ds.take([2, 0, 2]).column("g")
+    assert list(sub.labels) == ["b", "a", "b"] and sub.categories == ("a", "b")
+    assert ds.take([2, 2]).column("g").values.tolist() == [0, 0]
+    assert ds.take([1]).column("g").categories == ()
     assert read_text(text, target="cls") == ds
     assert converted == []
     grown = ds.append({"g": ["c", None], "x": [4.0, 5.0], "cls": ["q", "p"]})
     assert converted == [2, 2, 2]
-    assert list(grown.column("g").values) == ["a", None, "b", "c", None]
+    g = grown.column("g")
+    assert list(g.labels) == ["a", None, "b", "c", None]
+    assert g.values.tolist() == [0, -1, 1, 2, -1] and g.categories == ("a", "b", "c")
+    assert ds.column("g").values.tolist() == [0, -1, 1]  # the original is untouched
+
+
+LABELS = st.lists(CELLS | st.none(), max_size=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), labels=LABELS)
+def test_coded_columns_keep_present_categories_through_take_and_append(data, labels):
+    # steps: take (duplicates, empty), take with a block of codes as
+    # the strategies' output is built, and append of new labels
+    ds = Dataset([Column("g", ColumnKind.NOMINAL, labels)], target="g")
+    for step in range(data.draw(st.integers(0, 4)) + 1):
+        col = ds.column("g")
+        codes, categories = oracle.nominal_codes_oracle(labels)
+        assert col.categories == tuple(categories)
+        assert col.values.dtype == np.intp and col.values.tolist() == codes
+        assert col.labels.tolist() == labels
+        if not step:
+            assert Column("g", ColumnKind.NOMINAL, col.labels) == col
+        kind = data.draw(st.sampled_from(["take", "take+block", "append"]))
+        if kind == "append":
+            block = data.draw(LABELS)
+            ds, labels = ds.append({"g": block}), labels + block
+            continue
+        idx = data.draw(st.lists(st.integers(0, max(len(labels) - 1, 0)), max_size=20)
+                        if labels else st.just([]))
+        extra = []
+        if kind == "take+block":
+            extra = data.draw(st.lists(st.integers(-1, len(categories) - 1), max_size=10))
+        ds = ds.take(idx, {"g": np.array(extra, dtype=np.intp)} if extra else None)
+        labels = [labels[i] for i in idx] + [categories[c] if c >= 0 else None for c in extra]
+
+
+def test_only_tabular_turns_labels_into_codes():
+    # one coding site: no other module names the coding functions
+    coders = {"nominal_codes", "_codes"}
+    for path in sorted(Path(tabular.__file__).parent.glob("*.py")):
+        if path.name == "tabular.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {getattr(node, attr, None) for node in ast.walk(tree)
+                 for attr in ("id", "attr", "name")}
+        assert not names & coders, f"{path.name} codes labels"
 
 
 def test_writer_memory_is_bounded_by_one_block():
