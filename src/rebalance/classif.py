@@ -3,7 +3,8 @@
 Each strategy takes a Dataset with a nominal target and returns a
 StrategyOutcome: the resampled dataset plus bookkeeping about which
 original rows were dropped and which rows were added (replicas or
-synthetic).  All randomized strategies draw from a single seeded
+synthetic), the added rows as one array of seed rows and one of
+synthetic flags.  All randomized strategies draw from a single seeded
 generator per invocation, so a fixed seed reproduces the output
 exactly.
 
@@ -41,6 +42,7 @@ import numpy as np
 
 from ._util import balanced_quota, floor_frac, inverted_quota, nominal_freqs, sample_sd
 from .distance import Metric, MetricContext, build_context, knn_table, nearest
+from .relevance import BumpPartition
 from .tabular import ColumnKind, Dataset, class_counts
 
 __all__ = [
@@ -115,10 +117,26 @@ class AddedRow:
 
 @dataclass
 class StrategyOutcome:
+    """A strategy's output and what it did to the input's rows.
+
+    ``removed`` lists the input rows the output lacks.  ``seeds`` holds
+    each added row's seed row and ``synthetic`` whether that row is new
+    rather than a copy: first the extra copies of rows kept more than
+    once, then the rows each grown group added, in group order.  A bump
+    strategy keeps the input's bump ``partition``.
+    """
+
     dataset: Dataset
     removed: list[int]
-    added: list[AddedRow]
+    seeds: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
+    synthetic: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
     warnings: list[str] = field(default_factory=list)
+    partition: BumpPartition | None = None
+
+    @property
+    def added(self) -> list[AddedRow]:
+        """One ``AddedRow`` per added row, built from ``seeds`` and ``synthetic``."""
+        return list(map(AddedRow, self.seeds.tolist(), self.synthetic.tolist()))
 
 
 def _explicit_targets(counts: Mapping[str, int], percs: Mapping[str, float],
@@ -236,7 +254,7 @@ def _resample(
                 replicas.append(seeds)
             else:
                 blocks.append(block)
-            grown += [AddedRow(s, synthetic=block is not None) for s in seeds.tolist()]
+            grown.append((seeds, block is not None))
     kept = np.sort(np.concatenate(parts))
     return _outcome(ds, kept, replicas, blocks, grown, warnings)
 
@@ -246,14 +264,15 @@ def _outcome(
     kept: np.ndarray,
     replicas: Sequence[np.ndarray],
     blocks: Sequence[dict],
-    grown: list[AddedRow],
+    grown: Sequence[tuple[np.ndarray, bool]],
     warnings: list[str] | None = None,
 ) -> StrategyOutcome:
     """The output and bookkeeping of kept rows plus added ones.
 
     The output holds ``kept`` (row order, a row may repeat), then the
     replicas, then the column blocks.  ``grown`` describes the replicas
-    and block rows; a row kept twice is one more added copy.
+    and block rows: per grown group, its seed rows and whether they are
+    synthetic.  A row kept twice is one more added copy.
     """
     block = ({c: np.concatenate([b[c] for b in blocks]) for c in blocks[0]}
              if blocks else None)
@@ -261,11 +280,10 @@ def _outcome(
     counts = np.bincount(kept, minlength=ds.n_rows)
     removed = np.flatnonzero(counts == 0).tolist()
     repeated = np.flatnonzero(counts > 1)
-    copies = [
-        AddedRow(i, synthetic=False)
-        for i in np.repeat(repeated, counts[repeated] - 1).tolist()
-    ]
-    return StrategyOutcome(out, removed, copies + grown, warnings or [])
+    seeds = [np.repeat(repeated, counts[repeated] - 1), *(s for s, _ in grown)]
+    synthetic = np.repeat([False, *(f for _, f in grown)], list(map(len, seeds)))
+    return StrategyOutcome(out, removed, np.concatenate(seeds).astype(np.intp, copy=False),
+                           synthetic, warnings or [])
 
 
 def _sample(rng: np.random.Generator, repl: bool = False) -> Callable:
@@ -401,7 +419,7 @@ def _resolve_cl(cl, counts: Mapping[str, int], smaller_ok: bool = True) -> list[
 def _edited(ds: Dataset, drop: np.ndarray, warnings: list[str]) -> StrategyOutcome:
     """Outcome of an editing rule: the rows ``drop`` marks go."""
     return StrategyOutcome(ds.take(np.flatnonzero(~drop)), np.flatnonzero(drop).tolist(),
-                           [], warnings)
+                           warnings=warnings)
 
 
 def tomek_classif(
@@ -514,15 +532,14 @@ def oss_classif(
         if set(class_counts(first.dataset)) <= set(important):
             # the Tomek pass left no row of an unimportant class: CNN has
             # nothing to condense
-            second = StrategyOutcome(first.dataset, [], [], [])
+            second = StrategyOutcome(first.dataset, [])
         else:
             second, _, _ = cnn_classif(first.dataset, metric, cl=important, seed=seed)
     # second.removed indexes the rows the first phase kept
     kept = np.delete(np.delete(np.arange(ds.n_rows), first.removed), second.removed)
     removed = np.setdiff1d(np.arange(ds.n_rows), kept).tolist()
-    outcome = StrategyOutcome(
-        second.dataset, removed, [], first.warnings + second.warnings
-    )
+    outcome = StrategyOutcome(second.dataset, removed,
+                              warnings=first.warnings + second.warnings)
     return outcome, important, unimportant
 
 

@@ -58,6 +58,7 @@ from .regress import (
     smoter,
 )
 from .relevance import (
+    BumpPartition,
     ControlPoint,
     RelevanceError,
     RelevanceFn,
@@ -177,8 +178,7 @@ def _relevance_from(args: argparse.Namespace, ds: Dataset) -> RelevanceFn:
     return build_relevance_extremes(ds.target_column.values, extr_type=args.rel)
 
 
-def _bump_summary(ds: Dataset, fn: RelevanceFn, thr_rel: float) -> list[dict]:
-    part = find_bumps(ds, fn, thr_rel)
+def _bump_summary(part: BumpPartition) -> list[dict]:
     return [
         {
             "rare": b.rare,
@@ -373,8 +373,9 @@ def _dispatch(args: argparse.Namespace, ds: Dataset):
         else {"auto": args.rel}
     )
     if "thr_rel" in params:
-        report["bumps_before"] = _bump_summary(ds, fn, params["thr_rel"])
-        report["bumps_after"] = _bump_summary(out.dataset, fn, params["thr_rel"])
+        # the strategy partitioned the input already
+        report["bumps_before"] = _bump_summary(out.partition)
+        report["bumps_after"] = _bump_summary(find_bumps(out.dataset, fn, params["thr_rel"]))
     return out, params, report
 
 
@@ -430,7 +431,7 @@ def run(argv: list[str]) -> int:
                 "n_rows_before": ds.n_rows,
                 "n_rows_after": out.dataset.n_rows,
                 "removed": len(out.removed),
-                "added": len(out.added),
+                "added": len(out.seeds),
                 "warnings": out.warnings,
                 "elapsed_seconds": time.perf_counter() - started,
             }

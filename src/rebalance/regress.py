@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from ._util import balanced_quota, floor_frac, inverted_quota
 from .classif import (
-    AddedRow,
     ResampleError,
     StrategyOutcome,
     _PercSpec,
@@ -112,18 +111,23 @@ def _explicit_targets(spec: BumpPercSpec, bumps: Sequence[Bump], what: str,
     return targets
 
 
-def _bump_groups(bumps: Sequence[Bump], targets: Sequence[int],
-                 rare: bool | None = None) -> list[tuple]:
-    """Driver groups for every bump, in partition order.
+def _resample_bumps(ds: Dataset, part: BumpPartition, targets: Sequence[int],
+                    shrink: Callable, grow: Callable | None = None,
+                    warnings: list[str] | None = None,
+                    rare: bool | None = None) -> StrategyOutcome:
+    """The shrink/grow driver over every bump of ``part``, in partition order.
 
     ``targets`` covers the bumps of one side (``rare``) or all of them
-    (None); the other side keeps its size.
+    (None); the other side keeps its size.  The outcome keeps ``part``.
     """
     it = iter(targets)
-    return [
+    groups = [
         (b, b.indices, next(it) if rare is None or b.rare == rare else b.count)
-        for b in bumps
+        for b in part.bumps
     ]
+    out = _resample(ds, groups, shrink, grow, warnings)
+    out.partition = part
+    return out
 
 
 def rand_under_regress(
@@ -154,7 +158,7 @@ def rand_under_regress(
                 min(total_rare * total_rare // b.count, b.count) for b in normals
             ]
     rng = np.random.default_rng(seed)
-    return _resample(ds, _bump_groups(part.bumps, targets, rare=False), _sample(rng, repl))
+    return _resample_bumps(ds, part, targets, _sample(rng, repl), rare=False)
 
 
 def rand_over_regress(
@@ -182,8 +186,7 @@ def rand_over_regress(
             extras = [m * m // b.count for b in rares]
         targets = [b.count + extra for b, extra in zip(rares, extras)]
     rng = np.random.default_rng(seed)
-    return _resample(ds, _bump_groups(part.bumps, targets, rare=True), _sample(rng),
-                     _replicas(rng))
+    return _resample_bumps(ds, part, targets, _sample(rng), _replicas(rng), rare=True)
 
 
 def _mixed_bump_targets(spec: BumpPercSpec, part: BumpPartition,
@@ -231,8 +234,7 @@ def gauss_noise_regress(
             )
         return _noise_rows(ds, rng, pert, idx, extra)
 
-    return _resample(ds, _bump_groups(part.bumps, targets), _sample(rng, repl), grow,
-                     warnings)
+    return _resample_bumps(ds, part, targets, _sample(rng, repl), grow, warnings)
 
 
 def smoter(
@@ -290,8 +292,7 @@ def smoter(
         block[ds.target] = new_y
         return seeds, block
 
-    return _resample(ds, _bump_groups(part.bumps, targets), _sample(rng, repl), grow,
-                     warnings)
+    return _resample_bumps(ds, part, targets, _sample(rng, repl), grow, warnings)
 
 
 def _proportional(w: np.ndarray) -> np.ndarray | None:
@@ -347,7 +348,7 @@ def imp_samp_regress(
         def grow(_, idx, extra):
             return rng.choice(idx, size=extra, replace=True, p=_proportional(phi[idx])), None
 
-        return _resample(ds, _bump_groups(part.bumps, targets), shrink, grow)
+        return _resample_bumps(ds, part, targets, shrink, grow)
 
     u, o = params.u, params.o
     if u is None or o is None:
@@ -361,5 +362,4 @@ def imp_samp_regress(
     m = int(math.floor(o * total_phi))
     seeds = (rng.choice(ds.n_rows, size=m, p=phi / total_phi) if m > 0
              else np.empty(0, dtype=np.intp))
-    added = [AddedRow(s, synthetic=False) for s in seeds.tolist()]
-    return _outcome(ds, np.flatnonzero(~drop), [seeds], [], added)
+    return _outcome(ds, np.flatnonzero(~drop), [seeds], [], [(seeds, False)])

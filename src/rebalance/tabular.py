@@ -18,8 +18,12 @@ from them rest on that order.
 
 The CSV layer works column by column over blocks of ``BLOCK_ROWS``
 rows, so no buffer holds more than one block of records or output
-text.  Each column of a block is parsed or formatted at once; each
-category of a nominal column is quoted once, by ``csv.writer``.
+text.  Each column of a block is formatted at once; each category of
+a nominal column is quoted once, by ``csv.writer``.  The reader
+decides a column's kind once it holds all of its cells: one scan of
+the joined cells over the ASCII characters of number literals, then
+one ``float`` parse, decides most numeric columns; only other text is
+checked a cell at a time.
 """
 
 from __future__ import annotations
@@ -60,6 +64,9 @@ class ColumnKind(Enum):
 # number.  float() would also accept "inf", "nan" and "1_0"; those must
 # stay nominal, so parsing is regex-gated.
 _NUMERIC_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z")
+# the ASCII characters of those literals; over them float() accepts
+# exactly the strings _NUMERIC_RE accepts
+_LITERAL_CHARS_RE = re.compile(r"[0-9+\-.eE]*")
 
 # rows in one block of the CSV reader and writer; neither holds more
 # records or output text than one block at a time
@@ -67,7 +74,11 @@ BLOCK_ROWS = 1 << 11
 
 
 def parses_as_number(text: str) -> bool:
-    """True if ``text`` is a finite real literal (sign/scientific ok)."""
+    """True if ``text`` is a plain or scientific real literal, sign allowed.
+
+    Decimal digits of any script count, and so does a literal too large
+    for a float, such as ``1e999``: it reads as infinity.
+    """
     return bool(_NUMERIC_RE.match(text))
 
 
@@ -278,9 +289,10 @@ def read_dataset(
 
     Empty fields are missing cells.  Column kinds are taken from
     ``schema`` where given, each a ``ColumnKind``, and inferred
-    otherwise: a column is Numeric iff every non-empty cell parses as a
-    finite real number.  A missing cell in the target column is an
-    error.
+    otherwise: a column is Numeric iff every non-empty cell is a plain
+    or scientific real literal (``parses_as_number``; one too large for
+    a float reads as infinity).  A missing cell in the target column is
+    an error.
     """
     fh, owned = _open_source(source)
     try:
@@ -318,26 +330,44 @@ def read_dataset(
 
     columns = []
     for name, raw in zip(header, cells):
-        non_empty = list(filter(None, raw))
+        has_empty = "" in raw
+        non_empty = list(filter(None, raw)) if has_empty else raw
         declared = schema.get(name) if schema else None
-        numeric = declared is not ColumnKind.NOMINAL and all(map(_NUMERIC_RE.match, non_empty))
-        if declared is ColumnKind.NUMERIC and not numeric:
+        numbers = None if declared is ColumnKind.NOMINAL else _numbers(non_empty)
+        if declared is ColumnKind.NUMERIC and numbers is None:
             bad = next(v for v in non_empty if not parses_as_number(v))
             raise TabularError(f"column {name!r} declared numeric but cell {bad!r} is not")
-        if name == target and len(non_empty) < len(raw):
+        if name == target and has_empty:
             raise TabularError("missing value in the target column")
-        if numeric:
-            present = np.fromiter(map(bool, raw), dtype=bool, count=len(raw))
-            values = np.full(len(raw), np.nan)
-            values[present] = np.fromiter(map(float, non_empty), dtype=np.float64,
-                                          count=len(non_empty))
-            categories = ()
-        else:
+        categories = ()
+        if numbers is None:
             values, categories = _codes(raw, "")
-        kind = ColumnKind.NUMERIC if numeric else ColumnKind.NOMINAL
+        elif has_empty:
+            values = np.full(len(raw), np.nan)
+            values[np.fromiter(map(bool, raw), dtype=bool, count=len(raw))] = numbers
+        else:
+            values = numbers
+        kind = ColumnKind.NOMINAL if numbers is None else ColumnKind.NUMERIC
         columns.append(Column._of(name, kind, values, categories))
         raw.clear()  # the column's text goes before the next is parsed
     return Dataset(columns, target)
+
+
+def _numbers(cells: list[str]) -> np.ndarray | None:
+    """The float64 values of ``cells`` if each is a number literal, else None.
+
+    One scan of the joined cells decides a column of ASCII literals:
+    over their characters ``float`` accepts exactly what ``_NUMERIC_RE``
+    accepts, so a ValueError means some cell is not a literal.  Other
+    text, such as non-ASCII digits or labels, goes through
+    ``_NUMERIC_RE`` a cell at a time, up to the first cell it rejects.
+    """
+    if not (_LITERAL_CHARS_RE.fullmatch("".join(cells)) or all(map(_NUMERIC_RE.match, cells))):
+        return None
+    try:
+        return np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+    except ValueError:
+        return None
 
 
 def _read_block(reader, width: int, lineno: int) -> list[list[str]]:

@@ -16,6 +16,7 @@ import re
 
 import numpy as np
 
+from rebalance.classif import AddedRow
 from rebalance.tabular import Column, ColumnKind, Dataset, TabularError
 
 
@@ -452,6 +453,11 @@ def imp_samp_mode_a_oracle(phi, bumps, targets, seed):
 _NUMBER = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z")
 
 
+def numeric_cells_oracle(cells):
+    """The reader's old kind check: every cell matches the literal regex."""
+    return all(_NUMBER.match(v) for v in cells)
+
+
 def read_dataset_oracle(fh, target, schema=None):
     """The row-wise CSV reader: every record, then column by column.
 
@@ -515,3 +521,36 @@ def write_rows_oracle(ds, fh):
             else:
                 row.append("" if v is None else v)
         writer.writerow(row)
+
+
+def driver_added_oracle(n_rows, groups, shrunk, grown):
+    """The added rows as the shrink/grow driver listed them, one
+    ``AddedRow`` at a time.
+
+    ``groups`` holds (row indices, target) per group in order;
+    ``shrunk`` the rows the shrink callback kept for each group above
+    its target, and ``grown`` (seed rows, synthetic) for each group the
+    grow callback added to, both in group order.  The extra copies of a
+    row kept more than once come first, by row, then each grown group's
+    seeds.
+    """
+    parts = iter(shrunk)
+    kept = []
+    for idx, t in groups:
+        kept += list(next(parts)) if t < len(idx) else list(idx)
+    times = [0] * n_rows
+    for i in kept:
+        times[i] += 1
+    copies = [AddedRow(i, synthetic=False) for i in range(n_rows) for _ in range(times[i] - 1)]
+    return copies + [AddedRow(int(s), synthetic=flag) for seeds, flag in grown for s in seeds]
+
+
+def imp_samp_mode_b_added_oracle(phi, u, o, seed):
+    """The added rows of importance sampling's mode B: after one drop
+    draw per row, trunc(o * sum(phi)) replicas drawn with weights phi.
+    """
+    rng = np.random.default_rng(seed)
+    rng.random(len(phi))  # the drop draw
+    m = math.floor(o * phi.sum())
+    seeds = rng.choice(len(phi), size=m, p=phi / phi.sum()) if m > 0 else []
+    return [AddedRow(int(s), synthetic=False) for s in seeds]

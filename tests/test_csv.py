@@ -82,10 +82,13 @@ def test_writer_matches_row_writer(ds):
     assert dataset_to_csv_bytes(ds) == want.getvalue().encode("utf-8")
 
 
-# cells that are numbers, are not, or are missing
+# cells that are numbers, are not, or are missing; some use only the
+# characters of number literals without being one, some hold digits
+# that are not ASCII or a leading separator that float() would strip
 CELLS = st.sampled_from(
     ["", "1", "-2.5", "+.5", "3e-2", "7.", "-0.0", "5e-324", "1e999", "inf", "nan", "1_0",
-     "0x10", " 1", "a", "Z", "ä", "a,b", 'q"', "x\r\ny"]
+     "0x10", " 1", "a", "Z", "ä", "a,b", 'q"', "x\r\ny",
+     "1-2", "1e5.5", ".e5", "e5", "+-1", "1e", ".", "١٢", "\x1c1"]
 )
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rebalance import (
@@ -15,6 +15,7 @@ from rebalance import (
     Dataset,
     TabularError,
     class_counts,
+    gen_imbr,
     read_dataset,
     write_dataset,
 )
@@ -338,3 +339,40 @@ def test_writer_memory_is_bounded_by_one_block():
     # a block's fields and text take a few hundred bytes a row; the
     # whole table's would take about 36 MiB
     assert peak < tabular.BLOCK_ROWS * 1024
+
+
+# the characters of number literals, then text that float() reads but
+# the literal regex does not, or that neither reads
+GATE_CELLS = st.text(st.sampled_from([*"0123456789+-.eE", *" _inIN", "١", "２", "\x1c"]),
+                     min_size=1, max_size=6)
+
+
+@settings(max_examples=500, deadline=None)
+@given(cells=st.lists(GATE_CELLS | st.sampled_from(["1", "-2.5", "+.5", "3e-2", "1e999", "١٢"]),
+                      max_size=6))
+@example(cells=["1", "\x1c2"])
+@example(cells=["1", "1_0"])
+@example(cells=["١", "2e5"])
+def test_column_check_matches_the_cell_regex(cells):
+    numbers = tabular._numbers(cells)
+    assert (numbers is not None) == oracle.numeric_cells_oracle(cells)
+    if numbers is not None:
+        assert numbers.tobytes() == np.array([float(c) for c in cells]).tobytes()
+
+
+def test_numeric_columns_skip_the_cell_regex(tmp_path, monkeypatch):
+    """Reading a table of ASCII numbers calls the per-cell regex on no cell."""
+    path = tmp_path / "imbr.csv"
+    write_dataset(gen_imbr(5_000, seed=0), path)
+    cells = []
+
+    class CountingRegex:
+        def match(self, text):
+            cells.append(text)
+            return real.match(text)
+
+    real = tabular._NUMERIC_RE
+    monkeypatch.setattr(tabular, "_NUMERIC_RE", CountingRegex())
+    ds = read_dataset(path, target="Tgt")
+    assert [c.kind for c in ds.columns] == [ColumnKind.NUMERIC] * 3
+    assert cells == []
