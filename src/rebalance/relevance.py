@@ -45,6 +45,10 @@ __all__ = [
 ]
 
 
+# values evaluated at once; the cubic's temporaries are this long
+SLICE_VALUES = 1 << 12
+
+
 class RelevanceError(ValueError):
     """Raised for unusable control points or target values."""
 
@@ -105,28 +109,34 @@ class RelevanceFn:
     def __call__(self, y):
         values = np.asarray(y, dtype=np.float64)
         scalar = values.ndim == 0
-        values = np.atleast_1d(values)
+        out = np.atleast_1d(values).copy()
+        flat = out.reshape(-1)  # a view: the copy is contiguous
+        for lo in range(0, len(flat), SLICE_VALUES):
+            self._evaluate(flat[lo:lo + SLICE_VALUES])
+        np.clip(out, 0.0, 1.0, out=out)
+        return float(out[0]) if scalar else out
+
+    def _evaluate(self, values: np.ndarray) -> None:
+        """Overwrite ``values``, a 1-d slice, with their relevance, unclipped."""
         ys, phis, m = self.ys, self.phis, self.slopes
         # constant beyond the outer control points (a NaN stays NaN);
         # the cubic is evaluated strictly between them only
-        out = values.copy()
-        out[values <= ys[0]] = phis[0]
-        out[values >= ys[-1]] = phis[-1]
+        low, high = values <= ys[0], values >= ys[-1]
         inner = (values > ys[0]) & (values < ys[-1])
         x = values[inner]
+        values[low] = phis[0]
+        values[high] = phis[-1]
         seg = np.searchsorted(ys, x, side="right") - 1
         h = ys[seg + 1] - ys[seg]
         t = (x - ys[seg]) / h
         t2 = t * t
         t3 = t2 * t
-        out[inner] = (
+        values[inner] = (
             phis[seg] * (2 * t3 - 3 * t2 + 1)
             + m[seg] * h * (t3 - 2 * t2 + t)
             + phis[seg + 1] * (-2 * t3 + 3 * t2)
             + m[seg + 1] * h * (t3 - t2)
         )
-        out = np.clip(out, 0.0, 1.0)
-        return float(out[0]) if scalar else out
 
 
 def build_relevance_range(points) -> RelevanceFn:
@@ -247,7 +257,7 @@ def find_bumps(ds: Dataset, fn: RelevanceFn, thr_rel: float) -> BumpPartition:
     y = col.values
     if np.any(np.isnan(y)):
         raise RelevanceError("missing value in the target column")
-    order = np.lexsort((np.arange(len(y)), y))
+    order = np.argsort(y, kind="stable")
     rare = fn(y[order]) >= thr_rel
     starts = np.flatnonzero(rare[1:] != rare[:-1]) + 1
     runs = np.split(order, starts) if len(order) else []

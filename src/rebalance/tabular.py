@@ -20,10 +20,13 @@ The CSV layer works column by column over blocks of ``BLOCK_ROWS``
 rows, so no buffer holds more than one block of records or output
 text.  Each column of a block is formatted at once; each category of
 a nominal column is quoted once, by ``csv.writer``.  The reader
-decides a column's kind once it holds all of its cells: one scan of
-the joined cells over the ASCII characters of number literals, then
-one ``float`` parse, decides most numeric columns; only other text is
-checked a cell at a time.
+parses and codes each column of a block while the block's records
+are alive, and keeps no cell as its own string: one scan of the
+block's joined cells over the ASCII characters of number literals,
+then one ``float`` parse, decides most numeric blocks, and only other
+text is checked a cell at a time.  A column numeric so far also keeps
+each block's text, one joined string and the cells' lengths, so that
+it can be coded from its own spelling if a later block holds a label.
 """
 
 from __future__ import annotations
@@ -216,14 +219,12 @@ class Dataset:
         for c in self.columns:
             # only the new cells are converted, by a Column of their own
             new = Column(c.name, c.kind, block[c.name])
-            cats = tuple(sorted({*c.categories, *new.categories}))
-            parts = [c.values, new.values]
             if c.kind is ColumnKind.NOMINAL:
-                # both sides' codes into the merged categories
-                pos = {v: i for i, v in enumerate(cats)}
-                parts = [np.array([*map(pos.get, col.categories), -1])[col.values]
-                         for col in (c, new)]
-            out.append(Column._of(c.name, c.kind, np.concatenate(parts), cats))
+                values, cats = _merge_codes([(c.values, c.categories),
+                                             (new.values, new.categories)])
+            else:
+                values, cats = np.concatenate([c.values, new.values]), ()
+            out.append(Column._of(c.name, c.kind, values, cats))
         return Dataset(out, self.target)
 
     def row(self, i: int, feature_only: bool = True) -> tuple:
@@ -316,53 +317,117 @@ def read_dataset(
                     raise TabularError(
                         f"schema gives column {name!r} the kind {kind!r}, not a ColumnKind"
                     )
-        cells: list[list[str]] = [[] for _ in header]
+        columns = [_ColumnReader(name, schema.get(name) if schema else None, name == target)
+                   for name in header]
         lineno = 2
         while records := _read_block(reader, len(header), lineno):
-            for col, block in zip(cells, zip(*records)):
-                col.extend(block)
+            for col, cells in zip(columns, zip(*records)):
+                col.add(cells)
             lineno += len(records)
+            del records, cells  # before the next block is read
     except UnicodeDecodeError as exc:
         raise TabularError(f"input is not UTF-8 text: {exc}") from None
     finally:
         if owned:
             fh.close()
 
-    columns = []
-    for name, raw in zip(header, cells):
-        has_empty = "" in raw
-        non_empty = list(filter(None, raw)) if has_empty else raw
-        declared = schema.get(name) if schema else None
-        numbers = None if declared is ColumnKind.NOMINAL else _numbers(non_empty)
-        if declared is ColumnKind.NUMERIC and numbers is None:
-            bad = next(v for v in non_empty if not parses_as_number(v))
-            raise TabularError(f"column {name!r} declared numeric but cell {bad!r} is not")
-        if name == target and has_empty:
+    # column errors wait for the end of the file, where a ragged row or
+    # a read error anywhere has been raised first
+    for col in columns:
+        if col.bad is not None:
+            raise TabularError(
+                f"column {col.name!r} declared numeric but cell {col.bad!r} is not"
+            )
+        if col.is_target and col.has_empty:
             raise TabularError("missing value in the target column")
-        categories = ()
-        if numbers is None:
-            values, categories = _codes(raw, "")
-        elif has_empty:
-            values = np.full(len(raw), np.nan)
-            values[np.fromiter(map(bool, raw), dtype=bool, count=len(raw))] = numbers
-        else:
-            values = numbers
-        kind = ColumnKind.NOMINAL if numbers is None else ColumnKind.NUMERIC
-        columns.append(Column._of(name, kind, values, categories))
-        raw.clear()  # the column's text goes before the next is parsed
-    return Dataset(columns, target)
+    return Dataset([col.column() for col in columns], target)
 
 
-def _numbers(cells: list[str]) -> np.ndarray | None:
+class _ColumnReader:
+    """One CSV column, parsed and coded a block of cells at a time.
+
+    A column not declared nominal is numeric while each block's cells
+    are number literals (``_numbers``); it keeps each block's floats
+    and, unless declared numeric, the block's text as one joined string
+    and an int32 array of cell lengths.  A block holding a label makes
+    it nominal: the kept text is coded block by block, so each label
+    keeps its spelling.  A nominal column keeps each block's codes and
+    categories from ``_codes``.  A declared-numeric column keeps its
+    first cell that is not a number in ``bad`` and reads no further.
+    """
+
+    __slots__ = ("name", "declared", "is_target", "numeric", "has_empty", "bad",
+                 "floats", "texts", "codes")
+
+    def __init__(self, name: str, declared: ColumnKind | None, is_target: bool) -> None:
+        self.name, self.declared, self.is_target = name, declared, is_target
+        self.numeric = declared is not ColumnKind.NOMINAL
+        self.has_empty = False
+        self.bad: str | None = None
+        self.floats: list[np.ndarray] = []
+        self.texts: list[tuple[str, np.ndarray]] = []
+        self.codes: list[tuple[np.ndarray, tuple[str, ...]]] = []
+
+    def add(self, cells: tuple[str, ...]) -> None:
+        if self.bad is not None:
+            return
+        has_empty = "" in cells
+        self.has_empty |= has_empty
+        if self.numeric:
+            text = "".join(cells)
+            present = list(filter(None, cells)) if has_empty else cells
+            numbers = _numbers(present, text)
+            if numbers is not None:
+                lengths = np.fromiter(map(len, cells), dtype=np.int32, count=len(cells))
+                if has_empty:
+                    values = np.full(len(cells), np.nan)
+                    values[lengths > 0] = numbers
+                    numbers = values
+                self.floats.append(numbers)
+                if self.declared is None:
+                    self.texts.append((text, lengths))
+                return
+            if self.declared is ColumnKind.NUMERIC:
+                self.bad = next(v for v in present if not parses_as_number(v))
+                return
+            self.numeric = False
+            for joined, lengths in self.texts:
+                ends = np.cumsum(lengths).tolist()
+                self.codes.append(_codes([joined[a - n:a] for a, n in zip(ends, lengths.tolist())], ""))
+            self.floats, self.texts = [], []
+        self.codes.append(_codes(cells, ""))
+
+    def column(self) -> Column:
+        """The column read; the reader lets go of its blocks."""
+        floats, codes = self.floats, self.codes
+        self.floats = self.texts = self.codes = []
+        if self.numeric:
+            return Column._of(self.name, ColumnKind.NUMERIC, np.concatenate([*floats, np.empty(0)]))
+        return Column._of(self.name, ColumnKind.NOMINAL, *_merge_codes(codes))
+
+
+def _merge_codes(parts) -> tuple[np.ndarray, tuple[str, ...]]:
+    """One column from blocks of (codes, categories): each block's codes
+    into the union of their categories, in ``sorted()`` order."""
+    categories = tuple(sorted(set().union(*(cats for _, cats in parts))))
+    pos = {v: i for i, v in enumerate(categories)}
+    # code -1, a missing cell, picks the trailing -1
+    values = [np.array([*map(pos.__getitem__, cats), -1], dtype=np.intp)[codes]
+              for codes, cats in parts]
+    return np.concatenate([*values, np.empty(0, dtype=np.intp)]), categories
+
+
+def _numbers(cells: Sequence[str], text: str) -> np.ndarray | None:
     """The float64 values of ``cells`` if each is a number literal, else None.
 
-    One scan of the joined cells decides a column of ASCII literals:
-    over their characters ``float`` accepts exactly what ``_NUMERIC_RE``
-    accepts, so a ValueError means some cell is not a literal.  Other
-    text, such as non-ASCII digits or labels, goes through
-    ``_NUMERIC_RE`` a cell at a time, up to the first cell it rejects.
+    ``text`` is the cells joined.  One scan of it decides cells that
+    are ASCII literals: over their characters ``float`` accepts exactly
+    what ``_NUMERIC_RE`` accepts, so a ValueError means some cell is
+    not a literal.  Other text, such as non-ASCII digits or labels,
+    goes through ``_NUMERIC_RE`` a cell at a time, up to the first cell
+    it rejects.
     """
-    if not (_LITERAL_CHARS_RE.fullmatch("".join(cells)) or all(map(_NUMERIC_RE.match, cells))):
+    if not (_LITERAL_CHARS_RE.fullmatch(text) or all(map(_NUMERIC_RE.match, cells))):
         return None
     try:
         return np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))

@@ -289,6 +289,30 @@ def cnn_full_matrix_oracle(d, labels, kept):
             kept[i] = True
 
 
+def relevance_oracle(fn, y):
+    """Relevance of the values ``y`` from one evaluation of the cubic
+    over all of them, clipped to [0, 1]."""
+    values = np.atleast_1d(np.asarray(y, dtype=np.float64))
+    ys, phis, m = fn.ys, fn.phis, fn.slopes
+    out = values.copy()
+    out[values <= ys[0]] = phis[0]
+    out[values >= ys[-1]] = phis[-1]
+    inner = (values > ys[0]) & (values < ys[-1])
+    x = values[inner]
+    seg = np.searchsorted(ys, x, side="right") - 1
+    h = ys[seg + 1] - ys[seg]
+    t = (x - ys[seg]) / h
+    t2 = t * t
+    t3 = t2 * t
+    out[inner] = (
+        phis[seg] * (2 * t3 - 3 * t2 + 1)
+        + m[seg] * h * (t3 - 2 * t2 + t)
+        + phis[seg + 1] * (-2 * t3 + 3 * t2)
+        + m[seg + 1] * h * (t3 - t2)
+    )
+    return np.clip(out, 0.0, 1.0)
+
+
 def find_bumps_loop_oracle(y, phi, thr_rel):
     """Bumps as the plain per-row loop cuts them.
 

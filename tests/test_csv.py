@@ -128,6 +128,21 @@ def outcome(read, text, target, schema):
 @example(case=("a,cls\n1,p\nx,\n1,p,3\n", "cls", {"a": ColumnKind.NUMERIC}))
 @example(case=("a,cls\nx,p\n2,\n", "cls", {"a": ColumnKind.NUMERIC}))
 @example(case=("cls\r\n\"\"\r\n", "cls", None))
+# numeric for several blocks, then a label: the earlier cells keep
+# their spelling as labels
+@example(case=("a,cls\n" + "1.50,p\n+2,q\n1e999,p\n,q\n-0.0,p\n" * 4 + "x,p\n", "cls", None))
+# a declared-numeric bad cell, or a missing target cell, in a later block
+@example(case=("a,cls\n" + "1,p\n" * 9 + "x,p\n", "cls", {"a": ColumnKind.NUMERIC}))
+@example(case=("a,cls\n" + "1,p\n" * 9 + "2,\n", "cls", None))
+# both, in either column order, and both in the target column
+@example(case=("a,cls\n" + "1,p\n" * 9 + "2,\n" + "1,p\n" * 8 + "x,p\n", "cls",
+               {"a": ColumnKind.NUMERIC}))
+@example(case=("cls,a\n" + "p,1\n" * 9 + ",2\n" + "p,1\n" * 8 + "p,x\n", "cls",
+               {"a": ColumnKind.NUMERIC}))
+@example(case=("y\n" + "1\n" * 9 + "\"\"\n" + "2\n" * 8 + "x\n", "y",
+               {"y": ColumnKind.NUMERIC}))
+# a bad cell, then a ragged row some blocks on
+@example(case=("a,cls\nx,p\n" + "1,p\n" * 9 + "1\n", "cls", {"a": ColumnKind.NUMERIC}))
 def test_reader_matches_row_reader(case):
     got = outcome(read_dataset, *case)
     want = outcome(oracle.read_dataset_oracle, *case)
@@ -169,3 +184,9 @@ def test_ragged_row_is_reported_ahead_of_a_later_read_error():
 def test_read_error_is_reported_ahead_of_a_later_ragged_row():
     with pytest.raises(tabular.TabularError, match="input is not UTF-8 text"):
         read_dataset(lines_then_bad_byte(["a,cls\r\n", "1,p\r\n"]), target="cls")
+
+
+def test_read_error_is_reported_ahead_of_earlier_column_errors():
+    source = lines_then_bad_byte(["a,cls\r\n", "x,p\r\n", "1,\r\n"])
+    with pytest.raises(tabular.TabularError, match="input is not UTF-8 text"):
+        read_dataset(source, target="cls", schema={"a": ColumnKind.NUMERIC})

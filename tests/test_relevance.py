@@ -1,3 +1,6 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from rebalance import (
     find_bumps,
     gen_imbr,
 )
+import rebalance.relevance as relevance
 
 import _oracles as oracle
 from _toys import regression_ds
@@ -297,7 +301,7 @@ def test_find_bumps_needs_numeric_target():
         find_bumps(ds, fn, 0.5)
 
 
-TIED = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 8.0])
+TIED = st.sampled_from([-1.0, -0.0, 0.0, 5e-324, 0.5, 1.0, 2.0, 3.0, 8.0])
 
 
 @settings(max_examples=200, deadline=None)
@@ -315,3 +319,50 @@ def test_find_bumps_matches_loop_oracle(y, points, thr):
     part = find_bumps(regression_ds(y), fn, thr)
     got = [(b.rare, b.indices.tolist(), b.y_low, b.y_high) for b in part.bumps]
     assert got == oracle.find_bumps_loop_oracle(y, fn(np.array(y, dtype=float)), thr)
+    # rows in target order, ties (-0.0 and 0.0 among them) by row
+    order = np.lexsort((np.arange(len(y)), np.array(y, dtype=float)))
+    assert [i for b in part.bumps for i in b.indices.tolist()] == order.tolist()
+
+
+# ----------------------------------------------- sliced evaluation, memory
+
+@settings(max_examples=100, deadline=None)
+@given(
+    y=st.lists(TIED | st.floats(-12, 12) | st.just(np.nan), min_size=1, max_size=40),
+    points=st.lists(
+        st.tuples(st.floats(-12, 12), st.floats(0, 1), st.floats(-5, 5)),
+        min_size=2, max_size=6, unique_by=lambda p: p[0],
+    ),
+    slice_values=st.sampled_from([1, 7]),
+)
+def test_sliced_evaluation_equals_one_shot(y, points, slice_values):
+    fn = build_relevance_range(points)
+    with mock.patch.object(relevance, "SLICE_VALUES", slice_values):
+        got = fn(np.array(y))
+    assert got.tobytes() == oracle.relevance_oracle(fn, y).tobytes()
+
+
+def test_sliced_evaluation_equals_one_shot_over_many_slices():
+    rng = np.random.default_rng(5)
+    y = rng.uniform(-2, 12, 3 * relevance.SLICE_VALUES + 17)
+    y[::97] = np.nan
+    y[::89] = 6.0  # a control point
+    fn = build_relevance_range(WAVE)
+    assert fn(y).tobytes() == oracle.relevance_oracle(fn, y).tobytes()
+    assert fn(y.reshape(5, -1)).tobytes() == fn(y).tobytes()
+
+
+def test_find_bumps_memory_is_bounded():
+    n = 200_000
+    y = np.random.default_rng(0).normal(size=n)
+    ds = regression_ds(y, features={})
+    fn = build_relevance_extremes(y)
+    tracemalloc.start()
+    try:
+        find_bumps(ds, fn, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the order, the sorted targets, their relevance and the rare flags
+    # take 25 bytes a row; the cubic over all rows at once takes about 104
+    assert peak < n * 40
