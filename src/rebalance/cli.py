@@ -415,6 +415,8 @@ def run(argv: list[str]) -> int:
             return 0
 
         ds = read_dataset(args.input, target=args.target)
+        if not ds.n_rows:
+            raise TabularError(f"{args.input} has a header but no data rows")
         out, params, extra = _dispatch(args, ds)
 
         write_dataset(out.dataset, args.output)

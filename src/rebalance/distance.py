@@ -32,46 +32,44 @@ with two 1-D ``take``s, one for the query rows' table rows and one for
 the candidate columns.
 
 The neighbour engine (``nearest`` and ``knn_table``) never holds the
-full n x m distance matrix.  It walks the query rows sorted by one
-numeric feature and measures each chunk of consecutive sorted rows
-only against the slice of candidates, sorted the same way, that this
-feature cannot rule out (projection pruning after Friedman, Baskett
-and Shustek 1975):
+full n x m distance matrix.  It splits the candidates (cols) into k-d
+leaves, level by level at the median of the numeric feature that
+spreads widest over a node in units of its scale, and keeps each leaf's
+per-feature box (Friedman, Bentley and Finkel 1977).  Query rows go in
+chunks: subtrees of the same tree, or leaves of a tree over the rows
+when they are not the candidates.  A chunk is measured first against
+the leaves its own box touches and the nearest few others; then each
+row's k-th distance so far rules out every leaf whose bound from the
+row lies strictly above it, and the leaves left are measured, nearest
+first, for the rows that need them, tightening the k-th distances as
+they go.  Only the columns each block adds are measured, and each
+block is reduced once, to each row's nearest or k nearest; the lists
+are merged by distance, then position.
 
-- The chunk is first measured against a window of sorted candidates
-  around it.  Each row's k-th distance in the window bounds its k-th
-  distance overall.
-- A candidate whose term in the sort feature alone exceeds that bound
-  cannot be among the row's k nearest.  Every term is >= 0, and IEEE
-  subtract, divide, square, add, ``maximum``, ``sqrt`` and the
-  minkowsky power are monotone, so a distance is never below the same
-  operations applied to one of its terms.  The term grows with the gap
-  in the feature, so the candidates left form one slice per row.
-- A radius in feature units (the bound times the feature's range, 4 sd
-  or 1) guesses the slice with ``searchsorted``.  The cut is then
-  decided in term space, with the kernel's own operations, on the first
-  candidate outside it on each side: only a term strictly ``>`` the
-  bound ends the slice there, else the slice runs to that end.  So the
-  slice may be wider than needed but never narrower, also where
-  ``gap / scale`` underflows to 0 while the gap is not 0.
-- When the chunk's slice lies inside the window, the window's block
-  already holds the answer; otherwise the slice is measured.  A block's
-  candidates are in position order, so the reductions' "earlier column
-  wins" is "lower position wins".
+The bound is exact:
 
-The sort feature is the numeric one whose values spread widest in units
-of its scale.  On wider data a single feature bounds the distance less
-tightly than on ``gen imbc``'s one numeric feature, and the walk prunes
-less.  The walk is left out, and every candidate measured in position
-order, where the bound would not be exact: under canberra; under
-overlap, or with no numeric feature of finite positive scale; wherever
-a distance could be NaN (a plain metric with a missing cell, an
-infinite cell, a scale that overflowed); and for rows missing the sort
-feature.  Candidates missing it join every block.  No block holds more
-than ``BLOCK_PAIRS`` distances (one row when a single row is wider),
-and each is reduced at once to each row's nearest candidate or k
-nearest candidates, so peak memory is O(BLOCK_PAIRS + n*k) rather than
-O(n*m).  On equal distance the candidate listed first wins.
+- Per numeric feature, the gap between a row's cell and a leaf's box,
+  ``max(lo - x, x - hi, 0)``, never exceeds the difference to any cell
+  in the box, since IEEE subtraction is monotone.  The kernel's own
+  operations (subtract, divide, square, add, ``maximum``, ``sqrt``, the
+  minkowsky power) are monotone too, so the bound never exceeds a true
+  distance; it is shrunk by a factor of 1 - 2^-20 against a last-bit
+  difference in a power.  A term that underflows to 0 bounds by 0.
+- Nominal features add nothing, and a feature takes no bound from a
+  row missing it or from a leaf with a missing cell in it: under HVDM
+  a gap over 4 sd would exceed the term of 1 a missing cell gets.
+- Only a bound strictly ``>`` the k-th distance rules a leaf out, so a
+  candidate tying it is measured and the lower position wins.
+
+The walk is left out, and every candidate measured in position order,
+where the bound would not be exact: under canberra; under overlap, or
+with no numeric feature that spreads on a finite positive scale; and
+wherever a distance could be NaN (a plain metric with a missing cell,
+an infinite cell, a scale that overflowed).  No block holds more than
+``BLOCK_PAIRS`` distances (one row when a single row is wider), so
+peak memory is O(BLOCK_PAIRS + n*k) plus bounds of one chunk against
+the leaves, rather than O(n*m).  On equal distance the candidate listed
+first wins.
 
 The plain metrics give a NaN distance when a cell is missing, and the
 two reductions order NaN the way their dense forms always did:
@@ -116,6 +114,11 @@ SQUARED = ("euclidean", "heom", "hvdm")
 # two float64 buffers of this size (canberra a third) and, for nominal
 # mismatches, one bool buffer: 17 B per pair, 24 B under canberra
 BLOCK_PAIRS = 1 << 18
+# the k-d walk's candidate leaves hold at most LEAF_ROWS cols; a query
+# chunk spans about CHUNK_ROWS cols, and its first block adds the
+# nearest leaves that hold CHUNK_ROWS more per numeric feature bounded
+LEAF_ROWS = 16
+CHUNK_ROWS = 64
 
 
 class MetricError(ValueError):
@@ -398,21 +401,22 @@ def _scale(metric: Metric, ctx: MetricContext, j: int) -> float:
     return ctx.four_sd[j] if metric.name == "hvdm" else 1.0
 
 
-def _sort_feature(metric: Metric, ctx: MetricContext, rows: np.ndarray,
-                  cols: np.ndarray) -> int | None:
-    """The numeric feature the engine prunes by, or None.
+def _bounded_features(metric: Metric, ctx: MetricContext, rows: np.ndarray,
+                      cols: np.ndarray) -> list[int] | None:
+    """The numeric features the k-d walk bounds distances by, or None.
 
-    None where pruning would not be exact: under canberra, with no
-    numeric feature of finite positive scale, and wherever a distance
-    could be NaN (a plain metric with a missing cell, an infinite cell,
-    a HEOM or HVDM scale that overflowed).  Otherwise the feature whose
-    values over rows and cols spread widest in units of its scale.
+    None where pruning would not be exact: under canberra, wherever a
+    distance could be NaN (a plain metric with a missing cell, an
+    infinite cell, a HEOM or HVDM scale that overflowed), and where no
+    numeric feature spreads over rows and cols on a finite positive
+    scale.
     """
     if metric.name == "canberra":
         return None
-    best, widest = None, 0.0
+    both = np.concatenate([rows, cols])
+    feats = []
     for j, values in ctx.num_values.items():
-        vals = values[np.concatenate([rows, cols])]
+        vals = values[both]
         scale = _scale(metric, ctx, j)
         if metric.name in PLAIN_METRICS:
             if not np.isfinite(vals).all():
@@ -420,113 +424,195 @@ def _sort_feature(metric: Metric, ctx: MetricContext, rows: np.ndarray,
         elif np.isinf(vals).any() or not scale < np.inf:
             return None
         vals = vals[~np.isnan(vals)]
-        if scale > 0 and len(vals) and (vals.max() - vals.min()) / scale > widest:
-            best, widest = j, (vals.max() - vals.min()) / scale
-    return best
+        if scale > 0 and len(vals) and vals.max() > vals.min():
+            feats.append(j)
+    return feats or None
 
 
-def _row_chunks(metric: Metric, ctx: MetricContext, rows: np.ndarray,
-                cols: np.ndarray | None = None, k: int = 1):
-    """Yield (q, c, block): the distances of the rows at positions q
-    against the cols at positions c, c ascending.
+def _kd_leaves(metric: Metric, ctx: MetricContext, feats: list[int],
+               idx: np.ndarray, size: int):
+    """Split ``idx`` into k-d leaves of at most ``size`` rows, or two
+    where a leaf of one would leave another empty.
 
-    Every row is in exactly one q, and its c holds every col at or
-    below its k-th distance.  With ``cols`` omitted, rows are measured
-    against themselves and each row's distance to itself is infinite.
+    Level by level, every node splits at the median of the feature whose
+    values spread widest over it in units of ``_scale``.  Returns the
+    positions in ``idx`` leaf by leaf, the leaves' bounds into that
+    order, and their boxes, (features, leaves) arrays of per-feature
+    minima and maxima; a leaf missing a cell of a feature has a NaN box
+    in it.
+    """
+    m = len(idx)
+    depth = 0
+    while -(-m // (1 << depth)) > size and 2 << depth <= m:
+        depth += 1
+    vals = np.array([ctx.num_values[j][idx] for j in feats])
+    scale = np.array([[_scale(metric, ctx, j)] for j in feats])
+    # each cell's place in its feature's order, missing cells last
+    rank = np.empty(vals.size, dtype=np.intp)
+    rank[np.argsort(vals, axis=1) + np.arange(0, vals.size, m)[:, None]] = np.arange(m)
+    perm = np.arange(m)
+    by = np.array([-1])  # the feature each node is sorted by
+    for level in range(depth):
+        starts = np.arange(1 << level) * m >> level
+        v = vals[:, perm]
+        with np.errstate(over="ignore"):
+            spread = (np.fmax.reduceat(v, starts, axis=1)
+                      - np.fmin.reduceat(v, starts, axis=1)) / scale
+        widest = np.where(spread >= 0, spread, -1.0).argmax(axis=0)
+        if (widest != by).any():
+            node = np.repeat(np.arange(1 << level), np.diff(starts, append=m))
+            perm = perm[np.argsort(node * m + rank[widest[node] * m + perm])]
+        by = np.repeat(widest, 2)  # a sorted node's halves stay sorted
+    bounds = np.arange((1 << depth) + 1) * m >> depth
+    v = vals[:, perm]
+    lo = np.minimum.reduceat(v, bounds[:-1], axis=1)
+    hi = np.maximum.reduceat(v, bounds[:-1], axis=1)
+    return perm, bounds, lo, hi
+
+
+def _box_bound(metric: Metric, ctx: MetricContext, feats: list[int],
+               lo, hi, x_lo, x_hi) -> np.ndarray:
+    """A lower bound on the distance between a row in the box [x_lo,
+    x_hi] and a row in the box [lo, hi].
+
+    The boxes are (features, ...) arrays over the bounded features that
+    broadcast together.  Per feature, the gap between the boxes,
+    ``max(lo - x_hi, x_lo - hi, 0)``, goes through the kernel's own
+    operations.  A difference of cells never lies below its gap and
+    those operations are monotone, so the term never exceeds the true
+    term; nominal features add nothing, and a NaN box (a missing cell)
+    leaves a gap of 0.
+    """
+    acc = None
+    with np.errstate(over="ignore"):  # an infinite bound is still a bound
+        for f, j in enumerate(feats):
+            gap = np.fmax(np.fmax(lo[f] - x_hi[f], x_lo[f] - hi[f]), 0.0)
+            term = _numeric_term(metric, ctx, j, gap, 0.0, gap)
+            if acc is None:
+                acc = term
+            elif metric.name == "chebyshev":
+                np.maximum(acc, term, out=acc)
+            else:
+                np.add(acc, term, out=acc)
+        # shrunk by a hair against a last-bit difference in a power
+        # between the bound and the kernel
+        acc = _finish(metric, acc)
+        acc *= 1.0 - 2.0**-20
+        return acc
+
+
+def _neighbours(metric: Metric, ctx: MetricContext, rows: np.ndarray,
+                cols: np.ndarray | None, k: int, reduce):
+    """Each row's k nearest cols: (distances, positions in cols), n x k.
+
+    ``reduce(block, k)`` gives the columns of each block row's k nearest
+    entries, in order; on a block without NaN it must follow a stable
+    argsort.  With ``cols`` omitted, rows are measured against
+    themselves and each row's distance to itself is infinite.
     """
     self_pairs = cols is None
     if self_pairs:
         cols = rows
 
     def measure(q, c):
-        block = _block(metric, ctx, rows[q], cols[c])
-        if self_pairs:
-            block[np.arange(len(q)), np.searchsorted(c, q)] = np.inf
-        return block
-
-    unsorted = np.arange(len(rows))
-    j = _sort_feature(metric, ctx, rows, cols)
-    if j is not None:
-        xc = ctx.num_values[j][cols]
-        c_order = np.argsort(xc, kind="stable")  # missing last, by position
-        n_c = len(cols) - int(np.isnan(xc).sum())
-        if n_c >= k + self_pairs:
-            xq = xc if self_pairs else ctx.num_values[j][rows]
-            q_order = c_order if self_pairs else np.argsort(xq, kind="stable")
-            n_q = len(rows) - int(np.isnan(xq).sum())
-            unsorted = q_order[n_q:]
-            yield from _sorted_chunks(
-                metric, ctx, j, k, measure, self_pairs,
-                xq, q_order[:n_q], xc[c_order[:n_c]], c_order[:n_c], c_order[n_c:],
-            )
-    step = max(1, BLOCK_PAIRS // max(len(cols), 1))
-    every = np.arange(len(cols))
-    for start in range(0, len(unsorted), step):
-        q = unsorted[start:start + step]
-        yield q, every, measure(q, every)
-
-
-def _sorted_chunks(metric, ctx, j, k, measure, self_pairs, xq, qs, xs, cs, blank):
-    """The sorted walk of ``_row_chunks``.
-
-    ``qs`` and ``cs`` are the positions of the rows and of the cols
-    that hold a value of feature j, ascending by it; ``xq`` are the
-    rows' values and ``xs`` the sorted cols' values.  ``blank`` are the
-    cols missing feature j, which join every block.
-    """
-    n = len(cs)
-    scale = _scale(metric, ctx, j)
-    # a chunk is up to isqrt(BLOCK_PAIRS) // 8 rows, 64 by default
-    chunk = max(1, math.isqrt(BLOCK_PAIRS) // 8)
-    margin = k + 1
-
-    def term_bound(v, x):
-        return _finish(metric, _numeric_term(metric, ctx, j, v, x, np.empty(len(v))))
-
-    def columns(lo, hi):
-        return np.sort(np.concatenate([cs[lo:hi], blank]))
-
-    start = 0
-    while start < len(qs):
-        stop = min(start + chunk, len(qs))
-        while True:
-            # the chunk's own span of sorted cols, widened by the margin
-            if self_pairs:
-                a, b = start, stop
-            else:
-                a = np.searchsorted(xs, xq[qs[start]], "left")
-                b = np.searchsorted(xs, xq[qs[stop - 1]], "right")
-            w_lo, w_hi = max(0, a - margin), min(n, b + margin)
-            width = w_hi - w_lo + len(blank)
-            if (stop - start) * width <= BLOCK_PAIRS or stop - start == 1:
-                break
-            stop = start + max(1, BLOCK_PAIRS // width)
-        q = qs[start:stop]
-        start = stop
-        c = columns(w_lo, w_hi)
-        block = measure(q, c)
-        bound = np.partition(block, k - 1, axis=1)[:, k - 1].copy()
-        # a radius in feature units guesses each row's slice; the cut is
-        # then checked in term space on the first col outside it on each
-        # side, and a side that fails (a rounding-short radius, or a
-        # term that underflows to 0) runs to its end
-        v = xq[q]
-        reach = bound * (scale * (1.0 + 2.0**-20))
-        lo = np.searchsorted(xs, v - reach, "left")
-        hi = np.searchsorted(xs, v + reach, "right")
-        lo[~(term_bound(v, xs[np.maximum(lo - 1, 0)]) > bound)] = 0
-        hi[~(term_bound(v, xs[np.minimum(hi, n - 1)]) > bound)] = n
-        s_lo, s_hi = lo.min(), hi.max()
-        # the next chunk's margin: twice what this chunk's slice needed
-        margin = max(k + 1, 2 * (a - s_lo), 2 * (s_hi - b))
-        if w_lo <= s_lo and s_hi <= w_hi:
-            yield q, c, block
-            continue
-        del block  # freed before the slice is measured
-        step = max(1, BLOCK_PAIRS // (s_hi - s_lo + len(blank)))
+        """The k nearest of the rows at positions q among the cols at
+        ascending positions c, in blocks within the budget."""
+        d = np.empty((len(q), min(k, len(c))))
+        p = np.empty(d.shape, dtype=np.intp)
+        step = max(1, BLOCK_PAIRS // len(c))
         for i in range(0, len(q), step):
-            c = columns(lo[i:i + step].min(), hi[i:i + step].max())
-            yield q[i:i + step], c, measure(q[i:i + step], c)
+            qi = q[i:i + step]
+            block = _block(metric, ctx, rows[qi], cols[c])
+            if self_pairs:
+                at = np.minimum(np.searchsorted(c, qi), len(c) - 1)
+                hit = c[at] == qi
+                block[hit, at[hit]] = np.inf
+            best = reduce(block, d.shape[1])
+            d[i:i + step] = block[np.arange(len(qi))[:, None], best]
+            p[i:i + step] = c[best]
+        return d, p
+
+    feats = None
+    if len(rows) and len(cols) >= k + self_pairs:
+        feats = _bounded_features(metric, ctx, rows, cols)
+    if feats is None:
+        return measure(np.arange(len(rows)), np.arange(len(cols)))
+
+    perm, bounds, lo, hi = _kd_leaves(metric, ctx, feats, cols, LEAF_ROWS)
+    sizes = np.diff(bounds)
+    # query chunks: subtrees of the cols' tree, or for other rows the
+    # leaves of their own tree, each spanning about CHUNK_ROWS cols
+    if self_pairs:
+        q_perm = perm
+        q_bounds = np.append(bounds[:-1:max(1, CHUNK_ROWS // LEAF_ROWS)], len(cols))
+    else:
+        size = max(CHUNK_ROWS, CHUNK_ROWS * len(rows) // len(cols))
+        q_perm, q_bounds = _kd_leaves(metric, ctx, feats, rows, size)[:2]
+    xs = np.array([ctx.num_values[j][rows[q_perm]] for j in feats])
+    q_lo = np.minimum.reduceat(xs, q_bounds[:-1], axis=1)[:, :, None]
+    q_hi = np.maximum.reduceat(xs, q_bounds[:-1], axis=1)[:, :, None]
+    lo, hi = lo[:, None], hi[:, None]
+    dist = np.empty((len(rows), k))
+    pos = np.empty((len(rows), k), dtype=np.intp)
+
+    def members(leaves):
+        """Ascending positions of the cols in the given leaves."""
+        n = sizes[leaves]
+        ends = np.cumsum(n)
+        return np.sort(perm[np.repeat(bounds[leaves] - ends + n, n) + np.arange(ends[-1])])
+
+    def merge(d, p, d2, p2):
+        """Two rows of k nearest lists as one, lower position on ties."""
+        d, p = np.concatenate([d, d2], axis=1), np.concatenate([p, p2], axis=1)
+        o = np.lexsort((p, d), axis=1)[:, :k]
+        return np.take_along_axis(d, o, axis=1), np.take_along_axis(p, o, axis=1)
+
+    n_chunks = len(q_bounds) - 1
+    # chunks at a time: their bounds against every leaf take a 16th of
+    # a block
+    per = max(1, BLOCK_PAIRS // 16 // len(sizes))
+    for g0 in range(0, n_chunks, per):
+        g1 = min(g0 + per, n_chunks)
+        # each chunk first measures the leaves its box touches, then the
+        # nearest others, (2p - 1) x CHUNK_ROWS more cols over p bounded
+        # features, since more features put more leaves beside a chunk;
+        # k cols at least
+        box = _box_bound(metric, ctx, feats, lo, hi, q_lo[:, g0:g1], q_hi[:, g0:g1])
+        order = np.argsort(box, axis=1)
+        filled = np.cumsum(sizes[order], axis=1)
+        touching = np.count_nonzero(box == 0, axis=1)
+        touched = np.where(touching > 0, filled[np.arange(g1 - g0), touching - 1], 0)
+        want = np.maximum(touched + (2 * len(feats) - 1) * CHUNK_ROWS, k + self_pairs)
+        firsts = np.count_nonzero(filled < want[:, None], axis=1) + 1
+        for g in range(g0, g1):
+            a, b = q_bounds[g], q_bounds[g + 1]
+            q, o, first = q_perm[a:b], order[g - g0], firsts[g - g0]
+            best_d, best_p = measure(q, members(o[:first]))
+            # then, while a row's k-th distance so far is not below its
+            # bound to some leaf left, its nearest such leaves by that
+            # bound, twice as many each round; only a bound strictly
+            # above the k-th distance rules a leaf out
+            rest = o[first:np.searchsorted(box[g - g0, o], best_d[:, -1].max(), "right")]
+            if len(rest):
+                x = xs[:, a:b, None]
+                bound = _box_bound(metric, ctx, feats, lo[:, :, rest], hi[:, :, rest], x, x)
+                left = np.ones(len(rest), dtype=bool)
+                batch = first
+                while True:
+                    need = (bound <= best_d[:, -1:]) & left
+                    if batch < len(rest):
+                        nth = np.partition(np.where(need, bound, np.inf), batch - 1, axis=1)
+                        need &= bound <= nth[:, batch - 1:batch]
+                    leaves = need.any(axis=0)
+                    if not leaves.any():
+                        break
+                    sel = np.flatnonzero(need.any(axis=1))
+                    d, p = measure(q[sel], members(rest[leaves]))
+                    best_d[sel], best_p[sel] = merge(best_d[sel], best_p[sel], d, p)
+                    left &= ~leaves
+                    batch *= 2
+            dist[q], pos[q] = best_d, best_p
+    return dist, pos
 
 
 def nearest(metric: Metric, ctx: MetricContext, rows=None,
@@ -542,36 +628,27 @@ def nearest(metric: Metric, ctx: MetricContext, rows=None,
     rows = np.arange(ctx.n_rows) if rows is None else np.asarray(rows, dtype=np.intp)
     if cols is not None:
         cols = np.asarray(cols, dtype=np.intp)
-    dist = np.empty(len(rows))
-    pos = np.empty(len(rows), dtype=np.intp)
-    for q, c, block in _row_chunks(metric, ctx, rows, cols):
-        best = block.argmin(axis=1)
-        pos[q] = c[best]
-        dist[q] = block[np.arange(len(q)), best]
-    return dist, pos
+    dist, pos = _neighbours(metric, ctx, rows, cols, 1,
+                            lambda block, k: block.argmin(axis=1)[:, None])
+    return dist[:, 0], pos[:, 0]
 
 
 def _k_nearest(block: np.ndarray, k: int) -> np.ndarray:
     """Columns of each row's k smallest entries, as a stable argsort
     orders them: ascending, ties to the earlier column, NaN last."""
-    part = np.argpartition(block, k - 1, axis=1)[:, :k]
-    dist = np.take_along_axis(block, part, axis=1)
-    out = np.take_along_axis(part, np.lexsort((part, dist), axis=1), axis=1)
-    # a row whose k-th distance ties one outside the partitioned k, or
-    # is NaN (fewer than k numbers), sorts every candidate at or below
-    # it, so a tie across the cut still goes to the earlier column
-    kth = dist[:, k - 1]
-    slow = np.count_nonzero(block <= kth[:, None], axis=1) != k
-    if slow.any():
-        sub, kth = block[slow], kth[slow]
-        keep = sub <= kth[:, None]
-        keep[np.isnan(kth)] = True
-        r, c = np.nonzero(keep)
-        order = np.lexsort((c, sub[r, c], r))
-        counts = keep.sum(axis=1)
-        offsets = np.cumsum(counts) - counts
-        out[slow] = c[order[offsets[:, None] + np.arange(k)]]
-    return out
+    # every entry at or below the row's k-th smallest, all of a row
+    # whose k-th is NaN (fewer than k numbers), in row-major order, then
+    # stably by row and entry; a row's first k are its answer
+    kth = np.partition(block, k - 1, axis=1)[:, k - 1]
+    keep = block <= kth[:, None]
+    keep[np.isnan(kth)] = True
+    at = np.flatnonzero(keep)
+    r = at // block.shape[1]
+    at = at[np.lexsort((block.ravel()[at], r))] % block.shape[1]
+    if len(at) == k * len(block):  # no row kept more than k
+        return at.reshape(-1, k)
+    counts = np.bincount(r, minlength=len(block))
+    return at[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
 
 
 def knn_table(metric: Metric, ctx: MetricContext, k: int,
@@ -586,8 +663,5 @@ def knn_table(metric: Metric, ctx: MetricContext, k: int,
     rows = np.arange(ctx.n_rows) if rows is None else np.asarray(rows, dtype=np.intp)
     if not 1 <= k < len(rows):
         raise MetricError("k must satisfy 1 <= k < number of rows")
-    table = np.empty((len(rows), k), dtype=np.intp)
-    for q, c, block in _row_chunks(metric, ctx, rows, k=k):
-        table[q] = c[_k_nearest(block, k)]
-    return table
+    return _neighbours(metric, ctx, rows, None, k, _k_nearest)[1]
 

@@ -324,6 +324,17 @@ def test_gen_zero_rows_is_a_data_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: n_rows must be positive\n"
 
 
+@pytest.mark.parametrize("args", [["smote"], ["randover-r"]])
+def test_header_without_rows_is_a_data_error(args, tmp_path, capsys):
+    # the empty target column would read as numeric, and each strategy
+    # then blamed the target's kind
+    src, out = tmp_path / "empty.csv", tmp_path / "o.csv"
+    src.write_text("X1,X2,y\n", encoding="utf-8")
+    assert run([*args, "--in", str(src), "--out", str(out), "--target", "y"]) == 1
+    assert capsys.readouterr().err == f"error: {src} has a header but no data rows\n"
+    assert not out.exists()
+
+
 def test_smote_r_on_a_nominal_target_is_a_data_error(imbc_csv, tmp_path, capsys):
     code = run(["smote-r", "--in", str(imbc_csv), "--out", str(tmp_path / "o.csv"),
                 "--target", "Class"])

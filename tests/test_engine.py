@@ -7,15 +7,21 @@ values and missing cells, under all eight metrics.  Each check runs
 with the engine's chunk budget cut to 1 and to 7 distances, so chunk
 edges split the rows.
 
-The sorted walk, which measures each chunk only against the slice of
-candidates its sort feature cannot rule out, is checked the same way
-on larger finite tables where it prunes, at the default budget too,
-and on the edges of its cut: equal sort values, a zero-scale feature,
-and a term that underflows to 0.  A guard test holds the walk to its
-pair budget and to a fraction of the n x n pairs on ``gen imbc``.
+The k-d walk, which measures each chunk of rows only against the
+leaves of candidates that its rows' box bounds cannot rule out, is
+checked the same way on larger finite tables of 1 to 8 numeric
+features where it prunes: at the default budget too, with the
+smallest leaves and chunks, and on the edges of its bounds: runs of
+equal values, a zero-scale feature, terms that underflow to 0 and
+missing cells.  Guard tests hold the walk to its pair budget and to a
+fraction of the n x n pairs on ``gen imbc``, on a table of four normal
+features and in CNN, and keep the sorted walk it replaced deleted.
 """
 
+import ast
 import importlib
+from contextlib import nullcontext
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -28,7 +34,7 @@ from rebalance.distance import METRIC_NAMES, PLAIN_METRICS, knn_table, nearest
 from rebalance.synthgen import gen_imbc
 
 import _oracles as oracle
-from _toys import make_ds
+from _toys import make_ds, random_numeric_ds
 
 # infinite cells make inf - inf, which numpy reports while the metrics
 # turn it into the NaN distances under test
@@ -185,31 +191,52 @@ def test_knn_table_rejects_k_out_of_range():
             knn_table(metric, ctx, k)
 
 
-# the metrics under which the engine can prune, and the chunk budgets
-# the sorted walk is checked at: one distance, seven, and the default
+# the metrics under which the engine can prune, and the engine settings
+# the k-d walk is checked at: a budget of one distance, of seven, the
+# defaults, and the smallest leaves and chunks, one row each
 SORTED_METRICS = ("heom", "hvdm", "euclidean", "manhattan", "chebyshev", "minkowsky")
-BUDGETS = (1, 7, dist_mod.BLOCK_PAIRS)
+SETTINGS = ({"BLOCK_PAIRS": 1}, {"BLOCK_PAIRS": 7}, {}, {"LEAF_ROWS": 1, "CHUNK_ROWS": 1})
+
+
+def engine(setting):
+    return mock.patch.multiple(dist_mod, **setting) if setting else nullcontext()
 
 
 @st.composite
 def sortable_cases(draw):
-    """A finite mixed table of 20 to 80 rows, its metric and context.
+    """A finite table of 20 to 80 rows, its metric and context.
 
-    Numeric columns mix a small integer grid (ties within and across a
-    chunk's cut) with spread-out floats; under HEOM and HVDM they may
-    miss cells, so rows without the sort feature go beside the walk.
+    It holds 1 to 8 numeric features, and under HEOM and HVDM up to two
+    nominal ones.  A numeric feature is one of three kinds:
+
+    - a small integer grid mixed with spread-out floats;
+    - two values only, so rows tie in long runs on several features and
+      leaf boxes touch;
+    - gaps of 1e-200 beside one cell of 1e100, so both the squared terms
+      and the box terms of the small gaps underflow to 0.
+
+    Under HEOM and HVDM any numeric cell may be missing.
     """
     name = draw(st.sampled_from(SORTED_METRICS))
     n = draw(st.integers(20, 80))
-    extra = draw(st.lists(st.sampled_from(["num"] if name in PLAIN_METRICS else ["num", "nom"]),
-                          max_size=2))
-    number = st.one_of(st.integers(-3, 3).map(float), st.floats(-100, 100, allow_nan=False))
-    if name not in PLAIN_METRICS:
-        number = st.one_of(number, st.just(np.nan))
+    plain = name in PLAIN_METRICS
+    n_nom = 0 if plain else draw(st.integers(0, 2))
+    grid = st.integers(-3, 3).map(float)
+    pools = {
+        "mixed": st.one_of(grid, st.floats(-100, 100, allow_nan=False)),
+        "runs": st.sampled_from([0.0, 1.0]),
+        "tiny": st.sampled_from([0.0, 1e-200, 2e-200, 3e-200]),
+    }
     cols = []
-    for j, kind in enumerate(["num", *extra]):
-        pool = number if kind == "num" else st.sampled_from(NOMS)
-        cols.append((f"f{j}", kind, draw(st.lists(pool, min_size=n, max_size=n))))
+    for j in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(sorted(pools)))
+        pool = pools[kind] if plain else st.one_of(pools[kind], st.just(np.nan))
+        values = draw(st.lists(pool, min_size=n, max_size=n))
+        if kind == "tiny":
+            values[draw(st.integers(0, n - 1))] = 1e100
+        cols.append((f"f{j}", "num", values))
+    for j in range(n_nom):
+        cols.append((f"g{j}", "nom", draw(st.lists(st.sampled_from(NOMS), min_size=n, max_size=n))))
     labels = draw(st.lists(st.sampled_from(["x", "y", "z"]), min_size=n, max_size=n))
     cols.append(("cls", "nom", labels))
     ds = make_ds(cols, "cls")
@@ -220,8 +247,8 @@ def sortable_cases(draw):
 
 def check_knn_table(metric, ctx, ks, rows=None):
     order = np.argsort(dense(metric, ctx, rows), axis=1, kind="stable")
-    for block in BUDGETS:
-        with mock.patch.object(dist_mod, "BLOCK_PAIRS", block):
+    for setting in SETTINGS:
+        with engine(setting):
             for k in ks:
                 got = knn_table(metric, ctx, k, rows=rows)
                 np.testing.assert_array_equal(got, order[:, :k])
@@ -233,8 +260,8 @@ def check_nearest(metric, ctx, q=None, c=None):
     else:
         d = pairwise(metric, ctx)[np.ix_(q, c)]
     best = d.argmin(axis=1)
-    for block in BUDGETS:
-        with mock.patch.object(dist_mod, "BLOCK_PAIRS", block):
+    for setting in SETTINGS:
+        with engine(setting):
             got_d, got_pos = nearest(metric, ctx, q, c)
             np.testing.assert_array_equal(got_pos, best)
             assert same_floats(got_d, d[np.arange(len(d)), best])
@@ -280,8 +307,8 @@ def test_sorted_walk_cnn_matches_full_matrix_loop(case, seed, data):
     important = data.draw(st.lists(st.sampled_from(classes), min_size=1,
                                     max_size=len(classes) - 1, unique=True))
     removed = cnn_oracle_removed(ds, metric, ctx, important, seed)
-    for block in BUDGETS:
-        with mock.patch.object(dist_mod, "BLOCK_PAIRS", block):
+    for setting in SETTINGS:
+        with engine(setting):
             out, _, _ = cnn_classif(ds, metric, cl=sorted(important), seed=seed)
             assert out.removed == removed
 
@@ -311,16 +338,16 @@ def test_equal_sort_values_tie_at_a_zero_kth_distance(name):
 @pytest.mark.parametrize("name", ["heom", "hvdm"])
 def test_zero_scale_feature_is_not_sorted_by(name):
     # a constant first feature has range and sd 0, so its term is 0 for
-    # every pair and cannot prune; the walk sorts by the second one
+    # every pair and cannot prune; the walk bounds by the second one
     rng = np.random.default_rng(2)
     x = [4.0] * 60
     metric, ctx = edge_case(x, name)
-    assert dist_mod._sort_feature(metric, ctx, np.arange(60), np.arange(60)) is None
+    assert dist_mod._bounded_features(metric, ctx, np.arange(60), np.arange(60)) is None
     check_knn_table(metric, ctx, [1, 4])
     ds = make_ds([("c", "num", x), ("x", "num", list(rng.normal(size=60))),
                   ("cls", "nom", ["a", "b"] * 30)], "cls")
     ctx = build_context(metric, ds)
-    assert dist_mod._sort_feature(metric, ctx, np.arange(60), np.arange(60)) == 1
+    assert dist_mod._bounded_features(metric, ctx, np.arange(60), np.arange(60)) == [1]
     check_knn_table(metric, ctx, [1, 4])
     check_nearest(metric, ctx)
 
@@ -328,9 +355,9 @@ def test_zero_scale_feature_is_not_sorted_by(name):
 def test_term_that_underflows_to_zero_keeps_its_candidates():
     # One row at 1e300 makes the HEOM range huge, so the others' gaps of
     # 1e-20 divide to subnormals that square to exactly 0: their
-    # distances are all 0 though their values differ.  A radius of
-    # kth x range is then 0 and holds none of them; the cut checked in
-    # term space keeps them all, and the lowest positions win.
+    # distances are all 0 though their values differ.  Their box bounds
+    # are 0 too, so no leaf is ruled out by a strict ">", and the
+    # lowest positions win.
     rng = np.random.default_rng(3)
     x = list(rng.permutation(np.arange(1, 80) * 1e-20)) + [1e300]
     metric, ctx = edge_case(x, "heom")
@@ -344,9 +371,9 @@ def test_term_that_underflows_to_zero_keeps_its_candidates():
 def test_row_missing_the_sort_feature_joins_every_block():
     # Under HVDM the rows at -100 and 100 lie 1.12 x 4 sd apart, so
     # their term exceeds the term of 1 that row 11, which misses x, has
-    # with every row.  Row 11 is the second nearest of both; were it
-    # sorted past 100 in the walk, the cut after 100 would drop it.
-    # Found by random search.
+    # with every row.  Row 11 is the second nearest of both; were the
+    # box of its leaf on x taken from its other cells, the gap from 100
+    # or -100 could rule it out.  Found by random search.
     x = [1.0, 0.0, 1.0, 1.0, 100.0, 0.0, 1.0, -100.0, 0.0, 0.0, 0.0, np.nan]
     ds = make_ds([("x", "num", x), ("o", "nom", list("bacbcabcbabc")),
                   ("cls", "nom", list("pqqpqppqppqq"))], "cls")
@@ -356,13 +383,8 @@ def test_row_missing_the_sort_feature_joins_every_block():
     check_nearest(metric, ctx)
 
 
-@pytest.mark.parametrize("name", ["heom", "hvdm"])
-def test_sorted_walk_prunes_gen_imbc_within_the_pair_budget(name):
-    # If pruning silently stops engaging, the pairs measured go back to
-    # n x n and this fails without any timing.
-    ds = gen_imbc(4000, seed=0)
-    metric = Metric(name)
-    ctx = build_context(metric, ds)
+def measured(fn):
+    """The size of each block of distances fn() measures."""
     sizes = []
     real_block = dist_mod._block
 
@@ -371,6 +393,47 @@ def test_sorted_walk_prunes_gen_imbc_within_the_pair_budget(name):
         return real_block(metric, ctx, rows_a, rows_b)
 
     with mock.patch.object(dist_mod, "_block", spy):
-        knn_table(metric, ctx, 3)
+        fn()
     assert max(sizes) <= dist_mod.BLOCK_PAIRS
-    assert sum(sizes) < 0.15 * ds.n_rows ** 2
+    return sum(sizes)
+
+
+# If pruning silently stops engaging, the pairs measured go back to
+# n x n and the guards below fail without any timing.  Each bound sits
+# above what the k-d walk measures and below what the sorted walk it
+# replaced measured on the same call.
+
+@pytest.mark.parametrize("name", ["heom", "hvdm"])
+def test_sorted_walk_prunes_gen_imbc_within_the_pair_budget(name):
+    ds = gen_imbc(4000, seed=0)
+    metric = Metric(name)
+    ctx = build_context(metric, ds)
+    assert measured(lambda: knn_table(metric, ctx, 3)) < 0.15 * ds.n_rows ** 2
+
+
+@pytest.mark.parametrize("name", ["heom", "euclidean"])
+def test_walk_prunes_four_normal_features_within_the_pair_budget(name):
+    # the k-d walk measures 17.5-17.7% of the pairs, the sorted walk
+    # measured 91-94%
+    ds = random_numeric_ds(np.random.default_rng(0), 4000, 4)
+    metric = Metric(name)
+    ctx = build_context(metric, ds)
+    assert measured(lambda: knn_table(metric, ctx, 3)) < 0.22 * ds.n_rows ** 2
+
+
+def test_cnn_prunes_gen_imbc_within_the_pair_budget():
+    # CNN asks for each row's nearest kept row twice here: 3,459 rows
+    # against 541, then 349 against 3,110.  The k-d walk measures 3.5%
+    # of the n x n pairs over both rounds, the sorted walk measured 5.8%.
+    ds = gen_imbc(4000, seed=0)
+    metric = Metric("heom")
+    assert measured(lambda: cnn_classif(ds, metric, seed=0)) < 0.045 * ds.n_rows ** 2
+
+
+def test_the_sorted_walk_stays_deleted():
+    # one neighbour walk: sorting by one feature is the k-d walk's
+    # one-feature case, so it must not come back beside it
+    tree = ast.parse(Path(dist_mod.__file__).read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not defined & {"_sort_feature", "_sorted_chunks"}
