@@ -45,10 +45,10 @@ def sample_sd(values: np.ndarray) -> float:
 
 
 def nominal_freqs(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The codes present among nominal ``codes`` (ascending) and their
-    relative frequencies."""
+    """The codes present among nominal ``codes`` (ascending), in their
+    dtype, and their relative frequencies."""
     counts = np.bincount(codes[codes >= 0])
-    present = np.flatnonzero(counts)
+    present = np.flatnonzero(counts).astype(codes.dtype)
     freqs = counts[present].astype(np.float64)
     if len(freqs):
         freqs /= freqs.sum()

@@ -8,7 +8,8 @@ with a header row; an optional JSON report captures what the run did.
 ``COMMANDS`` is the one table of resampling subcommands.  An entry
 names its strategy function, looked up in this module each time the
 command runs, and its options with their defaults.  The parser is
-built from the table; each option reaches the strategy as the keyword
+built from the table, with the options of the subcommand named on the
+command line only; each option reaches the strategy as the keyword
 of the same name (``--c-perc`` as ``spec``, ``--dist`` with ``--p`` as
 ``metric``), and the report's ``params`` record each option under its
 name.  Two kinds of entries carry a hook: ``impsamp-r`` picks mode A
@@ -299,14 +300,19 @@ COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser of ``argv``: every subcommand is registered, and only
+    the one ``argv`` names gets its options."""
     parser = argparse.ArgumentParser(
         prog="rebalance",
         description="Resample imbalanced tabular datasets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    named = argv[0] if argv else None
     for name, cmd in COMMANDS.items():
         p = sub.add_parser(name, help=cmd.help)
+        if name != named:
+            continue
         p.add_argument("--in", dest="input", required=True, metavar="FILE")
         p.add_argument("--out", dest="output", required=True, metavar="FILE")
         p.add_argument("--target", required=True, metavar="NAME")
@@ -328,6 +334,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 )
 
     p = sub.add_parser("gen", help="generate a synthetic dataset")
+    if named != "gen":
+        return parser
     p.add_argument("variant", choices=["imbc", "imbr"])
     p.add_argument("--rows", type=int, default=1000)
     p.add_argument("--seed", type=_seed, default=0)
@@ -387,7 +395,7 @@ def _write_report(path: str, payload: dict) -> None:
 
 def run(argv: list[str]) -> int:
     """Parse argv, run the requested command, and return the exit code."""
-    parser = _build_parser()
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -35,34 +35,37 @@ def gen_imbc(n_rows: int = 1000, seed: int | None = None) -> Dataset:
     n_cat = round(0.3 * n_rows)
     n_fish = round(0.3 * n_rows)
     n_dog = n_rows - n_cat - n_fish
-    x2 = np.array(["cat"] * n_cat + ["fish"] * n_fish + ["dog"] * n_dog, dtype=object)
+    # X2 and Class are built as codes into their labels in sorted order
+    cat, dog, fish = range(3)
+    x2 = np.repeat(np.array([cat, fish, dog], dtype=np.int8), [n_cat, n_fish, n_dog])
     rng.shuffle(x2)
 
-    is_cat_dog = (x2 == "cat") | (x2 == "dog")
-    is_fish = x2 == "fish"
+    is_fish = x2 == fish
+    is_cat_dog = ~is_fish
     s1 = np.nonzero((x1 > 9) & is_cat_dog)[0]
     s2 = np.nonzero((x1 > 7) & is_fish)[0]
     s3 = np.nonzero((x1 > -1) & (x1 < 0.5))[0]
     s4 = np.nonzero((x1 < -7) & is_fish)[0]
 
-    labels = np.array(["normal"] * n_rows, dtype=object)
+    normal, rare1, rare2 = range(3)
+    labels = np.full(n_rows, normal, dtype=np.int8)
 
-    def mark(region: np.ndarray, frac: float, label: str) -> None:
+    def mark(region: np.ndarray, frac: float, label: int) -> None:
         take = int(frac * len(region))
         if take > 0:
             chosen = rng.choice(region, size=take, replace=False)
             labels[chosen] = label
 
-    mark(s1, 0.9, "rare1")
-    mark(s2, 0.4, "rare1")
-    mark(s3, 0.8, "rare2")
-    mark(s4, 0.7, "rare2")
+    mark(s1, 0.9, rare1)
+    mark(s2, 0.4, rare1)
+    mark(s3, 0.8, rare2)
+    mark(s4, 0.7, rare2)
 
     return Dataset(
         [
             Column("X1", ColumnKind.NUMERIC, x1),
-            Column("X2", ColumnKind.NOMINAL, x2),
-            Column("Class", ColumnKind.NOMINAL, labels),
+            Column._of("X2", ColumnKind.NOMINAL, x2, ("cat", "dog", "fish")),
+            Column._of("Class", ColumnKind.NOMINAL, labels, ("normal", "rare1", "rare2")),
         ],
         target="Class",
     )

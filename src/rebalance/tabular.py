@@ -9,12 +9,15 @@ shortest repr).
 A nominal column is coded once, when it is built: ``values`` holds
 integer codes, -1 for a missing cell, and ``categories`` the present
 labels in ``sorted()`` order (code-point order, which is UTF-8 byte
-order), a code being its label's position there.  ``_codes`` is the
-one place that turns labels into codes.  Every column built from
-another (``take``, ``append``) keeps only the categories some cell
-uses, so equal labels mean equal codes and categories.  Class order,
-class counts, the metrics' value codes and every tie rule that follows
-from them rest on that order.
+order), a code being its label's position there.  The codes are of the
+narrowest signed integer dtype that holds -1 and the number of
+categories (``_code_dtype``): int8 up to 127 categories, then int16,
+then int32; every function that makes codes makes them of that dtype.
+``_codes`` is the one place that turns labels into codes.  Every
+column built from another (``take``, ``append``) keeps only the
+categories some cell uses, so equal labels mean equal codes and
+categories.  Class order, class counts, the metrics' value codes and
+every tie rule that follows from them rest on that order.
 
 The CSV layer works column by column over blocks of ``BLOCK_ROWS``
 rows, so no buffer holds more than one block of records or output
@@ -93,8 +96,9 @@ class Column:
     NUMERIC column (NaN = missing), labels for a NOMINAL one (None =
     missing, any other value ``str()``-ed).  A NUMERIC column keeps
     them as float64 ``values``.  A NOMINAL column keeps ``values`` as
-    np.intp codes, -1 for a missing cell, into ``categories``: the
-    labels its cells use, in ``sorted()`` order, and no other.
+    codes of ``_code_dtype(len(categories))``, -1 for a missing cell,
+    into ``categories``: the labels its cells use, in ``sorted()``
+    order, and no other.
     ``labels`` gives a NOMINAL column's cells back as labels.
     """
 
@@ -115,14 +119,23 @@ class Column:
             categories: tuple[str, ...] = ()) -> "Column":
         """A column over ``values`` already in column form: no conversion.
 
-        A nominal column drops the categories that no code uses.
+        A nominal column drops the categories that no code uses, and
+        keeps its codes in the dtype its categories call for.
         """
         if kind is ColumnKind.NOMINAL:
-            used = np.bincount(values + 1, minlength=len(categories) + 1)[1:] > 0
-            if not used.all():
-                # code -1, a missing cell, picks the trailing -1
-                values = np.append(np.cumsum(used) - 1, -1)[values]
+            # indexing by the codes makes no full-length intp copy of
+            # them, as ``bincount`` would; code -1, a missing cell,
+            # marks the trailing slot
+            used = np.zeros(len(categories) + 1, dtype=bool)
+            used[values] = True
+            used = used[:-1]
+            dtype = _code_dtype(np.count_nonzero(used))
+            if used.all():
+                values = values.astype(dtype, copy=False)
+            else:
                 categories = tuple(compress(categories, used))
+                # code -1 picks the trailing -1
+                values = np.append(np.cumsum(used) - 1, -1).astype(dtype)[values]
         col = object.__new__(cls)
         col.name, col.kind, col.values, col.categories = name, kind, values, categories
         return col
@@ -152,7 +165,8 @@ class Column:
         """The cells at ``indices``, then the cells ``extra`` holds in column form."""
         values = self.values[np.asarray(indices)]
         if extra is not None:
-            values = np.concatenate([values, extra])
+            # codes into this column's categories fit its codes' dtype
+            values = np.concatenate([values, extra], dtype=values.dtype, casting="same_kind")
         return Column._of(self.name, self.kind, values, self.categories)
 
 
@@ -253,6 +267,13 @@ class ClassCounts(dict):
         return sum(self.values())
 
 
+def _code_dtype(n_categories: int) -> np.dtype:
+    """The narrowest signed integer dtype of codes into ``n_categories``
+    labels: it holds -1 and, one past the top code, ``n_categories``, so
+    a code shifted by one still fits."""
+    return np.min_scalar_type(-n_categories - 1)
+
+
 def _codes(cells: list, missing) -> tuple[np.ndarray, tuple[str, ...]]:
     """Codes of a list of labels, ``missing`` marking a missing cell, and
     the categories they index: the present labels in ``sorted()`` order.
@@ -260,7 +281,8 @@ def _codes(cells: list, missing) -> tuple[np.ndarray, tuple[str, ...]]:
     categories = tuple(sorted(set(cells) - {missing}))
     index = {v: i for i, v in enumerate(categories)}
     index[missing] = -1
-    codes = np.fromiter(map(index.__getitem__, cells), dtype=np.intp, count=len(cells))
+    codes = np.fromiter(map(index.__getitem__, cells), dtype=_code_dtype(len(categories)),
+                        count=len(cells))
     return codes, categories
 
 
@@ -411,10 +433,11 @@ def _merge_codes(parts) -> tuple[np.ndarray, tuple[str, ...]]:
     into the union of their categories, in ``sorted()`` order."""
     categories = tuple(sorted(set().union(*(cats for _, cats in parts))))
     pos = {v: i for i, v in enumerate(categories)}
+    dtype = _code_dtype(len(categories))
     # code -1, a missing cell, picks the trailing -1
-    values = [np.array([*map(pos.__getitem__, cats), -1], dtype=np.intp)[codes]
+    values = [np.array([*map(pos.__getitem__, cats), -1], dtype=dtype)[codes]
               for codes, cats in parts]
-    return np.concatenate([*values, np.empty(0, dtype=np.intp)]), categories
+    return np.concatenate([*values, np.empty(0, dtype=dtype)]), categories
 
 
 def _numbers(cells: Sequence[str], text: str) -> np.ndarray | None:

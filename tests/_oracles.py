@@ -349,6 +349,15 @@ def nominal_codes_oracle(values):
     return [encode[v] if v is not None else -1 for v in values], seen
 
 
+def code_dtype_oracle(n_categories):
+    """The dtype of codes into ``n_categories`` labels: int8 up to 127
+    categories, int16 up to 32,767, then int32."""
+    for dtype, top in ((np.int8, 127), (np.int16, 32_767), (np.int32, 2**31 - 1)):
+        if n_categories <= top:
+            return np.dtype(dtype)
+    raise ValueError("too many categories")
+
+
 def label_counts_oracle(values):
     """(label, count) pairs in sorted label order, None skipped."""
     counts = {}

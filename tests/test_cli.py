@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,9 @@ from pathlib import Path
 import pytest
 
 from rebalance import class_counts, read_dataset, write_dataset
-from rebalance.cli import run
+from rebalance.classif import ClassPercSpec
+from rebalance.cli import COMMANDS, _build_parser, run
+from rebalance.regress import BumpPercSpec
 
 from _toys import blanked_imbr
 
@@ -214,6 +217,56 @@ def test_usage_errors_exit_two(capsys):
     assert run(["randunder", "--bogus-flag"]) == 2
     assert run([]) == 2
     capsys.readouterr()  # swallow usage text
+
+
+SUBCOMMANDS = [*COMMANDS, "gen"]
+
+# each subcommand's parsed defaults, as a parser holding every
+# subcommand's options gave them
+_FILES = {"input": "i.csv", "output": "o.csv", "target": "t", "seed": 0, "report": None}
+_DIST = {"dist": "euclidean", "p": 2.0}
+_REL = {"rel": "both", "rel_points": None, "thr_rel": 0.5}
+_CLASS, _BUMP = ClassPercSpec.balance(), BumpPercSpec.balance()
+DEFAULTS = {
+    "randunder": {**_FILES, "c_perc": _CLASS, "repl": False},
+    "randover": {**_FILES, "c_perc": _CLASS},
+    "impsamp": {**_FILES, "c_perc": _CLASS},
+    "tomek": {**_FILES, **_DIST, "cl": "all", "rem": "both"},
+    "cnn": {**_FILES, **_DIST, "cl": "smaller"},
+    "oss": {**_FILES, **_DIST, "cl": "smaller", "start": "cnn"},
+    "enn": {**_FILES, **_DIST, "cl": "all", "k": 3},
+    "ncl": {**_FILES, **_DIST, "cl": "smaller", "k": 3},
+    "gaussnoise": {**_FILES, "c_perc": _CLASS, "pert": 0.1, "repl": False},
+    "smote": {**_FILES, **_DIST, "c_perc": _CLASS, "k": 5, "repl": False},
+    "randunder-r": {**_FILES, **_REL, "c_perc": _BUMP, "repl": False},
+    "randover-r": {**_FILES, **_REL, "c_perc": _BUMP},
+    "gaussnoise-r": {**_FILES, **_REL, "c_perc": _BUMP, "pert": 0.1, "repl": False},
+    "smote-r": {**_FILES, **_REL, **_DIST, "c_perc": _BUMP, "k": 5, "repl": False},
+    "impsamp-r": {**_FILES, **_REL, "c_perc": None, "u": None, "o": None},
+    "gen": {"variant": "imbc", "rows": 1000, "seed": 0, "output": "o.csv", "report": None},
+}
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    assert run(["--help"]) == 0
+    listed = re.findall(r"^    (\S+)  ", capsys.readouterr().out, re.M)
+    assert listed == SUBCOMMANDS
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_subcommand_help_lists_its_options(name, capsys):
+    assert run([name, "--help"]) == 0
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    dests = set(DEFAULTS[name]) - {"variant"}
+    want = {"--" + {"input": "in", "output": "out"}.get(d, d).replace("_", "-") for d in dests}
+    assert flags == want | {"--help"}
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_defaults_parse_as_with_every_subcommands_options(name):
+    argv = (["gen", "imbc", "--out", "o.csv"] if name == "gen"
+            else [name, "--in", "i.csv", "--out", "o.csv", "--target", "t"])
+    assert vars(_build_parser(argv).parse_args(argv)) == {"command": name, **DEFAULTS[name]}
 
 
 def test_malformed_c_perc_exits_two(imbc_csv, tmp_path, capsys):

@@ -154,7 +154,7 @@ def test_reader_matches_row_reader(case):
         if col.kind is ColumnKind.NUMERIC:
             assert col.values.dtype == np.float64
         else:
-            assert col.values.dtype == np.intp
+            assert col.values.dtype == oracle.code_dtype_oracle(len(col.categories))
             assert all(v is None or type(v) is str for v in col.labels)
 
 
