@@ -301,16 +301,18 @@ COMMANDS = {
 
 
 def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser of ``argv``: every subcommand is registered, and only
-    the one ``argv`` names gets its options."""
+    """The parser of ``argv``: when ``argv`` starts with a subcommand,
+    only that one is registered, with its options; otherwise every
+    subcommand is registered, for the help and error texts."""
     parser = argparse.ArgumentParser(
         prog="rebalance",
         description="Resample imbalanced tabular datasets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    named = argv[0] if argv else None
+    named = argv[0] if argv and argv[0] in [*COMMANDS, "gen"] else None
     for name, cmd in COMMANDS.items():
-        p = sub.add_parser(name, help=cmd.help)
+        if named in (None, name):
+            p = sub.add_parser(name, help=cmd.help)
         if name != named:
             continue
         p.add_argument("--in", dest="input", required=True, metavar="FILE")
@@ -333,7 +335,8 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
                     "--p", type=float, default=2.0, help="exponent for --dist minkowsky"
                 )
 
-    p = sub.add_parser("gen", help="generate a synthetic dataset")
+    if named in (None, "gen"):
+        p = sub.add_parser("gen", help="generate a synthetic dataset")
     if named != "gen":
         return parser
     p.add_argument("variant", choices=["imbc", "imbr"])

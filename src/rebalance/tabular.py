@@ -22,7 +22,9 @@ every tie rule that follows from them rest on that order.
 The CSV layer works column by column over blocks of ``BLOCK_ROWS``
 rows, so no buffer holds more than one block of records or output
 text.  Each column of a block is formatted at once; each category of
-a nominal column is quoted once, by ``csv.writer``.  The reader
+a nominal column is quoted once, by ``csv.writer``.  A path that gets
+``SPLIT_ROWS`` rows or more is written by two processes where two CPUs
+are free (``write_dataset``), with the same bytes.  The reader
 parses and codes each column of a block while the block's records
 are alive, and keeps no cell as its own string: one scan of the
 block's joined cells over the ASCII characters of number literals,
@@ -35,13 +37,19 @@ it can be coded from its own spelling if a later block holds a label.
 from __future__ import annotations
 
 import csv
+import gc
 import io
+import os
 import re
+import shutil
+import signal
+import tempfile
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import compress, islice
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -77,6 +85,11 @@ _LITERAL_CHARS_RE = re.compile(r"[0-9+\-.eE]*")
 # rows in one block of the CSV reader and writer; neither holds more
 # records or output text than one block at a time
 BLOCK_ROWS = 1 << 11
+# outputs of this many rows or more are written by two processes, when
+# two CPUs are free (``write_dataset``); the worker's bytes are then
+# appended COPY_BYTES at a time
+SPLIT_ROWS = 8 * BLOCK_ROWS
+COPY_BYTES = 1 << 18
 
 
 def parses_as_number(text: str) -> bool:
@@ -473,27 +486,95 @@ def _read_block(reader, width: int, lineno: int) -> list[list[str]]:
 
 
 def write_dataset(ds: Dataset, sink) -> None:
-    """Write ``ds`` as RFC-4180 CSV (CRLF rows, missing cells empty)."""
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8", newline="") as fh:
-            _write_rows(ds, fh)
-    else:
+    """Write ``ds`` as RFC-4180 CSV (CRLF rows, missing cells empty).
+
+    ``sink`` is a path or a text stream.  A path that gets at least
+    ``SPLIT_ROWS`` rows is written by two processes when two CPUs are
+    free and this process runs one thread: a forked worker formats the
+    back half of the rows into a temporary file while this process
+    writes the front half, then appends the worker's bytes.  The bytes
+    are those one process would write.
+    """
+    if not isinstance(sink, (str, Path)):
         _write_rows(ds, sink)
+        return
+    with open(sink, "w", encoding="utf-8", newline="") as fh:
+        if ds.n_rows >= SPLIT_ROWS and _may_fork():
+            _write_split(ds, fh)
+        else:
+            _write_rows(ds, fh)
 
 
-def _write_rows(ds: Dataset, fh: IO[str]) -> None:
-    writer = csv.writer(fh)
-    writer.writerow([c.name for c in ds.columns])
+def _may_fork() -> bool:
+    """A forked worker gets a CPU of its own and copies no other thread."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1)
+
+
+def _write_split(ds: Dataset, fh: IO[str]) -> None:
+    """Write the front half of ``ds``'s rows to ``fh`` while a forked
+    worker formats the back half; then append the worker's bytes."""
+    mid = ds.n_rows // 2
+    # unlinked and in the temp dir, so that any output path works,
+    # /dev/stdout included
+    with tempfile.TemporaryFile() as tmp:
+        try:
+            pid = os.fork()
+        except OSError:
+            _write_rows(ds, fh)
+            return
+        if pid == 0:
+            _worker(ds, tmp, mid)
+        try:
+            _write_rows(ds, fh, stop=mid)
+            _, status = os.waitpid(pid, 0)
+            pid = 0
+            if status:
+                code = os.waitstatus_to_exitcode(status)
+                raise TabularError(f"the process formatting rows {mid + 1}-{ds.n_rows} "
+                                   f"of {fh.name} exited with status {code}")
+            fh.flush()
+            tmp.seek(0)
+            shutil.copyfileobj(tmp, fh.buffer, COPY_BYTES)
+        finally:
+            if pid:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _worker(ds: Dataset, tmp: IO[bytes], start: int) -> NoReturn:
+    """In the forked child: write rows ``start:`` to ``tmp``, then exit
+    without running any of the parent's clean-up."""
+    status = 1
+    try:
+        # a collection could finalise, and so flush, a file object the
+        # parent owns
+        gc.disable()
+        out = io.TextIOWrapper(tmp, encoding="utf-8", newline="")
+        _write_rows(ds, out, start=start, header=False)
+        out.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _write_rows(ds: Dataset, fh: IO[str], start: int = 0, stop: int | None = None,
+                header: bool = True) -> None:
+    """Write rows ``start:stop`` of ``ds``, after the header if ``header``."""
+    stop = ds.n_rows if stop is None else stop
+    dialect = csv.excel
+    if header:
+        csv.writer(fh, dialect).writerow([c.name for c in ds.columns])
     # csv quotes a field by its content alone, except that a row of one
     # empty field is written '""' so that it is not a blank line
-    empty = _quote("", writer.dialect) if ds.n_cols == 1 else ""
+    empty = _quote("", dialect) if ds.n_cols == 1 else ""
     # each category's field, quoted once; code -1, a missing cell, picks
     # the trailing empty field
-    quoted = [[_quote(v, writer.dialect) if v else empty for v in c.categories] + [empty]
+    quoted = [[_quote(v, dialect) if v else empty for v in c.categories] + [empty]
               for c in ds.columns]
-    for lo in range(0, ds.n_rows, BLOCK_ROWS):
-        fields = [_fields(c, q, slice(lo, lo + BLOCK_ROWS), empty)
-                  for c, q in zip(ds.columns, quoted)]
+    for lo in range(start, stop, BLOCK_ROWS):
+        rows = slice(lo, min(lo + BLOCK_ROWS, stop))
+        fields = [_fields(c, q, rows, empty) for c, q in zip(ds.columns, quoted)]
         fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
 
 
@@ -504,9 +585,10 @@ def _fields(col: Column, quoted: list[str], rows: slice, empty: str) -> list[str
     if col.kind is ColumnKind.NOMINAL:
         return list(map(quoted.__getitem__, values.tolist()))
     # repr of a Python float is the shortest string that round-trips
-    fields = np.array(list(map(float.__repr__, values.tolist())), dtype=object)
-    fields[np.isnan(values)] = empty
-    return fields.tolist()
+    fields = list(map(float.__repr__, values.tolist()))
+    for i in np.flatnonzero(np.isnan(values)).tolist():
+        fields[i] = empty
+    return fields
 
 
 def _quote(value: str, dialect) -> str:

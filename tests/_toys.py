@@ -1,4 +1,8 @@
-"""Small dataset builders shared by the test modules."""
+"""Small dataset builders and writer helpers shared by the test modules."""
+
+import os
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 
@@ -81,3 +85,29 @@ def blanked_imbr(n_rows=1000, seed=0):
         ],
         target="Tgt",
     )
+
+
+@contextmanager
+def two_cpus():
+    """Let ``write_dataset`` split as on a host with two free CPUs.
+
+    Yields the list of the pids the writer forks.  On leaving, no child
+    of this process may be left, running or unreaped.
+    """
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    with mock.patch.object(os, "sched_getaffinity", return_value={0, 1}), \
+            mock.patch.object(os, "fork", counted_fork):
+        yield forks
+    try:
+        left = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    raise AssertionError(f"a child process was left: {left}")

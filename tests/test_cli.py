@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import rebalance.tabular as tabular
 from rebalance import class_counts, read_dataset, write_dataset
 from rebalance.classif import ClassPercSpec
 from rebalance.cli import COMMANDS, _build_parser, run
@@ -253,6 +254,16 @@ def test_top_level_help_lists_every_subcommand(capsys):
     assert listed == SUBCOMMANDS
 
 
+@pytest.mark.parametrize("argv", [[], ["nope"]], ids=["empty", "unknown"])
+def test_usage_error_lists_every_subcommand(argv, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"^usage: rebalance \[-h\]\s+\{([^}]*)\}", err)[1].split(",") == SUBCOMMANDS
+    if argv:
+        choices = re.search(r"invalid choice: 'nope' \(choose from (.*)\)", err)[1]
+        assert re.findall(r"'([^']*)'", choices) == SUBCOMMANDS
+
+
 @pytest.mark.parametrize("name", SUBCOMMANDS)
 def test_subcommand_help_lists_its_options(name, capsys):
     assert run([name, "--help"]) == 0
@@ -410,12 +421,12 @@ def test_smote_r_names_nan_distances_from_blank_cells(tmp_path, capsys):
     assert not out.exists()
 
 
-def _python_m(args):
+def _python_m(args, text=True):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", *args], env=env,
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=text, timeout=60)
 
 
 @pytest.mark.parametrize("module", ["rebalance", "rebalance.cli"])
@@ -423,3 +434,15 @@ def test_python_m_entry_points(module):
     proc = _python_m([module, "--help"])
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: rebalance ")
+
+
+def test_large_output_to_dev_stdout(tmp_path):
+    # over SPLIT_ROWS rows, so written by two processes where two CPUs
+    # are free; the worker's bytes go through a temporary file
+    rows = str(tabular.SPLIT_ROWS + 3)
+    proc = _python_m(["rebalance", "gen", "imbr", "--rows", rows, "--out", "/dev/stdout"],
+                     text=False)
+    assert proc.returncode == 0 and proc.stderr == b""
+    path = tmp_path / "g.csv"
+    assert run(["gen", "imbr", "--rows", rows, "--out", str(path)]) == 0
+    assert proc.stdout == path.read_bytes()

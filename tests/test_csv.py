@@ -10,6 +10,8 @@ its default, so that rows fall on and across block boundaries.
 import csv
 import io
 import math
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -22,7 +24,7 @@ from rebalance import ColumnKind, read_dataset, write_dataset
 from rebalance.tabular import dataset_to_csv_bytes
 
 import _oracles as oracle
-from _toys import make_ds
+from _toys import make_ds, two_cpus
 
 
 @pytest.fixture(autouse=True, params=[1, 7, tabular.BLOCK_ROWS], ids="block{}".format)
@@ -80,6 +82,31 @@ def test_writer_matches_row_writer(ds):
     want = io.StringIO()
     oracle.write_rows_oracle(ds, want)
     assert dataset_to_csv_bytes(ds) == want.getvalue().encode("utf-8")
+
+
+def row_counts():
+    b = tabular.BLOCK_ROWS
+    return [0, 1, b - 1, b, b + 1, 2 * b + 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(ds=tables(), pick=st.integers(0, 5), offset=st.sampled_from([-1, 0, 1]))
+@example(ds=one_column(["", None, 'a"b', "x\r\ny"]), pick=3, offset=0)
+@example(ds=make_ds([("y", "num", [1.5, math.nan]), ("g", "nom", ["ä,", None])], "g"),
+         pick=5, offset=-1)
+def test_split_writer_writes_the_serial_bytes(ds, pick, offset):
+    # ``tables`` gives up to 16 rows; they are repeated to the row count,
+    # and the split point is set just below, at or just above it
+    n = row_counts()[pick] if ds.n_rows else 0
+    ds = ds.take(np.arange(n) % max(ds.n_rows, 1))
+    split_rows = max(n + offset, 0)
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(tabular, "SPLIT_ROWS", split_rows):
+        path = Path(tmp) / "out.csv"
+        with two_cpus() as forks:
+            write_dataset(ds, path)
+        assert len(forks) == (n >= split_rows)
+        assert path.read_bytes() == dataset_to_csv_bytes(ds)
 
 
 # cells that are numbers, are not, or are missing; some use only the

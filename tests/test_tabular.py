@@ -1,6 +1,8 @@
 import ast
 import io
 import math
+import os
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -21,11 +23,12 @@ from rebalance import (
 )
 import rebalance.tabular as tabular
 from rebalance._util import nominal_freqs
+from rebalance.cli import run
 from rebalance.classif import _class_indices
 from rebalance.tabular import dataset_to_csv_bytes, parses_as_number
 
 import _oracles as oracle
-from _toys import labelled, make_ds
+from _toys import labelled, make_ds, toy_mixed_ds, two_cpus
 
 
 def read_text(text, target, schema=None):
@@ -351,7 +354,7 @@ def test_only_tabular_turns_labels_into_codes():
         assert not names & coders, f"{path.name} codes labels"
 
 
-def test_writer_memory_is_bounded_by_one_block():
+def test_writer_memory_is_bounded_by_one_block(tmp_path):
     class Discard:
         def write(self, text):
             return len(text)
@@ -372,6 +375,86 @@ def test_writer_memory_is_bounded_by_one_block():
     # a block's fields and text take a few hundred bytes a row; the
     # whole table's would take about 36 MiB
     assert peak < tabular.BLOCK_ROWS * 1024
+
+    # a path sink is split with a forked worker; this process holds one
+    # block of its half, then one chunk of the worker's bytes at a time
+    path = tmp_path / "out.csv"
+    with two_cpus() as forks:
+        tracemalloc.start()
+        try:
+            write_dataset(ds, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert forks
+    assert peak < tabular.BLOCK_ROWS * 1024
+    assert path.read_bytes() == dataset_to_csv_bytes(ds)
+
+
+def fail_formatting_in(side, monkeypatch):
+    """Split every write, and make formatting fail in the ``side``
+    process, "worker" or "parent"."""
+    parent = os.getpid()
+    fields = tabular._fields
+
+    def _fields(*args):
+        if (os.getpid() == parent) == (side == "parent"):
+            raise MemoryError("formatting failed")
+        return fields(*args)
+
+    monkeypatch.setattr(tabular, "_fields", _fields)
+    monkeypatch.setattr(tabular, "SPLIT_ROWS", 2)
+
+
+def test_failed_worker_is_a_tabular_error(monkeypatch, tmp_path):
+    fail_formatting_in("worker", monkeypatch)
+    with two_cpus() as forks, \
+            pytest.raises(TabularError, match=r"rows 6-10 of .*out\.csv exited with status 1"):
+        write_dataset(toy_mixed_ds().take(np.arange(10) % 6), tmp_path / "out.csv")
+    assert forks
+
+
+def test_parent_failure_kills_the_worker(monkeypatch, tmp_path):
+    fail_formatting_in("parent", monkeypatch)
+    with two_cpus() as forks, pytest.raises(MemoryError):
+        write_dataset(toy_mixed_ds(), tmp_path / "out.csv")
+    assert forks
+
+
+def test_failed_worker_is_one_cli_error_line(monkeypatch, tmp_path, capsys):
+    fail_formatting_in("worker", monkeypatch)
+    with two_cpus() as forks:
+        assert run(["gen", "imbc", "--rows", "50", "--out", str(tmp_path / "g.csv")]) == 1
+    assert forks
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: the process formatting rows 26-50 of ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("why", ["thread", "one_cpu", "fork_fails"])
+def test_writer_stays_serial_unless_it_can_fork(why, monkeypatch, tmp_path):
+    def fork():
+        if why == "fork_fails":
+            raise OSError("fork: resource temporarily unavailable")
+        raise AssertionError("the writer forked")
+
+    monkeypatch.setattr(tabular, "SPLIT_ROWS", 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0} if why == "one_cpu" else {0, 1})
+    monkeypatch.setattr(os, "fork", fork)
+    ds = toy_mixed_ds()
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait, args=(60,))
+    if why == "thread":
+        thread.start()
+    try:
+        write_dataset(ds, tmp_path / "out.csv")
+    finally:
+        stop.set()
+    if why == "thread":
+        thread.join(10)
+        assert not thread.is_alive()
+    assert (tmp_path / "out.csv").read_bytes() == dataset_to_csv_bytes(ds)
 
 
 def test_take_memory_follows_the_code_dtype():
