@@ -32,6 +32,13 @@ then one ``float`` parse, decides most numeric blocks, and only other
 text is checked a cell at a time.  A column numeric so far also keeps
 each block's text, one joined string and the cells' lengths, so that
 it can be coded from its own spelling if a later block holds a label.
+A regular file whose front half holds ``SPLIT_ROWS // 2`` lines, no
+quote and no bare CR is read by two processes where two CPUs are free
+(``read_dataset``): a worker reads the records after the first line
+end past the middle and hands back its columns' state, which is
+merged in file order.  The result and every error are those of one
+process; any failure reads the file again in one process.  Both
+splits fork through ``_forked``.
 """
 
 from __future__ import annotations
@@ -40,16 +47,19 @@ import csv
 import gc
 import io
 import os
+import pickle
 import re
 import shutil
 import signal
+import stat
 import tempfile
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import compress, islice
 from pathlib import Path
-from typing import IO, Iterable, Mapping, NoReturn, Sequence
+from typing import IO, Callable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -87,7 +97,9 @@ _LITERAL_CHARS_RE = re.compile(r"[0-9+\-.eE]*")
 BLOCK_ROWS = 1 << 11
 # outputs of this many rows or more are written by two processes, when
 # two CPUs are free (``write_dataset``); the worker's bytes are then
-# appended COPY_BYTES at a time
+# appended COPY_BYTES at a time.  Inputs whose front half holds half as
+# many lines are read by two processes (``read_dataset``), and scanned
+# for the split point COPY_BYTES at a time.
 SPLIT_ROWS = 8 * BLOCK_ROWS
 COPY_BYTES = 1 << 18
 
@@ -310,12 +322,6 @@ def class_counts(ds: Dataset) -> ClassCounts:
     return ClassCounts(zip(col.categories, counts.tolist()))
 
 
-def _open_source(source) -> tuple[IO[str], bool]:
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline=""), True
-    return source, False
-
-
 def read_dataset(
     source,
     target: str,
@@ -329,42 +335,23 @@ def read_dataset(
     or scientific real literal (``parses_as_number``; one too large for
     a float reads as infinity).  A missing cell in the target column is
     an error.
+
+    ``source`` is a path or a text stream.  A regular file is read by
+    two processes when two CPUs are free and this process runs one
+    thread, if a scan of its front half proves a split point
+    (``_split_point``): no ``"``, no CR outside a CRLF pair and at least
+    ``SPLIT_ROWS // 2`` lines.  A forked worker reads the records after
+    the split point while this process reads those before it.  The
+    result is the one process's, and so is every error: if either side
+    fails, the whole file is read again by one process.  A stream, a
+    file whose front half holds a quote or a bare CR, or a smaller file
+    is read by one process.
     """
-    fh, owned = _open_source(source)
-    try:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TabularError("empty input: no header row") from None
-        if len(set(header)) != len(header):
-            raise TabularError("duplicate column names in header")
-        if target not in header:
-            raise TabularError(f"target column {target!r} not in header")
-        if schema:
-            unknown = set(schema) - set(header)
-            if unknown:
-                raise TabularError(
-                    f"schema names unknown columns: {sorted(unknown)}"
-                )
-            for name, kind in schema.items():
-                if not isinstance(kind, ColumnKind):
-                    raise TabularError(
-                        f"schema gives column {name!r} the kind {kind!r}, not a ColumnKind"
-                    )
-        columns = [_ColumnReader(name, schema.get(name) if schema else None, name == target)
-                   for name in header]
-        lineno = 2
-        while records := _read_block(reader, len(header), lineno):
-            for col, cells in zip(columns, zip(*records)):
-                col.add(cells)
-            lineno += len(records)
-            del records, cells  # before the next block is read
-    except UnicodeDecodeError as exc:
-        raise TabularError(f"input is not UTF-8 text: {exc}") from None
-    finally:
-        if owned:
-            fh.close()
+    columns = None
+    if isinstance(source, (str, Path)) and _may_fork():
+        columns = _read_split(source, target, schema)
+    if columns is None:
+        columns = _read_serial(source, target, schema)
 
     # column errors wait for the end of the file, where a ragged row or
     # a read error anywhere has been raised first
@@ -376,6 +363,127 @@ def read_dataset(
         if col.is_target and col.has_empty:
             raise TabularError("missing value in the target column")
     return Dataset([col.column() for col in columns], target)
+
+
+def _read_serial(source, target: str, schema) -> list["_ColumnReader"]:
+    """The columns of ``source``, read by this process alone."""
+    owned = isinstance(source, (str, Path))
+    fh = open(source, "r", encoding="utf-8", newline="") if owned else source
+    try:
+        reader = csv.reader(fh)
+        columns = _header(reader, target, schema)
+        _read_records(reader, columns, 2)
+    except UnicodeDecodeError as exc:
+        raise TabularError(f"input is not UTF-8 text: {exc}") from None
+    finally:
+        if owned:
+            fh.close()
+    return columns
+
+
+def _header(reader, target: str, schema) -> list["_ColumnReader"]:
+    """Read and check the header record; one column reader per name."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise TabularError("empty input: no header row") from None
+    if len(set(header)) != len(header):
+        raise TabularError("duplicate column names in header")
+    if target not in header:
+        raise TabularError(f"target column {target!r} not in header")
+    if schema:
+        unknown = set(schema) - set(header)
+        if unknown:
+            raise TabularError(
+                f"schema names unknown columns: {sorted(unknown)}"
+            )
+        for name, kind in schema.items():
+            if not isinstance(kind, ColumnKind):
+                raise TabularError(
+                    f"schema gives column {name!r} the kind {kind!r}, not a ColumnKind"
+                )
+    return [_ColumnReader(name, schema.get(name) if schema else None, name == target)
+            for name in header]
+
+
+def _read_records(reader, columns: list["_ColumnReader"], lineno: int) -> None:
+    """Add ``reader``'s records to ``columns`` a block at a time, the
+    first being record ``lineno``."""
+    while records := _read_block(reader, len(columns), lineno):
+        for col, cells in zip(columns, zip(*records)):
+            col.add(cells)
+        lineno += len(records)
+        del records, cells  # before the next block is read
+
+
+def _read_split(path, target: str, schema) -> list["_ColumnReader"] | None:
+    """The columns of the file at ``path``, read by two processes, or
+    None if the file has no proven split point or either side fails."""
+    try:
+        split = _split_point(path)
+        if split is None:
+            return None
+        start, lines = split
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            columns = _header(reader, target, schema)
+            with _forked(lambda tmp: _read_back(path, start, columns, lines + 1, tmp),
+                         f"the process reading {path} from byte {start}") as join:
+                if join is None:
+                    return None
+                # before ``start`` lie the header and lines - 1 records
+                _read_records(islice(reader, lines - 1), columns, 2)
+                back = pickle.load(join())
+    except Exception:
+        # the serial reader reads the file again, and raises its own
+        # error if there is one
+        return None
+    for col, rest in zip(columns, back):
+        col.extend(rest)
+    return columns
+
+
+def _split_point(path) -> tuple[int, int] | None:
+    """``(p, L)``: ``p`` the byte after the first LF at or past the
+    middle of the regular file at ``path``, ``L`` the LFs before it.
+
+    None unless bytes ``[0, p)`` hold no ``"``, no CR outside a CRLF
+    pair and at least ``SPLIT_ROWS // 2`` LFs.  Then each line before
+    ``p`` is one record, so ``p`` starts record ``L + 1``, the header
+    being record 1.  The file is read ``COPY_BYTES`` at a time.
+    """
+    # a pipe would be drained by the scan
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        return None
+    with open(path, "rb") as raw:
+        half = os.fstat(raw.fileno()).st_size // 2
+        pos = lines = 0
+        cr = False  # the last chunk ended in a CR
+        while chunk := raw.read(COPY_BYTES):
+            end = chunk.find(b"\n", max(half - pos, 0)) + 1
+            if end:
+                chunk = chunk[:end]
+            if (b'"' in chunk or (cr and not chunk.startswith(b"\n"))
+                    or chunk.count(b"\r") - chunk.endswith(b"\r") > chunk.count(b"\r\n")):
+                return None
+            cr = chunk.endswith(b"\r")
+            lines += chunk.count(b"\n")
+            pos += len(chunk)
+            if end:
+                return (pos, lines) if lines >= SPLIT_ROWS // 2 else None
+    return None
+
+
+def _read_back(path, start: int, columns: list["_ColumnReader"], lineno: int,
+               tmp: IO[bytes]) -> None:
+    """In the forked worker: add the records from byte ``start`` of
+    ``path`` on, the first being record ``lineno``, to ``columns``, and
+    dump the columns to ``tmp``."""
+    with open(path, "rb") as raw:
+        raw.seek(start)
+        with io.TextIOWrapper(raw, encoding="utf-8", newline="") as fh:
+            _read_records(csv.reader(fh), columns, lineno)
+    pickle.dump(columns, tmp, pickle.HIGHEST_PROTOCOL)
 
 
 class _ColumnReader:
@@ -425,12 +533,28 @@ class _ColumnReader:
             if self.declared is ColumnKind.NUMERIC:
                 self.bad = next(v for v in present if not parses_as_number(v))
                 return
-            self.numeric = False
-            for joined, lengths in self.texts:
-                ends = np.cumsum(lengths).tolist()
-                self.codes.append(_codes([joined[a - n:a] for a, n in zip(ends, lengths.tolist())], ""))
-            self.floats, self.texts = [], []
+            self._code_text()
         self.codes.append(_codes(cells, ""))
+
+    def _code_text(self) -> None:
+        """Make the column nominal: code its kept text block by block,
+        so that each label keeps its spelling."""
+        self.numeric = False
+        for joined, lengths in self.texts:
+            ends = np.cumsum(lengths).tolist()
+            self.codes.append(_codes([joined[a - n:a] for a, n in zip(ends, lengths.tolist())], ""))
+        self.floats, self.texts = [], []
+
+    def extend(self, back: "_ColumnReader") -> None:
+        """Take in the cells ``back`` read, which follow this reader's."""
+        self.has_empty |= back.has_empty
+        if self.bad is None:
+            self.bad = back.bad
+        if self.numeric != back.numeric:
+            (self if self.numeric else back)._code_text()
+        self.floats += back.floats
+        self.texts += back.texts
+        self.codes += back.codes
 
     def column(self) -> Column:
         """The column read; the reader lets go of its blocks."""
@@ -515,47 +639,87 @@ def _write_split(ds: Dataset, fh: IO[str]) -> None:
     """Write the front half of ``ds``'s rows to ``fh`` while a forked
     worker formats the back half; then append the worker's bytes."""
     mid = ds.n_rows // 2
-    # unlinked and in the temp dir, so that any output path works,
-    # /dev/stdout included
+    with _forked(lambda tmp: _write_back(ds, tmp, mid),
+                 f"the process formatting rows {mid + 1}-{ds.n_rows} of {fh.name}") as join:
+        if join is None:
+            _write_rows(ds, fh)
+            return
+        _write_rows(ds, fh, stop=mid)
+        tmp = join()
+        fh.flush()
+        shutil.copyfileobj(tmp, fh.buffer, COPY_BYTES)
+
+
+def _write_back(ds: Dataset, tmp: IO[bytes], start: int) -> None:
+    """In the forked worker: write rows ``start:`` of ``ds`` to ``tmp``."""
+    out = io.TextIOWrapper(tmp, encoding="utf-8", newline="")
+    _write_rows(ds, out, start=start, header=False)
+    out.detach()  # flushes, and leaves tmp open
+
+
+@contextmanager
+def _forked(work: Callable[[IO[bytes]], None], what: str
+            ) -> Iterator[Callable[[], IO[bytes]] | None]:
+    """Run ``work(tmp)`` in a forked worker, ``tmp`` being an unlinked
+    temporary file in the temp dir, so that any output path works,
+    /dev/stdout included.
+
+    Yields None if the fork fails, else ``join``: it reaps the worker
+    and gives back ``tmp`` at its start, or raises a TabularError that
+    says ``what`` exited with which status and, if the worker raised,
+    the exception's type and message.  On leaving, a worker not yet
+    reaped is killed and reaped.
+    """
     with tempfile.TemporaryFile() as tmp:
         try:
             pid = os.fork()
         except OSError:
-            _write_rows(ds, fh)
+            yield None
             return
         if pid == 0:
-            _worker(ds, tmp, mid)
-        try:
-            _write_rows(ds, fh, stop=mid)
+            _child(work, tmp)
+
+        def join() -> IO[bytes]:
+            nonlocal pid
             _, status = os.waitpid(pid, 0)
             pid = 0
-            if status:
-                code = os.waitstatus_to_exitcode(status)
-                raise TabularError(f"the process formatting rows {mid + 1}-{ds.n_rows} "
-                                   f"of {fh.name} exited with status {code}")
-            fh.flush()
+            code = os.waitstatus_to_exitcode(status)
             tmp.seek(0)
-            shutil.copyfileobj(tmp, fh.buffer, COPY_BYTES)
+            if code:
+                # status 1 comes from ``_child``, which left the exception in tmp
+                why = tmp.read().decode("utf-8", "replace") if code == 1 else ""
+                raise TabularError(f"{what} exited with status {code}"
+                                   + (f": {why}" if why else ""))
+            return tmp
+
+        try:
+            yield join
         finally:
             if pid:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
 
 
-def _worker(ds: Dataset, tmp: IO[bytes], start: int) -> NoReturn:
-    """In the forked child: write rows ``start:`` to ``tmp``, then exit
-    without running any of the parent's clean-up."""
-    status = 1
+def _child(work: Callable[[IO[bytes]], None], tmp: IO[bytes]) -> NoReturn:
+    """In the forked worker: run ``work(tmp)``, then exit without running
+    any of the parent's clean-up.  If it raises, ``tmp`` holds the
+    exception's type and message in place of its output."""
     try:
         # a collection could finalise, and so flush, a file object the
         # parent owns
         gc.disable()
-        out = io.TextIOWrapper(tmp, encoding="utf-8", newline="")
-        _write_rows(ds, out, start=start, header=False)
-        out.flush()
-        status = 0
-    finally:
-        os._exit(status)
+        work(tmp)
+        tmp.flush()
+    except BaseException as exc:
+        try:
+            why = f"{type(exc).__name__}: {exc}".removesuffix(": ")
+            os.ftruncate(tmp.fileno(), 0)
+            os.pwrite(tmp.fileno(), why.encode("utf-8", "replace"), 0)
+        finally:
+            # before ``exc`` goes, with its frames and any file object
+            # they hold that could flush into tmp
+            os._exit(1)
+    os._exit(0)
 
 
 def _write_rows(ds: Dataset, fh: IO[str], start: int = 0, stop: int | None = None,

@@ -89,10 +89,11 @@ def blanked_imbr(n_rows=1000, seed=0):
 
 @contextmanager
 def two_cpus():
-    """Let ``write_dataset`` split as on a host with two free CPUs.
+    """Let ``write_dataset`` and ``read_dataset`` split as on a host with
+    two free CPUs.
 
-    Yields the list of the pids the writer forks.  On leaving, no child
-    of this process may be left, running or unreaped.
+    Yields the list of the pids the writer or reader forks.  On leaving,
+    no child of this process may be left, running or unreaped.
     """
     forks = []
     fork = os.fork

@@ -421,11 +421,11 @@ def test_smote_r_names_nan_distances_from_blank_cells(tmp_path, capsys):
     assert not out.exists()
 
 
-def _python_m(args, text=True):
+def _python_m(args, text=True, stdin=None):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", *args], env=env,
+    return subprocess.run([sys.executable, "-m", *args], env=env, input=stdin,
                           capture_output=True, text=text, timeout=60)
 
 
@@ -446,3 +446,15 @@ def test_large_output_to_dev_stdout(tmp_path):
     path = tmp_path / "g.csv"
     assert run(["gen", "imbr", "--rows", rows, "--out", str(path)]) == 0
     assert proc.stdout == path.read_bytes()
+
+
+def test_large_input_from_a_pipe(tmp_path):
+    # enough lines to split a regular file where two CPUs are free; a
+    # pipe stays serial, since a scan for the split point would drain it
+    path = tmp_path / "g.csv"
+    assert run(["gen", "imbc", "--rows", str(2 * tabular.SPLIT_ROWS + 3), "--out", str(path)]) == 0
+    args = ["randunder", "--out", "/dev/stdout", "--target", "Class"]
+    proc = _python_m(["rebalance", *args, "--in", "/dev/stdin"], text=False,
+                     stdin=path.read_bytes())
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert proc.stdout == _python_m(["rebalance", *args, "--in", str(path)], text=False).stdout

@@ -16,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import rebalance.tabular as tabular
@@ -144,8 +144,12 @@ RAW_TEXT = st.tuples(st.text('ax1.,"\r\n', max_size=40), st.just("a"), st.none()
 
 
 def outcome(read, text, target, schema):
+    return outcome_of(read, io.StringIO(text), target, schema)
+
+
+def outcome_of(read, source, target, schema):
     try:
-        return read(io.StringIO(text), target, schema)
+        return read(source, target, schema)
     except Exception as exc:
         return type(exc), str(exc)
 
@@ -183,6 +187,109 @@ def test_reader_matches_row_reader(case):
         else:
             assert col.values.dtype == oracle.code_dtype_oracle(len(col.categories))
             assert all(v is None or type(v) is str for v in col.labels)
+
+
+# cells that need no quotes: number literals, maybe blanks, or those
+# and labels; the long label makes some files outgrow the first chunk
+# the reader decodes, so that a bad byte late in the file reaches the
+# worker
+NUMBER_CELLS = ["1", "1.50", "-2.5", "+.5", "3e-2", "1e999", "7"]
+POOLS = [NUMBER_CELLS, [*NUMBER_CELLS, ""], [*NUMBER_CELLS, "", "a", "Z", "ä", "inf", "1_0",
+                                             "w" * 4000]]
+QUOTED_CELLS = ['"a,b"', '"say ""hi"""', '"x\r\ny"', '"\n"', '"1.50"']
+ONE_IN_FOUR = st.integers(0, 3).map(lambda v: v == 0)
+
+
+@st.composite
+def split_csvs(draw):
+    """CSV bytes of up to 40 records, a target and maybe a schema.
+
+    Each column draws the cells of the front half of the records from
+    one pool and those of the back half from another, so that it may be
+    numeric in one half and nominal in the other.  Lines end in LF, CRLF
+    or a bare CR, the last maybe not at all.  Some files have quoted
+    cells in the last quarter of the records, a ragged record, or a byte
+    that is not UTF-8, often near the end.
+    """
+    header = draw(st.lists(st.sampled_from(["x", "g", "cls"]), min_size=1, max_size=3,
+                           unique=True))
+    n = draw(st.integers(0, 40))
+    pools = [draw(st.lists(st.sampled_from(POOLS), min_size=2, max_size=2)) for _ in header]
+    rows = [[draw(st.sampled_from(pool[i >= n // 2])) for pool in pools] for i in range(n)]
+    if n:
+        for i in draw(st.lists(st.integers(n - n // 4 - 1, n - 1), max_size=2)):
+            rows[i][draw(st.integers(0, len(header) - 1))] = draw(st.sampled_from(QUOTED_CELLS))
+        if draw(ONE_IN_FOUR):
+            row = rows[draw(st.integers(0, n - 1))]
+            row.append("1") if draw(st.booleans()) else row.pop()
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    data = (eol.join(map(",".join, [header, *rows])) + draw(st.sampled_from([eol, ""]))).encode()
+    if draw(ONE_IN_FOUR):
+        at = len(data) - draw(st.integers(0, 8) | st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    target = draw(st.sampled_from(header))
+    schema = draw(st.none() | st.dictionaries(st.sampled_from(header),
+                                              st.sampled_from(ColumnKind), max_size=2))
+    return data, target, schema
+
+
+ROWS = b"1,p\n" * 10
+NUMERIC = {"x": ColumnKind.NUMERIC}
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=split_csvs(), chunk=st.sampled_from([1, 2, 3, tabular.COPY_BYTES]))
+# numeric in the front half and nominal in the back, and the other way
+@example(case=(b"x,cls\n" + b"1.50,p\n" * 8 + b"a,q\n" * 8, "cls", None), chunk=1)
+@example(case=(b"x,cls\r\n" + b"a,q\r\n" * 8 + b"1.50,p\r\n" * 8, "cls", None), chunk=2)
+@example(case=(b"x,cls\r" + b"1.50,p\r" * 10, "cls", None), chunk=3)
+# one bare CR in the front half, at the end of a chunk the scan reads
+@example(case=(b"x,cls\n1,p\r" + ROWS, "cls", None), chunk=1)
+# quotes in the back half only: the split is taken
+@example(case=(b"x,cls\n" + ROWS + b'"a,b",p\n"x\r\ny",q\n', "cls", None), chunk=2)
+# a ragged record in either half
+@example(case=(b"x,cls\n1,p\n1\n" + ROWS, "cls", None), chunk=1)
+@example(case=(b"x,cls\n" + ROWS + b"1,p,3\n1,p\n", "cls", None), chunk=1)
+# a byte that is not UTF-8 in either half; in the back half past what
+# this process decodes, so that the worker meets it
+@example(case=(b"x,cls\n\xff,p\n" + ROWS, "cls", None), chunk=3)
+@example(case=(b"x,cls\n" + (b"w" * 1000 + b",p\n") * 20 + b"\xff,p\n", "cls", None),
+         chunk=tabular.COPY_BYTES)
+# a declared-numeric bad cell in either half
+@example(case=(b"x,cls\na,p\n" + ROWS, "cls", NUMERIC), chunk=1)
+@example(case=(b"x,cls\n" + ROWS + b"a,p\n", "cls", NUMERIC), chunk=1)
+@example(case=(b"x,cls\na,p\n" + ROWS + b"b,p\n", "cls", NUMERIC), chunk=1)
+# a blank target cell in the back half; no line end after the last record
+@example(case=(b"x,cls\n" + ROWS + b"1,\n", "cls", None), chunk=2)
+@example(case=(b"x,cls\r\n" + ROWS.replace(b"\n", b"\r\n") + b"2,q", "cls", None), chunk=2)
+def test_split_reader_matches_serial_reader(case, chunk, tmp_path):
+    data, target, schema = case
+    path = tmp_path / "in.csv"
+    path.write_bytes(data)
+    # the rule for the split, applied to the whole file at once
+    end = data.find(b"\n", len(data) // 2) + 1
+    front = data[:end]
+    splits = (end > 0 and b'"' not in front and front.count(b"\r") == front.count(b"\r\n")
+              and front.count(b"\n") >= 2)
+    with mock.patch.object(tabular, "SPLIT_ROWS", 4), \
+            mock.patch.object(tabular, "COPY_BYTES", chunk), two_cpus() as forks:
+        got = outcome_of(read_dataset, path, target, schema)
+    # a bad byte in the first chunk decoded fails the header, before a fork
+    assert len(forks) == splits or (b"\xff" in data and not forks)
+
+    with open(path, encoding="utf-8", newline="") as fh:
+        serial = outcome_of(read_dataset, fh, target, schema)
+    with open(path, encoding="utf-8", newline="") as fh:
+        want = outcome_of(oracle.read_dataset_oracle, fh, target, schema)
+    assert got == serial
+    if isinstance(want, tuple):  # the same error and message
+        if want[0] is UnicodeDecodeError:
+            want = tabular.TabularError, f"input is not UTF-8 text: {want[1]}"
+        assert got == want
+        return
+    assert got == want
+    assert dataset_to_csv_bytes(got) == dataset_to_csv_bytes(serial) == dataset_to_csv_bytes(want)
 
 
 @settings(max_examples=200, deadline=None)

@@ -4,7 +4,9 @@ import math
 import os
 import threading
 import tracemalloc
+from contextlib import nullcontext
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -432,6 +434,17 @@ def test_failed_worker_is_one_cli_error_line(monkeypatch, tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+def test_failed_worker_error_says_why(monkeypatch, tmp_path, capsys):
+    fail_formatting_in("worker", monkeypatch)
+    with two_cpus() as forks:
+        assert run(["gen", "imbc", "--rows", "50", "--out", str(tmp_path / "g.csv")]) == 1
+    assert forks
+    err = capsys.readouterr().err
+    assert err.startswith("error: the process formatting rows 26-50 of ")
+    assert err.endswith(" exited with status 1: MemoryError: formatting failed\n")
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("why", ["thread", "one_cpu", "fork_fails"])
 def test_writer_stays_serial_unless_it_can_fork(why, monkeypatch, tmp_path):
     def fork():
@@ -457,6 +470,68 @@ def test_writer_stays_serial_unless_it_can_fork(why, monkeypatch, tmp_path):
     assert (tmp_path / "out.csv").read_bytes() == dataset_to_csv_bytes(ds)
 
 
+# 40 records whose front half holds no quote and no CR; with SPLIT_ROWS
+# at 16 its front half holds enough lines to split
+SPLIT_TEXT = "x,g,cls\n" + "".join(f"{i % 7}.50,g{i % 3},c{i % 2}\n" for i in range(40))
+
+
+@pytest.mark.parametrize("why", ["split", "stream", "quote", "bare_cr", "small", "thread",
+                                 "one_cpu", "fork_fails"])
+def test_reader_splits_only_where_it_can(why, monkeypatch, tmp_path):
+    text = {
+        "quote": SPLIT_TEXT.replace("g1", '"g1"', 1),
+        "bare_cr": SPLIT_TEXT.replace("\n", "\r", 2),
+        "small": SPLIT_TEXT[:SPLIT_TEXT.index("\n6.50,g0")],
+    }.get(why, SPLIT_TEXT)
+    path = tmp_path / "in.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    monkeypatch.setattr(tabular, "SPLIT_ROWS", 16)
+    if why == "fork_fails":
+        def fork():
+            raise OSError("fork: resource temporarily unavailable")
+        monkeypatch.setattr(os, "fork", fork)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait, args=(60,))
+    if why == "thread":
+        thread.start()
+    # over two_cpus, and undone before it is
+    one_cpu = mock.patch.object(os, "sched_getaffinity", return_value={0})
+    try:
+        with two_cpus() as forks, one_cpu if why == "one_cpu" else nullcontext():
+            if why == "stream":
+                with open(path, encoding="utf-8", newline="") as fh:
+                    ds = read_dataset(fh, target="cls")
+            else:
+                ds = read_dataset(path, target="cls")
+    finally:
+        stop.set()
+    if why == "thread":
+        thread.join(10)
+        assert not thread.is_alive()
+    assert len(forks) == (why == "split")
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert ds == read_dataset(fh, target="cls")
+
+
+def test_failed_read_worker_gives_the_serial_result(monkeypatch, tmp_path):
+    parent = os.getpid()
+    read_back = tabular._read_back
+
+    def _read_back(*args):
+        if os.getpid() != parent:
+            raise MemoryError("reading failed")
+        return read_back(*args)
+
+    monkeypatch.setattr(tabular, "_read_back", _read_back)
+    monkeypatch.setattr(tabular, "SPLIT_ROWS", 16)
+    path = tmp_path / "in.csv"
+    path.write_text(SPLIT_TEXT, encoding="utf-8", newline="")
+    with two_cpus() as forks:
+        ds = read_dataset(path, target="cls")
+    assert forks
+    assert ds == read_text(SPLIT_TEXT, "cls")
+
+
 def test_take_memory_follows_the_code_dtype():
     n, m = 100_000, 250_000
     rng = np.random.default_rng(0)
@@ -480,7 +555,7 @@ def test_take_memory_follows_the_code_dtype():
     assert peak < 11 * m
 
 
-def test_reader_memory_is_bounded_by_the_table():
+def test_reader_memory_is_bounded_by_the_table(tmp_path):
     n = 200_000
     rng = np.random.default_rng(0)
     ds = make_ds([
@@ -501,6 +576,25 @@ def test_reader_memory_is_bounded_by_the_table():
     # the table keeps 24 bytes a row and the numeric column's text about
     # 23 more, about 48 in all; a str per cell, kept to the end of the
     # file, takes about 146
+    assert peak < n * 64
+
+    # a path with no quote is split with a forked worker; this process
+    # holds the front half's state, then also the back half's, loaded
+    # from the worker
+    g = ds.column("g").labels
+    plain = make_ds([("x", "num", ds.column("x").values), ("g", "nom", np.where(g == "b,c", "b", g)),
+                     ("cls", "nom", ds.column("cls").labels)], "cls")
+    path = tmp_path / "in.csv"
+    path.write_bytes(dataset_to_csv_bytes(plain))
+    with two_cpus() as forks:
+        tracemalloc.start()
+        try:
+            back = read_dataset(path, target="cls")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert forks
+    assert back == plain
     assert peak < n * 64
 
 
