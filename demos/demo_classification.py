@@ -31,7 +31,7 @@ def show(tag, outcome):
     if outcome.warnings:
         extra = "   [" + "; ".join(outcome.warnings) + "]"
     print(f"{tag:<28} {counts}   -{len(outcome.removed)} / "
-          f"+{len(outcome.added)}{extra}")
+          f"+{len(outcome.seeds)}{extra}")
 
 
 def main():

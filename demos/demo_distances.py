@@ -11,7 +11,6 @@ from rebalance import (
     Metric,
     MetricError,
     build_context,
-    distance,
     knn_table,
     pairwise,
 )
@@ -74,8 +73,16 @@ def main():
     print("3 nearest to row 0 under heom:",
           knn_table(Metric("heom"), ctx, k=3)[0].tolist())
 
-    # distance() also accepts raw cell sequences, handy for probing
-    d = distance(Metric("heom"), ctx, ["red", 1.0], ["blue", np.nan])
+    # to probe two rows, make them a table of their own
+    probe = Dataset(
+        [
+            Column("colour", ColumnKind.NOMINAL, ["red", "blue"]),
+            Column("size", ColumnKind.NUMERIC, [1.0, np.nan]),
+            Column("cls", ColumnKind.NOMINAL, ["pos", "neg"]),
+        ],
+        target="cls",
+    )
+    d = pairwise(Metric("heom"), build_context(Metric("heom"), probe))[0, 1]
     print(f"heom(('red', 1.0), ('blue', nan)) = {d:.6f}  (missing cell costs 1)")
 
     # minkowsky generalizes: p=1 manhattan, p=2 euclidean, p->inf chebyshev
@@ -89,7 +96,7 @@ def main():
     )
     for p in (1, 2, 3, 10):
         ctx = build_context(Metric("minkowsky", p=p), nums)
-        d = distance(Metric("minkowsky", p=p), ctx, [0.0, 0.0], [1.0, 1.0])
+        d = pairwise(Metric("minkowsky", p=p), ctx)[0, 1]
         print(f"minkowsky p={p:<3} between corners: {d:.6f}")
 
 

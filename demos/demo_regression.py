@@ -66,9 +66,9 @@ def main():
     # smoter's synthetic targets are distance-weighted means, so they
     # stay between the seed and the picked neighbour
     out = smoter(ds, fn, THR, k=5, seed=SEED)
-    synth = [a for a in out.added if a.synthetic]
-    print(f"\nsmoter added {len(synth)} interpolated rows "
-          f"and {len(out.added) - len(synth)} plain copies")
+    n_synth = int(out.synthetic.sum())
+    print(f"\nsmoter added {n_synth} interpolated rows "
+          f"and {len(out.seeds) - n_synth} plain copies")
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ every strategy is deterministic for a fixed seed.
 """
 
 from .classif import (
-    AddedRow,
     ClassPercSpec,
     ResampleError,
     StrategyOutcome,
@@ -29,7 +28,6 @@ from .distance import (
     MetricContext,
     MetricError,
     build_context,
-    distance,
     knn_table,
     pairwise,
 )
@@ -67,7 +65,6 @@ from .tabular import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AddedRow",
     "Bump",
     "BumpPartition",
     "BumpPercSpec",
@@ -91,7 +88,6 @@ __all__ = [
     "build_relevance_range",
     "class_counts",
     "cnn_classif",
-    "distance",
     "enn_classif",
     "find_bumps",
     "gauss_noise_classif",

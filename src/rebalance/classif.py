@@ -1,10 +1,9 @@
 """Resampling strategies for imbalanced classification.
 
 Each strategy takes a Dataset with a nominal target and returns a
-StrategyOutcome: the resampled dataset plus bookkeeping about which
-original rows were dropped and which rows were added (replicas or
-synthetic), the added rows as one array of seed rows and one of
-synthetic flags.  All randomized strategies draw from a single seeded
+StrategyOutcome: the resampled dataset, the original rows it dropped,
+and the rows it added as two arrays, each added row's seed row and
+whether it is synthetic rather than a replica.  All randomized strategies draw from a single seeded
 generator per invocation, so a fixed seed reproduces the output
 exactly.
 
@@ -47,7 +46,6 @@ from .tabular import ColumnKind, Dataset, class_counts
 
 __all__ = [
     "ClassPercSpec",
-    "AddedRow",
     "StrategyOutcome",
     "ResampleError",
     "WARN_TOMEK_NONE",
@@ -107,14 +105,6 @@ class ClassPercSpec(_PercSpec):
         return cls("explicit", dict(percs))
 
 
-@dataclass(frozen=True, slots=True)
-class AddedRow:
-    """Descriptor of one added row: its seed row and whether it is new."""
-
-    seed: int
-    synthetic: bool
-
-
 @dataclass
 class StrategyOutcome:
     """A strategy's output and what it did to the input's rows.
@@ -132,11 +122,6 @@ class StrategyOutcome:
     synthetic: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
     warnings: list[str] = field(default_factory=list)
     partition: BumpPartition | None = None
-
-    @property
-    def added(self) -> list[AddedRow]:
-        """One ``AddedRow`` per added row, built from ``seeds`` and ``synthetic``."""
-        return list(map(AddedRow, self.seeds.tolist(), self.synthetic.tolist()))
 
 
 def _explicit_targets(counts: Mapping[str, int], percs: Mapping[str, float],

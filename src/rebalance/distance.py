@@ -16,20 +16,17 @@ arrays, values for a numeric feature and codes for a nominal one
 (``encode_rows``).  It has two forms: a block, query rows against
 candidate columns, which ``pairwise`` and the neighbour engine use; and
 a paired form (``paired_distances``), row i against row i, which SMOTER
-uses for its synthetic rows and ``distance()`` for one pair of cell
-sequences.  Per feature, the kernel computes its term in place in one
-preallocated buffer and adds it to a second, and the first term goes
-straight into the result.  A missing cell makes a HEOM or HVDM term 1.
-That override is applied only where a chunk's row or column operands
-hold a missing cell, and it is read from the operands' NaN values and
--1 codes, never from a NaN result: inf - inf stays NaN.  HEOM and
-overlap add nominal mismatches as booleans, since a 0/1 term is its own
-square.  HVDM reads nominal terms from the squared value-difference
+uses for its synthetic rows.  Per feature, the kernel computes its term
+in place in one preallocated buffer and adds it to a second, and the
+first term goes straight into the result.  A missing cell makes a HEOM
+or HVDM term 1.  That override is applied only where a chunk's row or
+column operands hold a missing cell, and it is read from the operands'
+NaN values and -1 codes, never from a NaN result: inf - inf stays NaN.
+HEOM and overlap add nominal mismatches as booleans, since a 0/1 term
+is its own square.  HVDM reads nominal terms from the squared value-difference
 table, which is padded with a row and column of 1.0 that code -1
-(missing) indexes, plus an all-zero-frequency row for values unseen at
-build time (only ``distance()`` meets those).  A block gathers a term
-with two 1-D ``take``s, one for the query rows' table rows and one for
-the candidate columns.
+(missing) indexes.  A block gathers a term with two 1-D ``take``s, one
+for the query rows' table rows and one for the candidate columns.
 
 The neighbour engine (``nearest`` and ``knn_table``) never holds the
 full n x m distance matrix.  It splits the candidates (cols) into k-d
@@ -97,7 +94,6 @@ __all__ = [
     "MetricContext",
     "MetricError",
     "build_context",
-    "distance",
     "encode_rows",
     "knn_table",
     "nearest",
@@ -152,7 +148,6 @@ class MetricContext:
     n_rows: int
     num_values: dict[int, np.ndarray] = field(default_factory=dict)
     nom_codes: dict[int, np.ndarray] = field(default_factory=dict)
-    nom_encode: dict[int, dict[str, int]] = field(default_factory=dict)
     ranges: dict[int, float] = field(default_factory=dict)
     four_sd: dict[int, float] = field(default_factory=dict)
     vdm_sq: dict[int, np.ndarray] = field(default_factory=dict)
@@ -192,7 +187,6 @@ def build_context(metric: Metric, ds: Dataset) -> MetricContext:
             ctx.num_values[j] = col.values
         else:
             ctx.nom_codes[j] = col.values
-            ctx.nom_encode[j] = {v: i for i, v in enumerate(col.categories)}
 
     if metric.name == "heom":
         for j, vals in ctx.num_values.items():
@@ -207,7 +201,7 @@ def build_context(metric: Metric, ds: Dataset) -> MetricContext:
         if (y < 0).any():
             raise MetricError("missing value in the target column")
         for j, codes in ctx.nom_codes.items():
-            n_vals = len(ctx.nom_encode[j])
+            n_vals = len(feats[j].categories)
             counts = np.zeros((n_vals, len(ctx.classes)), dtype=np.float64)
             mask = codes >= 0
             np.add.at(counts, (codes[mask], y[mask]), 1.0)
@@ -216,22 +210,14 @@ def build_context(metric: Metric, ds: Dataset) -> MetricContext:
                 counts, totals, out=np.zeros_like(counts), where=totals > 0
             )
             # q=2 value difference: euclidean norm between the two
-            # conditional probability vectors, squared.  Row n_vals holds
-            # values unseen at build time (all-zero frequencies); the
-            # last row and column, which code -1 indexes, missing cells.
-            probs = np.vstack([probs, np.zeros((1, len(ctx.classes)))])
+            # conditional probability vectors, squared.  The last row
+            # and column, which code -1 indexes, hold missing cells.
             diffs = probs[:, None, :] - probs[None, :, :]
             pair = np.sqrt((diffs**2).sum(axis=2))
-            sq = np.ones((n_vals + 2, n_vals + 2))
+            sq = np.ones((n_vals + 1, n_vals + 1))
             sq[:-1, :-1] = pair * pair
             ctx.vdm_sq[j] = sq
     return ctx
-
-
-def _is_missing(v) -> bool:
-    if v is None:
-        return True
-    return isinstance(v, float) and math.isnan(v)
 
 
 def encode_rows(ctx: MetricContext, rows) -> list[np.ndarray]:
@@ -244,40 +230,6 @@ def encode_rows(ctx: MetricContext, rows) -> list[np.ndarray]:
         ctx.num_values[j][rows] if kind == "num" else ctx.nom_codes[j][rows]
         for j, kind in enumerate(ctx.kinds)
     ]
-
-
-def _nominal_code(metric: Metric, ctx: MetricContext, j: int, v, first) -> int:
-    # a value unseen at build time gets a code past the table: the same
-    # code as an equal unseen ``first``, a different one otherwise.
-    # Under HVDM every unseen value takes the all-zero frequency row.
-    if _is_missing(v):
-        return -1
-    encode = ctx.nom_encode[j]
-    if v in encode:
-        return encode[v]
-    return len(encode) + int(metric.name != "hvdm" and v != first)
-
-
-def distance(metric: Metric, ctx: MetricContext, row_a, row_b) -> float:
-    """Distance between two feature-cell sequences.
-
-    Rows need not belong to the context's dataset.  A nominal value
-    never seen at context build time has all-zero conditional
-    frequencies under HVDM, and equals only itself under HEOM and
-    overlap.
-    """
-    if len(row_a) != len(ctx.kinds) or len(row_b) != len(ctx.kinds):
-        raise MetricError("row width does not match the context")
-    a, b = [], []
-    for j, kind in enumerate(ctx.kinds):
-        x, y = row_a[j], row_b[j]
-        if kind == "num":
-            a.append(np.array([x], dtype=np.float64))
-            b.append(np.array([y], dtype=np.float64))
-        else:
-            a.append(np.array([_nominal_code(metric, ctx, j, x, x)]))
-            b.append(np.array([_nominal_code(metric, ctx, j, y, x)]))
-    return float(paired_distances(metric, ctx, a, b)[0])
 
 
 def _override(term: np.ndarray, miss_a: np.ndarray, miss_b: np.ndarray,

@@ -30,8 +30,9 @@ are alive, and keeps no cell as its own string: one scan of the
 block's joined cells over the ASCII characters of number literals,
 then one ``float`` parse, decides most numeric blocks, and only other
 text is checked a cell at a time.  A column numeric so far also keeps
-each block's text, one joined string and the cells' lengths, so that
-it can be coded from its own spelling if a later block holds a label.
+each block's text as one comma-joined string, so that it can be coded
+from its own spelling if a later block holds a label: a number literal
+holds no comma, so splitting at commas gives the cells back.
 A regular file whose front half holds ``SPLIT_ROWS // 2`` lines, no
 quote and no bare CR is read by two processes where two CPUs are free
 (``read_dataset``): a worker reads the records after the first line
@@ -88,9 +89,10 @@ class ColumnKind(Enum):
 # number.  float() would also accept "inf", "nan" and "1_0"; those must
 # stay nominal, so parsing is regex-gated.
 _NUMERIC_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z")
-# the ASCII characters of those literals; over them float() accepts
-# exactly the strings _NUMERIC_RE accepts
-_LITERAL_CHARS_RE = re.compile(r"[0-9+\-.eE]*")
+# the ASCII characters of those literals, and the comma that joins
+# cells; over them float() accepts exactly the strings _NUMERIC_RE
+# accepts, so it rejects any cell that holds a comma
+_LITERAL_CHARS_RE = re.compile(r"[0-9+\-.eE,]*")
 
 # rows in one block of the CSV reader and writer; neither holds more
 # records or output text than one block at a time
@@ -266,18 +268,6 @@ class Dataset:
             out.append(Column._of(c.name, c.kind, values, cats))
         return Dataset(out, self.target)
 
-    def row(self, i: int, feature_only: bool = True) -> tuple:
-        """Cell values of row ``i`` (features only by default)."""
-        cols = self.feature_columns if feature_only else self.columns
-        cells = []
-        for c in cols:
-            v = c.values[i]
-            if c.kind is ColumnKind.NUMERIC:
-                cells.append(float(v))
-            else:
-                cells.append(c.categories[v] if v >= 0 else None)
-        return tuple(cells)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
@@ -387,6 +377,8 @@ def _header(reader, target: str, schema) -> list["_ColumnReader"]:
         header = next(reader)
     except StopIteration:
         raise TabularError("empty input: no header row") from None
+    except csv.Error as exc:
+        raise _csv_error(exc, 1) from None
     if len(set(header)) != len(header):
         raise TabularError("duplicate column names in header")
     if target not in header:
@@ -491,10 +483,10 @@ class _ColumnReader:
 
     A column not declared nominal is numeric while each block's cells
     are number literals (``_numbers``); it keeps each block's floats
-    and, unless declared numeric, the block's text as one joined string
-    and an int32 array of cell lengths.  A block holding a label makes
-    it nominal: the kept text is coded block by block, so each label
-    keeps its spelling.  A nominal column keeps each block's codes and
+    and, unless declared numeric, the block's cells joined by commas.
+    A block holding a label makes it nominal: the kept text is split at
+    the commas and coded block by block, so each label keeps its
+    spelling.  A nominal column keeps each block's codes and
     categories from ``_codes``.  A declared-numeric column keeps its
     first cell that is not a number in ``bad`` and reads no further.
     """
@@ -508,7 +500,7 @@ class _ColumnReader:
         self.has_empty = False
         self.bad: str | None = None
         self.floats: list[np.ndarray] = []
-        self.texts: list[tuple[str, np.ndarray]] = []
+        self.texts: list[str] = []
         self.codes: list[tuple[np.ndarray, tuple[str, ...]]] = []
 
     def add(self, cells: tuple[str, ...]) -> None:
@@ -517,18 +509,17 @@ class _ColumnReader:
         has_empty = "" in cells
         self.has_empty |= has_empty
         if self.numeric:
-            text = "".join(cells)
+            text = ",".join(cells)
             present = list(filter(None, cells)) if has_empty else cells
             numbers = _numbers(present, text)
             if numbers is not None:
-                lengths = np.fromiter(map(len, cells), dtype=np.int32, count=len(cells))
                 if has_empty:
                     values = np.full(len(cells), np.nan)
-                    values[lengths > 0] = numbers
+                    values[np.fromiter(map(bool, cells), dtype=bool, count=len(cells))] = numbers
                     numbers = values
                 self.floats.append(numbers)
                 if self.declared is None:
-                    self.texts.append((text, lengths))
+                    self.texts.append(text)
                 return
             if self.declared is ColumnKind.NUMERIC:
                 self.bad = next(v for v in present if not parses_as_number(v))
@@ -540,9 +531,8 @@ class _ColumnReader:
         """Make the column nominal: code its kept text block by block,
         so that each label keeps its spelling."""
         self.numeric = False
-        for joined, lengths in self.texts:
-            ends = np.cumsum(lengths).tolist()
-            self.codes.append(_codes([joined[a - n:a] for a, n in zip(ends, lengths.tolist())], ""))
+        for joined in self.texts:
+            self.codes.append(_codes(joined.split(","), ""))
         self.floats, self.texts = [], []
 
     def extend(self, back: "_ColumnReader") -> None:
@@ -580,12 +570,12 @@ def _merge_codes(parts) -> tuple[np.ndarray, tuple[str, ...]]:
 def _numbers(cells: Sequence[str], text: str) -> np.ndarray | None:
     """The float64 values of ``cells`` if each is a number literal, else None.
 
-    ``text`` is the cells joined.  One scan of it decides cells that
-    are ASCII literals: over their characters ``float`` accepts exactly
-    what ``_NUMERIC_RE`` accepts, so a ValueError means some cell is
-    not a literal.  Other text, such as non-ASCII digits or labels,
-    goes through ``_NUMERIC_RE`` a cell at a time, up to the first cell
-    it rejects.
+    ``text`` is the cells joined by commas.  One scan of it decides
+    cells that are ASCII literals: over their characters ``float``
+    accepts exactly what ``_NUMERIC_RE`` accepts, so a ValueError
+    means some cell is not a literal.  Other text, such as non-ASCII
+    digits or labels, goes through ``_NUMERIC_RE`` a cell at a time, up
+    to the first cell it rejects.
     """
     if not (_LITERAL_CHARS_RE.fullmatch(text) or all(map(_NUMERIC_RE.match, cells))):
         return None
@@ -600,6 +590,8 @@ def _read_block(reader, width: int, lineno: int) -> list[list[str]]:
     records: list[list[str]] = []
     try:
         records.extend(islice(reader, BLOCK_ROWS))
+    except csv.Error as exc:
+        raise _csv_error(exc, lineno + len(records)) from None
     finally:
         # a ragged record is reported ahead of a read error after it
         sizes = list(map(len, records))
@@ -607,6 +599,11 @@ def _read_block(reader, width: int, lineno: int) -> list[list[str]]:
             i = next(i for i, size in enumerate(sizes) if size != width)
             raise TabularError(f"row {lineno + i} has {sizes[i]} fields, expected {width}")
     return records
+
+
+def _csv_error(exc: csv.Error, lineno: int) -> TabularError:
+    """The error for record ``lineno``, which ``csv`` could not read."""
+    return TabularError(f"row {lineno} cannot be read: {exc}")
 
 
 def write_dataset(ds: Dataset, sink) -> None:

@@ -16,7 +16,6 @@ import re
 
 import numpy as np
 
-from rebalance.classif import AddedRow
 from rebalance.tabular import Column, ColumnKind, Dataset, TabularError
 
 
@@ -24,6 +23,25 @@ def _is_missing(v) -> bool:
     if v is None:
         return True
     return isinstance(v, float) and math.isnan(v)
+
+
+def dataset_row(ds, i, feature_only=True):
+    """Cell values of row ``i`` of ``ds`` (features only by default):
+    floats for numeric cells, labels or None for nominal ones."""
+    cols = ds.feature_columns if feature_only else ds.columns
+    cells = []
+    for c in cols:
+        v = c.values[i]
+        if c.kind is ColumnKind.NUMERIC:
+            cells.append(float(v))
+        else:
+            cells.append(c.categories[v] if v >= 0 else None)
+    return tuple(cells)
+
+
+def added_rows(out):
+    """A strategy outcome's added rows as (seed row, synthetic) pairs."""
+    return list(zip(out.seeds.tolist(), out.synthetic.tolist()))
 
 
 def euclidean_oracle(a, b):
@@ -547,7 +565,7 @@ def write_rows_oracle(ds, fh):
     writer.writerow([c.name for c in ds.columns])
     for i in range(ds.n_rows):
         row = []
-        for c, v in zip(ds.columns, ds.row(i, feature_only=False)):
+        for c, v in zip(ds.columns, dataset_row(ds, i, feature_only=False)):
             if c.kind is ColumnKind.NUMERIC:
                 # repr of a float is the shortest string that round-trips
                 row.append("" if math.isnan(v) else repr(float(v)))
@@ -558,7 +576,7 @@ def write_rows_oracle(ds, fh):
 
 def driver_added_oracle(n_rows, groups, shrunk, grown):
     """The added rows as the shrink/grow driver listed them, one
-    ``AddedRow`` at a time.
+    (seed row, synthetic) pair at a time.
 
     ``groups`` holds (row indices, target) per group in order;
     ``shrunk`` the rows the shrink callback kept for each group above
@@ -574,8 +592,8 @@ def driver_added_oracle(n_rows, groups, shrunk, grown):
     times = [0] * n_rows
     for i in kept:
         times[i] += 1
-    copies = [AddedRow(i, synthetic=False) for i in range(n_rows) for _ in range(times[i] - 1)]
-    return copies + [AddedRow(int(s), synthetic=flag) for seeds, flag in grown for s in seeds]
+    copies = [(i, False) for i in range(n_rows) for _ in range(times[i] - 1)]
+    return copies + [(int(s), flag) for seeds, flag in grown for s in seeds]
 
 
 def imp_samp_mode_b_added_oracle(phi, u, o, seed):
@@ -586,4 +604,4 @@ def imp_samp_mode_b_added_oracle(phi, u, o, seed):
     rng.random(len(phi))  # the drop draw
     m = math.floor(o * phi.sum())
     seeds = rng.choice(len(phi), size=m, p=phi / phi.sum()) if m > 0 else []
-    return [AddedRow(int(s), synthetic=False) for s in seeds]
+    return [(int(s), False) for s in seeds]

@@ -318,7 +318,7 @@ def test_criterion_5_synthesis_geometry():
     ctx = build_context(metric, ds)
     x1 = ds.column("X1").values
     labels = np.array(list(ds.target_column.labels))
-    synth = [a for a in out.added if a.synthetic]
+    synth = out.seeds[out.synthetic].tolist()
     n_kept = out.dataset.n_rows - len(synth)
     sx = out.dataset.column("X1").values[n_kept:]
     tables = {}
@@ -329,12 +329,12 @@ def test_criterion_5_synthesis_geometry():
         order = np.argsort(dm, axis=1, kind="stable")[:, : min(5, len(idx) - 1)]
         tables[label] = (idx, order)
     misses = 0
-    for add, v in zip(synth, sx):
-        idx, order = tables[labels[add.seed]]
-        pos = int(np.flatnonzero(idx == add.seed)[0])
+    for s, v in zip(synth, sx):
+        idx, order = tables[labels[s]]
+        pos = int(np.flatnonzero(idx == s)[0])
         nbrs = idx[order[pos]]
-        lo = np.minimum(x1[add.seed], x1[nbrs]) - 1e-9
-        hi = np.maximum(x1[add.seed], x1[nbrs]) + 1e-9
+        lo = np.minimum(x1[s], x1[nbrs]) - 1e-9
+        hi = np.maximum(x1[s], x1[nbrs]) + 1e-9
         if not np.any((lo <= v) & (v <= hi)):
             misses += 1
     if misses:
@@ -346,19 +346,19 @@ def test_criterion_5_synthesis_geometry():
     outr = smoter(dsr, RAMP, 0.5, BumpPercSpec.explicit([1.0, 4.0]), k=5, seed=0)
     ys = dsr.target_column.values
     xs = dsr.column("x").values
-    synth_r = [a for a in outr.added if a.synthetic]
+    synth_r = outr.seeds[outr.synthetic].tolist()
     n_kept_r = outr.dataset.n_rows - len(synth_r)
     sxr = outr.dataset.column("x").values[n_kept_r:]
     syr = outr.dataset.target_column.values[n_kept_r:]
     rare_rows = np.arange(120, 150)
     misses = 0
-    for add, vx, vy in zip(synth_r, sxr, syr):
+    for s, vx, vy in zip(synth_r, sxr, syr):
         ok = False
         for r in rare_rows:
-            if r == add.seed:
+            if r == s:
                 continue
-            in_x = min(xs[add.seed], xs[r]) - 1e-9 <= vx <= max(xs[add.seed], xs[r]) + 1e-9
-            in_y = min(ys[add.seed], ys[r]) - 1e-9 <= vy <= max(ys[add.seed], ys[r]) + 1e-9
+            in_x = min(xs[s], xs[r]) - 1e-9 <= vx <= max(xs[s], xs[r]) + 1e-9
+            in_y = min(ys[s], ys[r]) - 1e-9 <= vy <= max(ys[s], ys[r]) + 1e-9
             if in_x and in_y:
                 ok = True
                 break
@@ -369,13 +369,13 @@ def test_criterion_5_synthesis_geometry():
 
     # gaussian noise with pert=0 replicates rows exactly
     outg = gauss_noise_classif(ds, ClassPercSpec.balance(), pert=0.0, seed=2)
-    synth_g = [a for a in outg.added if a.synthetic]
+    synth_g = outg.seeds[outg.synthetic].tolist()
     n_kept_g = outg.dataset.n_rows - len(synth_g)
     gx = outg.dataset.column("X1").values[n_kept_g:]
     gc = outg.dataset.column("X2").labels[n_kept_g:]
     x2 = np.array(list(ds.column("X2").labels))
-    for add, vx, vc in zip(synth_g, gx, gc):
-        if vx != x1[add.seed]:
+    for s, vx, vc in zip(synth_g, gx, gc):
+        if vx != x1[s]:
             bad.append("gauss pert=0 changed a numeric cell")
             break
     seen = set(zip(x1.tolist(), x2.tolist()))

@@ -162,7 +162,7 @@ def test_rand_under_explicit():
     assert dict(class_counts(out.dataset)) == {"a": 3, "b": 2}
     # untouched class keeps every row, removals all come from 'a'
     assert all(i < 6 for i in out.removed)
-    assert out.added == [] and out.warnings == []
+    assert len(out.seeds) == 0 and out.warnings == []
 
 
 def test_rand_under_keeps_row_order():
@@ -192,10 +192,10 @@ def test_rand_over_balance_appends_replicas():
     # originals stay in place as a prefix
     assert list(out.dataset.column("x").values[:6]) == [0, 1, 2, 3, 4, 5]
     assert out.removed == []
-    assert len(out.added) == 2
-    for add in out.added:
-        assert not add.synthetic
-        assert ds.target_column.labels[add.seed] == "b"
+    assert len(out.seeds) == 2
+    assert not out.synthetic.any()
+    for s in out.seeds:
+        assert ds.target_column.labels[s] == "b"
 
 
 def test_rand_over_replicas_duplicate_whole_rows():
@@ -219,7 +219,7 @@ def test_imp_samp_moves_both_ways():
     out = imp_samp_classif(ds, ClassPercSpec.balance(), seed=0)
     assert dict(class_counts(out.dataset)) == {"a": 5, "b": 5}
     assert any(i < 8 for i in out.removed)
-    assert all(ds.target_column.labels[a.seed] == "b" for a in out.added)
+    assert all(ds.target_column.labels[s] == "b" for s in out.seeds)
 
 
 def test_imp_samp_shrink_never_duplicates():
@@ -464,7 +464,7 @@ def test_gauss_noise_counts_and_labels():
         gauss_toy(), ClassPercSpec.explicit({"a": 0.5, "b": 2}), seed=0
     )
     assert dict(class_counts(out.dataset)) == {"a": 3, "b": 6}
-    assert sum(1 for a in out.added if a.synthetic) == 3
+    assert np.count_nonzero(out.synthetic) == 3
 
 
 def test_gauss_noise_pert_zero_gives_replicas():
@@ -476,9 +476,9 @@ def test_gauss_noise_pert_zero_gives_replicas():
     synth_c = out.dataset.column("c").labels[ds.n_rows:]
     assert len(synth) == 6
     assert set(synth) <= {10.0, 11.0, 12.0}
-    for add, v, c in zip([a for a in out.added if a.synthetic], synth, synth_c):
-        assert v == xs[add.seed]
-        assert c == cs[add.seed]
+    for s, v, c in zip(out.seeds[out.synthetic], synth, synth_c):
+        assert v == xs[s]
+        assert c == cs[s]
 
 
 def test_gauss_noise_nominal_values_stay_within_class():
@@ -519,12 +519,11 @@ def test_smote_synthetic_rows_lie_between_seed_and_a_neighbour():
     ds = smote_toy()
     out = smote_classif(ds, ClassPercSpec.explicit({"b": 4}), k=2, seed=2)
     xs, ys = ds.column("x").values, ds.column("y").values
-    synth = [a for a in out.added if a.synthetic]
+    synth = out.seeds[out.synthetic].tolist()
     sx = out.dataset.column("x").values[ds.n_rows:]
     sy = out.dataset.column("y").values[ds.n_rows:]
     b_rows = [6, 7, 8]
-    for add, vx, vy in zip(synth, sx, sy):
-        s = add.seed
+    for s, vx, vy in zip(synth, sx, sy):
         ok = False
         for r in b_rows:
             if r == s:

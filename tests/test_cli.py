@@ -338,6 +338,8 @@ def test_oss_report_lists_class_roles(imbc_csv, tmp_path):
     # the Rare bump must lose 2 rows and only 1 has relevance below 1
     ("impsamp-r", "--in", "FEW_ROWS", "--target", "y", "--rel-points", "REL_POINTS",
      "--thr-rel", "0.3"),
+    # a field longer than the csv module reads
+    ("randunder", "--in", "LONG_FIELD", "--target", "b"),
 ])
 def test_non_finite_numbers_are_data_errors(imbc_csv, imbr_csv, tmp_path, capsys, args):
     src, target = (imbr_csv, "Tgt") if args[0].endswith("-r") else (imbc_csv, "Class")
@@ -347,7 +349,9 @@ def test_non_finite_numbers_are_data_errors(imbc_csv, imbr_csv, tmp_path, capsys
     few.write_text("x,y\n1,0\n2,0\n3,1.5\n4,2\n5,2\n")
     points = tmp_path / "points.csv"
     points.write_text("0,0\n0.5,0\n1,0\n2,1\n")
-    files = {"NOT_UTF8": bad, "FEW_ROWS": few, "REL_POINTS": points}
+    long = tmp_path / "long.csv"
+    long.write_text("a,b\n1," + "x" * 200_000 + "\n")
+    files = {"NOT_UTF8": bad, "FEW_ROWS": few, "REL_POINTS": points, "LONG_FIELD": long}
     args = [str(files[a]) if a in files else a for a in args]
     out = tmp_path / "o.csv"
     # a later --in replaces the default one

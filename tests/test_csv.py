@@ -141,6 +141,8 @@ def csv_texts(draw):
 
 
 RAW_TEXT = st.tuples(st.text('ax1.,"\r\n', max_size=40), st.just("a"), st.none())
+# a field longer than ``csv`` reads
+LONG = "w" * (csv.field_size_limit() + 1)
 
 
 def outcome(read, text, target, schema):
@@ -152,6 +154,20 @@ def outcome_of(read, source, target, schema):
         return read(source, target, schema)
     except Exception as exc:
         return type(exc), str(exc)
+
+
+def reader_error(want, text):
+    """The reader's error for the oracle's ``want``: a ``csv.Error``
+    names the record ``csv.reader`` fails on, the header being 1."""
+    if want[0] is not csv.Error:
+        return want
+    lineno = 1
+    try:
+        for _ in csv.reader(io.StringIO(text)):
+            lineno += 1
+    except csv.Error:
+        return tabular.TabularError, f"row {lineno} cannot be read: {want[1]}"
+    raise AssertionError("csv.reader reads the text the oracle could not")
 
 
 @settings(max_examples=300, deadline=None)
@@ -174,12 +190,18 @@ def outcome_of(read, source, target, schema):
                {"y": ColumnKind.NUMERIC}))
 # a bad cell, then a ragged row some blocks on
 @example(case=("a,cls\nx,p\n" + "1,p\n" * 9 + "1\n", "cls", {"a": ColumnKind.NUMERIC}))
+# a field too long for ``csv`` in the header or a record, after a ragged
+# row in the same block or ahead of one
+@example(case=(LONG + ",cls\n1,p\n", "cls", None))
+@example(case=("a,cls\n1,p\n" + LONG + ",p\n1\n", "cls", None))
+@example(case=("a,cls\n1\n" + LONG + ",p\n", "cls", None))
 def test_reader_matches_row_reader(case):
     got = outcome(read_dataset, *case)
     want = outcome(oracle.read_dataset_oracle, *case)
-    assert got == want
     if isinstance(want, tuple):  # the same error type and message
+        assert got == reader_error(want, case[0])
         return
+    assert got == want
     assert dataset_to_csv_bytes(got) == dataset_to_csv_bytes(want)
     for col in got.columns:
         if col.kind is ColumnKind.NUMERIC:
@@ -256,6 +278,9 @@ NUMERIC = {"x": ColumnKind.NUMERIC}
 @example(case=(b"x,cls\n\xff,p\n" + ROWS, "cls", None), chunk=3)
 @example(case=(b"x,cls\n" + (b"w" * 1000 + b",p\n") * 20 + b"\xff,p\n", "cls", None),
          chunk=tabular.COPY_BYTES)
+# a field too long for ``csv`` in the back half, which the worker meets
+@example(case=(b"x,cls\n" + (b"w" * 1000 + b",p\n") * 140 + LONG.encode() + b",p\n", "cls",
+               None), chunk=tabular.COPY_BYTES)
 # a declared-numeric bad cell in either half
 @example(case=(b"x,cls\na,p\n" + ROWS, "cls", NUMERIC), chunk=1)
 @example(case=(b"x,cls\n" + ROWS + b"a,p\n", "cls", NUMERIC), chunk=1)
@@ -286,7 +311,7 @@ def test_split_reader_matches_serial_reader(case, chunk, tmp_path):
     if isinstance(want, tuple):  # the same error and message
         if want[0] is UnicodeDecodeError:
             want = tabular.TabularError, f"input is not UTF-8 text: {want[1]}"
-        assert got == want
+        assert got == reader_error(want, data.decode("utf-8", "replace"))
         return
     assert got == want
     assert dataset_to_csv_bytes(got) == dataset_to_csv_bytes(serial) == dataset_to_csv_bytes(want)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from rebalance import Metric, MetricError, build_context, distance, knn_table, pairwise
+from rebalance import Metric, MetricError, build_context, knn_table, pairwise
+from rebalance.distance import encode_rows, paired_distances
 
 import _oracles as oracle
 from _toys import TOY_KINDS, TOY_LABELS, TOY_ROWS, labelled, make_ds, toy_mixed_ds
@@ -9,6 +10,11 @@ from _toys import TOY_KINDS, TOY_LABELS, TOY_ROWS, labelled, make_ds, toy_mixed_
 
 def ctx_for(name, ds, p=None):
     return build_context(Metric(name, p=p) if p else Metric(name), ds)
+
+
+def pair(ctx, i, j):
+    """The distance between rows i and j of the context's dataset."""
+    return pairwise(ctx.metric, ctx, [i, j])[0, 1]
 
 
 def numeric_ds(matrix, labels=None):
@@ -38,14 +44,14 @@ def test_unknown_metric_name():
 def test_minkowsky_p3_frozen():
     ds = numeric_ds([[0.0, 0.0], [1.0, 1.0]])
     ctx = ctx_for("minkowsky", ds, p=3)
-    d = distance(ctx.metric, ctx, ds.row(0), ds.row(1))
+    d = pair(ctx, 0, 1)
     assert d == pytest.approx(1.2599210498948732, abs=1e-15)
 
 
 def test_canberra_zero_over_zero_is_zero():
     ds = numeric_ds([[1.0, -2.0, 0.0], [3.0, 2.0, 0.0]])
     ctx = ctx_for("canberra", ds)
-    d = distance(ctx.metric, ctx, ds.row(0), ds.row(1))
+    d = pair(ctx, 0, 1)
     assert d == pytest.approx(1.5, abs=1e-15)
 
 
@@ -142,7 +148,7 @@ def test_overlap_rejects_numeric_features():
 def test_heom_frozen_values():
     ds = toy_mixed_ds()
     ctx = ctx_for("heom", ds)
-    d03 = distance(ctx.metric, ctx, ds.row(0), ds.row(3))
+    d03 = pair(ctx, 0, 3)
     # nominal mismatch -> 1, numeric |1-5|/range 5 -> 0.8
     assert d03 == pytest.approx(1.2806248474865698, abs=1e-12)
 
@@ -157,14 +163,14 @@ def test_heom_missing_contributes_one():
         "cls",
     )
     ctx = ctx_for("heom", ds)
-    d = distance(ctx.metric, ctx, ds.row(0), ds.row(1))
+    d = pair(ctx, 0, 1)
     assert d == pytest.approx(1.4142135623730951, abs=1e-12)
 
 
 def test_heom_zero_range_contributes_zero():
     ds = labelled(["p", "q"], {"x": ("num", [4.0, 4.0])})
     ctx = ctx_for("heom", ds)
-    assert distance(ctx.metric, ctx, ds.row(0), ds.row(1)) == 0.0
+    assert pair(ctx, 0, 1) == 0.0
 
 
 def test_heom_matches_oracle_with_missing_cells():
@@ -204,35 +210,19 @@ def toy_ctx():
 def test_hvdm_frozen_values():
     """Values pinned from a hand-checked reference implementation."""
     ds, ctx = toy_ctx()
-    m = ctx.metric
-    assert distance(m, ctx, ds.row(0), ds.row(2)) == pytest.approx(
-        0.9799578870122228, abs=1e-12
-    )
-    assert distance(m, ctx, ds.row(0), ds.row(4)) == pytest.approx(
-        0.4008918628686366, abs=1e-12
-    )
-    assert distance(m, ctx, ds.row(0), ds.row(5)) == pytest.approx(
-        0.4899789435061114, abs=1e-12
-    )
+    assert pair(ctx, 0, 2) == pytest.approx(0.9799578870122228, abs=1e-12)
+    assert pair(ctx, 0, 4) == pytest.approx(0.4008918628686366, abs=1e-12)
+    assert pair(ctx, 0, 5) == pytest.approx(0.4899789435061114, abs=1e-12)
     # same nominal value, numeric gap of 2 -> pure numeric term
-    assert distance(m, ctx, ds.row(2), ds.row(3)) == pytest.approx(
-        0.2672612419124244, abs=1e-12
-    )
-    assert distance(m, ctx, ds.row(1), ds.row(4)) == pytest.approx(
-        0.2672612419124244, abs=1e-12
-    )
-
-
-def test_hvdm_unseen_nominal_value():
-    # unseen category: its class-conditional probabilities are all zero
-    ds, ctx = toy_ctx()
-    d = distance(ctx.metric, ctx, ("z", 1.0), ds.row(0))
-    assert d == pytest.approx(0.7453559924999299, abs=1e-12)
+    assert pair(ctx, 2, 3) == pytest.approx(0.2672612419124244, abs=1e-12)
+    assert pair(ctx, 1, 4) == pytest.approx(0.2672612419124244, abs=1e-12)
 
 
 def test_hvdm_missing_contributes_one():
+    # a row missing both cells, code -1 and NaN, against row 0
     ds, ctx = toy_ctx()
-    d = distance(ctx.metric, ctx, (None, np.nan), ds.row(0))
+    missing = [np.array([-1]), np.array([np.nan])]
+    d = paired_distances(ctx.metric, ctx, missing, encode_rows(ctx, [0]))[0]
     assert d == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
 
@@ -242,8 +232,11 @@ def test_hvdm_all_missing_nominal_column_contributes_one():
                                      "x": ("num", [0.0, 1.0, 2.0])})
     ctx = ctx_for("hvdm", ds)
     d = pairwise(ctx.metric, ctx)
-    want = [[distance(ctx.metric, ctx, ds.row(i), ds.row(j)) for j in range(3)]
-            for i in range(3)]
+    rows = [oracle.dataset_row(ds, i) for i in range(3)]
+    kinds = ["nom", "num"]
+    sds = oracle.sds_oracle(rows, kinds)
+    tables = oracle.vdm_tables_oracle(rows, ["p", "q", "p"], kinds)
+    want = [[oracle.hvdm_oracle(a, b, kinds, sds, tables) for b in rows] for a in rows]
     np.testing.assert_allclose(d, want, atol=1e-12)
     assert d[0, 0] == 1.0
 
@@ -281,7 +274,7 @@ def test_hvdm_zero_sd_numeric_contributes_zero():
         "cls",
     )
     ctx = ctx_for("hvdm", ds)
-    assert distance(ctx.metric, ctx, ds.row(0), ds.row(1)) == 0.0
+    assert pair(ctx, 0, 1) == 0.0
 
 
 # ------------------------------------------------------------ knn_table

@@ -15,7 +15,8 @@ smallest leaves and chunks, and on the edges of its bounds: runs of
 equal values, a zero-scale feature, terms that underflow to 0 and
 missing cells.  Guard tests hold the walk to its pair budget and to a
 fraction of the n x n pairs on ``gen imbc``, on a table of four normal
-features and in CNN, and keep the sorted walk it replaced deleted.
+features and in CNN, and keep deleted the sorted walk it replaced,
+the scalar ``distance()`` path and the ``AddedRow`` list.
 """
 
 import ast
@@ -29,6 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rebalance
 from rebalance import Metric, MetricError, build_context, cnn_classif, pairwise
 from rebalance.distance import METRIC_NAMES, PLAIN_METRICS, knn_table, nearest
 from rebalance.synthgen import gen_imbc
@@ -40,7 +42,6 @@ from _toys import make_ds, random_numeric_ds
 # turn it into the NaN distances under test
 pytestmark = pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 
-# the package re-exports the function ``distance`` under the module's name
 dist_mod = importlib.import_module("rebalance.distance")
 
 BLOCKS = (1, 7)
@@ -269,7 +270,7 @@ def check_nearest(metric, ctx, q=None, c=None):
 
 @settings(max_examples=60, deadline=None)
 @given(case=sortable_cases(), data=st.data())
-def test_sorted_walk_knn_table_matches_stable_argsort(case, data):
+def test_kd_walk_knn_table_matches_stable_argsort(case, data):
     ds, metric, ctx = case
     n = ds.n_rows
     ks = sorted({1, data.draw(st.integers(1, 8))})
@@ -281,7 +282,7 @@ def test_sorted_walk_knn_table_matches_stable_argsort(case, data):
 
 @settings(max_examples=60, deadline=None)
 @given(case=sortable_cases(), data=st.data())
-def test_sorted_walk_nearest_matches_argmin(case, data):
+def test_kd_walk_nearest_matches_argmin(case, data):
     ds, metric, ctx = case
     n = ds.n_rows
     check_nearest(metric, ctx)
@@ -299,7 +300,7 @@ def test_sorted_walk_nearest_matches_argmin(case, data):
 
 @settings(max_examples=40, deadline=None)
 @given(case=sortable_cases(), seed=st.integers(0, 2**16), data=st.data())
-def test_sorted_walk_cnn_matches_full_matrix_loop(case, seed, data):
+def test_kd_walk_cnn_matches_full_matrix_loop(case, seed, data):
     ds, metric, ctx = case
     classes = sorted(set(ds.target_column.labels))
     if len(classes) < 2:
@@ -404,7 +405,7 @@ def measured(fn):
 # replaced measured on the same call.
 
 @pytest.mark.parametrize("name", ["heom", "hvdm"])
-def test_sorted_walk_prunes_gen_imbc_within_the_pair_budget(name):
+def test_kd_walk_prunes_gen_imbc_within_the_pair_budget(name):
     ds = gen_imbc(4000, seed=0)
     metric = Metric(name)
     ctx = build_context(metric, ds)
@@ -437,3 +438,16 @@ def test_the_sorted_walk_stays_deleted():
     defined = {node.name for node in ast.walk(tree)
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert not defined & {"_sort_feature", "_sorted_chunks"}
+
+
+def test_the_scalar_distance_and_added_rows_stay_deleted():
+    # one way to each result: distances come from pairwise and
+    # paired_distances, added rows from an outcome's seeds and synthetic
+    assert not {"distance", "AddedRow"} & set(rebalance.__all__)
+    assert rebalance.distance is dist_mod and not hasattr(rebalance, "AddedRow")
+    tree = ast.parse(Path(dist_mod.__file__).read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    fields = {node.target.id for node in ast.walk(tree)
+              if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)}
+    assert not (defined | fields) & {"distance", "_nominal_code", "nom_encode"}

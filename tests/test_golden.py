@@ -22,6 +22,10 @@ copies:
   largest target the only row at relevance 1, so ``--thr-rel 1`` gives
   a single-row Rare bump.
 
+Every case runs a second time as on a host with two free CPUs and
+with ``SPLIT_ROWS`` cut to 4, so that two processes read each input and
+two write each output, and must give the same digests.
+
 A change that means to alter output bytes re-records the digests with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -34,15 +38,17 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import rebalance.tabular as tabular
 from rebalance.cli import run
 from rebalance.synthgen import gen_imbc
 from rebalance.tabular import Column, ColumnKind, Dataset, write_dataset
 
-from _toys import blanked_imbr
+from _toys import blanked_imbr, two_cpus
 
 GOLDEN = Path(__file__).with_name("golden.json")
 ROWS = 1000
@@ -181,6 +187,19 @@ def test_corpus_covers_every_case():
 def test_golden_digest(name, inputs):
     golden = json.loads(GOLDEN.read_text())
     csv_digest, report_digest = digests(name, inputs)
+    assert csv_digest == golden["csv"][name]
+    assert report_digest == golden["report"][name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_digest_on_two_cpus(name, inputs):
+    golden = json.loads(GOLDEN.read_text())
+    # no read falls back to one process
+    serial = mock.patch.object(tabular, "_read_serial",
+                               side_effect=AssertionError("read by one process"))
+    with mock.patch.object(tabular, "SPLIT_ROWS", 4), serial, two_cpus() as forks:
+        csv_digest, report_digest = digests(name, inputs)
+    assert len(forks) == 2  # one to read the input, one to write the output
     assert csv_digest == golden["csv"][name]
     assert report_digest == golden["report"][name]
 

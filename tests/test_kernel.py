@@ -1,17 +1,16 @@
 """The distance kernel against an independent scalar oracle, bit for bit.
 
-``pairwise``, the engine's chunks, the paired form and ``distance()``
-all run one vectorised kernel.  Here each must equal
-``scalar_distance_oracle``, a pair-at-a-time loop, exactly (or both
-NaN; minkowsky within a few ulp, see ``POW_RTOL``), under all eight metrics on random mixed data with repeated
-values, NaN, +-inf, missing nominal cells and HVDM columns with no
-present cell.  The engine checks run with the chunk budget cut to 1
+``pairwise``, the engine's chunks and the paired form all run one
+vectorised kernel.  Here each must equal ``scalar_distance_oracle``, a
+pair-at-a-time loop, exactly (or both NaN; minkowsky within a few ulp,
+see ``POW_RTOL``), under all eight metrics on random mixed data with
+repeated values, NaN, +-inf, missing nominal cells and HVDM columns
+with no present cell.  The engine checks run with the chunk budget cut to 1
 and to 7 distances.  The plain metrics are also checked against
 scipy's ``cdist``.
 """
 
 import importlib
-import math
 from unittest import mock
 
 import numpy as np
@@ -19,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rebalance import Metric, MetricError, build_context, distance, pairwise
+from rebalance import Metric, build_context, pairwise
 from rebalance.distance import (
     METRIC_NAMES,
     PLAIN_METRICS,
@@ -77,7 +76,7 @@ def cases(draw):
 
 def scalar(metric, ctx, ds):
     """The oracle as a function of two cell sequences."""
-    rows = [ds.row(i) for i in range(ds.n_rows)]
+    rows = [oracle.dataset_row(ds, i) for i in range(ds.n_rows)]
     kinds = list(ctx.kinds)
     ranges = oracle.ranges_oracle(rows, kinds)
     tables = oracle.vdm_tables_oracle(rows, list(ds.target_column.labels), kinds)
@@ -150,40 +149,6 @@ def test_paired_form_matches_scalar_oracle(case, data):
     ib = np.array(data.draw(st.lists(pos, min_size=m, max_size=m)), dtype=np.intp)
     got = paired_distances(metric, ctx, encode_rows(ctx, ia), encode_rows(ctx, ib))
     assert matches(metric, got, want[ia, ib])
-
-
-@settings(max_examples=200, deadline=None)
-@given(case=cases(), data=st.data())
-def test_distance_wrapper_matches_scalar_oracle(case, data):
-    # probe rows mix the dataset's cells with nominal values never seen
-    # at build time and with missing cells spelled None or NaN (HEOM and
-    # HVDM read a NaN nominal cell as missing; overlap compares cells
-    # as they are, so it gets None only)
-    ds, metric, ctx = case
-    d, rows = scalar(metric, ctx, ds)
-    nan_nom = () if metric.name == "overlap" else (np.nan,)
-    cells = {
-        "num": st.sampled_from(NUMS + (None,)),
-        "nom": st.sampled_from(NOMS + ("unseen", "other") + nan_nom),
-    }
-
-    def probe():
-        if data.draw(st.booleans()):
-            return rows[data.draw(st.integers(0, ds.n_rows - 1))]
-        return tuple(data.draw(cells[k]) for k in ctx.kinds)
-
-    for _ in range(5):
-        a, b = probe(), probe()
-        want = d(*[tuple(math.nan if v is None and k == "num" else v
-                         for v, k in zip(r, ctx.kinds)) for r in (a, b)])
-        assert matches(metric, distance(metric, ctx, a, b), want), (a, b)
-
-
-def test_distance_checks_the_row_width():
-    ds = make_ds([("x", "num", [0.0, 1.0]), ("cls", "nom", ["a", "b"])], "cls")
-    ctx = build_context(Metric("euclidean"), ds)
-    with pytest.raises(MetricError, match="row width"):
-        distance(ctx.metric, ctx, (0.0, 1.0), (0.0,))
 
 
 SCIPY_NAMES = {"manhattan": "cityblock", "minkowsky": "minkowski"}

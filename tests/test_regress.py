@@ -4,11 +4,8 @@ import pytest
 from rebalance import (
     BumpPercSpec,
     ImpSampParams,
-    Metric,
     ResampleError,
-    build_context,
     build_relevance_range,
-    distance,
     find_bumps,
     gauss_noise_regress,
     imp_samp_regress,
@@ -18,6 +15,7 @@ from rebalance import (
 )
 from rebalance.tabular import dataset_to_csv_bytes
 
+import _oracles as oracle
 from _toys import make_ds, regression_ds
 
 # relevance ramp used by every two-bump fixture: phi = 0 below y = 4,
@@ -71,7 +69,7 @@ def test_rand_under_rare_rows_untouched():
     rare_ys = set(np.linspace(6.0, 10.0, 10))
     got = set(out.dataset.target_column.values)
     assert rare_ys <= got
-    assert out.added == []
+    assert len(out.seeds) == 0
 
 
 def test_rand_under_explicit_needs_one_perc_per_normal_bump():
@@ -224,20 +222,23 @@ def test_smoter_target_is_distance_weighted_mean():
         [("x1", "num", x1), ("x2", "num", x1 * 2 + 1), ("y", "num", y)], "y"
     )
     out = smoter(ds, RAMP, 0.5, BumpPercSpec.explicit([1.0, 3.0]), k=2, seed=4)
-    synth_added = [a for a in out.added if a.synthetic]
-    n_kept = out.dataset.n_rows - len(synth_added)
-    ctx = build_context(Metric("euclidean"), ds)
+    synth_seeds = out.seeds[out.synthetic].tolist()
+    n_kept = out.dataset.n_rows - len(synth_seeds)
     ys = ds.target_column.values
-    for pos, add in enumerate(synth_added):
-        new_row = out.dataset.row(n_kept + pos)
-        s = add.seed
-        d1 = distance(Metric("euclidean"), ctx, new_row, ds.row(s))
+
+    def distance(new_row, i):
+        return oracle.scalar_distance_oracle("euclidean", None, ["num", "num"], new_row,
+                                             oracle.dataset_row(ds, i), {}, {}, {})
+
+    for pos, s in enumerate(synth_seeds):
+        new_row = oracle.dataset_row(out.dataset, n_kept + pos)
+        d1 = distance(new_row, s)
         got_y = float(out.dataset.target_column.values[n_kept + pos])
         # the neighbour is whichever rare row makes the weighted mean hold
         rare_rows = [i for i in range(20, 26) if i != s]
         matched = False
         for r in rare_rows:
-            d2 = distance(Metric("euclidean"), ctx, new_row, ds.row(r))
+            d2 = distance(new_row, r)
             if d1 + d2 == 0:
                 want = (ys[s] + ys[r]) / 2
             else:
@@ -312,7 +313,7 @@ def test_imp_samp_mode_a_replication_prefers_high_relevance():
     fn = build_relevance_range([(4, 0, 0), (10, 1, 0)])
     params = ImpSampParams(thr_rel=0.5, spec=BumpPercSpec.explicit([1.0, 3.0]))
     out = imp_samp_regress(ds, fn, params, seed=2)
-    seed_phi = fn(y[[a.seed for a in out.added]])
+    seed_phi = fn(y[out.seeds])
     bump_phi = fn(y[30:])
     assert seed_phi.mean() > bump_phi.mean()
 
@@ -321,7 +322,7 @@ def test_imp_samp_mode_b_identity_when_off():
     ds = two_bump_ds(20, 5)
     out = imp_samp_regress(ds, RAMP, ImpSampParams(u=0.0, o=0.0), seed=0)
     assert out.dataset == ds
-    assert out.removed == [] and out.added == []
+    assert out.removed == [] and len(out.seeds) == 0
 
 
 def test_imp_samp_mode_b_never_drops_full_relevance():
@@ -337,7 +338,7 @@ def test_imp_samp_mode_b_never_drops_full_relevance():
 def test_imp_samp_mode_b_adds_floor_of_o_times_phi_sum():
     ds = two_bump_ds(20, 8)  # phi sums to exactly 8.0
     out = imp_samp_regress(ds, RAMP, ImpSampParams(u=0.0, o=1.5), seed=4)
-    assert len(out.added) == 12
+    assert len(out.seeds) == 12
     assert out.dataset.n_rows == 40
 
 
@@ -346,7 +347,7 @@ def test_imp_samp_mode_b_replicas_have_high_relevance():
     ds = regression_ds(y)
     fn = build_relevance_range([(0, 0, 0), (10, 1, 0)])
     out = imp_samp_regress(ds, fn, ImpSampParams(u=0.0, o=1.0), seed=5)
-    seed_phi = fn(y[[a.seed for a in out.added]])
+    seed_phi = fn(y[out.seeds])
     assert seed_phi.mean() > fn(y).mean()
 
 

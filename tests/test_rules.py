@@ -27,7 +27,7 @@ from rebalance import (
     oss_classif,
     tomek_classif,
 )
-from rebalance.classif import AddedRow, ResampleError, _resolve_cl
+from rebalance.classif import ResampleError, _resolve_cl
 from rebalance.distance import knn_table, nearest
 from rebalance.regress import _ADDITIVE, _mixed_bump_targets
 from rebalance.tabular import class_counts, dataset_to_csv_bytes
@@ -68,7 +68,7 @@ def assert_edited(ds, out, removed):
     """``out`` drops exactly ``removed`` and adds nothing."""
     removed = sorted(removed)
     assert out.removed == removed
-    assert out.added == []
+    assert len(out.seeds) == 0
     kept = np.setdiff1d(np.arange(ds.n_rows), removed)
     assert dataset_to_csv_bytes(out.dataset) == dataset_to_csv_bytes(ds.take(kept))
 
@@ -209,6 +209,6 @@ def test_imp_samp_mode_a_matches_bump_loop(case, seed):
         return
     out = imp_samp_regress(ds, fn, params, seed=seed)
     assert out.removed == sorted(set(range(ds.n_rows)) - set(kept))
-    assert out.added == [AddedRow(s, synthetic=False) for s in seeds]
+    assert oracle.added_rows(out) == [(s, False) for s in seeds]
     expected = ds.take(np.array(kept + seeds, dtype=np.intp))
     assert dataset_to_csv_bytes(out.dataset) == dataset_to_csv_bytes(expected)
