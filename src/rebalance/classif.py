@@ -463,8 +463,8 @@ def cnn_classif(
         kept_mask[idx[rng.integers(len(idx))]] = True
 
     ctx = build_context(metric, ds)
-    # each row's nearest kept row so far, under argmin's order: a NaN
-    # distance first, then the lowest distance, then the lowest index
+    # each row's nearest kept row so far, under argmin's order: the
+    # lowest distance, then the lowest index
     best_d = np.full(ds.n_rows, np.inf)
     best_i = np.full(ds.n_rows, ds.n_rows)
     new = np.nonzero(kept_mask)[0]
@@ -473,12 +473,7 @@ def cnn_classif(
         d, pos = nearest(metric, ctx, q, new)
         i = new[pos]
         old_d, old_i = best_d[q], best_i[q]
-        nan, old_nan = np.isnan(d), np.isnan(old_d)
-        better = (
-            (nan & (~old_nan | (i < old_i)))
-            | (d < old_d)
-            | ((d == old_d) & (i < old_i))
-        )
+        better = (d < old_d) | ((d == old_d) & (i < old_i))
         best_d[q[better]] = d[better]
         best_i[q[better]] = i[better]
         new = q[code[best_i[q]] != code[q]]

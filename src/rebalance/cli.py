@@ -451,10 +451,7 @@ def run(argv: list[str]) -> int:
             payload.update(extra)
             _write_report(args.report, payload)
         return 0
-    except (TabularError, MetricError, RelevanceError, ResampleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (TabularError, MetricError, RelevanceError, ResampleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,14 +2,19 @@
 
 Eight metrics are supported.  The plain numeric family (euclidean,
 manhattan, minkowsky, chebyshev, canberra) requires all-numeric
-features and applies no normalization.  Overlap requires all-nominal
-features.  HEOM and HVDM accept mixed features and missing cells; HVDM
-additionally needs a nominal target because its nominal terms are
-class-conditional.
+features with no missing cell and applies no normalization.  Overlap
+requires all-nominal features.  HEOM and HVDM accept mixed features and
+missing cells (Wilson and Martinez 1997); HVDM additionally needs a
+nominal target because its nominal terms are class-conditional.  Under
+every metric, a numeric feature's present cells must span a finite
+range: an infinite cell, or a span that overflows, is refused.
 
 A MetricContext caches the per-feature statistics a metric needs
 (ranges, standard deviations, value-difference tables) so that row
-distances are pure lookups.
+distances are pure lookups.  ``build_context`` is where a table is
+refused, with a ``MetricError`` naming the column, so no distance is
+ever NaN.  A distance can still be infinite where a term overflows; it
+orders like any number.
 
 One kernel computes every distance.  Its operands are per-feature
 arrays, values for a numeric feature and codes for a nominal one
@@ -21,7 +26,7 @@ in place in one preallocated buffer and adds it to a second, and the
 first term goes straight into the result.  A missing cell makes a HEOM
 or HVDM term 1.  That override is applied only where a chunk's row or
 column operands hold a missing cell, and it is read from the operands'
-NaN values and -1 codes, never from a NaN result: inf - inf stays NaN.
+NaN values and -1 codes.
 HEOM and overlap add nominal mismatches as booleans, since a 0/1 term
 is its own square.  HVDM reads nominal terms from the squared value-difference
 table, which is padded with a row and column of 1.0 that code -1
@@ -59,24 +64,16 @@ The bound is exact:
   candidate tying it is measured and the lower position wins.
 
 The walk is left out, and every candidate measured in position order,
-where the bound would not be exact: under canberra; under overlap, or
-with no numeric feature that spreads on a finite positive scale; and
-wherever a distance could be NaN (a plain metric with a missing cell,
-an infinite cell, a scale that overflowed).  No block holds more than
-``BLOCK_PAIRS`` distances (one row when a single row is wider), so
-peak memory is O(BLOCK_PAIRS + n*k) plus bounds of one chunk against
-the leaves, rather than O(n*m).  On equal distance the candidate listed
-first wins.
+where the bound would not be exact: under canberra, and under overlap
+or with no numeric feature that spreads on a finite positive scale
+(HVDM's 4 sd can overflow).  No block holds more than ``BLOCK_PAIRS``
+distances (one row when a single row is wider), so peak memory is
+O(BLOCK_PAIRS + n*k) plus bounds of one chunk against the leaves,
+rather than O(n*m).
 
-The plain metrics give a NaN distance when a cell is missing, and the
-two reductions order NaN the way their dense forms always did:
-
-- ``nearest`` follows ``argmin``: the first NaN candidate ranks
-  nearest of all.  Tomek links, OSS and CNN use it.
-- ``knn_table`` follows a stable ``argsort`` with the row itself at an
-  infinite distance: NaN ranks after every number, the row itself
-  included, so a row whose distances are all NaN lists itself first.
-  ENN, NCL, SMOTE and SMOTER use it.
+Both reductions, ``nearest`` (Tomek links, OSS, CNN) and ``knn_table``
+(ENN, NCL, SMOTE, SMOTER), keep one tie rule: the lower distance wins,
+and on equal distance the lower position.
 """
 
 from __future__ import annotations
@@ -183,20 +180,35 @@ def build_context(metric: Metric, ds: Dataset) -> MetricContext:
 
     ctx = MetricContext(metric, kinds, names, ds.n_rows)
     for j, col in enumerate(feats):
-        if kinds[j] == "num":
-            ctx.num_values[j] = col.values
-        else:
-            ctx.nom_codes[j] = col.values
-
-    if metric.name == "heom":
-        for j, vals in ctx.num_values.items():
-            present = vals[~np.isnan(vals)]
-            ctx.ranges[j] = (
-                float(present.max() - present.min()) if len(present) else 0.0
+        vals = col.values
+        if kinds[j] == "nom":
+            ctx.nom_codes[j] = vals
+            continue
+        ctx.num_values[j] = vals
+        missing = np.isnan(vals)
+        if metric.name in PLAIN_METRICS and missing.any():
+            raise MetricError(
+                f"column {col.name!r} has a missing cell, where the "
+                f"{metric.name} distance is not defined; --dist heom "
+                "handles missing cells"
             )
-    elif metric.name == "hvdm":
-        for j, vals in ctx.num_values.items():
-            ctx.four_sd[j] = 4.0 * sample_sd(vals)
+        present = vals[~missing]
+        # a span that is not finite (an infinite cell, or an overflow)
+        # would make NaN terms, and so would a NaN sd (a sum that
+        # overflowed to inf in one part and -inf in another)
+        with np.errstate(over="ignore", invalid="ignore"):
+            span = float(present.max() - present.min()) if len(present) else 0.0
+            if metric.name == "hvdm":
+                ctx.four_sd[j] = 4.0 * sample_sd(present)
+        if not math.isfinite(span) or math.isnan(ctx.four_sd.get(j, 0.0)):
+            raise MetricError(
+                f"column {col.name!r} has an infinite cell, or cells so "
+                "far apart that their spread overflows"
+            )
+        if metric.name == "heom":
+            ctx.ranges[j] = span
+
+    if metric.name == "hvdm":
         y, ctx.classes = ds.target_column.values, ds.target_column.categories
         if (y < 0).any():
             raise MetricError("missing value in the target column")
@@ -258,10 +270,9 @@ def _numeric_term(metric: Metric, ctx: MetricContext, j: int, x: np.ndarray,
         np.multiply(term, term, out=term)
     elif name == "minkowsky":
         term **= metric.p
-    elif name == "canberra":  # 0/0 counts as 0, NaN propagates
+    elif name == "canberra":  # 0/0 counts as 0
         denom = np.abs(x) + np.abs(y)
-        with np.errstate(invalid="ignore"):
-            np.divide(term, denom, out=term, where=denom > 0)
+        np.divide(term, denom, out=term, where=denom > 0)
     return term
 
 
@@ -274,13 +285,15 @@ def _finish(metric: Metric, acc: np.ndarray) -> np.ndarray:
     return acc
 
 
+@np.errstate(over="ignore")
 def _kernel(metric: Metric, ctx: MetricContext, a: list, b: list,
             shape: tuple[int, ...]) -> np.ndarray:
     """Distances between the operands ``a`` and ``b``, broadcast to shape.
 
     ``a[j]`` and ``b[j]`` hold feature j as ``encode_rows`` gives it:
     columns (n, 1) against rows (1, m) for a block, or two 1-D arrays
-    for the paired form.
+    for the paired form.  A term that overflows is infinite, and so is
+    its distance: it orders like any number.
     """
     name = metric.name
     acc = np.empty(shape)
@@ -357,11 +370,9 @@ def _bounded_features(metric: Metric, ctx: MetricContext, rows: np.ndarray,
                       cols: np.ndarray) -> list[int] | None:
     """The numeric features the k-d walk bounds distances by, or None.
 
-    None where pruning would not be exact: under canberra, wherever a
-    distance could be NaN (a plain metric with a missing cell, an
-    infinite cell, a HEOM or HVDM scale that overflowed), and where no
+    None where pruning would not be exact: under canberra, and where no
     numeric feature spreads over rows and cols on a finite positive
-    scale.
+    scale (HVDM's 4 sd can overflow).
     """
     if metric.name == "canberra":
         return None
@@ -369,14 +380,8 @@ def _bounded_features(metric: Metric, ctx: MetricContext, rows: np.ndarray,
     feats = []
     for j, values in ctx.num_values.items():
         vals = values[both]
-        scale = _scale(metric, ctx, j)
-        if metric.name in PLAIN_METRICS:
-            if not np.isfinite(vals).all():
-                return None
-        elif np.isinf(vals).any() or not scale < np.inf:
-            return None
         vals = vals[~np.isnan(vals)]
-        if scale > 0 and len(vals) and vals.max() > vals.min():
+        if 0 < _scale(metric, ctx, j) < np.inf and len(vals) and vals.max() > vals.min():
             feats.append(j)
     return feats or None
 
@@ -454,13 +459,12 @@ def _box_bound(metric: Metric, ctx: MetricContext, feats: list[int],
 
 
 def _neighbours(metric: Metric, ctx: MetricContext, rows: np.ndarray,
-                cols: np.ndarray | None, k: int, reduce):
-    """Each row's k nearest cols: (distances, positions in cols), n x k.
+                cols: np.ndarray | None, k: int):
+    """Each row's k nearest cols: (distances, positions in cols), n x k,
+    ascending, ties to the lower position.
 
-    ``reduce(block, k)`` gives the columns of each block row's k nearest
-    entries, in order; on a block without NaN it must follow a stable
-    argsort.  With ``cols`` omitted, rows are measured against
-    themselves and each row's distance to itself is infinite.
+    With ``cols`` omitted, rows are measured against themselves and each
+    row's distance to itself is infinite.
     """
     self_pairs = cols is None
     if self_pairs:
@@ -479,7 +483,7 @@ def _neighbours(metric: Metric, ctx: MetricContext, rows: np.ndarray,
                 at = np.minimum(np.searchsorted(c, qi), len(c) - 1)
                 hit = c[at] == qi
                 block[hit, at[hit]] = np.inf
-            best = reduce(block, d.shape[1])
+            best = _k_nearest(block, d.shape[1])
             d[i:i + step] = block[np.arange(len(qi))[:, None], best]
             p[i:i + step] = c[best]
         return d, p
@@ -573,28 +577,25 @@ def nearest(metric: Metric, ctx: MetricContext, rows=None,
 
     ``rows`` defaults to all rows.  With ``cols`` omitted, the
     candidates are ``rows`` themselves minus the row itself.  The rule
-    is ``argmin``'s: the lowest distance wins, ties go to the earlier
-    position, and a NaN distance beats every number (the first NaN
-    wins).
+    is ``argmin``'s: the lowest distance wins, and ties go to the
+    earlier position.
     """
     rows = np.arange(ctx.n_rows) if rows is None else np.asarray(rows, dtype=np.intp)
     if cols is not None:
         cols = np.asarray(cols, dtype=np.intp)
-    dist, pos = _neighbours(metric, ctx, rows, cols, 1,
-                            lambda block, k: block.argmin(axis=1)[:, None])
+    dist, pos = _neighbours(metric, ctx, rows, cols, 1)
     return dist[:, 0], pos[:, 0]
 
 
 def _k_nearest(block: np.ndarray, k: int) -> np.ndarray:
     """Columns of each row's k smallest entries, as a stable argsort
-    orders them: ascending, ties to the earlier column, NaN last."""
-    # every entry at or below the row's k-th smallest, all of a row
-    # whose k-th is NaN (fewer than k numbers), in row-major order, then
-    # stably by row and entry; a row's first k are its answer
+    orders them: ascending, ties to the earlier column."""
+    if k == 1:
+        return block.argmin(axis=1)[:, None]
+    # every entry at or below the row's k-th smallest, in row-major
+    # order, then stably by row and entry; a row's first k are its answer
     kth = np.partition(block, k - 1, axis=1)[:, k - 1]
-    keep = block <= kth[:, None]
-    keep[np.isnan(kth)] = True
-    at = np.flatnonzero(keep)
+    at = np.flatnonzero(block <= kth[:, None])
     r = at // block.shape[1]
     at = at[np.lexsort((block.ravel()[at], r))] % block.shape[1]
     if len(at) == k * len(block):  # no row kept more than k
@@ -609,11 +610,11 @@ def knn_table(metric: Metric, ctx: MetricContext, k: int,
 
     Row i of the result equals the first k entries of a stable argsort
     of row i of ``pairwise(metric, ctx, rows)`` with its diagonal set to
-    infinity: ascending distance, ties to the earlier position, NaN
-    after every number.  Requires 1 <= k < len(rows).
+    infinity: ascending distance, ties to the earlier position, as in
+    ``nearest``.  Requires 1 <= k < len(rows).
     """
     rows = np.arange(ctx.n_rows) if rows is None else np.asarray(rows, dtype=np.intp)
     if not 1 <= k < len(rows):
         raise MetricError("k must satisfy 1 <= k < number of rows")
-    return _neighbours(metric, ctx, rows, None, k, _k_nearest)[1]
+    return _neighbours(metric, ctx, rows, None, k)[1]
 

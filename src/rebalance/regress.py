@@ -253,9 +253,9 @@ def smoter(
     size is trunc(perc * count).  The synthetic target is the
     inverse-distance weighted mean of the two parent targets.  Each
     bump's synthetic rows and both parent distances come from one
-    vectorised pass.  A plain metric makes NaN distances at missing
-    feature cells; a synthetic target that comes out NaN raises
-    ResampleError.
+    vectorised pass.  ``build_context`` refuses missing cells under a
+    plain metric; a synthetic target that comes out NaN, because both
+    its parent distances overflow to infinity, raises ResampleError.
     """
     if k < 1:
         raise ResampleError("k must be at least 1")
@@ -285,9 +285,9 @@ def smoter(
                              (d2 * y1 + d1 * y2) / (d1 + d2))
         if np.isnan(new_y).any():
             raise ResampleError(
-                f"synthetic targets are NaN: the {metric.name} distance is NaN "
-                "where a feature cell is missing; --dist heom handles "
-                "missing cells"
+                f"synthetic targets are NaN: the {metric.name} distances from a "
+                "synthetic row to both its parents overflow to infinity; "
+                "--dist heom scales each feature by its range"
             )
         block[ds.target] = new_y
         return seeds, block

@@ -74,6 +74,24 @@ def overlap_oracle(a, b):
     return float(sum(0.0 if x == y else 1.0 for x, y in zip(a, b)))
 
 
+def refused_column_oracle(name, ds):
+    """The first numeric feature column on which the ``name`` distance
+    is not defined, or None: one with a missing cell under a plain
+    metric, or, under any metric, one whose present cells span a range
+    that is not finite (an infinite cell, or a span that overflows)."""
+    plain = name in ("euclidean", "manhattan", "minkowsky", "chebyshev", "canberra")
+    for col in ds.feature_columns:
+        if col.kind is not ColumnKind.NUMERIC:
+            continue
+        vals = [float(v) for v in col.values]
+        present = [v for v in vals if not math.isnan(v)]
+        if plain and len(present) < len(vals):
+            return col.name
+        if present and not math.isfinite(max(present) - min(present)):
+            return col.name
+    return None
+
+
 def ranges_oracle(rows, kinds):
     """Per-numeric-feature value range over non-missing cells."""
     out = {}

@@ -5,9 +5,12 @@ from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
+import pytest
 
-from rebalance import Column, ColumnKind, Dataset
+from rebalance import Column, ColumnKind, Dataset, MetricError, build_context
 from rebalance.synthgen import gen_imbr
+
+from _oracles import refused_column_oracle
 
 KIND = {"num": ColumnKind.NUMERIC, "nom": ColumnKind.NOMINAL}
 
@@ -33,6 +36,18 @@ def regression_ds(y, features=None, target="y"):
     cols = [(n, k, v) for n, (k, v) in features.items()]
     cols.append((target, "num", list(y)))
     return make_ds(cols, target)
+
+
+def context_or_refusal(metric, ds):
+    """``build_context(metric, ds)``, or None where the metric has no
+    distance on the table: then it must raise MetricError naming the
+    column ``refused_column_oracle`` names."""
+    bad = refused_column_oracle(metric.name, ds)
+    if bad is None:
+        return build_context(metric, ds)
+    with pytest.raises(MetricError, match=f"^column {bad!r} "):
+        build_context(metric, ds)
+    return None
 
 
 def random_numeric_ds(rng, n_rows, n_cols, target="cls", n_classes=2):

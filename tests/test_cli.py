@@ -5,13 +5,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rebalance.tabular as tabular
-from rebalance import class_counts, read_dataset, write_dataset
+from rebalance import Column, ColumnKind, Dataset, class_counts, read_dataset, write_dataset
 from rebalance.classif import ClassPercSpec
 from rebalance.cli import COMMANDS, _build_parser, run
 from rebalance.regress import BumpPercSpec
+from rebalance.synthgen import gen_imbr
 
 from _toys import blanked_imbr
 
@@ -410,19 +412,96 @@ def test_smote_r_on_a_nominal_target_is_a_data_error(imbc_csv, tmp_path, capsys)
     assert capsys.readouterr().err == "error: target values must be present and numeric\n"
 
 
-def test_smote_r_names_nan_distances_from_blank_cells(tmp_path, capsys):
-    # under euclidean a blank feature cell makes NaN distances, and so
-    # NaN synthetic targets; the error must say so, not blame the target
+def one_error_line(capsys) -> str:
+    """The one line the CLI printed to stderr, an ``error:`` line."""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    return err[0]
+
+
+def test_smote_r_names_the_blank_column_before_any_search(tmp_path, capsys):
+    # under euclidean a blank feature cell has no distance; the error
+    # must name the column and --dist heom, not blame the target
     src, out = tmp_path / "blank.csv", tmp_path / "o.csv"
     write_dataset(blanked_imbr(), str(src))
     code = run(["smote-r", "--dist", "euclidean", "--in", str(src),
                 "--out", str(out), "--target", "Tgt"])
     assert code == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
-    assert "NaN" in err[0] and "euclidean" in err[0] and "--dist heom" in err[0]
-    assert "target column" not in err[0]
+    err = one_error_line(capsys)
+    assert err.startswith("error: column 'X1' has a missing cell")
+    assert "euclidean" in err and "--dist heom" in err
     assert not out.exists()
+
+
+def test_smote_r_names_distances_that_overflow(tmp_path, capsys):
+    # finite cells 1e200 apart square to inf under euclidean: a synthetic
+    # row between two of them is infinitely far from both its parents,
+    # and its inverse-distance weighted target is inf / inf
+    ds = gen_imbr(200, seed=0)
+    y = ds.column("Tgt").values
+    x1 = ds.column("X1").values.copy()
+    rare = np.flatnonzero(y >= 20.0)
+    x1[rare] = np.resize([0.0, 1e200, -1e200, 2e200], len(rare))
+    src, out = tmp_path / "huge.csv", tmp_path / "o.csv"
+    write_dataset(Dataset([Column("X1", ColumnKind.NUMERIC, x1), ds.column("X2"),
+                           ds.column("Tgt")], target="Tgt"), str(src))
+    code = run(["smote-r", "--dist", "euclidean", "--in", str(src),
+                "--out", str(out), "--target", "Tgt"])
+    assert code == 1
+    err = one_error_line(capsys)
+    assert "NaN" in err and "overflow" in err and "--dist heom" in err
+    assert not out.exists()
+
+
+def mixed_table(tmp_path, cells, names=("X1", "X2", "Tgt")):
+    """The ``names`` columns of ``gen imbr`` at 200 rows plus a nominal
+    Class column (``ring`` for targets of 20 and above), as a CSV file
+    whose data row i, column j holds the text ``cells[i, j]``."""
+    ds = gen_imbr(200, seed=0)
+    label = np.where(ds.column("Tgt").values >= 20.0, "ring", "bulk").astype(object)
+    path = tmp_path / "mixed.csv"
+    write_dataset(Dataset([*map(ds.column, names), Column("Class", ColumnKind.NOMINAL, label)],
+                          target="Class"), str(path))
+    lines = path.read_text().splitlines()
+    for (i, j), text in cells.items():
+        row = lines[i + 1].split(",")
+        row[j] = text
+        lines[i + 1] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+NEIGHBOUR_COMMANDS = ("tomek", "cnn", "oss", "enn", "ncl", "smote", "smote-r")
+
+
+@pytest.mark.parametrize("cmd", NEIGHBOUR_COMMANDS)
+def test_infinite_cell_is_a_data_error_under_heom(cmd, tmp_path, capsys):
+    # 1e999 reads as inf, and inf - inf has no distance under any metric
+    src, out = mixed_table(tmp_path, {(7, 1): "1e999"}), tmp_path / "o.csv"
+    target = "Tgt" if cmd == "smote-r" else "Class"
+    code = run([cmd, "--dist", "heom", "--in", str(src), "--out", str(out),
+                "--target", target])
+    assert code == 1
+    err = one_error_line(capsys)
+    assert err.startswith("error: column 'X2' has an infinite cell")
+    assert "RuntimeWarning" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["tomek", "enn"])
+def test_distances_that_overflow_print_no_warning(cmd, tmp_path):
+    # cells of +-1e200 are finite and span a finite range, but their
+    # squared differences overflow to inf: an inf distance orders like
+    # any number, and numpy must not report the overflow on stderr;
+    # without Tgt as a feature, the classes overlap and both strategies
+    # find rows to drop, so they print no warning of their own
+    huge = {(3, 0): "1e200", (50, 0): "-1e200", (97, 0): "1e200"}
+    src, out = mixed_table(tmp_path, huge, names=("X1", "X2")), tmp_path / "o.csv"
+    proc = _python_m(["rebalance", cmd, "--in", str(src), "--out", str(out),
+                      "--target", "Class"])
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert out.exists()
 
 
 def _python_m(args, text=True, stdin=None):

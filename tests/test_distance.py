@@ -115,6 +115,40 @@ def test_plain_metric_rejects_nominal_features():
         build_context(Metric("manhattan"), ds)
 
 
+@pytest.mark.parametrize("name", ["euclidean", "manhattan", "chebyshev", "canberra"])
+def test_plain_metric_refuses_a_missing_cell_naming_its_column(name):
+    ds = numeric_ds([[0.0, 1.0], [2.0, np.nan], [1.0, 3.0]])
+    with pytest.raises(MetricError, match=f"^column 'x1' has a missing cell, where the "
+                       f"{name} distance .*--dist heom"):
+        ctx_for(name, ds)
+    # HEOM and HVDM define a term of 1 for it
+    for name in ("heom", "hvdm"):
+        assert pair(ctx_for(name, ds), 0, 1) > 0
+
+
+@pytest.mark.parametrize("name", ["euclidean", "canberra", "heom", "hvdm"])
+@pytest.mark.parametrize("cells", [
+    [0.0, np.inf, 1.0],        # an infinite cell
+    [-np.inf, -np.inf, -np.inf],  # inf - inf
+    [1e308, -1e308, 0.0],      # a finite span that overflows
+])
+def test_every_metric_refuses_a_span_that_is_not_finite(name, cells):
+    ds = numeric_ds(np.column_stack([[0.0, 1.0, 2.0], cells]))
+    with pytest.raises(MetricError, match="^column 'x1' has an infinite cell"):
+        ctx_for(name, ds)
+
+
+def test_hvdm_refuses_an_sd_whose_sum_overflows_both_ways():
+    # the span, 1.6e308, is finite, but numpy's pairwise sum of the
+    # cells overflows to inf in one partial sum and -inf in another, so
+    # the sd is NaN and every HVDM term on the column would be NaN
+    x = ([8e307] * 4 + [-8e307] * 4) * 3
+    ds = numeric_ds(np.column_stack([x, np.arange(len(x))]))
+    with pytest.raises(MetricError, match="^column 'x0' has an infinite cell"):
+        ctx_for("hvdm", ds)
+    assert ctx_for("heom", ds).ranges[0] == 1.6e308
+
+
 def test_no_feature_columns_rejected():
     ds = labelled(["p", "q"])
     with pytest.raises(MetricError, match="no feature columns"):

@@ -3,9 +3,11 @@
 ``knn_table`` must equal a stable argsort of ``pairwise`` with an
 infinite diagonal, ``nearest`` its ``argmin``, and the incremental CNN
 the old full-matrix loop, on random mixed-type data with repeated
-values and missing cells, under all eight metrics.  Each check runs
-with the engine's chunk budget cut to 1 and to 7 distances, so chunk
-edges split the rows.
+values, missing and infinite cells, under all eight metrics.  A table
+the metric has no distance on (a missing cell under a plain metric, an
+infinite cell under any) must be refused by ``build_context``, naming
+the column.  Each check runs with the engine's chunk budget cut to 1
+and to 7 distances, so chunk edges split the rows.
 
 The k-d walk, which measures each chunk of rows only against the
 leaves of candidates that its rows' box bounds cannot rule out, is
@@ -36,11 +38,7 @@ from rebalance.distance import METRIC_NAMES, PLAIN_METRICS, knn_table, nearest
 from rebalance.synthgen import gen_imbc
 
 import _oracles as oracle
-from _toys import make_ds, random_numeric_ds
-
-# infinite cells make inf - inf, which numpy reports while the metrics
-# turn it into the NaN distances under test
-pytestmark = pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+from _toys import context_or_refusal, make_ds, random_numeric_ds
 
 dist_mod = importlib.import_module("rebalance.distance")
 
@@ -51,7 +49,8 @@ NOMS = ("a", "b", "c", None)
 
 @st.composite
 def cases(draw, min_rows=2):
-    """A dataset, its metric and context, with many ties and gaps."""
+    """A dataset, its metric and context, with many ties and gaps; the
+    context is None where the metric refuses the table."""
     name = draw(st.sampled_from(METRIC_NAMES))
     n = draw(st.integers(min_rows, 12))
     n_feats = draw(st.integers(1, 3))
@@ -72,7 +71,7 @@ def cases(draw, min_rows=2):
     ds = make_ds(cols, "cls")
     p = draw(st.sampled_from([0.5, 1.0, 3.0])) if name == "minkowsky" else None
     metric = Metric(name, p=p)
-    return ds, metric, build_context(metric, ds)
+    return ds, metric, context_or_refusal(metric, ds)
 
 
 def dense(metric, ctx, rows=None):
@@ -89,6 +88,8 @@ def same_floats(a, b):
 @given(case=cases(), data=st.data())
 def test_knn_table_matches_stable_argsort(case, data):
     ds, metric, ctx = case
+    if ctx is None:
+        return
     n = ds.n_rows
     sub = np.array(data.draw(st.permutations(range(n)))[: data.draw(st.integers(2, n))])
     for rows in (None, sub):
@@ -104,6 +105,8 @@ def test_knn_table_matches_stable_argsort(case, data):
 @given(case=cases(min_rows=1), data=st.data())
 def test_nearest_matches_argmin(case, data):
     ds, metric, ctx = case
+    if ctx is None:
+        return
     n = ds.n_rows
     d = dense(metric, ctx)
     q = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=n)), dtype=np.intp)
@@ -137,7 +140,7 @@ def cnn_oracle_removed(ds, metric, ctx, important, seed):
 def test_cnn_matches_full_matrix_loop(case, seed, data):
     ds, metric, ctx = case
     classes = sorted(set(ds.target_column.labels))
-    if len(classes) < 2:
+    if ctx is None or len(classes) < 2:
         return
     important = data.draw(st.lists(st.sampled_from(classes), min_size=1,
                                     max_size=len(classes) - 1, unique=True))
@@ -148,18 +151,28 @@ def test_cnn_matches_full_matrix_loop(case, seed, data):
             assert out.removed == removed
 
 
-def test_cnn_later_round_rows_win_ties_and_nans_by_index():
-    # Rows that join the kept set in a later round can sit below a row's
-    # current nearest kept row.  On a tie, and among NaN distances (row
-    # 7), the lower index must win, as argmin over the whole kept set
-    # does.  Found by random search: dropping either index rule from
-    # the merge changes the rows removed here.
+def test_cnn_later_round_rows_win_ties_by_index():
+    # Rows that join the kept set in a later round can sit as near a row
+    # as its current nearest kept row.  On a tie the lower index must
+    # win, as argmin over the whole kept set does.  Found by random
+    # search: a merge where the later row wins ties changes the rows
+    # removed in both cases, and one that keeps the earlier kept row
+    # changes them in the second.
+    metric = Metric("euclidean")
+    for x, labels, seed, removed in [
+        ([0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0], "bcbaabc", 2, [6]),
+        ([0.0, 1.0, 0.0, 1.0, 0.0, 1.0], "ccbabc", 0, [5]),
+    ]:
+        ds = make_ds([("x", "num", x), ("cls", "nom", list(labels))], "cls")
+        ctx = build_context(metric, ds)
+        out, _, _ = cnn_classif(ds, metric, cl=["a"], seed=seed)
+        assert out.removed == cnn_oracle_removed(ds, metric, ctx, ["a"], seed) == removed
+    # a blank cell has no euclidean distance, so no NaN order to break
+    # ties by: CNN refuses the table
     x = [0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, np.nan]
     ds = make_ds([("x", "num", x), ("cls", "nom", list("bcbaabcc"))], "cls")
-    metric = Metric("euclidean")
-    ctx = build_context(metric, ds)
-    out, _, _ = cnn_classif(ds, metric, cl=["a"], seed=2)
-    assert out.removed == cnn_oracle_removed(ds, metric, ctx, ["a"], 2) == [6]
+    with pytest.raises(MetricError, match="^column 'x' has a missing cell"):
+        cnn_classif(ds, metric, cl=["a"], seed=2)
 
 
 def test_chunks_stay_within_the_pair_budget():

@@ -2,7 +2,8 @@
 
 Every case runs one CLI subcommand on a fixed 1,000-row input and
 compares the sha256 of the output CSV and of the ``--report`` JSON with
-``golden.json``.  The report is hashed without its wall time and with
+``golden.json``; an error case (``ERRORS``) must instead exit 1 with one
+``error:`` line naming its column, and write nothing.  The report is hashed without its wall time and with
 the working directory cut out of its paths, so the pin also guards the
 recorded ``params``, counts, warnings and bumps.
 
@@ -11,9 +12,9 @@ copies:
 
 - ``imbr-nan``: numeric-only ``gen imbr`` with a fixed pattern of blank
   ``X1``/``X2`` cells and a nominal ``Class`` column (``ring`` for
-  targets of 20 and above, else ``bulk``).  Under the euclidean
-  distance a blank cell makes a distance NaN, so it pins how each
-  strategy orders NaN distances.
+  targets of 20 and above, else ``bulk``).  The euclidean distance is
+  not defined at a blank cell, so every neighbour strategy must refuse
+  it, naming ``X1``, before any search: the error cases.
 - ``imbc-solo``: ``gen imbc`` with row 0 relabelled ``solo``, a
   single-row class.
 - ``imbc-swapped``: ``gen imbc`` with the nominal ``X2`` before the
@@ -24,7 +25,7 @@ copies:
 
 Every case runs a second time as on a host with two free CPUs and
 with ``SPLIT_ROWS`` cut to 4, so that two processes read each input and
-two write each output, and must give the same digests.
+two write each output, and must give the same outcome.
 
 A change that means to alter output bytes re-records the digests with
 
@@ -61,12 +62,14 @@ REL_SOLO = "23.2,0,0\n23.3,1,0\n"
 SOLO_BUMP = ("--rel-points", "{work}/rel-solo.csv", "--thr-rel", "1")
 
 
+NEIGHBOUR_COMMANDS = ("tomek", "cnn", "oss", "enn", "ncl", "smote")
+
+
 def _cases() -> dict[str, tuple[str, tuple[str, ...]]]:
     cases = {}
-    for cmd in ("tomek", "cnn", "oss", "enn", "ncl", "smote"):
+    for cmd in NEIGHBOUR_COMMANDS:
         for dist in ("heom", "hvdm"):
             cases[f"{cmd}-{dist}"] = ("imbc", (cmd, "--dist", dist))
-        cases[f"{cmd}-euclidean-nan"] = ("imbr-nan", (cmd, "--dist", "euclidean"))
     for dist in ("euclidean", "heom"):
         cases[f"smote-r-{dist}"] = ("imbr", ("smote-r", "--dist", dist))
     imbc = {
@@ -113,6 +116,10 @@ def _cases() -> dict[str, tuple[str, tuple[str, ...]]]:
 
 
 CASES = _cases()
+# cases that must fail: a blank cell under a plain metric
+ERRORS = {f"{cmd}-euclidean-nan": ("imbr-nan", (cmd, "--dist", "euclidean"))
+          for cmd in NEIGHBOUR_COMMANDS}
+ALL_CASES = CASES | ERRORS
 
 
 def _imbr_nan() -> Dataset:
@@ -156,14 +163,20 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digests(name: str, workdir: Path) -> tuple[str, str]:
-    """sha256 of the case's output CSV and of its normalised report."""
-    source, args = CASES[name]
+def _run(name: str, workdir: Path) -> tuple[int, Path, Path]:
+    """Run the case: its exit code, output path and report path."""
+    source, args = ALL_CASES[name]
     out = workdir / f"out-{name}.csv"
     rep = workdir / f"report-{name}.json"
     code = run([*(a.format(work=workdir) for a in args),
                 "--in", str(workdir / f"{source}.csv"), "--target", TARGETS[source],
                 "--out", str(out), "--report", str(rep), "--seed", "0"])
+    return code, out, rep
+
+
+def digests(name: str, workdir: Path) -> tuple[str, str]:
+    """sha256 of the case's output CSV and of its normalised report."""
+    code, out, rep = _run(name, workdir)
     assert code == 0, f"{name} exited {code}"
     report = json.loads(rep.read_text())
     del report["elapsed_seconds"]
@@ -183,25 +196,36 @@ def test_corpus_covers_every_case():
     assert sorted(golden["csv"]) == sorted(golden["report"]) == sorted(CASES)
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_digest(name, inputs):
-    golden = json.loads(GOLDEN.read_text())
-    csv_digest, report_digest = digests(name, inputs)
-    assert csv_digest == golden["csv"][name]
-    assert report_digest == golden["report"][name]
+def check_outcome(name: str, workdir: Path, capsys) -> None:
+    """The case gives its pinned digests, or, for an error case, exit 1,
+    one ``error:`` line naming X1 and no output."""
+    if name not in ERRORS:
+        golden = json.loads(GOLDEN.read_text())
+        assert digests(name, workdir) == (golden["csv"][name], golden["report"][name])
+        return
+    capsys.readouterr()
+    code, out, rep = _run(name, workdir)
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: column 'X1' has a missing cell")
+    assert not out.exists() and not rep.exists()
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_digest_on_two_cpus(name, inputs):
-    golden = json.loads(GOLDEN.read_text())
+@pytest.mark.parametrize("name", sorted(ALL_CASES))
+def test_golden_digest(name, inputs, capsys):
+    check_outcome(name, inputs, capsys)
+
+
+@pytest.mark.parametrize("name", sorted(ALL_CASES))
+def test_golden_digest_on_two_cpus(name, inputs, capsys):
     # no read falls back to one process
     serial = mock.patch.object(tabular, "_read_serial",
                                side_effect=AssertionError("read by one process"))
     with mock.patch.object(tabular, "SPLIT_ROWS", 4), serial, two_cpus() as forks:
-        csv_digest, report_digest = digests(name, inputs)
-    assert len(forks) == 2  # one to read the input, one to write the output
-    assert csv_digest == golden["csv"][name]
-    assert report_digest == golden["report"][name]
+        check_outcome(name, inputs, capsys)
+    # one fork to read the input, and one to write the output unless the
+    # case is an error
+    assert len(forks) == 1 + (name not in ERRORS)
 
 
 if __name__ == "__main__":

@@ -5,7 +5,9 @@ must remove, add and write exactly what the per-row loops in
 ``tests/_oracles.py`` do, on random mixed data with repeated values
 (so mutual nearest neighbours tie), missing cells, up to four classes
 whose labels are not all ASCII (their byte order sets the class
-order), every ``cl``/``rem`` setting and every k.
+order), every ``cl``/``rem`` setting and every k.  Under euclidean a
+missing cell has no distance, and the editing rules must refuse the
+table, naming the column.
 """
 
 import numpy as np
@@ -17,6 +19,7 @@ from rebalance import (
     BumpPercSpec,
     ImpSampParams,
     Metric,
+    MetricError,
     build_context,
     build_relevance_range,
     cnn_classif,
@@ -64,6 +67,16 @@ def cl_values(draw, ds):
     return draw(st.sampled_from(["all", "smaller", subset]))
 
 
+def refuses(ds, metric, strategy):
+    """Whether the metric has no distance on ``ds``; then ``strategy()``
+    must raise MetricError naming the column."""
+    bad = oracle.refused_column_oracle(metric.name, ds)
+    if bad is not None:
+        with pytest.raises(MetricError, match=f"^column {bad!r} "):
+            strategy()
+    return bad is not None
+
+
 def assert_edited(ds, out, removed):
     """``out`` drops exactly ``removed`` and adds nothing."""
     removed = sorted(removed)
@@ -86,6 +99,8 @@ def test_tomek_matches_pair_loop(case, data):
     ds, metric = case
     cl = cl_values(data.draw, ds)
     rem = data.draw(st.sampled_from(["both", "maj"]))
+    if refuses(ds, metric, lambda: tomek_classif(ds, metric, cl=cl, rem=rem)):
+        return
     out = tomek_classif(ds, metric, cl=cl, rem=rem)
     assert_edited(ds, out, tomek_reference(ds, metric, cl, rem))
 
@@ -96,6 +111,8 @@ def test_enn_matches_row_loop(case, seed, data):
     ds, metric = case
     k = data.draw(st.integers(1, ds.n_rows - 1))
     cl = cl_values(data.draw, ds)
+    if refuses(ds, metric, lambda: enn_classif(ds, metric, k=k, cl=cl, seed=seed)):
+        return
     out = enn_classif(ds, metric, k=k, cl=cl, seed=seed)
     labels = list(ds.target_column.labels)
     nbrs = knn_table(metric, build_context(metric, ds), k)
@@ -127,6 +144,8 @@ def test_ncl_matches_row_loop(case):
     key = _resolve_cl(cl, class_counts(ds))
     if not key:  # "smaller" found no class: the strategy refuses
         return
+    if refuses(ds, metric, lambda: ncl_classif(ds, metric, k=k, cl=cl)):
+        return
     out = ncl_classif(ds, metric, k=k, cl=cl)
     labels = list(ds.target_column.labels)
     nbrs = knn_table(metric, build_context(metric, ds), k)
@@ -151,6 +170,8 @@ def test_oss_matches_set_arithmetic(case, seed):
     counts = class_counts(ds)
     important = _resolve_cl(cl, counts)
     if set(important) == set(counts):  # nothing to condense: refused
+        return
+    if refuses(ds, metric, lambda: oss_classif(ds, metric, cl=cl, start=start, seed=seed)):
         return
     unimportant = sorted(set(counts) - set(important))
     if start == "cnn":
