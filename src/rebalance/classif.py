@@ -42,7 +42,7 @@ import numpy as np
 from ._util import balanced_quota, floor_frac, inverted_quota, nominal_freqs, sample_sd
 from .distance import Metric, MetricContext, build_context, knn_table, nearest
 from .relevance import BumpPartition
-from .tabular import ColumnKind, Dataset, class_counts
+from .tabular import ColumnKind, Dataset, class_counts, index_dtype
 
 __all__ = [
     "ClassPercSpec",
@@ -261,7 +261,8 @@ def _outcome(
     """
     block = ({c: np.concatenate([b[c] for b in blocks]) for c in blocks[0]}
              if blocks else None)
-    out = ds.take(np.concatenate([kept, *replicas]), block)
+    # in the dtype of the output's origins, which it becomes
+    out = ds.take(np.concatenate([kept, *replicas], dtype=index_dtype(ds.n_rows)), block)
     counts = np.bincount(kept, minlength=ds.n_rows)
     removed = np.flatnonzero(counts == 0).tolist()
     repeated = np.flatnonzero(counts > 1)

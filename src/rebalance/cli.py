@@ -59,12 +59,12 @@ from .regress import (
     smoter,
 )
 from .relevance import (
-    BumpPartition,
     ControlPoint,
     RelevanceError,
     RelevanceFn,
     build_relevance_extremes,
     build_relevance_range,
+    copied_bumps,
     find_bumps,
 )
 from .tabular import (
@@ -179,7 +179,8 @@ def _relevance_from(args: argparse.Namespace, ds: Dataset) -> RelevanceFn:
     return build_relevance_extremes(ds.target_column.values, extr_type=args.rel)
 
 
-def _bump_summary(part: BumpPartition) -> list[dict]:
+def _bump_summary(bumps) -> list[dict]:
+    """The report's rows of ``Bump``s or ``BumpSummary``s."""
     return [
         {
             "rare": b.rare,
@@ -187,7 +188,7 @@ def _bump_summary(part: BumpPartition) -> list[dict]:
             "y_low": b.y_low,
             "y_high": b.y_high,
         }
-        for b in part.bumps
+        for b in bumps
     ]
 
 
@@ -385,8 +386,11 @@ def _dispatch(args: argparse.Namespace, ds: Dataset):
     )
     if "thr_rel" in params:
         # the strategy partitioned the input already
-        report["bumps_before"] = _bump_summary(out.partition)
-        report["bumps_after"] = _bump_summary(find_bumps(out.dataset, fn, params["thr_rel"]))
+        report["bumps_before"] = _bump_summary(out.partition.bumps)
+        after = copied_bumps(out.partition, out.dataset)
+        if after is None:
+            after = find_bumps(out.dataset, fn, params["thr_rel"]).bumps
+        report["bumps_after"] = _bump_summary(after)
     return out, params, report
 
 

@@ -7,7 +7,8 @@ requires all-nominal features.  HEOM and HVDM accept mixed features and
 missing cells (Wilson and Martinez 1997); HVDM additionally needs a
 nominal target because its nominal terms are class-conditional.  Under
 every metric, a numeric feature's present cells must span a finite
-range: an infinite cell, or a span that overflows, is refused.
+range: an infinite cell, or a span that overflows, is refused, and so
+is an HVDM 4 sd that overflows.
 
 A MetricContext caches the per-feature statistics a metric needs
 (ranges, standard deviations, value-difference tables) so that row
@@ -65,9 +66,9 @@ The bound is exact:
 
 The walk is left out, and every candidate measured in position order,
 where the bound would not be exact: under canberra, and under overlap
-or with no numeric feature that spreads on a finite positive scale
-(HVDM's 4 sd can overflow).  No block holds more than ``BLOCK_PAIRS``
-distances (one row when a single row is wider), so peak memory is
+or with no numeric feature that spreads on a positive scale.  No block
+holds more than ``BLOCK_PAIRS`` distances (one row when a single row
+is wider), so peak memory is
 O(BLOCK_PAIRS + n*k) plus bounds of one chunk against the leaves,
 rather than O(n*m).
 
@@ -194,13 +195,13 @@ def build_context(metric: Metric, ds: Dataset) -> MetricContext:
             )
         present = vals[~missing]
         # a span that is not finite (an infinite cell, or an overflow)
-        # would make NaN terms, and so would a NaN sd (a sum that
-        # overflowed to inf in one part and -inf in another)
+        # would make NaN terms; a 4 sd that is not finite (squares that
+        # overflow) would make every term of the column 0, or NaN
         with np.errstate(over="ignore", invalid="ignore"):
             span = float(present.max() - present.min()) if len(present) else 0.0
             if metric.name == "hvdm":
                 ctx.four_sd[j] = 4.0 * sample_sd(present)
-        if not math.isfinite(span) or math.isnan(ctx.four_sd.get(j, 0.0)):
+        if not (math.isfinite(span) and math.isfinite(ctx.four_sd.get(j, 0.0))):
             raise MetricError(
                 f"column {col.name!r} has an infinite cell, or cells so "
                 "far apart that their spread overflows"
@@ -371,8 +372,8 @@ def _bounded_features(metric: Metric, ctx: MetricContext, rows: np.ndarray,
     """The numeric features the k-d walk bounds distances by, or None.
 
     None where pruning would not be exact: under canberra, and where no
-    numeric feature spreads over rows and cols on a finite positive
-    scale (HVDM's 4 sd can overflow).
+    numeric feature spreads over rows and cols on a positive scale
+    (``build_context`` refuses a scale that is not finite).
     """
     if metric.name == "canberra":
         return None
@@ -381,7 +382,7 @@ def _bounded_features(metric: Metric, ctx: MetricContext, rows: np.ndarray,
     for j, values in ctx.num_values.items():
         vals = values[both]
         vals = vals[~np.isnan(vals)]
-        if 0 < _scale(metric, ctx, j) < np.inf and len(vals) and vals.max() > vals.min():
+        if _scale(metric, ctx, j) > 0 and len(vals) and vals.max() > vals.min():
             feats.append(j)
     return feats or None
 

@@ -21,13 +21,15 @@ relevance 0 instead: the boxplot found nothing rare there.
 
 ``find_bumps`` cuts the sorted target values into maximal runs above /
 below a relevance threshold; resampling strategies for regression
-operate on those runs ("bumps").
+operate on those runs ("bumps").  ``copied_bumps`` tells the bumps of
+a table whose rows all copy rows of a partitioned one without a sort.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,9 +41,11 @@ __all__ = [
     "RelevanceError",
     "Bump",
     "BumpPartition",
+    "BumpSummary",
     "build_relevance_range",
     "build_relevance_extremes",
     "find_bumps",
+    "copied_bumps",
 ]
 
 
@@ -279,3 +283,50 @@ def find_bumps(ds: Dataset, fn: RelevanceFn, thr_rel: float) -> BumpPartition:
         )
         for start, run in zip([0, *starts], runs)
     ))
+
+
+class BumpSummary(NamedTuple):
+    """A bump's side of the threshold, size and target range."""
+
+    rare: bool
+    count: int
+    y_low: float
+    y_high: float
+
+
+def copied_bumps(part: BumpPartition, ds: Dataset) -> list[BumpSummary] | None:
+    """The bumps ``find_bumps`` finds in ``ds``, with no sort, where each
+    row of ``ds`` copies a row of the table ``part`` partitions (its
+    ``origins``, see ``Dataset.take``), under the same relevance and
+    threshold; None where a row copies none, or no row copies a row of
+    some bump.
+
+    Equal targets have equal relevance, so the bumps of ``part`` hold
+    disjoint target ranges.  While each keeps a row, the runs of ``ds``
+    in target order are those bumps' copies, in partition order.  As in
+    ``find_bumps``, ties keep row order: ``y_low`` is the target of the
+    first row at the bump's least target and ``y_high`` of the last at
+    its greatest, so that -0.0 and 0.0 come out as the sort gives them.
+    """
+    origins = ds.origins
+    if origins is None or (len(origins) and origins.min() < 0):
+        return None
+    n = len(part.bumps)
+    bump_of = np.empty(part.total, dtype=np.min_scalar_type(n))
+    for i, b in enumerate(part.bumps):
+        bump_of[b.indices] = i
+    bump = bump_of[origins]
+    counts = np.bincount(bump, minlength=n)
+    if not counts.all():
+        return None
+    y = ds.target_column.values
+    low, high = np.full(n, np.inf), np.full(n, -np.inf)
+    np.minimum.at(low, bump, y)
+    np.maximum.at(high, bump, y)
+    first, last = np.full(n, len(y)), np.full(n, -1)
+    at = np.flatnonzero(y == low[bump])
+    np.minimum.at(first, bump[at], at)
+    at = np.flatnonzero(y == high[bump])
+    np.maximum.at(last, bump[at], at)
+    return [BumpSummary(b.rare, int(c), float(y[i]), float(y[j]))
+            for b, c, i, j in zip(part.bumps, counts, first, last)]

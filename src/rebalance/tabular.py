@@ -22,11 +22,14 @@ every tie rule that follows from them rest on that order.
 The CSV layer works column by column over blocks of ``BLOCK_ROWS``
 rows, so no buffer holds more than one block of records or output
 text.  Each column of a block is formatted at once; each category of
-a nominal column is quoted once, by ``csv.writer``.  A path that gets
-``SPLIT_ROWS`` rows or more is written by two processes where two CPUs
-are free (``write_dataset``), with the same bytes.  The reader
-parses and codes each column of a block while the block's records
-are alive, and keeps no cell as its own string: one scan of the
+a nominal column is quoted once, by ``csv.writer``.  Besides one block
+of output text, the writer holds one line per origin (``Dataset.take``)
+that repeats in the rows it writes, formatted once and written again
+for each later copy.  A path that gets ``SPLIT_ROWS`` rows or more is
+written by two processes where two CPUs are free (``write_dataset``),
+split where both have equal formatting work, with the same bytes.  The
+reader parses and codes each column of a block while the block's
+records are alive, and keeps no cell as its own string: one scan of the
 block's joined cells over the ASCII characters of number literals,
 then one ``float`` parse, decides most numeric blocks, and only other
 text is checked a cell at a time.  A column numeric so far also keeps
@@ -104,6 +107,9 @@ BLOCK_ROWS = 1 << 11
 # for the split point COPY_BYTES at a time.
 SPLIT_ROWS = 8 * BLOCK_ROWS
 COPY_BYTES = 1 << 18
+# formatting a line takes this many times the work of writing a line
+# kept for a repeated origin again (``_split_row``)
+FORMAT_WORK = 16
 
 
 def parses_as_number(text: str) -> bool:
@@ -199,10 +205,17 @@ class Column:
 
 @dataclass
 class Dataset:
-    """A columnar table with one designated target column."""
+    """A columnar table with one designated target column.
+
+    A dataset made by ``take`` keeps in ``origins`` the row of the
+    dataset it was taken from that each of its rows copies, -1 for a
+    row it added; any other dataset has no origins.  The writer formats
+    the line of an origin that repeats once.
+    """
 
     columns: list[Column]
     target: str
+    origins: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         names = [c.name for c in self.columns]
@@ -241,11 +254,22 @@ class Dataset:
 
         ``block``, if given, adds rows after them, one array per column
         in column form: values of a numeric column, codes into this
-        dataset's categories of a nominal one.
+        dataset's categories of a nominal one.  The new dataset's
+        ``origins`` are the rows taken, then -1 for each block row.
+        Without a block, an ``indices`` array of ``index_dtype(n_rows)``
+        or intp, with no negative index, becomes them as it is, with no
+        copy: it must not change while the new dataset is in use.
         """
-        idx = np.asarray(indices, dtype=np.intp)
-        return Dataset([c.take(idx, None if block is None else block[c.name])
-                        for c in self.columns], self.target)
+        idx = np.asarray(indices)
+        if idx.dtype != np.intp:
+            idx = idx.astype(index_dtype(self.n_rows), copy=False)
+        if len(idx) and idx.min() < 0:
+            idx = np.where(idx < 0, idx + self.n_rows, idx)
+        out = Dataset([c.take(idx, None if block is None else block[c.name])
+                       for c in self.columns], self.target)
+        extra = out.n_rows - len(idx)
+        out.origins = np.concatenate([idx, np.full(extra, -1, idx.dtype)]) if extra else idx
+        return out
 
     def append(self, block: Mapping[str, Sequence]) -> "Dataset":
         """New dataset with extra rows given column-wise.
@@ -280,6 +304,12 @@ class ClassCounts(dict):
     @property
     def total(self) -> int:
         return sum(self.values())
+
+
+def index_dtype(n_rows: int) -> np.dtype:
+    """The dtype of row numbers into ``n_rows`` rows, and of -1:
+    int32, or intp past 2**31 rows."""
+    return np.dtype(np.int32 if n_rows <= 1 << 31 else np.intp)
 
 
 def _code_dtype(n_categories: int) -> np.dtype:
@@ -612,9 +642,15 @@ def write_dataset(ds: Dataset, sink) -> None:
     ``sink`` is a path or a text stream.  A path that gets at least
     ``SPLIT_ROWS`` rows is written by two processes when two CPUs are
     free and this process runs one thread: a forked worker formats the
-    back half of the rows into a temporary file while this process
-    writes the front half, then appends the worker's bytes.  The bytes
-    are those one process would write.
+    back rows into a temporary file while this process writes the front
+    rows, then appends the worker's bytes.  The split falls where both
+    sides have equal formatting work (``_split_row``).  The bytes are
+    those one process would write.
+
+    Each side holds one block of output text and, where ``ds`` was made
+    by ``take``, the line of each origin that repeats in its rows: that
+    line is formatted once, at the origin's first row, and written
+    again for every later row that copies the same row.
     """
     if not isinstance(sink, (str, Path)):
         _write_rows(ds, sink)
@@ -633,9 +669,9 @@ def _may_fork() -> bool:
 
 
 def _write_split(ds: Dataset, fh: IO[str]) -> None:
-    """Write the front half of ``ds``'s rows to ``fh`` while a forked
-    worker formats the back half; then append the worker's bytes."""
-    mid = ds.n_rows // 2
+    """Write the front rows of ``ds`` to ``fh`` while a forked worker
+    formats the back rows; then append the worker's bytes."""
+    mid = _split_row(ds)
     with _forked(lambda tmp: _write_back(ds, tmp, mid),
                  f"the process formatting rows {mid + 1}-{ds.n_rows} of {fh.name}") as join:
         if join is None:
@@ -645,6 +681,65 @@ def _write_split(ds: Dataset, fh: IO[str]) -> None:
         tmp = join()
         fh.flush()
         shutil.copyfileobj(tmp, fh.buffer, COPY_BYTES)
+
+
+def _split_row(ds: Dataset) -> int:
+    """The first row of the worker's side, or ``n // 2`` for a dataset
+    without origins: the first row where the front's formatting work
+    reaches the back's.
+
+    A side formats the line of each of its rows without an origin and
+    of each origin it holds, once, at ``FORMAT_WORK``; every other row
+    reuses a line, at 1.  The front formats the first row of each
+    origin, and the back as many lines as it holds last rows of one.
+    Moving the split one row on adds that row's front work and takes
+    its back work, so the split is found from per-block sums, then row
+    by row in one block.
+    """
+    n, origins = ds.n_rows, ds.origins
+    if origins is None:
+        return n // 2
+    ends = _ends(origins, 0, n)
+    if ends is None:  # each row is formatted
+        return (n + 1) // 2
+    first, last = ends
+
+    def formats(lo: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per row of the block at ``lo``: whether the front formats its
+        line, and whether the back does."""
+        o = origins[lo:lo + BLOCK_ROWS]
+        rows, none = np.arange(lo, lo + len(o), dtype=o.dtype), o < 0
+        return none | (first[o] == rows), none | (last[o] == rows)
+
+    starts = np.arange(0, n, BLOCK_ROWS)
+    # per block, the front's work and the back's: 1 a row, and
+    # FORMAT_WORK - 1 more a line formatted
+    work = (np.minimum(n - starts, BLOCK_ROWS)[:, None] + (FORMAT_WORK - 1)
+            * np.array([list(map(np.count_nonzero, formats(lo))) for lo in starts]))
+    # at each block's end, the front work before it less the back work
+    # after it; it rises to the whole front work at the last block
+    gap = np.cumsum(work.sum(axis=1)) - work[:, 1].sum()
+    b = int(np.searchsorted(gap, 0))
+    front, back = formats(starts[b])
+    rows = (gap[b - 1] if b else -work[:, 1].sum()) + np.cumsum(
+        2 + (FORMAT_WORK - 1) * (front.astype(np.intp) + back))
+    return int(starts[b]) + int(np.searchsorted(rows, 0)) + 1
+
+
+def _ends(origins: np.ndarray, start: int, stop: int
+          ) -> tuple[np.ndarray, np.ndarray] | None:
+    """Per origin, the first and the last of rows ``start:stop`` that
+    copy it (``stop`` and -1 for an origin none copies), or None where
+    no two of them copy the same row; the last slot, which -1 indexes,
+    takes the rows without an origin."""
+    first = np.full(int(origins[start:stop].max(initial=-1)) + 2, stop, dtype=origins.dtype)
+    last = np.full(len(first), -1, dtype=origins.dtype)
+    for lo in range(start, stop, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, stop)
+        o, rows = origins[lo:hi], np.arange(lo, hi, dtype=origins.dtype)
+        np.minimum.at(first, o, rows)
+        np.maximum.at(last, o, rows)
+    return (first, last) if (first[:-1] < last[:-1]).any() else None
 
 
 def _write_back(ds: Dataset, tmp: IO[bytes], start: int) -> None:
@@ -721,7 +816,11 @@ def _child(work: Callable[[IO[bytes]], None], tmp: IO[bytes]) -> NoReturn:
 
 def _write_rows(ds: Dataset, fh: IO[str], start: int = 0, stop: int | None = None,
                 header: bool = True) -> None:
-    """Write rows ``start:stop`` of ``ds``, after the header if ``header``."""
+    """Write rows ``start:stop`` of ``ds``, after the header if ``header``.
+
+    Where two of these rows copy the same row (``ds.origins``), the
+    line of the first is kept and written again for the others.
+    """
     stop = ds.n_rows if stop is None else stop
     dialect = csv.excel
     if header:
@@ -733,15 +832,44 @@ def _write_rows(ds: Dataset, fh: IO[str], start: int = 0, stop: int | None = Non
     # the trailing empty field
     quoted = [[_quote(v, dialect) if v else empty for v in c.categories] + [empty]
               for c in ds.columns]
-    for lo in range(start, stop, BLOCK_ROWS):
-        rows = slice(lo, min(lo + BLOCK_ROWS, stop))
+
+    def lines(rows) -> list[str]:
         fields = [_fields(c, q, rows, empty) for c, q in zip(ds.columns, quoted)]
-        fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
+        return list(map(",".join, zip(*fields)))
+
+    ends = None if ds.origins is None else _ends(ds.origins, start, stop)
+    if ends is not None:
+        first, last = ends
+        # the line of each origin that repeats in these rows, from its
+        # first row on
+        kept = np.empty(len(first), dtype=object)
+
+    def block(lo: int, hi: int) -> list[str]:
+        """The lines of rows ``lo:hi``; a repeated origin's line is
+        formatted at its first row only."""
+        if ends is None:
+            return lines(slice(lo, hi))
+        o = ds.origins[lo:hi]
+        at = first[o]
+        repeats = (o >= 0) & (at != last[o])
+        if not repeats.any():
+            return lines(slice(lo, hi))
+        fresh = ~repeats | (at == np.arange(lo, hi, dtype=o.dtype))
+        text = np.empty(hi - lo, dtype=object)
+        text[fresh] = lines(np.flatnonzero(fresh) + lo)
+        new = repeats & fresh
+        kept[o[new]] = text[new]
+        text[~fresh] = kept[o[~fresh]]
+        return text.tolist()
+
+    for lo in range(start, stop, BLOCK_ROWS):
+        fh.write("\r\n".join(block(lo, min(lo + BLOCK_ROWS, stop))) + "\r\n")
 
 
-def _fields(col: Column, quoted: list[str], rows: slice, empty: str) -> list[str]:
-    """The CSV fields of ``col``'s cells in ``rows``; ``quoted`` holds a
-    nominal column's field per code."""
+def _fields(col: Column, quoted: list[str], rows: slice | np.ndarray,
+            empty: str) -> list[str]:
+    """The CSV fields of ``col``'s cells in ``rows``, a slice or row
+    numbers; ``quoted`` holds a nominal column's field per code."""
     values = col.values[rows]
     if col.kind is ColumnKind.NOMINAL:
         return list(map(quoted.__getitem__, values.tolist()))

@@ -78,7 +78,8 @@ def refused_column_oracle(name, ds):
     """The first numeric feature column on which the ``name`` distance
     is not defined, or None: one with a missing cell under a plain
     metric, or, under any metric, one whose present cells span a range
-    that is not finite (an infinite cell, or a span that overflows)."""
+    that is not finite (an infinite cell, or a span that overflows), or,
+    under HVDM, one whose 4 sd is not finite."""
     plain = name in ("euclidean", "manhattan", "minkowsky", "chebyshev", "canberra")
     for col in ds.feature_columns:
         if col.kind is not ColumnKind.NUMERIC:
@@ -89,7 +90,19 @@ def refused_column_oracle(name, ds):
             return col.name
         if present and not math.isfinite(max(present) - min(present)):
             return col.name
+        if name == "hvdm" and not math.isfinite(4 * _sd_or_inf(present)):
+            return col.name
     return None
+
+
+def _sd_or_inf(vals):
+    """The sample sd of ``vals``, inf where a sum or square overflows."""
+    if len(vals) < 2:
+        return 0.0
+    mean = sum(vals) / len(vals)
+    if not math.isfinite(mean):
+        return math.inf
+    return math.sqrt(sum((v - mean) * (v - mean) for v in vals) / (len(vals) - 1))
 
 
 def ranges_oracle(rows, kinds):

@@ -5,8 +5,9 @@ synthetic flags.  Run through the CLI at a fixed seed, those arrays
 must equal the (seed row, synthetic) list the driver used to build one
 row at a time (``tests/_oracles.py``), rebuilt from what the driver's
 callbacks returned, and the report's ``added`` must equal its length.  A bump
-strategy hands its partition of the input to the CLI, which then
-partitions only the output.
+strategy hands its partition of the input to the CLI, which partitions
+the output only where some row of it is synthetic or some bump lost
+every row; otherwise the copies keep their input bumps.
 """
 
 import json
@@ -134,7 +135,12 @@ def test_added_rows_match_the_row_by_row_list(case, inputs, tmp_path, monkeypatc
     if variant == "imbr" and case != "impsamp-r-b":
         thr = json.loads(report.read_text())["params"]["thr_rel"]
         assert bump_rows(out.partition) == bump_rows(find_bumps(ds, seen["args"][1], thr))
-        assert bump_calls == ["rebalance.regress", "rebalance.cli"]
+        kept = np.ones(ds.n_rows, dtype=bool)
+        kept[out.removed] = False
+        copies = not out.synthetic.any() and all(kept[b.indices].any()
+                                                 for b in out.partition.bumps)
+        assert copies == (command in ("randover-r", "impsamp-r"))
+        assert bump_calls == ["rebalance.regress", *["rebalance.cli"] * (not copies)]
     else:
         assert out.partition is None and bump_calls == []
 

@@ -488,6 +488,19 @@ def test_infinite_cell_is_a_data_error_under_heom(cmd, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_hvdm_four_sd_that_overflows_is_a_data_error(tmp_path, capsys):
+    # X1's span is finite, but its sd overflows: HVDM would ignore X1
+    src, out = tmp_path / "huge.csv", tmp_path / "o.csv"
+    src.write_text("X1,X2,Class\n1e200,0,p\n-1e200,1,q\n1e200,2,q\n-1e200,3,p\n")
+    code = run(["tomek", "--dist", "hvdm", "--in", str(src), "--out", str(out),
+                "--target", "Class"])
+    assert code == 1
+    err = one_error_line(capsys)
+    assert err == ("error: column 'X1' has an infinite cell, or cells so far apart that "
+                   "their spread overflows")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cmd", ["tomek", "enn"])
 def test_distances_that_overflow_print_no_warning(cmd, tmp_path):
     # cells of +-1e200 are finite and span a finite range, but their

@@ -89,16 +89,50 @@ def row_counts():
     return [0, 1, b - 1, b, b + 1, 2 * b + 1]
 
 
+def taken(ds, n, order, added, seed):
+    """``n`` rows taken from ``ds`` (which has rows) by ``take``, the
+    last ``added`` of them block rows that copy random rows' cells.
+
+    ``order`` places the taken rows: "cycle" repeats the table, "sorted"
+    and "random" draw rows with repeats, in row order or at random, and
+    "replicas" follows rows each taken once with random repeats of few
+    rows, as the over-sampling strategies do.
+    """
+    rng = np.random.default_rng(seed)
+    m = n - added
+    idx = {"cycle": lambda: np.arange(m) % ds.n_rows,
+           "sorted": lambda: np.sort(rng.integers(0, ds.n_rows, m)),
+           "random": lambda: rng.integers(0, ds.n_rows, m),
+           "replicas": lambda: np.concatenate([np.arange(min(m, ds.n_rows)),
+                                               rng.integers(0, 3, max(m - ds.n_rows, 0))])
+           % ds.n_rows}[order]()
+    seeds = rng.integers(0, ds.n_rows, added)
+    block = {c.name: c.values[seeds] for c in ds.columns} if added else None
+    return ds.take(idx.astype(tabular.index_dtype(ds.n_rows)), block)
+
+
 @settings(max_examples=40, deadline=None)
-@given(ds=tables(), pick=st.integers(0, 5), offset=st.sampled_from([-1, 0, 1]))
-@example(ds=one_column(["", None, 'a"b', "x\r\ny"]), pick=3, offset=0)
+@given(ds=tables(), pick=st.integers(0, 5), offset=st.sampled_from([-1, 0, 1]),
+       order=st.sampled_from(["cycle", "sorted", "random", "replicas"]),
+       added=st.sampled_from([0, 1, 3]), seed=st.integers(0, 2**16))
+@example(ds=one_column(["", None, 'a"b', "x\r\ny"]), pick=3, offset=0, order="cycle",
+         added=0, seed=0)
 @example(ds=make_ds([("y", "num", [1.5, math.nan]), ("g", "nom", ["ä,", None])], "g"),
-         pick=5, offset=-1)
-def test_split_writer_writes_the_serial_bytes(ds, pick, offset):
-    # ``tables`` gives up to 16 rows; they are repeated to the row count,
-    # and the split point is set just below, at or just above it
+         pick=5, offset=-1, order="cycle", added=0, seed=0)
+# one column whose empty field is written '""', repeated and added
+@example(ds=one_column(["", None, "a,b"]), pick=4, offset=0, order="replicas", added=3,
+         seed=1)
+@example(ds=make_ds([("y", "num", [math.nan, -0.0, 1e22]), ("g", "nom", ['q"', "\r", None])],
+                    "y"), pick=5, offset=1, order="random", added=1, seed=2)
+def test_split_writer_writes_the_serial_bytes(ds, pick, offset, order, added, seed):
+    # ``tables`` gives up to 16 rows; they are taken to the row count,
+    # repeated, some maybe added as a block, and the split point is set
+    # just below, at or just above it
     n = row_counts()[pick] if ds.n_rows else 0
-    ds = ds.take(np.arange(n) % max(ds.n_rows, 1))
+    ds = taken(ds, n, order, min(added, n), seed) if n else ds.take(np.arange(0))
+    # the same cells with no origins: each line formatted from its cells
+    plain = tabular.Dataset(ds.columns, ds.target)
+    assert plain.origins is None and ds.origins is not None
     split_rows = max(n + offset, 0)
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(tabular, "SPLIT_ROWS", split_rows):
@@ -106,7 +140,39 @@ def test_split_writer_writes_the_serial_bytes(ds, pick, offset):
         with two_cpus() as forks:
             write_dataset(ds, path)
         assert len(forks) == (n >= split_rows)
-        assert path.read_bytes() == dataset_to_csv_bytes(ds)
+        assert path.read_bytes() == dataset_to_csv_bytes(ds) == dataset_to_csv_bytes(plain)
+
+
+def work_oracle(origins, lo, hi):
+    """The formatting work of rows ``lo:hi``: ``FORMAT_WORK`` per line
+    formatted, one per row without an origin and one per origin, and 1
+    per other row."""
+    part = [int(o) for o in origins[lo:hi]]
+    lines = sum(o < 0 for o in part) + len({o for o in part if o >= 0})
+    return tabular.FORMAT_WORK * lines + len(part) - lines
+
+
+@settings(max_examples=100, deadline=None)
+@given(origins=st.lists(st.integers(-1, 6), max_size=40))
+@example(origins=[])
+@example(origins=[-1])
+@example(origins=[0, -1, 0, 0, 0, 1])
+def test_split_row_balances_the_formatting_work(origins):
+    origins = np.array(origins, dtype=np.int32)
+    ds = make_ds([("y", "num", np.zeros(len(origins)))], "y")
+    ds.origins = origins
+    n, m = len(origins), tabular._split_row(ds)
+    # the first row where the front holds at least the back's work
+    gap = [work_oracle(origins, 0, k) - work_oracle(origins, k, n) for k in range(n + 1)]
+    assert m == next(k for k, g in enumerate(gap) if g >= 0)
+    # without origins the rows split in half
+    assert tabular._split_row(tabular.Dataset(ds.columns, ds.target)) == n // 2
+
+
+def test_split_row_gives_the_worker_the_replicas():
+    # 20 rows taken once, then 40 replicas of two of them
+    ds = make_ds([("y", "num", np.arange(20.0))], "y").take(np.r_[0:20, [0, 1] * 20])
+    assert tabular._split_row(ds) < 20
 
 
 # cells that are numbers, are not, or are missing; some use only the

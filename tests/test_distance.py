@@ -149,6 +149,21 @@ def test_hvdm_refuses_an_sd_whose_sum_overflows_both_ways():
     assert ctx_for("heom", ds).ranges[0] == 1.6e308
 
 
+def test_hvdm_refuses_a_four_sd_that_overflows():
+    # the span, 2e200, is finite, but the squares of the cells overflow,
+    # so the sd is inf and every HVDM term on x0 would be 0: the column
+    # would be ignored
+    ds = numeric_ds([[1e200, 0.0], [-1e200, 1.0], [1e200, 2.0], [-1e200, 3.0]],
+                    ["p", "q", "q", "p"])
+    with pytest.raises(MetricError, match="^column 'x0' has an infinite cell, or cells so "
+                       "far apart that their spread overflows"):
+        ctx_for("hvdm", ds)
+    assert oracle.refused_column_oracle("hvdm", ds) == "x0"
+    # HEOM divides by the span, which is finite
+    assert ctx_for("heom", ds).ranges[0] == 2e200
+    assert oracle.refused_column_oracle("heom", ds) is None
+
+
 def test_no_feature_columns_rejected():
     ds = labelled(["p", "q"])
     with pytest.raises(MetricError, match="no feature columns"):

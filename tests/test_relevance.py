@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from rebalance import (
@@ -15,6 +15,7 @@ from rebalance import (
     gen_imbr,
 )
 import rebalance.relevance as relevance
+from rebalance.relevance import copied_bumps
 
 import _oracles as oracle
 from _toys import regression_ds
@@ -375,3 +376,64 @@ def test_find_bumps_memory_is_bounded():
     # relevance, held whole, took 16 more, and the cubic over all rows
     # at once about 104
     assert peak < n * 12
+
+
+
+def bump_rows(bumps):
+    """Each bump's flag, count and target range, repr telling -0.0."""
+    return [(b.rare, b.count, repr(b.y_low), repr(b.y_high)) for b in bumps]
+
+
+# tied targets, -0.0 beside 0.0, in each bump of WAVE at 0.5: rare up
+# to 1.5, normal to 4.5, rare to 7, normal above
+TIED = [-1.0, -0.0, 0.0, 0.0, 1.5, 2.0, 3.0, 3.0, 5.0, 7.0, 8.0, 11.0]
+
+
+@st.composite
+def copies(draw):
+    """Targets, the rows a copy takes of them, and how many rows it adds."""
+    y = draw(st.lists(st.sampled_from(TIED), min_size=1, max_size=20))
+    rows = draw(st.lists(st.integers(0, len(y) - 1), max_size=40))
+    if draw(st.booleans()):  # each row at least once, in some order
+        rows = draw(st.permutations([*range(len(y)), *rows]))
+    return y, rows, draw(st.sampled_from([0, 0, 0, 1, 2]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=copies())
+# the normal bump between two rare ones loses every row: they merge
+@example(case=([0.5, 3.0, 5.0, 6.0], [3, 0, 2], 0))
+# every row tied, -0.0 last in the first row order and first in the second
+@example(case=([0.0, -0.0, 0.0], [2, 1, 0, 1], 0))
+@example(case=([-0.0, 0.0, 3.0], [1, 2, 0, 2], 0))
+# a row added: it copies no row
+@example(case=([0.5, 3.0], [0, 1], 1))
+def test_copied_bumps_match_find_bumps(case):
+    y, rows, added = case
+    ds = regression_ds(y)
+    fn = build_relevance_range(WAVE)
+    part = find_bumps(ds, fn, 0.5)
+    block = {c.name: c.values[:added] for c in ds.columns} if added else None
+    out = ds.take(np.array(rows, dtype=np.intp), block)
+    got = copied_bumps(part, out)
+    if added or any(set(b.indices.tolist()).isdisjoint(rows) for b in part.bumps):
+        event("find_bumps needed")
+        assert got is None
+        return
+    event(f"copies of {len(part.bumps)} bumps")
+    assert bump_rows(got) == bump_rows(find_bumps(out, fn, 0.5).bumps)
+
+
+def test_an_emptied_bump_merges_its_neighbours():
+    # the case copied_bumps leaves to find_bumps
+    ds = regression_ds([0.5, 3.0, 5.0, 6.0])
+    fn = build_relevance_range(WAVE)
+    out = ds.take([3, 0, 2])
+    assert copied_bumps(find_bumps(ds, fn, 0.5), out) is None
+    assert bump_rows(find_bumps(out, fn, 0.5).bumps) == [(True, 3, "0.5", "6.0")]
+
+
+def test_a_table_not_made_by_take_has_no_copied_bumps():
+    ds = regression_ds([0.5, 3.0])
+    fn = build_relevance_range(WAVE)
+    assert copied_bumps(find_bumps(ds, fn, 0.5), ds) is None

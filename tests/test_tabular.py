@@ -392,6 +392,25 @@ def test_writer_memory_is_bounded_by_one_block(tmp_path):
     assert peak < tabular.BLOCK_ROWS * 1024
     assert path.read_bytes() == dataset_to_csv_bytes(ds)
 
+    # replicas: each of these rows copies one of 20,000, each copied
+    # about 10 times, and a side keeps the line of each origin that
+    # repeats in it.  A kept line takes under 128 bytes: its text of
+    # about 25 characters, its str header, its slot and its origin's
+    # first and last rows; the peak was 2.0 MB with 20,000 of them
+    rows = ds.take(rng.integers(0, 20_000, n))
+    cached = np.count_nonzero(np.bincount(rows.origins) > 1)
+    for sink in (Discard(), path):
+        with two_cpus() as forks:
+            tracemalloc.start()
+            try:
+                write_dataset(rows, sink)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len(forks) == (sink is path)
+        assert peak < tabular.BLOCK_ROWS * 1024 + cached * 128
+    assert path.read_bytes() == dataset_to_csv_bytes(Dataset(rows.columns, rows.target))
+
 
 def fail_formatting_in(side, monkeypatch):
     """Split every write, and make formatting fail in the ``side``
