@@ -124,11 +124,24 @@ class StrategyOutcome:
     partition: BumpPartition | None = None
 
 
+# explicit percentage rules, by name: which percentages are valid, the
+# error for the others, whose template takes " for class 'c'" or "s",
+# and (perc, count) -> target
+_PERC_RULES = {
+    "under": (lambda p: 0 < p <= 1, "under-sampling percentage{} must be in (0, 1]",
+              floor_frac),
+    "over": (lambda p: p >= 1, "over-sampling percentage{} must be at least 1", floor_frac),
+    "positive": (lambda p: p > 0, "percentage{} must be positive", floor_frac),
+    "additive": (lambda p: p >= 0, "over-sampling percentage{} must be non-negative",
+                 lambda p, n: n + floor_frac(p, n)),
+}
+
+
 def _explicit_targets(counts: Mapping[str, int], percs: Mapping[str, float],
-                      valid: Callable[[float], bool], rule: str) -> dict[str, int]:
-    """Explicit-mode targets: trunc(perc * count) for each class ``percs``
-    names, whose percentage must pass ``valid`` (else ``rule`` names the
-    class in the error); every other class keeps its count.
+                      rule: str) -> dict[str, int]:
+    """Explicit-mode targets: for each class ``percs`` names, its
+    percentage under ``_PERC_RULES[rule]``; every other class keeps its
+    count.
     """
     unknown = sorted(set(percs) - set(counts))
     if unknown:
@@ -136,11 +149,12 @@ def _explicit_targets(counts: Mapping[str, int], percs: Mapping[str, float],
     for c, perc in sorted(percs.items()):
         if not math.isfinite(perc):
             raise ResampleError(f"percentage for class {c!r} must be a finite number")
+    valid, error, target = _PERC_RULES[rule]
     out = dict(sorted(counts.items()))
     for c, perc in sorted(percs.items()):
         if not valid(perc):
-            raise ResampleError(rule.format(c))
-        out[c] = floor_frac(perc, counts[c])
+            raise ResampleError(error.format(f" for class {c!r}"))
+        out[c] = target(perc, counts[c])
     return out
 
 
@@ -153,8 +167,7 @@ def resolve_targets_under(counts: Mapping[str, int], spec: ClassPercSpec) -> dic
     if spec.mode == "extreme":
         m = min(counts.values())
         return {c: m * m // counts[c] for c in labels}
-    return _explicit_targets(counts, spec.percs, lambda p: 0 < p <= 1,
-                             "under-sampling percentage for class {!r} must be in (0, 1]")
+    return _explicit_targets(counts, spec.percs, "under")
 
 
 def resolve_targets_over(counts: Mapping[str, int], spec: ClassPercSpec) -> dict[str, int]:
@@ -166,8 +179,7 @@ def resolve_targets_over(counts: Mapping[str, int], spec: ClassPercSpec) -> dict
     if spec.mode == "extreme":
         m = max(counts.values())
         return {c: round(m * m / counts[c]) for c in labels}
-    return _explicit_targets(counts, spec.percs, lambda p: p >= 1,
-                             "over-sampling percentage for class {!r} must be at least 1")
+    return _explicit_targets(counts, spec.percs, "over")
 
 
 def _resolve_mixed(counts: Mapping[str, int], spec: ClassPercSpec) -> dict[str, int]:
@@ -180,8 +192,7 @@ def _resolve_mixed(counts: Mapping[str, int], spec: ClassPercSpec) -> dict[str, 
     if spec.mode == "extreme":
         quota = inverted_quota([counts[c] for c in labels], total)
         return dict(zip(labels, quota))
-    return _explicit_targets(counts, spec.percs, lambda p: p > 0,
-                             "percentage for class {!r} must be positive")
+    return _explicit_targets(counts, spec.percs, "positive")
 
 
 def _resolve_impsamp(counts: Mapping[str, int], spec: ClassPercSpec) -> dict[str, int]:
@@ -385,13 +396,11 @@ def imp_samp_classif(
     return _resample(ds, _class_groups(ds, targets), _sample(rng), _replicas(rng))
 
 
-def _resolve_cl(cl, counts: Mapping[str, int], smaller_ok: bool = True) -> list[str]:
+def _resolve_cl(cl, counts: Mapping[str, int]) -> list[str]:
     """Interpret a class-list parameter: 'all', 'smaller', or labels."""
     if cl == "all":
         return sorted(counts)
     if cl == "smaller":
-        if not smaller_ok:
-            raise ResampleError("'smaller' is not accepted here")
         total = sum(counts.values())
         k = len(counts)
         return sorted(c for c, n in counts.items() if n * k < total)
@@ -400,6 +409,14 @@ def _resolve_cl(cl, counts: Mapping[str, int], smaller_ok: bool = True) -> list[
     if unknown:
         raise ResampleError(f"unknown classes: {unknown}")
     return sorted(set(labels))
+
+
+def _important_classes(cl, counts: Mapping[str, int]) -> tuple[list[str], list[str]]:
+    """CNN's and OSS's important classes and the rest, which holds one."""
+    important = _resolve_cl(cl, counts)
+    if set(important) == set(counts):
+        raise ResampleError("every class is marked important: nothing to condense")
+    return important, sorted(set(counts) - set(important))
 
 
 def _edited(ds: Dataset, drop: np.ndarray, warnings: list[str]) -> StrategyOutcome:
@@ -450,11 +467,7 @@ def cnn_classif(
     pulled in until every original row classifies correctly.  Returns
     the outcome plus the important and unimportant class lists.
     """
-    counts = class_counts(ds)
-    important = _resolve_cl(cl, counts)
-    if set(important) == set(counts):
-        raise ResampleError("every class is marked important: nothing to condense")
-    unimportant = sorted(set(counts) - set(important))
+    important, unimportant = _important_classes(cl, class_counts(ds))
     code = ds.target_column.values
     kept_mask = _class_mask(ds.target_column.categories, important)[code]
     rng = np.random.default_rng(seed)
@@ -499,11 +512,7 @@ def oss_classif(
     """
     if start not in ("cnn", "tomek"):
         raise ResampleError(f"start must be 'cnn' or 'tomek', not {start!r}")
-    counts = class_counts(ds)
-    important = _resolve_cl(cl, counts)
-    if set(important) == set(counts):
-        raise ResampleError("every class is marked important: nothing to condense")
-    unimportant = sorted(set(counts) - set(important))
+    important, unimportant = _important_classes(cl, class_counts(ds))
 
     if start == "cnn":
         first, _, _ = cnn_classif(ds, metric, cl=important, seed=seed)

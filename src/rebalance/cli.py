@@ -16,6 +16,15 @@ name.  Two kinds of entries carry a hook: ``impsamp-r`` picks mode A
 or mode B from its options, and ``cnn``/``oss`` report the important
 and unimportant class lists they return.
 
+``--out`` and ``--report`` appear whole or not at all.  Each that names
+a regular file or a new path is written to a new file beside it, which
+replaces it only once the CSV and the report are both written, and is
+unlinked if the run fails or is interrupted; a replaced file keeps its
+permission bits, and a new one gets those the umask leaves of 0o666, as
+``open`` gives.  Any other target, a symlink, a device such as
+``/dev/stdout`` or a pipe, is written in place, through the link, as is
+a target beside which no file can be made.
+
 Exit codes: 0 for success (warnings included), 2 for usage errors, 1
 for data or parameter errors.  A fixed ``--seed`` makes the output CSV
 and the report byte-identical across runs, except for the wall-time
@@ -27,8 +36,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
+import stat
 import sys
 import time
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -400,6 +412,30 @@ def _write_report(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
+def _beside(target: str, moves: list[tuple[str, str]]) -> str:
+    """The path to write ``target`` through: a new empty file beside a
+    regular file or a new path, listed in ``moves`` with ``target``, or
+    else ``target`` itself."""
+    try:
+        st = os.lstat(target)
+    except FileNotFoundError:
+        st = None
+    except OSError:  # the write in place says why
+        return target
+    if st is not None and not stat.S_ISREG(st.st_mode):
+        return target
+    head, name = os.path.split(target)
+    tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
+    try:
+        os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+    except OSError:
+        return target
+    moves.append((tmp, target))
+    if st is not None:
+        os.chmod(tmp, stat.S_IMODE(st.st_mode))
+    return tmp
+
+
 def run(argv: list[str]) -> int:
     """Parse argv, run the requested command, and return the exit code."""
     parser = _build_parser(argv)
@@ -410,14 +446,18 @@ def run(argv: list[str]) -> int:
         return code if isinstance(code, int) else 2
 
     started = time.perf_counter()
+    # (new file, target) of each output written beside its target
+    moves: list[tuple[str, str]] = []
     try:
+        output = args.output and _beside(args.output, moves)
+        report = args.report and _beside(args.report, moves)
         if args.command == "gen":
             from .synthgen import gen_imbc, gen_imbr
 
             gen = gen_imbc if args.variant == "imbc" else gen_imbr
             ds = gen(args.rows, seed=args.seed)
-            write_dataset(ds, args.output)
-            if args.report:
+            write_dataset(ds, output)
+            if report:
                 payload = {
                     "command": "gen",
                     "params": {"variant": args.variant, "rows": args.rows},
@@ -426,38 +466,46 @@ def run(argv: list[str]) -> int:
                     "n_rows": ds.n_rows,
                     "elapsed_seconds": time.perf_counter() - started,
                 }
-                _write_report(args.report, payload)
-            return 0
+                _write_report(report, payload)
+        else:
+            ds = read_dataset(args.input, target=args.target)
+            if not ds.n_rows:
+                raise TabularError(f"{args.input} has a header but no data rows")
+            out, params, extra = _dispatch(args, ds)
 
-        ds = read_dataset(args.input, target=args.target)
-        if not ds.n_rows:
-            raise TabularError(f"{args.input} has a header but no data rows")
-        out, params, extra = _dispatch(args, ds)
-
-        write_dataset(out.dataset, args.output)
-        for warning in out.warnings:
-            print(warning, file=sys.stderr)
-        if args.report:
-            payload = {
-                "command": args.command,
-                "input": args.input,
-                "output": args.output,
-                "target": args.target,
-                "seed": args.seed,
-                "params": params,
-                "n_rows_before": ds.n_rows,
-                "n_rows_after": out.dataset.n_rows,
-                "removed": len(out.removed),
-                "added": len(out.seeds),
-                "warnings": out.warnings,
-                "elapsed_seconds": time.perf_counter() - started,
-            }
-            payload.update(extra)
-            _write_report(args.report, payload)
+            write_dataset(out.dataset, output)
+            for warning in out.warnings:
+                print(warning, file=sys.stderr)
+            if report:
+                payload = {
+                    "command": args.command,
+                    "input": args.input,
+                    "output": args.output,
+                    "target": args.target,
+                    "seed": args.seed,
+                    "params": params,
+                    "n_rows_before": ds.n_rows,
+                    "n_rows_after": out.dataset.n_rows,
+                    "removed": len(out.removed),
+                    "added": len(out.seeds),
+                    "warnings": out.warnings,
+                    "elapsed_seconds": time.perf_counter() - started,
+                }
+                payload.update(extra)
+                _write_report(report, payload)
+        # only now, with every output written
+        for tmp, target in moves:
+            os.replace(tmp, target)
+        moves.clear()
         return 0
     except (TabularError, MetricError, RelevanceError, ResampleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        # a failed or interrupted run leaves no new file behind
+        for tmp, _ in moves:
+            with suppress(FileNotFoundError):
+                os.unlink(tmp)
 
 
 def main() -> None:

@@ -10,21 +10,24 @@ every metric, a numeric feature's present cells must span a finite
 range: an infinite cell, or a span that overflows, is refused, and so
 is an HVDM 4 sd that overflows.
 
-A MetricContext caches the per-feature statistics a metric needs
-(ranges, standard deviations, value-difference tables) so that row
-distances are pure lookups.  ``build_context`` is where a table is
-refused, with a ``MetricError`` naming the column, so no distance is
-ever NaN.  A distance can still be infinite where a term overflows; it
-orders like any number.
+A MetricContext holds one operand array per feature, the column's
+values for a numeric feature and its codes for a nominal one, and the
+statistics a metric needs, so that row distances are pure lookups.
+Each numeric feature has one scale that its differences are divided
+by: its range under HEOM, 4 sd under HVDM, and 1 under every other
+metric.  Under HVDM each nominal feature has a value-difference table.
+``build_context`` is where a table is refused, with a ``MetricError``
+naming the column, so no distance is ever NaN.  A distance can still
+be infinite where a term overflows; it orders like any number.
 
-One kernel computes every distance.  Its operands are per-feature
-arrays, values for a numeric feature and codes for a nominal one
-(``encode_rows``).  It has two forms: a block, query rows against
-candidate columns, which ``pairwise`` and the neighbour engine use; and
-a paired form (``paired_distances``), row i against row i, which SMOTER
-uses for its synthetic rows.  Per feature, the kernel computes its term
-in place in one preallocated buffer and adds it to a second, and the
-first term goes straight into the result.  A missing cell makes a HEOM
+One kernel computes every distance.  Its operands are the context's
+operand arrays taken at the rows measured (``encode_rows``).  It has
+two forms: a block, query rows against candidate columns, which
+``pairwise`` and the neighbour engine use; and a paired form
+(``paired_distances``), row i against row i, which SMOTER uses for its
+synthetic rows.  Per feature, the kernel computes its term in place in
+one preallocated buffer and adds it to a second, and the first term
+goes straight into the result.  A missing cell makes a HEOM
 or HVDM term 1.  That override is applied only where a chunk's row or
 column operands hold a missing cell, and it is read from the operands'
 NaN values and -1 codes.
@@ -138,18 +141,20 @@ class Metric:
 
 @dataclass
 class MetricContext:
-    """Per-feature statistics for one metric over one dataset."""
+    """One metric's operands and statistics over one dataset.
+
+    ``operands[j]`` is feature j's column: values (NaN missing) or codes
+    (-1 missing).  ``scale`` maps each numeric feature's position to what
+    its differences are divided by, and ``vdm_sq`` each nominal one's to
+    its squared HVDM value-difference table.
+    """
 
     metric: Metric
     kinds: tuple[str, ...]              # 'num' | 'nom' per feature column
-    names: tuple[str, ...]
     n_rows: int
-    num_values: dict[int, np.ndarray] = field(default_factory=dict)
-    nom_codes: dict[int, np.ndarray] = field(default_factory=dict)
-    ranges: dict[int, float] = field(default_factory=dict)
-    four_sd: dict[int, float] = field(default_factory=dict)
+    operands: list[np.ndarray] = field(default_factory=list)
+    scale: dict[int, float] = field(default_factory=dict)
     vdm_sq: dict[int, np.ndarray] = field(default_factory=dict)
-    classes: tuple[str, ...] = ()
 
 
 def build_context(metric: Metric, ds: Dataset) -> MetricContext:
@@ -160,7 +165,6 @@ def build_context(metric: Metric, ds: Dataset) -> MetricContext:
     kinds = tuple(
         "num" if c.kind is ColumnKind.NUMERIC else "nom" for c in feats
     )
-    names = tuple(c.name for c in feats)
 
     if metric.name in PLAIN_METRICS and "nom" in kinds:
         if metric.name == "euclidean":
@@ -179,13 +183,11 @@ def build_context(metric: Metric, ds: Dataset) -> MetricContext:
     if metric.name == "hvdm" and ds.target_column.kind is not ColumnKind.NOMINAL:
         raise MetricError("HVDM requires a nominal target column")
 
-    ctx = MetricContext(metric, kinds, names, ds.n_rows)
+    ctx = MetricContext(metric, kinds, ds.n_rows, [c.values for c in feats])
     for j, col in enumerate(feats):
         vals = col.values
         if kinds[j] == "nom":
-            ctx.nom_codes[j] = vals
             continue
-        ctx.num_values[j] = vals
         missing = np.isnan(vals)
         if metric.name in PLAIN_METRICS and missing.any():
             raise MetricError(
@@ -199,23 +201,23 @@ def build_context(metric: Metric, ds: Dataset) -> MetricContext:
         # overflow) would make every term of the column 0, or NaN
         with np.errstate(over="ignore", invalid="ignore"):
             span = float(present.max() - present.min()) if len(present) else 0.0
-            if metric.name == "hvdm":
-                ctx.four_sd[j] = 4.0 * sample_sd(present)
-        if not (math.isfinite(span) and math.isfinite(ctx.four_sd.get(j, 0.0))):
+            scale = 4.0 * sample_sd(present) if metric.name == "hvdm" else 1.0
+        if not (math.isfinite(span) and math.isfinite(scale)):
             raise MetricError(
                 f"column {col.name!r} has an infinite cell, or cells so "
                 "far apart that their spread overflows"
             )
-        if metric.name == "heom":
-            ctx.ranges[j] = span
+        ctx.scale[j] = span if metric.name == "heom" else scale
 
     if metric.name == "hvdm":
-        y, ctx.classes = ds.target_column.values, ds.target_column.categories
+        y, classes = ds.target_column.values, ds.target_column.categories
         if (y < 0).any():
             raise MetricError("missing value in the target column")
-        for j, codes in ctx.nom_codes.items():
+        for j, codes in enumerate(ctx.operands):
+            if kinds[j] != "nom":
+                continue
             n_vals = len(feats[j].categories)
-            counts = np.zeros((n_vals, len(ctx.classes)), dtype=np.float64)
+            counts = np.zeros((n_vals, len(classes)), dtype=np.float64)
             mask = codes >= 0
             np.add.at(counts, (codes[mask], y[mask]), 1.0)
             totals = counts.sum(axis=1, keepdims=True)
@@ -234,15 +236,8 @@ def build_context(metric: Metric, ds: Dataset) -> MetricContext:
 
 
 def encode_rows(ctx: MetricContext, rows) -> list[np.ndarray]:
-    """Kernel operands of the given rows, one array per feature.
-
-    A numeric feature gives its values (NaN missing), a nominal one its
-    codes (-1 missing).
-    """
-    return [
-        ctx.num_values[j][rows] if kind == "num" else ctx.nom_codes[j][rows]
-        for j, kind in enumerate(ctx.kinds)
-    ]
+    """Kernel operands of the given rows, one array per feature."""
+    return [v[rows] for v in ctx.operands]
 
 
 def _override(term: np.ndarray, miss_a: np.ndarray, miss_b: np.ndarray,
@@ -261,7 +256,7 @@ def _numeric_term(metric: Metric, ctx: MetricContext, j: int, x: np.ndarray,
     if name not in SQUARED:  # a square needs no sign
         np.abs(term, out=term)
     if name in ("heom", "hvdm"):
-        scale = _scale(metric, ctx, j)
+        scale = ctx.scale[j]
         if scale > 0:
             np.divide(term, scale, out=term)
         else:
@@ -360,13 +355,6 @@ def pairwise(metric: Metric, ctx: MetricContext, rows=None) -> np.ndarray:
     return _block(metric, ctx, idx, idx)
 
 
-def _scale(metric: Metric, ctx: MetricContext, j: int) -> float:
-    """What numeric feature j's difference is divided by: 1 if nothing."""
-    if metric.name == "heom":
-        return ctx.ranges[j]
-    return ctx.four_sd[j] if metric.name == "hvdm" else 1.0
-
-
 def _bounded_features(metric: Metric, ctx: MetricContext, rows: np.ndarray,
                       cols: np.ndarray) -> list[int] | None:
     """The numeric features the k-d walk bounds distances by, or None.
@@ -379,21 +367,20 @@ def _bounded_features(metric: Metric, ctx: MetricContext, rows: np.ndarray,
         return None
     both = np.concatenate([rows, cols])
     feats = []
-    for j, values in ctx.num_values.items():
-        vals = values[both]
+    for j, scale in ctx.scale.items():
+        vals = ctx.operands[j][both]
         vals = vals[~np.isnan(vals)]
-        if _scale(metric, ctx, j) > 0 and len(vals) and vals.max() > vals.min():
+        if scale > 0 and len(vals) and vals.max() > vals.min():
             feats.append(j)
     return feats or None
 
 
-def _kd_leaves(metric: Metric, ctx: MetricContext, feats: list[int],
-               idx: np.ndarray, size: int):
+def _kd_leaves(ctx: MetricContext, feats: list[int], idx: np.ndarray, size: int):
     """Split ``idx`` into k-d leaves of at most ``size`` rows, or two
     where a leaf of one would leave another empty.
 
     Level by level, every node splits at the median of the feature whose
-    values spread widest over it in units of ``_scale``.  Returns the
+    values spread widest over it in units of its scale.  Returns the
     positions in ``idx`` leaf by leaf, the leaves' bounds into that
     order, and their boxes, (features, leaves) arrays of per-feature
     minima and maxima; a leaf missing a cell of a feature has a NaN box
@@ -403,8 +390,8 @@ def _kd_leaves(metric: Metric, ctx: MetricContext, feats: list[int],
     depth = 0
     while -(-m // (1 << depth)) > size and 2 << depth <= m:
         depth += 1
-    vals = np.array([ctx.num_values[j][idx] for j in feats])
-    scale = np.array([[_scale(metric, ctx, j)] for j in feats])
+    vals = np.array([ctx.operands[j][idx] for j in feats])
+    scale = np.array([[ctx.scale[j]] for j in feats])
     # each cell's place in its feature's order, missing cells last
     rank = np.empty(vals.size, dtype=np.intp)
     rank[np.argsort(vals, axis=1) + np.arange(0, vals.size, m)[:, None]] = np.arange(m)
@@ -495,7 +482,7 @@ def _neighbours(metric: Metric, ctx: MetricContext, rows: np.ndarray,
     if feats is None:
         return measure(np.arange(len(rows)), np.arange(len(cols)))
 
-    perm, bounds, lo, hi = _kd_leaves(metric, ctx, feats, cols, LEAF_ROWS)
+    perm, bounds, lo, hi = _kd_leaves(ctx, feats, cols, LEAF_ROWS)
     sizes = np.diff(bounds)
     # query chunks: subtrees of the cols' tree, or for other rows the
     # leaves of their own tree, each spanning about CHUNK_ROWS cols
@@ -504,8 +491,8 @@ def _neighbours(metric: Metric, ctx: MetricContext, rows: np.ndarray,
         q_bounds = np.append(bounds[:-1:max(1, CHUNK_ROWS // LEAF_ROWS)], len(cols))
     else:
         size = max(CHUNK_ROWS, CHUNK_ROWS * len(rows) // len(cols))
-        q_perm, q_bounds = _kd_leaves(metric, ctx, feats, rows, size)[:2]
-    xs = np.array([ctx.num_values[j][rows[q_perm]] for j in feats])
+        q_perm, q_bounds = _kd_leaves(ctx, feats, rows, size)[:2]
+    xs = np.array([ctx.operands[j][rows[q_perm]] for j in feats])
     q_lo = np.minimum.reduceat(xs, q_bounds[:-1], axis=1)[:, :, None]
     q_hi = np.maximum.reduceat(xs, q_bounds[:-1], axis=1)[:, :, None]
     lo, hi = lo[:, None], hi[:, None]

@@ -30,8 +30,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._util import balanced_quota, floor_frac, inverted_quota
+from ._util import balanced_quota, inverted_quota
 from .classif import (
+    _PERC_RULES,
     ResampleError,
     StrategyOutcome,
     _PercSpec,
@@ -81,20 +82,12 @@ class ImpSampParams:
     o: float | None = None
 
 
-# explicit percentage rules, one per kind of bump: which percentages
-# are valid, the error for the others, and (perc, count) -> target
-_UNDER = (lambda p: 0 < p <= 1, "under-sampling percentages must be in (0, 1]", floor_frac)
-_ADDITIVE = (lambda p: p >= 0, "over-sampling percentages must be non-negative",
-            lambda p, n: n + floor_frac(p, n))
-_MULTIPLICATIVE = (lambda p: p >= 1, "over-sampling percentages must be at least 1",
-                  floor_frac)
-
-
 def _explicit_targets(spec: BumpPercSpec, bumps: Sequence[Bump], what: str,
-                      rare_rule: tuple | None = None) -> list[int]:
+                      rare_rule: str | None = None) -> list[int]:
     """Targets of an explicit spec, one percentage per bump in ``bumps``.
 
-    Normal bumps follow ``_UNDER`` and Rare bumps ``rare_rule``.
+    Normal bumps follow the "under" rule of ``_PERC_RULES`` and Rare
+    bumps ``rare_rule``.
     """
     if len(spec.percs) != len(bumps):
         raise ResampleError(
@@ -104,9 +97,9 @@ def _explicit_targets(spec: BumpPercSpec, bumps: Sequence[Bump], what: str,
         raise ResampleError("bump percentages must be finite numbers")
     targets = []
     for p, b in zip(spec.percs, bumps):
-        valid, error, target = rare_rule if b.rare else _UNDER
+        valid, error, target = _PERC_RULES[rare_rule if b.rare else "under"]
         if not valid(p):
-            raise ResampleError(error)
+            raise ResampleError(error.format("s"))
         targets.append(target(p, b.count))
     return targets
 
@@ -175,7 +168,7 @@ def rand_over_regress(
     if not rares:
         raise ResampleError("no bump above the relevance threshold to over-sample")
     if spec.mode == "explicit":
-        targets = _explicit_targets(spec, rares, "Rare bump", _ADDITIVE)
+        targets = _explicit_targets(spec, rares, "Rare bump", "additive")
     else:
         if not normals:
             raise ResampleError("no bump below the relevance threshold")
@@ -190,7 +183,7 @@ def rand_over_regress(
 
 
 def _mixed_bump_targets(spec: BumpPercSpec, part: BumpPartition,
-                        rare_rule: tuple) -> list[int]:
+                        rare_rule: str) -> list[int]:
     """Absolute per-bump targets for the shrink-and-grow strategies."""
     bumps = part.bumps
     counts = [b.count for b in bumps]
@@ -222,7 +215,7 @@ def gauss_noise_regress(
     part = find_bumps(ds, fn, thr_rel)
     if not part.bumps:
         raise ResampleError("empty dataset")
-    targets = _mixed_bump_targets(spec, part, _ADDITIVE)
+    targets = _mixed_bump_targets(spec, part, "additive")
     rng = np.random.default_rng(seed)
     warnings: list[str] = []
 
@@ -262,7 +255,7 @@ def smoter(
     part = find_bumps(ds, fn, thr_rel)
     if not part.rare_bumps:
         raise ResampleError("no bump above the relevance threshold to over-sample")
-    targets = _mixed_bump_targets(spec, part, _MULTIPLICATIVE)
+    targets = _mixed_bump_targets(spec, part, "over")
     ctx = build_context(metric, ds)
     rng = np.random.default_rng(seed)
     y = ds.target_column.values
@@ -332,7 +325,7 @@ def imp_samp_regress(
         if params.thr_rel is None or params.spec is None:
             raise ResampleError("mode A needs both thr_rel and a bump spec")
         part = find_bumps(ds, fn, params.thr_rel)
-        targets = _mixed_bump_targets(params.spec, part, _ADDITIVE)
+        targets = _mixed_bump_targets(params.spec, part, "additive")
 
         def shrink(bump, idx, t):
             p = _proportional(1.0 - phi[idx])

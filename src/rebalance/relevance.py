@@ -189,30 +189,22 @@ def build_relevance_extremes(values, extr_type: str = "both") -> RelevanceFn:
         raise RelevanceError("target has no spread")
     q1, med, q3 = (float(q) for q in np.percentile(y, [25, 50, 75]))
     iqr = q3 - q1
-    fence_low = q1 - 1.5 * iqr
-    fence_high = q3 + 1.5 * iqr
-    has_low = bool(np.any(y < fence_low))
-    has_high = bool(np.any(y > fence_high))
+    fence_low, fence_high = q1 - 1.5 * iqr, q3 + 1.5 * iqr
+    has_low, has_high = bool(np.any(y < fence_low)), bool(np.any(y > fence_high))
 
     pts: list[ControlPoint] = [ControlPoint(med, 0.0, 0.0)]
-    if extr_type in ("low", "both"):
-        anchor = fence_low if has_low else y_min
-        if extr_type == "both" and not has_low and (has_low or has_high):
+    for side, where, outliers, anchor in (
+            ("low", "below", has_low, fence_low if has_low else y_min),
+            ("high", "above", has_high, fence_high if has_high else y_max)):
+        if extr_type not in (side, "both"):
+            continue
+        if extr_type == "both" and not outliers and (has_low or has_high):
             # outliers exist only on the other side: nothing is rare here
             if anchor != med:
                 pts.append(ControlPoint(anchor, 0.0, 0.0))
+        elif anchor == med:
+            raise RelevanceError(f"target has no spread {where} the median")
         else:
-            if anchor == med:
-                raise RelevanceError("target has no spread below the median")
-            pts.append(ControlPoint(anchor, 1.0, 0.0))
-    if extr_type in ("high", "both"):
-        anchor = fence_high if has_high else y_max
-        if extr_type == "both" and not has_high and (has_low or has_high):
-            if anchor != med:
-                pts.append(ControlPoint(anchor, 0.0, 0.0))
-        else:
-            if anchor == med:
-                raise RelevanceError("target has no spread above the median")
             pts.append(ControlPoint(anchor, 1.0, 0.0))
     return build_relevance_range(pts)
 

@@ -885,10 +885,3 @@ def _quote(value: str, dialect) -> str:
     buf = io.StringIO()
     csv.writer(buf, dialect).writerow([value])
     return buf.getvalue().removesuffix(dialect.lineterminator)
-
-
-def dataset_to_csv_bytes(ds: Dataset) -> bytes:
-    """CSV serialization as bytes (handy for determinism checks)."""
-    buf = io.StringIO()
-    write_dataset(ds, buf)
-    return buf.getvalue().encode("utf-8")

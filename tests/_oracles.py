@@ -11,18 +11,27 @@ with ``==``.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import re
 
 import numpy as np
 
-from rebalance.tabular import Column, ColumnKind, Dataset, TabularError
+from rebalance.tabular import Column, ColumnKind, Dataset, TabularError, write_dataset
 
 
 def _is_missing(v) -> bool:
     if v is None:
         return True
     return isinstance(v, float) and math.isnan(v)
+
+
+def dataset_to_csv_bytes(ds) -> bytes:
+    """The library's CSV of ``ds``, written to a text stream, as bytes:
+    a helper for comparing outputs, not an oracle."""
+    buf = io.StringIO()
+    write_dataset(ds, buf)
+    return buf.getvalue().encode("utf-8")
 
 
 def dataset_row(ds, i, feature_only=True):

@@ -7,6 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import rebalance.tabular as tabular
 from rebalance import Column, ColumnKind, Dataset, MetricError, build_context
 from rebalance.synthgen import gen_imbr
 
@@ -127,3 +128,18 @@ def two_cpus():
     except ChildProcessError:
         return
     raise AssertionError(f"a child process was left: {left}")
+
+
+def fail_formatting_in(side, monkeypatch):
+    """Split every write, and make formatting fail in the ``side``
+    process, "worker" or "parent"."""
+    parent = os.getpid()
+    fields = tabular._fields
+
+    def _fields(*args):
+        if (os.getpid() == parent) == (side == "parent"):
+            raise MemoryError("formatting failed")
+        return fields(*args)
+
+    monkeypatch.setattr(tabular, "_fields", _fields)
+    monkeypatch.setattr(tabular, "SPLIT_ROWS", 2)

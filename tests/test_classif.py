@@ -26,8 +26,8 @@ from rebalance.classif import (
     resolve_targets_over,
     resolve_targets_under,
 )
-from rebalance.tabular import dataset_to_csv_bytes
 
+from _oracles import dataset_to_csv_bytes
 from _toys import labelled
 
 # class sizes of the reference imbalanced scenario used throughout the
@@ -131,6 +131,19 @@ def test_under_rejects_perc_above_one():
 def test_over_rejects_perc_below_one():
     with pytest.raises(ResampleError, match="at least 1"):
         resolve_targets_over(BASE_COUNTS, ClassPercSpec.explicit({"rare1": 0.5}))
+
+
+@pytest.mark.parametrize("resolve, perc, msg", [
+    (resolve_targets_under, 2.0, "under-sampling percentage for class 'rare1' must be in (0, 1]"),
+    (resolve_targets_under, 0.0, "under-sampling percentage for class 'rare1' must be in (0, 1]"),
+    (resolve_targets_over, 0.5, "over-sampling percentage for class 'rare1' must be at least 1"),
+    (_resolve_mixed, 0.0, "percentage for class 'rare1' must be positive"),
+    (_resolve_impsamp, -1.0, "percentage for class 'rare1' must be positive"),
+])
+def test_explicit_percentage_rules_name_the_class(resolve, perc, msg):
+    with pytest.raises(ResampleError) as err:
+        resolve(BASE_COUNTS, ClassPercSpec.explicit({"normal": 1.0, "rare1": perc}))
+    assert str(err.value) == msg
 
 
 def test_unknown_class_rejected():
@@ -358,6 +371,14 @@ def test_oss_rejects_bad_start():
         oss_classif(ds, Metric("euclidean"), start="enn")
 
 
+@pytest.mark.parametrize("cl", ["all", ["b", "a"]])
+def test_oss_rejects_cl_covering_all_classes(cl):
+    ds = line_ds([(0.0, "a"), (1.0, "b"), (2.0, "b")])
+    with pytest.raises(ResampleError) as err:
+        oss_classif(ds, Metric("euclidean"), cl=cl)
+    assert str(err.value) == "every class is marked important: nothing to condense"
+
+
 # ----------------------------------------------------------------- enn
 
 def enn_toy():
@@ -439,6 +460,14 @@ def test_ncl_a1_uses_enn_rule_on_outside_classes():
     ds = line_ds(pts)
     out = ncl_classif(ds, Metric("euclidean"), k=3, cl=["a"], seed=0)
     assert 2 in out.removed
+
+
+@pytest.mark.parametrize("k", [0, 4])
+def test_ncl_validates_k(k):
+    ds = line_ds([(0.0, "a"), (1.0, "a"), (2.0, "b"), (3.0, "b")])
+    with pytest.raises(ResampleError) as err:
+        ncl_classif(ds, Metric("euclidean"), k=k, cl=["a"])
+    assert str(err.value) == "k must satisfy 1 <= k < number of rows"
 
 
 def test_ncl_needs_key_classes():

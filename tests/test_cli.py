@@ -8,14 +8,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rebalance.cli as cli
 import rebalance.tabular as tabular
-from rebalance import Column, ColumnKind, Dataset, class_counts, read_dataset, write_dataset
+from rebalance import (
+    Column,
+    ColumnKind,
+    Dataset,
+    build_relevance_extremes,
+    class_counts,
+    find_bumps,
+    read_dataset,
+    write_dataset,
+)
 from rebalance.classif import ClassPercSpec
 from rebalance.cli import COMMANDS, _build_parser, run
 from rebalance.regress import BumpPercSpec
 from rebalance.synthgen import gen_imbr
 
-from _toys import blanked_imbr
+from _toys import blanked_imbr, fail_formatting_in, two_cpus
 
 
 @pytest.fixture()
@@ -554,3 +564,177 @@ def test_large_input_from_a_pipe(tmp_path):
                      stdin=path.read_bytes())
     assert proc.returncode == 0 and proc.stderr == b""
     assert proc.stdout == _python_m(["rebalance", *args, "--in", str(path)], text=False).stdout
+
+
+# ------------------------------------------------------- option branches
+
+def test_cl_lists_classes(imbc_csv, tmp_path):
+    out, rep = tmp_path / "o.csv", tmp_path / "r.json"
+    assert run(["enn", "--in", str(imbc_csv), "--out", str(out), "--target", "Class",
+                "--dist", "heom", "--cl", "rare1,rare2", "--report", str(rep)]) == 0
+    payload = json.loads(rep.read_text())
+    assert payload["params"]["cl"] == ["rare1", "rare2"]
+    # only the listed classes may lose rows
+    before, after = payload["class_counts_before"], payload["class_counts_after"]
+    assert after["normal"] == before["normal"]
+    assert after != before
+
+
+@pytest.mark.parametrize("rel, side", [("auto", "both"), ("auto:both", "both"),
+                                       ("auto:high", "high"), ("auto:low", "low")])
+def test_rel_picks_the_boxplot_tails(rel, side, imbr_csv, tmp_path):
+    rep = tmp_path / "r.json"
+    assert run(["randunder-r", "--in", str(imbr_csv), "--out", str(tmp_path / "o.csv"),
+                "--target", "Tgt", "--rel", rel, "--report", str(rep)]) == 0
+    payload = json.loads(rep.read_text())
+    assert payload["params"]["relevance"] == {"auto": side}
+    ds = read_dataset(str(imbr_csv), target="Tgt")
+    fn = build_relevance_extremes(ds.target_column.values, extr_type=side)
+    want = [{"rare": b.rare, "count": b.count, "y_low": b.y_low, "y_high": b.y_high}
+            for b in find_bumps(ds, fn, 0.5).bumps]
+    assert payload["bumps_before"] == want
+
+
+@pytest.mark.parametrize("args, message", [
+    (["randunder-r", "--rel", "auto:middle"],
+     "argument --rel: bad relevance spec 'auto:middle'; expected auto, auto:high, "
+     "auto:low or auto:both"),
+    (["randunder-r", "--rel", "high"],
+     "argument --rel: bad relevance spec 'high'; expected auto, auto:high, auto:low "
+     "or auto:both"),
+    (["randunder", "--c-perc", "rare1"],
+     "argument --c-perc: bad class percentage 'rare1'; expected label=number"),
+    (["randover", "--c-perc", "rare1=2,=3"],
+     "argument --c-perc: bad class percentage '=3'; expected label=number"),
+    (["randover", "--c-perc", "rare1=x"],
+     "argument --c-perc: bad percentage value 'x' for class 'rare1'"),
+    (["randover-r", "--c-perc", "1,a"],
+     "argument --c-perc: bad bump percentages '1,a'; expected balance, extreme, or "
+     "comma-separated numbers"),
+])
+def test_bad_option_values_are_usage_errors(args, message, tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    assert run([args[0], "--in", "i.csv", "--out", str(out), "--target", "t", *args[1:]]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == f"rebalance {args[0]}: error: {message}"
+    assert not out.exists()
+
+
+def test_rel_points_file_skips_blank_lines(imbr_csv, tmp_path):
+    plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+    plain.write_text("10,0,0\n20,1,0\n")
+    blank.write_text("\n10,0,0\n\n20,1\n\n")
+    outs = []
+    for pts in (plain, blank):
+        outs.append(tmp_path / f"o-{pts.name}")
+        assert run(["randover-r", "--in", str(imbr_csv), "--out", str(outs[-1]),
+                    "--target", "Tgt", "--rel-points", str(pts)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_rel_points_row_of_four_fields_is_a_data_error(imbr_csv, tmp_path, capsys):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("10,0,0\n20,1,0,5\n")
+    assert run(["randover-r", "--in", str(imbr_csv), "--out", str(tmp_path / "o.csv"),
+                "--target", "Tgt", "--rel-points", str(pts)]) == 1
+    assert capsys.readouterr().err == "error: relevance point on line 2 needs y,phi[,dphi]\n"
+
+
+# ------------------------------------------------- whole outputs or none
+
+OLD_CSV, OLD_REPORT = b"old,csv\r\n", b'{"old": "report"}\n'
+
+
+@pytest.fixture()
+def old_outputs(tmp_path):
+    """``--out`` and ``--report`` targets that hold earlier bytes; the
+    test checks on leaving that they still hold them, alone."""
+    out, rep = tmp_path / "out" / "g.csv", tmp_path / "out" / "g.json"
+    out.parent.mkdir()
+    out.write_bytes(OLD_CSV)
+    rep.write_bytes(OLD_REPORT)
+    yield ["--out", str(out), "--report", str(rep)]
+    assert out.read_bytes() == OLD_CSV and rep.read_bytes() == OLD_REPORT
+    assert sorted(os.listdir(out.parent)) == ["g.csv", "g.json"]
+
+
+def test_failed_write_worker_keeps_the_old_outputs(old_outputs, monkeypatch, capsys):
+    fail_formatting_in("worker", monkeypatch)
+    with two_cpus() as forks:
+        assert run(["gen", "imbc", "--rows", "50", *old_outputs]) == 1
+    assert forks
+    assert capsys.readouterr().err.endswith(" exited with status 1: MemoryError: formatting failed\n")
+
+
+def test_failed_report_write_keeps_the_old_outputs(old_outputs, monkeypatch, capsys):
+    def write_half(path, payload):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("{")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "_write_report", write_half)
+    assert run(["gen", "imbc", "--rows", "50", *old_outputs]) == 1
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+
+
+def test_interrupted_write_keeps_the_old_outputs(old_outputs, monkeypatch):
+    # blocks of 8 rows: the interrupt comes after 3 blocks are formatted
+    calls, fields = [], tabular._fields
+
+    def interrupt(*args):
+        calls.append(1)
+        if len(calls) == 3 * 5:
+            raise KeyboardInterrupt
+        return fields(*args)
+
+    monkeypatch.setattr(tabular, "BLOCK_ROWS", 8)
+    monkeypatch.setattr(tabular, "_fields", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        run(["gen", "imbc", "--rows", "50", *old_outputs])
+
+
+def test_outputs_replace_regular_files_whole(tmp_path):
+    out, rep, fresh = tmp_path / "g.csv", tmp_path / "g.json", tmp_path / "fresh.csv"
+    out.write_bytes(OLD_CSV)
+    rep.write_bytes(OLD_REPORT)
+    out.chmod(0o640)
+    umask = os.umask(0o027)
+    try:
+        assert run(["gen", "imbc", "--rows", "50", "--out", str(out), "--report", str(rep)]) == 0
+        assert run(["gen", "imbc", "--rows", "50", "--out", str(fresh)]) == 0
+    finally:
+        os.umask(umask)
+    assert out.read_bytes() == fresh.read_bytes() != OLD_CSV
+    assert json.loads(rep.read_text())["n_rows"] == 50
+    # a replaced file keeps its mode; a new one gets 0o666 less the umask
+    assert out.stat().st_mode & 0o777 == 0o640
+    assert rep.stat().st_mode & 0o777 == 0o644
+    assert fresh.stat().st_mode & 0o777 == 0o640
+    assert sorted(os.listdir(tmp_path)) == ["fresh.csv", "g.csv", "g.json"]
+
+
+def test_symlinked_output_is_written_through_the_link(tmp_path):
+    real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+    real.write_bytes(OLD_CSV)
+    link.symlink_to(real)
+    assert run(["gen", "imbc", "--rows", "50", "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert run(["gen", "imbc", "--rows", "50", "--out", str(tmp_path / "plain.csv")]) == 0
+    assert real.read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["link.csv", "plain.csv", "real.csv"]
+
+
+def test_output_is_written_in_place_where_no_file_can_be_made_beside_it(tmp_path, monkeypatch):
+    out = tmp_path / "g.csv"
+    out.write_bytes(OLD_CSV)
+    os_open = os.open
+
+    def refuse_new_files(path, flags, *args):
+        if flags & os.O_EXCL:
+            raise PermissionError(13, "Permission denied", path)
+        return os_open(path, flags, *args)
+
+    monkeypatch.setattr(os, "open", refuse_new_files)
+    assert run(["gen", "imbc", "--rows", "50", "--out", str(out)]) == 0
+    assert out.read_bytes() != OLD_CSV
+    assert os.listdir(tmp_path) == ["g.csv"]

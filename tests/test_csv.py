@@ -21,9 +21,9 @@ from hypothesis import strategies as st
 
 import rebalance.tabular as tabular
 from rebalance import ColumnKind, read_dataset, write_dataset
-from rebalance.tabular import dataset_to_csv_bytes
 
 import _oracles as oracle
+from _oracles import dataset_to_csv_bytes
 from _toys import make_ds, two_cpus
 
 

@@ -146,7 +146,7 @@ def test_hvdm_refuses_an_sd_whose_sum_overflows_both_ways():
     ds = numeric_ds(np.column_stack([x, np.arange(len(x))]))
     with pytest.raises(MetricError, match="^column 'x0' has an infinite cell"):
         ctx_for("hvdm", ds)
-    assert ctx_for("heom", ds).ranges[0] == 1.6e308
+    assert ctx_for("heom", ds).scale[0] == 1.6e308
 
 
 def test_hvdm_refuses_a_four_sd_that_overflows():
@@ -160,7 +160,7 @@ def test_hvdm_refuses_a_four_sd_that_overflows():
         ctx_for("hvdm", ds)
     assert oracle.refused_column_oracle("hvdm", ds) == "x0"
     # HEOM divides by the span, which is finite
-    assert ctx_for("heom", ds).ranges[0] == 2e200
+    assert ctx_for("heom", ds).scale[0] == 2e200
     assert oracle.refused_column_oracle("heom", ds) is None
 
 
@@ -293,7 +293,7 @@ def test_hvdm_all_missing_nominal_column_contributes_one():
 def test_hvdm_four_sd_uses_sample_sd():
     # keyed by feature position; the numeric feature sits at index 1
     ds, ctx = toy_ctx()
-    assert ctx.four_sd[1] == pytest.approx(4 * 1.8708286933869707, abs=1e-12)
+    assert ctx.scale[1] == pytest.approx(4 * 1.8708286933869707, abs=1e-12)
 
 
 def test_hvdm_requires_nominal_target():

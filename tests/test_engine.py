@@ -22,6 +22,7 @@ the scalar ``distance()`` path and the ``AddedRow`` list.
 """
 
 import ast
+import dataclasses
 import importlib
 from contextlib import nullcontext
 from pathlib import Path
@@ -33,7 +34,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import rebalance
-from rebalance import Metric, MetricError, build_context, cnn_classif, pairwise
+from rebalance import Metric, MetricContext, MetricError, build_context, cnn_classif, pairwise
 from rebalance.distance import METRIC_NAMES, PLAIN_METRICS, knn_table, nearest
 from rebalance.synthgen import gen_imbc
 
@@ -475,3 +476,17 @@ def test_the_scalar_distance_and_added_rows_stay_deleted():
     fields = {node.target.id for node in ast.walk(tree)
               if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)}
     assert not (defined | fields) & {"distance", "_nominal_code", "nom_encode"}
+
+
+def test_each_rule_stays_written_once():
+    # one operand array and one scale per feature, one class-list rule,
+    # and the CSV-to-bytes helper lives with the tests
+    assert [f.name for f in dataclasses.fields(MetricContext)] == [
+        "metric", "kinds", "n_rows", "operands", "scale", "vdm_sq"]
+    deleted = {"_scale", "num_values", "nom_codes", "ranges", "four_sd", "smaller_ok",
+               "dataset_to_csv_bytes"}
+    for path in Path(dist_mod.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {getattr(node, a) for node in ast.walk(tree)
+                 for a in ("id", "attr", "arg", "name") if isinstance(getattr(node, a, None), str)}
+        assert not names & deleted, path.name

@@ -92,7 +92,7 @@ def scalar(metric, ctx, ds):
         # the sd statistic is the context's: numpy's std sums in its own
         # order, and test_hvdm_four_sd_uses_sample_sd pins it
         return oracle.scalar_distance_oracle(
-            metric.name, metric.p, kinds, a, b, ranges, ctx.four_sd, tables)
+            metric.name, metric.p, kinds, a, b, ranges, ctx.scale, tables)
 
     return d, rows
 

@@ -13,9 +13,8 @@ from rebalance import (
     rand_under_regress,
     smoter,
 )
-from rebalance.tabular import dataset_to_csv_bytes
-
 import _oracles as oracle
+from _oracles import dataset_to_csv_bytes
 from _toys import make_ds, regression_ds
 
 # relevance ramp used by every two-bump fixture: phi = 0 below y = 4,
@@ -90,6 +89,14 @@ def test_rand_under_needs_a_normal_bump():
         rand_under_regress(ds, RAMP, 0.5, BumpPercSpec.balance(), seed=0)
 
 
+@pytest.mark.parametrize("mode", ["balance", "extreme"])
+def test_rand_under_derived_targets_need_a_rare_bump(mode):
+    ds = regression_ds(np.linspace(0.0, 3.0, 10))  # nothing rare
+    with pytest.raises(ResampleError) as err:
+        rand_under_regress(ds, RAMP, 0.5, BumpPercSpec(mode), seed=0)
+    assert str(err.value) == "no bump above the relevance threshold"
+
+
 # ------------------------------------------------------- random over
 
 def test_rand_over_explicit_total():
@@ -131,10 +138,39 @@ def test_rand_over_needs_a_rare_bump():
         rand_over_regress(ds, RAMP, 0.5, BumpPercSpec.balance(), seed=0)
 
 
+@pytest.mark.parametrize("mode", ["balance", "extreme"])
+def test_rand_over_derived_targets_need_a_normal_bump(mode):
+    ds = regression_ds(np.linspace(7.0, 10.0, 12))  # everything rare
+    with pytest.raises(ResampleError) as err:
+        rand_over_regress(ds, RAMP, 0.5, BumpPercSpec(mode), seed=0)
+    assert str(err.value) == "no bump below the relevance threshold"
+
+
 def test_rand_over_rejects_negative_perc():
     ds = two_bump_ds(10, 5)
     with pytest.raises(ResampleError, match="non-negative"):
         rand_over_regress(ds, RAMP, 0.5, BumpPercSpec.explicit([-0.5]), seed=0)
+
+
+@pytest.mark.parametrize("strategy, percs, msg", [
+    (rand_under_regress, [1.5], "under-sampling percentages must be in (0, 1]"),
+    (rand_over_regress, [-0.5], "over-sampling percentages must be non-negative"),
+    (gauss_noise_regress, [0.0, 1.0], "under-sampling percentages must be in (0, 1]"),
+    (gauss_noise_regress, [0.5, -1.0], "over-sampling percentages must be non-negative"),
+    (smoter, [0.5, 0.5], "over-sampling percentages must be at least 1"),
+])
+def test_explicit_bump_percentage_rules(strategy, percs, msg):
+    ds = two_bump_ds(10, 5)
+    with pytest.raises(ResampleError) as err:
+        strategy(ds, RAMP, 0.5, BumpPercSpec.explicit(percs), seed=0)
+    assert str(err.value) == msg
+
+
+def test_imp_samp_mode_a_rare_percentages_are_additive():
+    params = ImpSampParams(thr_rel=0.5, spec=BumpPercSpec.explicit([1.0, -0.5]))
+    with pytest.raises(ResampleError) as err:
+        imp_samp_regress(two_bump_ds(10, 5), RAMP, params, seed=0)
+    assert str(err.value) == "over-sampling percentages must be non-negative"
 
 
 # ------------------------------------------------------- gauss noise
@@ -277,6 +313,13 @@ def test_smoter_needs_a_rare_bump():
         smoter(ds, RAMP, 0.5, BumpPercSpec.balance(), seed=0)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_smoter_validates_k(k):
+    with pytest.raises(ResampleError) as err:
+        smoter(two_bump_ds(10, 5), RAMP, 0.5, BumpPercSpec.balance(), k=k, seed=0)
+    assert str(err.value) == "k must be at least 1"
+
+
 def test_smoter_deterministic():
     ds = two_bump_ds(30, 12)
     a = smoter(ds, RAMP, 0.5, BumpPercSpec.balance(), seed=6)
@@ -361,6 +404,28 @@ def test_imp_samp_mode_selection_is_exclusive():
         )
     with pytest.raises(ResampleError, match="either thr_rel"):
         imp_samp_regress(ds, RAMP, ImpSampParams(), seed=0)
+
+
+@pytest.mark.parametrize("params, message", [
+    (ImpSampParams(thr_rel=0.5), "mode A needs both thr_rel and a bump spec"),
+    (ImpSampParams(spec=BumpPercSpec.balance()), "mode A needs both thr_rel and a bump spec"),
+    (ImpSampParams(u=0.5), "mode B needs both u and o"),
+    (ImpSampParams(o=1.0), "mode B needs both u and o"),
+])
+def test_imp_samp_mode_needs_both_its_parameters(params, message):
+    with pytest.raises(ResampleError) as err:
+        imp_samp_regress(two_bump_ds(10, 5), RAMP, params, seed=0)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("params", [
+    ImpSampParams(thr_rel=0.5, spec=BumpPercSpec.balance()), ImpSampParams(u=0.5, o=1.0),
+])
+def test_imp_samp_needs_a_numeric_target(params):
+    ds = make_ds([("x", "num", [1.0, 2.0, 3.0]), ("y", "nom", ["a", "b", "a"])], "y")
+    with pytest.raises(ResampleError) as err:
+        imp_samp_regress(ds, RAMP, params, seed=0)
+    assert str(err.value) == "importance sampling needs a numeric target"
 
 
 def test_imp_samp_mode_b_validates_ranges():

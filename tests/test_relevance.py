@@ -225,6 +225,25 @@ def test_extremes_no_spread_above_median():
         build_relevance_extremes([1.0, 2.0, 3.0, 3.0, 3.0], extr_type="high")
 
 
+def test_extremes_no_spread_below_median():
+    with pytest.raises(RelevanceError, match="^target has no spread below the median$"):
+        build_relevance_extremes([3.0, 3.0, 3.0, 4.0, 5.0], extr_type="low")
+
+
+@pytest.mark.parametrize("vals, points", [
+    # outliers only below: the high tail anchors the data maximum at 0
+    ([-100.0, 1, 2, 3, 4, 5, 6, 7, 8], [(-4.0, 1.0), (4.0, 0.0), (8.0, 0.0)]),
+    # ... and adds no point where that maximum is the median
+    ([-100.0, 1, 5, 5, 5], [(-5.0, 1.0), (5.0, 0.0)]),
+    # outliers only above: the same rules on the low tail
+    ([-8.0, -7, -6, -5, -4, -3, -2, -1, 100], [(-8.0, 0.0), (-4.0, 0.0), (4.0, 1.0)]),
+    ([5.0, 5, 5, 9, 100], [(5.0, 0.0), (15.0, 1.0)]),
+])
+def test_extremes_one_sided_both_zeroes_the_other_tail(vals, points):
+    fn = build_relevance_extremes(vals, extr_type="both")
+    assert fn.points == tuple(ControlPoint(y, phi, 0.0) for y, phi in points)
+
+
 def test_extremes_bad_type():
     with pytest.raises(RelevanceError, match="unknown extremes type"):
         build_relevance_extremes([1.0, 2.0, 3.0], extr_type="middle")

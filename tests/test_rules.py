@@ -32,10 +32,11 @@ from rebalance import (
 )
 from rebalance.classif import ResampleError, _resolve_cl
 from rebalance.distance import knn_table, nearest
-from rebalance.regress import _ADDITIVE, _mixed_bump_targets
-from rebalance.tabular import class_counts, dataset_to_csv_bytes
+from rebalance.regress import _mixed_bump_targets
+from rebalance.tabular import class_counts
 
 import _oracles as oracle
+from _oracles import dataset_to_csv_bytes
 from _toys import make_ds
 
 LABELS = ("Z", "a", "ä", "é")
@@ -218,7 +219,7 @@ def test_imp_samp_mode_a_matches_bump_loop(case, seed):
     ds, fn, thr, spec = case
     params = ImpSampParams(thr_rel=thr, spec=spec)
     part = find_bumps(ds, fn, thr)
-    targets = _mixed_bump_targets(spec, part, _ADDITIVE)
+    targets = _mixed_bump_targets(spec, part, "additive")
     phi = fn(ds.target_column.values)
     try:
         kept, seeds = oracle.imp_samp_mode_a_oracle(

@@ -1,9 +1,10 @@
 import numpy as np
 
 from rebalance import class_counts, gen_imbc, gen_imbr
-from rebalance.tabular import ColumnKind, dataset_to_csv_bytes
+from rebalance.tabular import ColumnKind
 
 import _oracles as oracle
+from _oracles import dataset_to_csv_bytes
 
 
 def test_imbc_schema():

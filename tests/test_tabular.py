@@ -27,10 +27,11 @@ import rebalance.tabular as tabular
 from rebalance._util import nominal_freqs
 from rebalance.cli import run
 from rebalance.classif import _class_indices
-from rebalance.tabular import dataset_to_csv_bytes, parses_as_number
+from rebalance.tabular import parses_as_number
 
 import _oracles as oracle
-from _toys import labelled, make_ds, toy_mixed_ds, two_cpus
+from _oracles import dataset_to_csv_bytes
+from _toys import fail_formatting_in, labelled, make_ds, toy_mixed_ds, two_cpus
 
 
 def read_text(text, target, schema=None):
@@ -166,6 +167,17 @@ def test_take_allows_duplicates_and_keeps_order():
     sub = ds.take([2, 0, 2])
     assert list(sub.target_column.labels) == ["r", "p", "r"]
     np.testing.assert_array_equal(sub.column("x").values, [3.0, 1.0, 3.0])
+
+
+def test_take_counts_negative_indices_from_the_end():
+    ds = labelled(["p", "q", "r"], {"x": ("num", [1.0, 2.0, 3.0])})
+    sub = ds.take([-1, 0, -3])
+    assert list(sub.target_column.labels) == ["r", "p", "p"]
+    assert sub.origins.tolist() == [2, 0, 0]
+    assert dataset_to_csv_bytes(sub) == dataset_to_csv_bytes(ds.take([2, 0, 0]))
+    grown = ds.take(np.array([-2]), {"x": np.array([9.0]), "cls": np.array([2])})
+    assert grown.origins.tolist() == [1, -1]
+    assert list(grown.target_column.labels) == ["q", "r"]
 
 
 def test_append_block():
@@ -410,21 +422,6 @@ def test_writer_memory_is_bounded_by_one_block(tmp_path):
         assert len(forks) == (sink is path)
         assert peak < tabular.BLOCK_ROWS * 1024 + cached * 128
     assert path.read_bytes() == dataset_to_csv_bytes(Dataset(rows.columns, rows.target))
-
-
-def fail_formatting_in(side, monkeypatch):
-    """Split every write, and make formatting fail in the ``side``
-    process, "worker" or "parent"."""
-    parent = os.getpid()
-    fields = tabular._fields
-
-    def _fields(*args):
-        if (os.getpid() == parent) == (side == "parent"):
-            raise MemoryError("formatting failed")
-        return fields(*args)
-
-    monkeypatch.setattr(tabular, "_fields", _fields)
-    monkeypatch.setattr(tabular, "SPLIT_ROWS", 2)
 
 
 def test_failed_worker_is_a_tabular_error(monkeypatch, tmp_path):
