@@ -18,9 +18,9 @@ their bump twins in ``rebalance.regress``) run through one driver,
 ``_resample``: a shrink callback picks the rows each group above its
 target keeps (a uniform sample, ``_sample``, or regression importance
 sampling's relevance-weighted drop), a grow callback adds rows to each
-group below it, and ``_outcome`` builds the output and the
-removed/added bookkeeping once.  Groups are classes in label order or
-bumps in partition order.  Two synthesisers serve classes and bumps
+group below it, and ``_outcome`` builds the output, its origins and
+the removed/added bookkeeping once.  Groups are classes in label order
+or bumps in partition order.  Two synthesisers serve classes and bumps
 alike: ``_noise_rows`` (Gaussian noise) and ``_smote_rows`` (SMOTE
 interpolation).
 
@@ -28,13 +28,14 @@ The editing rules (Tomek links, ENN, NCL and the Tomek pass of OSS) are
 array expressions over one k-NN or 1-NN table and each row's class
 code, the target column's code: the label's position in label order.
 The synthesisers' nominal cells are codes too, so the output is built
-from codes and no label is coded again.
+from codes and no label is coded again.  ``_outcome`` builds their
+outputs too, and OSS's, so it builds every ``StrategyOutcome``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -109,8 +110,9 @@ class ClassPercSpec(_PercSpec):
 class StrategyOutcome:
     """A strategy's output and what it did to the input's rows.
 
-    ``removed`` lists the input rows the output lacks.  ``seeds`` holds
-    each added row's seed row and ``synthetic`` whether that row is new
+    ``removed`` lists the input rows not kept; only importance
+    sampling's mode B may add a replica of one.  ``seeds`` holds each
+    added row's seed row and ``synthetic`` whether that row is new
     rather than a copy: first the extra copies of rows kept more than
     once, then the rows each grown group added, in group order.  A bump
     strategy keeps the input's bump ``partition``.
@@ -118,9 +120,9 @@ class StrategyOutcome:
 
     dataset: Dataset
     removed: list[int]
-    seeds: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
-    synthetic: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
-    warnings: list[str] = field(default_factory=list)
+    seeds: np.ndarray
+    synthetic: np.ndarray
+    warnings: list[str]
     partition: BumpPartition | None = None
 
 
@@ -258,22 +260,27 @@ def _resample(
 def _outcome(
     ds: Dataset,
     kept: np.ndarray,
-    replicas: Sequence[np.ndarray],
-    blocks: Sequence[dict],
-    grown: Sequence[tuple[np.ndarray, bool]],
+    replicas: Sequence[np.ndarray] = (),
+    blocks: Sequence[dict] = (),
+    grown: Sequence[tuple[np.ndarray, bool]] = (),
     warnings: list[str] | None = None,
 ) -> StrategyOutcome:
     """The output and bookkeeping of kept rows plus added ones.
 
     The output holds ``kept`` (row order, a row may repeat), then the
-    replicas, then the column blocks.  ``grown`` describes the replicas
-    and block rows: per grown group, its seed rows and whether they are
+    replicas, then the column blocks; its ``origins`` are those rows,
+    then -1 per block row.  ``grown`` describes the replicas and block
+    rows: per grown group, its seed rows and whether they are
     synthetic.  A row kept twice is one more added copy.
     """
     block = ({c: np.concatenate([b[c] for b in blocks]) for c in blocks[0]}
              if blocks else None)
     # in the dtype of the output's origins, which it becomes
-    out = ds.take(np.concatenate([kept, *replicas], dtype=index_dtype(ds.n_rows)), block)
+    idx = np.concatenate([kept, *replicas], dtype=index_dtype(ds.n_rows))
+    out = ds.take(idx, block)
+    if blocks:
+        idx = np.concatenate([idx, np.full(out.n_rows - len(idx), -1, idx.dtype)])
+    out.origins = idx
     counts = np.bincount(kept, minlength=ds.n_rows)
     removed = np.flatnonzero(counts == 0).tolist()
     repeated = np.flatnonzero(counts > 1)
@@ -419,12 +426,6 @@ def _important_classes(cl, counts: Mapping[str, int]) -> tuple[list[str], list[s
     return important, sorted(set(counts) - set(important))
 
 
-def _edited(ds: Dataset, drop: np.ndarray, warnings: list[str]) -> StrategyOutcome:
-    """Outcome of an editing rule: the rows ``drop`` marks go."""
-    return StrategyOutcome(ds.take(np.flatnonzero(~drop)), np.flatnonzero(drop).tolist(),
-                           warnings=warnings)
-
-
 def tomek_classif(
     ds: Dataset,
     metric: Metric,
@@ -451,7 +452,7 @@ def tomek_classif(
     # "maj" when its own class is strictly bigger: a tied pair stays
     drop = link & in_cl & ((rem == "both") | ~in_cl[nn] | (size > size[nn]))
     warnings = [] if drop.any() else [WARN_TOMEK_NONE]
-    return _edited(ds, drop, warnings)
+    return _outcome(ds, np.flatnonzero(~drop), warnings=warnings)
 
 
 def cnn_classif(
@@ -494,7 +495,7 @@ def cnn_classif(
         if not len(new):
             break
         kept_mask[new] = True
-    return _edited(ds, ~kept_mask, []), important, unimportant
+    return _outcome(ds, np.flatnonzero(kept_mask)), important, unimportant
 
 
 def oss_classif(
@@ -522,15 +523,11 @@ def oss_classif(
         if set(class_counts(first.dataset)) <= set(important):
             # the Tomek pass left no row of an unimportant class: CNN has
             # nothing to condense
-            second = StrategyOutcome(first.dataset, [])
-        else:
-            second, _, _ = cnn_classif(first.dataset, metric, cl=important, seed=seed)
-    # second.removed indexes the rows the first phase kept
-    kept = np.delete(np.delete(np.arange(ds.n_rows), first.removed), second.removed)
-    removed = np.setdiff1d(np.arange(ds.n_rows), kept).tolist()
-    outcome = StrategyOutcome(second.dataset, removed,
-                              warnings=first.warnings + second.warnings)
-    return outcome, important, unimportant
+            return first, important, unimportant
+        second, _, _ = cnn_classif(first.dataset, metric, cl=important, seed=seed)
+    # second's origins index the rows the first phase kept
+    kept = first.dataset.origins[second.dataset.origins]
+    return _outcome(ds, kept, warnings=first.warnings + second.warnings), important, unimportant
 
 
 def enn_classif(
@@ -560,7 +557,7 @@ def enn_classif(
         if marked[idx].all():
             marked[idx[rng.integers(len(idx))]] = False
     warnings = [] if marked.any() else [WARN_ENN_NONE]
-    return _edited(ds, marked, warnings)
+    return _outcome(ds, np.flatnonzero(~marked), warnings=warnings)
 
 
 def ncl_classif(
@@ -596,7 +593,7 @@ def ncl_classif(
     drop = a1.copy()
     drop[near_key[takeable[code[near_key]]]] = True
     warnings = [] if a1.any() else [WARN_ENN_NONE]
-    return _edited(ds, drop, warnings)
+    return _outcome(ds, np.flatnonzero(~drop), warnings=warnings)
 
 
 def gauss_noise_classif(

@@ -160,7 +160,7 @@ def _metric_from(args: argparse.Namespace) -> Metric:
 
 
 def _read_rel_points(path: str) -> RelevanceFn:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         try:
             rows = list(csv.reader(fh))
         except UnicodeDecodeError as exc:
@@ -499,7 +499,11 @@ def run(argv: list[str]) -> int:
         moves.clear()
         return 0
     except (TabularError, MetricError, RelevanceError, ResampleError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        # name the file the user asked for, not the one written beside it
+        for tmp, target in moves:
+            message = message.replace(tmp, target)
+        print(f"error: {message}", file=sys.stderr)
         return 1
     finally:
         # a failed or interrupted run leaves no new file behind

@@ -184,6 +184,8 @@ def build_relevance_extremes(values, extr_type: str = "both") -> RelevanceFn:
         raise RelevanceError("target values must be present and numeric") from None
     if len(y) == 0 or np.any(np.isnan(y)):
         raise RelevanceError("target values must be present and numeric")
+    if not np.isfinite(y).all():  # an infinite quartile has no fence
+        raise RelevanceError("target values must be finite")
     y_min, y_max = float(y.min()), float(y.max())
     if y_min == y_max:
         raise RelevanceError("target has no spread")
@@ -289,7 +291,7 @@ class BumpSummary(NamedTuple):
 def copied_bumps(part: BumpPartition, ds: Dataset) -> list[BumpSummary] | None:
     """The bumps ``find_bumps`` finds in ``ds``, with no sort, where each
     row of ``ds`` copies a row of the table ``part`` partitions (its
-    ``origins``, see ``Dataset.take``), under the same relevance and
+    ``origins``, see ``Dataset``), under the same relevance and
     threshold; None where a row copies none, or no row copies a row of
     some bump.
 

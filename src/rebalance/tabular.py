@@ -23,7 +23,7 @@ The CSV layer works column by column over blocks of ``BLOCK_ROWS``
 rows, so no buffer holds more than one block of records or output
 text.  Each column of a block is formatted at once; each category of
 a nominal column is quoted once, by ``csv.writer``.  Besides one block
-of output text, the writer holds one line per origin (``Dataset.take``)
+of output text, the writer holds one line per origin (``Dataset.origins``)
 that repeats in the rows it writes, formatted once and written again
 for each later copy.  A path that gets ``SPLIT_ROWS`` rows or more is
 written by two processes where two CPUs are free (``write_dataset``),
@@ -207,10 +207,9 @@ class Column:
 class Dataset:
     """A columnar table with one designated target column.
 
-    A dataset made by ``take`` keeps in ``origins`` the row of the
-    dataset it was taken from that each of its rows copies, -1 for a
-    row it added; any other dataset has no origins.  The writer formats
-    the line of an origin that repeats once.
+    A strategy's output keeps in ``origins`` the input row that each of
+    its rows copies, -1 for a row it added; any other dataset has no
+    origins.  The writer formats the line of an origin that repeats once.
     """
 
     columns: list[Column]
@@ -254,22 +253,13 @@ class Dataset:
 
         ``block``, if given, adds rows after them, one array per column
         in column form: values of a numeric column, codes into this
-        dataset's categories of a nominal one.  The new dataset's
-        ``origins`` are the rows taken, then -1 for each block row.
-        Without a block, an ``indices`` array of ``index_dtype(n_rows)``
-        or intp, with no negative index, becomes them as it is, with no
-        copy: it must not change while the new dataset is in use.
+        dataset's categories of a nominal one.
         """
         idx = np.asarray(indices)
         if idx.dtype != np.intp:
             idx = idx.astype(index_dtype(self.n_rows), copy=False)
-        if len(idx) and idx.min() < 0:
-            idx = np.where(idx < 0, idx + self.n_rows, idx)
-        out = Dataset([c.take(idx, None if block is None else block[c.name])
-                       for c in self.columns], self.target)
-        extra = out.n_rows - len(idx)
-        out.origins = np.concatenate([idx, np.full(extra, -1, idx.dtype)]) if extra else idx
-        return out
+        return Dataset([c.take(idx, None if block is None else block[c.name])
+                        for c in self.columns], self.target)
 
     def append(self, block: Mapping[str, Sequence]) -> "Dataset":
         """New dataset with extra rows given column-wise.
@@ -349,12 +339,12 @@ def read_dataset(
 ) -> Dataset:
     """Read an RFC-4180 CSV with a header row into a Dataset.
 
-    Empty fields are missing cells.  Column kinds are taken from
-    ``schema`` where given, each a ``ColumnKind``, and inferred
-    otherwise: a column is Numeric iff every non-empty cell is a plain
-    or scientific real literal (``parses_as_number``; one too large for
-    a float reads as infinity).  A missing cell in the target column is
-    an error.
+    A file's UTF-8 byte-order mark is skipped.  Empty fields are missing
+    cells.  Column kinds are taken from ``schema`` where given, each a
+    ``ColumnKind``, and inferred otherwise: a column is Numeric iff
+    every non-empty cell is a plain or scientific real literal
+    (``parses_as_number``; one too large for a float reads as
+    infinity).  A missing cell in the target column is an error.
 
     ``source`` is a path or a text stream.  A regular file is read by
     two processes when two CPUs are free and this process runs one
@@ -388,7 +378,7 @@ def read_dataset(
 def _read_serial(source, target: str, schema) -> list["_ColumnReader"]:
     """The columns of ``source``, read by this process alone."""
     owned = isinstance(source, (str, Path))
-    fh = open(source, "r", encoding="utf-8", newline="") if owned else source
+    fh = open(source, "r", encoding="utf-8-sig", newline="") if owned else source
     try:
         reader = csv.reader(fh)
         columns = _header(reader, target, schema)
@@ -446,7 +436,7 @@ def _read_split(path, target: str, schema) -> list["_ColumnReader"] | None:
         if split is None:
             return None
         start, lines = split
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             columns = _header(reader, target, schema)
             with _forked(lambda tmp: _read_back(path, start, columns, lines + 1, tmp),

@@ -9,6 +9,7 @@ import pytest
 
 import rebalance.tabular as tabular
 from rebalance import Column, ColumnKind, Dataset, MetricError, build_context
+from rebalance.classif import _outcome
 from rebalance.synthgen import gen_imbr
 
 from _oracles import refused_column_oracle
@@ -19,6 +20,13 @@ KIND = {"num": ColumnKind.NUMERIC, "nom": ColumnKind.NOMINAL}
 def make_ds(cols, target):
     """Build a Dataset from (name, 'num'|'nom', values) triples."""
     return Dataset([Column(n, KIND[k], v) for n, k, v in cols], target=target)
+
+
+def strategy_output(ds, rows, block=None):
+    """``ds``'s ``rows`` in order, then the rows of ``block`` (column
+    form), as a strategy outputs them: with ``origins``, built by
+    ``classif._outcome``."""
+    return _outcome(ds, np.asarray(rows, dtype=np.intp), blocks=[block] if block else []).dataset
 
 
 def labelled(labels, features=None, target="cls"):

@@ -365,6 +365,18 @@ def test_oss_removed_ids_map_to_original_rows():
     assert ds.take(kept) == out.dataset
 
 
+def test_oss_tomek_first_with_nothing_left_to_condense():
+    # the Tomek pass drops row 1, the only row of the unimportant class
+    # 'b', so CNN does not run and the Tomek pass's outcome is OSS's
+    ds = line_ds([(0.0, "a"), (1.0, "b"), (10.0, "a")])
+    out, important, unimportant = oss_classif(ds, Metric("euclidean"), cl=["a"],
+                                              start="tomek")
+    assert (important, unimportant) == (["a"], ["b"])
+    assert out.dataset.column("x").values.tolist() == [0.0, 10.0]
+    assert list(out.dataset.target_column.labels) == ["a", "a"]
+    assert out.removed == [1] and out.warnings == [] and len(out.seeds) == 0
+
+
 def test_oss_rejects_bad_start():
     ds = line_ds([(0.0, "a"), (1.0, "b"), (2.0, "b")])
     with pytest.raises(ResampleError, match="start must be"):

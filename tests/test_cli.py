@@ -352,6 +352,8 @@ def test_oss_report_lists_class_roles(imbc_csv, tmp_path):
      "--thr-rel", "0.3"),
     # a field longer than the csv module reads
     ("randunder", "--in", "LONG_FIELD", "--target", "b"),
+    # an infinite target has no boxplot relevance
+    ("randunder-r", "--in", "INF_TARGET", "--target", "t"),
 ])
 def test_non_finite_numbers_are_data_errors(imbc_csv, imbr_csv, tmp_path, capsys, args):
     src, target = (imbr_csv, "Tgt") if args[0].endswith("-r") else (imbc_csv, "Class")
@@ -363,7 +365,10 @@ def test_non_finite_numbers_are_data_errors(imbc_csv, imbr_csv, tmp_path, capsys
     points.write_text("0,0\n0.5,0\n1,0\n2,1\n")
     long = tmp_path / "long.csv"
     long.write_text("a,b\n1," + "x" * 200_000 + "\n")
-    files = {"NOT_UTF8": bad, "FEW_ROWS": few, "REL_POINTS": points, "LONG_FIELD": long}
+    inf = tmp_path / "inf.csv"
+    inf.write_text("x,g,t\n,,1\n,,1e999\n")
+    files = {"NOT_UTF8": bad, "FEW_ROWS": few, "REL_POINTS": points, "LONG_FIELD": long,
+             "INF_TARGET": inf}
     args = [str(files[a]) if a in files else a for a in args]
     out = tmp_path / "o.csv"
     # a later --in replaces the default one
@@ -629,6 +634,21 @@ def test_rel_points_file_skips_blank_lines(imbr_csv, tmp_path):
         outs.append(tmp_path / f"o-{pts.name}")
         assert run(["randover-r", "--in", str(imbr_csv), "--out", str(outs[-1]),
                     "--target", "Tgt", "--rel-points", str(pts)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_byte_order_marks_are_skipped(tmp_path):
+    # spreadsheets save UTF-8 text with one; here it comes before the
+    # target's name and before the first relevance point
+    text = "Tgt,X1\n" + "".join(f"{y},{i}\n" for i, y in enumerate([1, 2, 3, 5, 8, 13, 21, 34]))
+    outs = []
+    for bom in ("", "\ufeff"):
+        src, pts = tmp_path / f"in{len(bom)}.csv", tmp_path / f"pts{len(bom)}.csv"
+        src.write_text(bom + text, encoding="utf-8")
+        pts.write_text(bom + "10,0,0\n20,1,0\n", encoding="utf-8")
+        outs.append(tmp_path / f"out{len(bom)}.csv")
+        assert run(["randover-r", "--in", str(src), "--out", str(outs[-1]), "--target", "Tgt",
+                    "--rel-points", str(pts)]) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 

@@ -24,7 +24,7 @@ from rebalance import ColumnKind, read_dataset, write_dataset
 
 import _oracles as oracle
 from _oracles import dataset_to_csv_bytes
-from _toys import make_ds, two_cpus
+from _toys import make_ds, strategy_output, two_cpus
 
 
 @pytest.fixture(autouse=True, params=[1, 7, tabular.BLOCK_ROWS], ids="block{}".format)
@@ -108,7 +108,7 @@ def taken(ds, n, order, added, seed):
            % ds.n_rows}[order]()
     seeds = rng.integers(0, ds.n_rows, added)
     block = {c.name: c.values[seeds] for c in ds.columns} if added else None
-    return ds.take(idx.astype(tabular.index_dtype(ds.n_rows)), block)
+    return strategy_output(ds, idx, block)
 
 
 @settings(max_examples=40, deadline=None)
@@ -129,7 +129,7 @@ def test_split_writer_writes_the_serial_bytes(ds, pick, offset, order, added, se
     # repeated, some maybe added as a block, and the split point is set
     # just below, at or just above it
     n = row_counts()[pick] if ds.n_rows else 0
-    ds = taken(ds, n, order, min(added, n), seed) if n else ds.take(np.arange(0))
+    ds = taken(ds, n, order, min(added, n), seed) if n else strategy_output(ds, [])
     # the same cells with no origins: each line formatted from its cells
     plain = tabular.Dataset(ds.columns, ds.target)
     assert plain.origins is None and ds.origins is not None
@@ -171,7 +171,7 @@ def test_split_row_balances_the_formatting_work(origins):
 
 def test_split_row_gives_the_worker_the_replicas():
     # 20 rows taken once, then 40 replicas of two of them
-    ds = make_ds([("y", "num", np.arange(20.0))], "y").take(np.r_[0:20, [0, 1] * 20])
+    ds = strategy_output(make_ds([("y", "num", np.arange(20.0))], "y"), np.r_[0:20, [0, 1] * 20])
     assert tabular._split_row(ds) < 20
 
 

@@ -490,3 +490,48 @@ def test_each_rule_stays_written_once():
         names = {getattr(node, a) for node in ast.walk(tree)
                  for a in ("id", "attr", "arg", "name") if isinstance(getattr(node, a, None), str)}
         assert not names & deleted, path.name
+
+
+def callers(tree, name):
+    """The dotted names of the functions and classes in which ``name``
+    is called."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = (*where, node.name)
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                   getattr(node.func, "attr", None)):
+            found.append(".".join(where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, ())
+    return found
+
+
+def test_strategy_outcomes_are_built_in_one_place():
+    # StrategyOutcome is built in classif._outcome alone, which records
+    # the output's origins; tabular records none, and Dataset.take takes
+    # rows as numpy indexes them
+    src = Path(dist_mod.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in src.glob("*.py")}
+    built = [(mod, where) for mod, tree in trees.items()
+             for where in callers(tree, "StrategyOutcome")]
+    assert built == [("classif", "_outcome")]
+    assert not [node for node in ast.walk(trees["tabular"])
+                if isinstance(node, ast.Attribute) and node.attr == "origins"
+                and isinstance(node.ctx, ast.Store)]
+    (dataset,) = [node for node in trees["tabular"].body
+                  if isinstance(node, ast.ClassDef) and node.name == "Dataset"]
+    (take,) = [node for node in dataset.body
+               if isinstance(node, ast.FunctionDef) and node.name == "take"]
+    # no ``idx < 0`` test and no ``idx + n_rows`` shift
+    body = [node for stmt in take.body for node in ast.walk(stmt)]
+    assert not [node for node in body if isinstance(node, ast.BinOp)
+                or isinstance(node, ast.Compare) and any(
+                    isinstance(v, ast.Constant) and v.value == 0
+                    for v in (node.left, *node.comparators))]
+    ds = make_ds([("x", "num", [1.0, 2.0])], "x")
+    assert ds.take([1, -1]).origins is None

@@ -18,7 +18,7 @@ import rebalance.relevance as relevance
 from rebalance.relevance import copied_bumps
 
 import _oracles as oracle
-from _toys import regression_ds
+from _toys import regression_ds, strategy_output
 
 # evaluation and slope limiting must stay quiet, even for control points
 # closer together than 1/max-float
@@ -213,6 +213,13 @@ def test_extremes_low_only():
     fn = build_relevance_extremes(vals, extr_type="low")
     assert fn(0) == 1.0
     assert fn(10) == 0.0
+
+
+@pytest.mark.parametrize("y", [[1.0, np.inf], [-np.inf, 0.0, 1.0, 2.0], [np.inf, -np.inf]])
+def test_extremes_refuse_an_infinite_target(y):
+    # an infinite quartile gives no fence; numpy's percentile warned
+    with pytest.raises(RelevanceError, match="^target values must be finite$"):
+        build_relevance_extremes(y)
 
 
 def test_extremes_no_spread_rejected():
@@ -433,7 +440,7 @@ def test_copied_bumps_match_find_bumps(case):
     fn = build_relevance_range(WAVE)
     part = find_bumps(ds, fn, 0.5)
     block = {c.name: c.values[:added] for c in ds.columns} if added else None
-    out = ds.take(np.array(rows, dtype=np.intp), block)
+    out = strategy_output(ds, rows, block)
     got = copied_bumps(part, out)
     if added or any(set(b.indices.tolist()).isdisjoint(rows) for b in part.bumps):
         event("find_bumps needed")
@@ -447,7 +454,7 @@ def test_an_emptied_bump_merges_its_neighbours():
     # the case copied_bumps leaves to find_bumps
     ds = regression_ds([0.5, 3.0, 5.0, 6.0])
     fn = build_relevance_range(WAVE)
-    out = ds.take([3, 0, 2])
+    out = strategy_output(ds, [3, 0, 2])
     assert copied_bumps(find_bumps(ds, fn, 0.5), out) is None
     assert bump_rows(find_bumps(out, fn, 0.5).bumps) == [(True, 3, "0.5", "6.0")]
 
