@@ -60,18 +60,18 @@ def main():
         ],
         target="cls",
     )
-    show_matrix("overlap (colour only)", pairwise(Metric("overlap"),
-                build_context(Metric("overlap"), nom_only)))
+    show_matrix("overlap (colour only)",
+                pairwise(build_context(Metric("overlap"), nom_only)))
     print()
 
     for name in ("heom", "hvdm"):
         ctx = build_context(Metric(name), ds)
-        show_matrix(name, pairwise(Metric(name), ctx))
+        show_matrix(name, pairwise(ctx))
         print()
 
     ctx = build_context(Metric("heom"), ds)
     print("3 nearest to row 0 under heom:",
-          knn_table(Metric("heom"), ctx, k=3)[0].tolist())
+          knn_table(ctx, k=3)[0].tolist())
 
     # to probe two rows, make them a table of their own
     probe = Dataset(
@@ -82,7 +82,7 @@ def main():
         ],
         target="cls",
     )
-    d = pairwise(Metric("heom"), build_context(Metric("heom"), probe))[0, 1]
+    d = pairwise(build_context(Metric("heom"), probe))[0, 1]
     print(f"heom(('red', 1.0), ('blue', nan)) = {d:.6f}  (missing cell costs 1)")
 
     # minkowsky generalizes: p=1 manhattan, p=2 euclidean, p->inf chebyshev
@@ -96,7 +96,7 @@ def main():
     )
     for p in (1, 2, 3, 10):
         ctx = build_context(Metric("minkowsky", p=p), nums)
-        d = pairwise(Metric("minkowsky", p=p), ctx)[0, 1]
+        d = pairwise(ctx)[0, 1]
         print(f"minkowsky p={p:<3} between corners: {d:.6f}")
 
 

@@ -316,14 +316,21 @@ def _noise_rows(
     included, where sd is the sample standard deviation within the
     group.  A nominal feature is drawn from its frequencies within the
     group; it is copied from the seed when ``pert`` is 0 or the group
-    has no present cell.  A nominal target is copied with no draw.
+    has no present cell.  A nominal target is copied with no draw.  A
+    numeric column whose sd within the group is not finite is refused.
     """
     seeds = rng.choice(idx, size=extra, replace=True)
     block = {}
     for col in ds.columns:
         vals = col.values
         if col.kind is ColumnKind.NUMERIC:
-            sd = sample_sd(vals[idx])
+            with np.errstate(over="ignore", invalid="ignore"):
+                sd = sample_sd(vals[idx])
+            if not math.isfinite(sd):
+                raise ResampleError(
+                    f"column {col.name!r} has an infinite cell, or cells so "
+                    "far apart that their spread overflows"
+                )
             block[col.name] = vals[seeds] + rng.normal(0.0, 1.0, size=extra) * pert * sd
         elif pert == 0 or col.name == ds.target:
             block[col.name] = vals[seeds]
@@ -337,7 +344,7 @@ def _noise_rows(
 
 
 def _smote_rows(
-    ds: Dataset, metric: Metric, ctx: MetricContext, k: int, rng: np.random.Generator,
+    ds: Dataset, ctx: MetricContext, k: int, rng: np.random.Generator,
     idx: np.ndarray, extra: int,
 ) -> tuple[np.ndarray, np.ndarray, dict]:
     """SMOTE synthesis, shared by classes and bumps.
@@ -352,7 +359,7 @@ def _smote_rows(
     order.  Returns the seeds, their neighbours and the block.
     """
     k_eff = min(k, len(idx) - 1)
-    nbr_table = knn_table(metric, ctx, k_eff, rows=idx)
+    nbr_table = knn_table(ctx, k_eff, rows=idx)
     seed_pos = rng.integers(0, len(idx), size=extra)
     nbr_pick = rng.integers(0, k_eff, size=extra)
     u = rng.random(size=extra)
@@ -446,7 +453,7 @@ def tomek_classif(
     code, labels = ds.target_column.values, ds.target_column.categories
     in_cl = _class_mask(labels, _resolve_cl(cl, counts))[code]
     size = np.bincount(code)[code]
-    _, nn = nearest(metric, build_context(metric, ds))
+    _, nn = nearest(build_context(metric, ds))
     link = (nn[nn] == np.arange(ds.n_rows)) & (code != code[nn])
     # a row drops when its partner's class may not lose rows, or under
     # "maj" when its own class is strictly bigger: a tied pair stays
@@ -485,7 +492,7 @@ def cnn_classif(
     new = np.nonzero(kept_mask)[0]
     while True:
         q = np.nonzero(~kept_mask)[0]
-        d, pos = nearest(metric, ctx, q, new)
+        d, pos = nearest(ctx, q, new)
         i = new[pos]
         old_d, old_i = best_d[q], best_i[q]
         better = (d < old_d) | ((d == old_d) & (i < old_i))
@@ -549,7 +556,7 @@ def enn_classif(
     counts = class_counts(ds)
     code, labels = ds.target_column.values, ds.target_column.categories
     in_cl = _class_mask(labels, _resolve_cl(cl, counts))[code]
-    nbrs = knn_table(metric, build_context(metric, ds), k)
+    nbrs = knn_table(build_context(metric, ds), k)
     same = (code[nbrs] == code[:, None]).sum(axis=1)
     marked = in_cl & (same < math.ceil(k / 2))
     rng = np.random.default_rng(seed)
@@ -586,7 +593,7 @@ def ncl_classif(
     sizes = np.bincount(code)
     # outside classes whose rows A2 may take
     takeable = ~is_key & (sizes >= 0.5 * sizes[is_key].min())
-    nbrs = knn_table(metric, build_context(metric, ds), k)
+    nbrs = knn_table(build_context(metric, ds), k)
     diff = (code[nbrs] != code[:, None]).sum(axis=1)
     a1 = ~is_key[code] & (diff >= math.ceil(k / 2))
     near_key = nbrs[is_key[code]].ravel()
@@ -648,7 +655,7 @@ def smote_classif(
                 "synthetic rows are plain replicas"
             )
             return _copies(ds, idx, extra)
-        seeds, _, block = _smote_rows(ds, metric, ctx, k, rng, idx, extra)
+        seeds, _, block = _smote_rows(ds, ctx, k, rng, idx, extra)
         return seeds, block
 
     return _resample(ds, _class_groups(ds, targets), _sample(rng, repl), grow, warnings)

@@ -498,8 +498,9 @@ def run(argv: list[str]) -> int:
             os.replace(tmp, target)
         moves.clear()
         return 0
-    except (TabularError, MetricError, RelevanceError, ResampleError, OSError) as exc:
-        message = str(exc)
+    except (TabularError, MetricError, RelevanceError, ResampleError, OSError,
+            MemoryError) as exc:
+        message = str(exc) or "out of memory"
         # name the file the user asked for, not the one written beside it
         for tmp, target in moves:
             message = message.replace(tmp, target)

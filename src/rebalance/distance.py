@@ -10,9 +10,10 @@ every metric, a numeric feature's present cells must span a finite
 range: an infinite cell, or a span that overflows, is refused, and so
 is an HVDM 4 sd that overflows.
 
-A MetricContext holds one operand array per feature, the column's
+A MetricContext belongs to one metric, which every function taking it
+measures by.  It holds one operand array per feature, the column's
 values for a numeric feature and its codes for a nominal one, and the
-statistics a metric needs, so that row distances are pure lookups.
+statistics the metric needs, so that row distances are pure lookups.
 Each numeric feature has one scale that its differences are divided
 by: its range under HEOM, 4 sd under HVDM, and 1 under every other
 metric.  Under HVDM each nominal feature has a value-difference table.
@@ -143,6 +144,7 @@ class Metric:
 class MetricContext:
     """One metric's operands and statistics over one dataset.
 
+    ``metric`` is the metric of every distance over the context.
     ``operands[j]`` is feature j's column: values (NaN missing) or codes
     (-1 missing).  ``scale`` maps each numeric feature's position to what
     its differences are divided by, and ``vdm_sq`` each nominal one's to
@@ -248,10 +250,10 @@ def _override(term: np.ndarray, miss_a: np.ndarray, miss_b: np.ndarray,
             np.copyto(term, value, where=miss)
 
 
-def _numeric_term(metric: Metric, ctx: MetricContext, j: int, x: np.ndarray,
-                  y: np.ndarray, term: np.ndarray) -> np.ndarray:
+def _numeric_term(ctx: MetricContext, j: int, x: np.ndarray, y: np.ndarray,
+                  term: np.ndarray) -> np.ndarray:
     """Numeric feature j's term between operands ``x`` and ``y``, in ``term``."""
-    name = metric.name
+    name = ctx.metric.name
     np.subtract(x, y, out=term)
     if name not in SQUARED:  # a square needs no sign
         np.abs(term, out=term)
@@ -265,7 +267,7 @@ def _numeric_term(metric: Metric, ctx: MetricContext, j: int, x: np.ndarray,
     if name in SQUARED:
         np.multiply(term, term, out=term)
     elif name == "minkowsky":
-        term **= metric.p
+        term **= ctx.metric.p
     elif name == "canberra":  # 0/0 counts as 0
         denom = np.abs(x) + np.abs(y)
         np.divide(term, denom, out=term, where=denom > 0)
@@ -282,8 +284,7 @@ def _finish(metric: Metric, acc: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore")
-def _kernel(metric: Metric, ctx: MetricContext, a: list, b: list,
-            shape: tuple[int, ...]) -> np.ndarray:
+def _kernel(ctx: MetricContext, a: list, b: list, shape: tuple[int, ...]) -> np.ndarray:
     """Distances between the operands ``a`` and ``b``, broadcast to shape.
 
     ``a[j]`` and ``b[j]`` hold feature j as ``encode_rows`` gives it:
@@ -291,7 +292,7 @@ def _kernel(metric: Metric, ctx: MetricContext, a: list, b: list,
     for the paired form.  A term that overflows is infinite, and so is
     its distance: it orders like any number.
     """
-    name = metric.name
+    name = ctx.metric.name
     acc = np.empty(shape)
     tmp = np.empty(shape) if len(ctx.kinds) > 1 else None
     hits = None
@@ -321,41 +322,39 @@ def _kernel(metric: Metric, ctx: MetricContext, a: list, b: list,
             else:
                 np.copyto(term, sq[x, y])
         else:
-            _numeric_term(metric, ctx, j, x, y, term)
+            _numeric_term(ctx, j, x, y, term)
         if not j:
             continue
         if name == "chebyshev":
             np.maximum(acc, term, out=acc)
         else:
             np.add(acc, term, out=acc)
-    return _finish(metric, acc)
+    return _finish(ctx.metric, acc)
 
 
-def _block(metric: Metric, ctx: MetricContext, rows_a: np.ndarray,
-           rows_b: np.ndarray) -> np.ndarray:
+def _block(ctx: MetricContext, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
     """Distance matrix between two index arrays."""
     a = [v[:, None] for v in encode_rows(ctx, rows_a)]
     b = [v[None, :] for v in encode_rows(ctx, rows_b)]
-    return _kernel(metric, ctx, a, b, (len(rows_a), len(rows_b)))
+    return _kernel(ctx, a, b, (len(rows_a), len(rows_b)))
 
 
-def paired_distances(metric: Metric, ctx: MetricContext, a: list,
-                     b: list) -> np.ndarray:
+def paired_distances(ctx: MetricContext, a: list, b: list) -> np.ndarray:
     """Distance between row i of ``a`` and row i of ``b``, for every i.
 
     ``a`` and ``b`` are operands as ``encode_rows`` gives them, of
     equal length; rows built outside the dataset reuse its codes.
     """
-    return _kernel(metric, ctx, a, b, (len(a[0]),))
+    return _kernel(ctx, a, b, (len(a[0]),))
 
 
-def pairwise(metric: Metric, ctx: MetricContext, rows=None) -> np.ndarray:
+def pairwise(ctx: MetricContext, rows=None) -> np.ndarray:
     """Full distance matrix over the given row indices (all by default)."""
     idx = np.arange(ctx.n_rows) if rows is None else np.asarray(rows, dtype=np.intp)
-    return _block(metric, ctx, idx, idx)
+    return _block(ctx, idx, idx)
 
 
-def _bounded_features(metric: Metric, ctx: MetricContext, rows: np.ndarray,
+def _bounded_features(ctx: MetricContext, rows: np.ndarray,
                       cols: np.ndarray) -> list[int] | None:
     """The numeric features the k-d walk bounds distances by, or None.
 
@@ -363,7 +362,7 @@ def _bounded_features(metric: Metric, ctx: MetricContext, rows: np.ndarray,
     numeric feature spreads over rows and cols on a positive scale
     (``build_context`` refuses a scale that is not finite).
     """
-    if metric.name == "canberra":
+    if ctx.metric.name == "canberra":
         return None
     both = np.concatenate([rows, cols])
     feats = []
@@ -415,8 +414,7 @@ def _kd_leaves(ctx: MetricContext, feats: list[int], idx: np.ndarray, size: int)
     return perm, bounds, lo, hi
 
 
-def _box_bound(metric: Metric, ctx: MetricContext, feats: list[int],
-               lo, hi, x_lo, x_hi) -> np.ndarray:
+def _box_bound(ctx: MetricContext, feats: list[int], lo, hi, x_lo, x_hi) -> np.ndarray:
     """A lower bound on the distance between a row in the box [x_lo,
     x_hi] and a row in the box [lo, hi].
 
@@ -432,22 +430,21 @@ def _box_bound(metric: Metric, ctx: MetricContext, feats: list[int],
     with np.errstate(over="ignore"):  # an infinite bound is still a bound
         for f, j in enumerate(feats):
             gap = np.fmax(np.fmax(lo[f] - x_hi[f], x_lo[f] - hi[f]), 0.0)
-            term = _numeric_term(metric, ctx, j, gap, 0.0, gap)
+            term = _numeric_term(ctx, j, gap, 0.0, gap)
             if acc is None:
                 acc = term
-            elif metric.name == "chebyshev":
+            elif ctx.metric.name == "chebyshev":
                 np.maximum(acc, term, out=acc)
             else:
                 np.add(acc, term, out=acc)
         # shrunk by a hair against a last-bit difference in a power
         # between the bound and the kernel
-        acc = _finish(metric, acc)
+        acc = _finish(ctx.metric, acc)
         acc *= 1.0 - 2.0**-20
         return acc
 
 
-def _neighbours(metric: Metric, ctx: MetricContext, rows: np.ndarray,
-                cols: np.ndarray | None, k: int):
+def _neighbours(ctx: MetricContext, rows: np.ndarray, cols: np.ndarray | None, k: int):
     """Each row's k nearest cols: (distances, positions in cols), n x k,
     ascending, ties to the lower position.
 
@@ -466,7 +463,7 @@ def _neighbours(metric: Metric, ctx: MetricContext, rows: np.ndarray,
         step = max(1, BLOCK_PAIRS // len(c))
         for i in range(0, len(q), step):
             qi = q[i:i + step]
-            block = _block(metric, ctx, rows[qi], cols[c])
+            block = _block(ctx, rows[qi], cols[c])
             if self_pairs:
                 at = np.minimum(np.searchsorted(c, qi), len(c) - 1)
                 hit = c[at] == qi
@@ -478,7 +475,7 @@ def _neighbours(metric: Metric, ctx: MetricContext, rows: np.ndarray,
 
     feats = None
     if len(rows) and len(cols) >= k + self_pairs:
-        feats = _bounded_features(metric, ctx, rows, cols)
+        feats = _bounded_features(ctx, rows, cols)
     if feats is None:
         return measure(np.arange(len(rows)), np.arange(len(cols)))
 
@@ -521,7 +518,7 @@ def _neighbours(metric: Metric, ctx: MetricContext, rows: np.ndarray,
         # nearest others, (2p - 1) x CHUNK_ROWS more cols over p bounded
         # features, since more features put more leaves beside a chunk;
         # k cols at least
-        box = _box_bound(metric, ctx, feats, lo, hi, q_lo[:, g0:g1], q_hi[:, g0:g1])
+        box = _box_bound(ctx, feats, lo, hi, q_lo[:, g0:g1], q_hi[:, g0:g1])
         order = np.argsort(box, axis=1)
         filled = np.cumsum(sizes[order], axis=1)
         touching = np.count_nonzero(box == 0, axis=1)
@@ -539,7 +536,7 @@ def _neighbours(metric: Metric, ctx: MetricContext, rows: np.ndarray,
             rest = o[first:np.searchsorted(box[g - g0, o], best_d[:, -1].max(), "right")]
             if len(rest):
                 x = xs[:, a:b, None]
-                bound = _box_bound(metric, ctx, feats, lo[:, :, rest], hi[:, :, rest], x, x)
+                bound = _box_bound(ctx, feats, lo[:, :, rest], hi[:, :, rest], x, x)
                 left = np.ones(len(rest), dtype=bool)
                 batch = first
                 while True:
@@ -559,8 +556,7 @@ def _neighbours(metric: Metric, ctx: MetricContext, rows: np.ndarray,
     return dist, pos
 
 
-def nearest(metric: Metric, ctx: MetricContext, rows=None,
-            cols=None) -> tuple[np.ndarray, np.ndarray]:
+def nearest(ctx: MetricContext, rows=None, cols=None) -> tuple[np.ndarray, np.ndarray]:
     """Distance to, and position in ``cols`` of, each row's nearest col.
 
     ``rows`` defaults to all rows.  With ``cols`` omitted, the
@@ -571,7 +567,7 @@ def nearest(metric: Metric, ctx: MetricContext, rows=None,
     rows = np.arange(ctx.n_rows) if rows is None else np.asarray(rows, dtype=np.intp)
     if cols is not None:
         cols = np.asarray(cols, dtype=np.intp)
-    dist, pos = _neighbours(metric, ctx, rows, cols, 1)
+    dist, pos = _neighbours(ctx, rows, cols, 1)
     return dist[:, 0], pos[:, 0]
 
 
@@ -592,17 +588,16 @@ def _k_nearest(block: np.ndarray, k: int) -> np.ndarray:
     return at[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
 
 
-def knn_table(metric: Metric, ctx: MetricContext, k: int,
-              rows=None) -> np.ndarray:
+def knn_table(ctx: MetricContext, k: int, rows=None) -> np.ndarray:
     """Positions in ``rows`` (all rows by default) of each row's k nearest.
 
     Row i of the result equals the first k entries of a stable argsort
-    of row i of ``pairwise(metric, ctx, rows)`` with its diagonal set to
+    of row i of ``pairwise(ctx, rows)`` with its diagonal set to
     infinity: ascending distance, ties to the earlier position, as in
     ``nearest``.  Requires 1 <= k < len(rows).
     """
     rows = np.arange(ctx.n_rows) if rows is None else np.asarray(rows, dtype=np.intp)
     if not 1 <= k < len(rows):
         raise MetricError("k must satisfy 1 <= k < number of rows")
-    return _neighbours(metric, ctx, rows, None, k)[1]
+    return _neighbours(ctx, rows, None, k)[1]
 

@@ -267,11 +267,11 @@ def smoter(
                 "SmoteRegress: a single-example bump was grown with plain replicas"
             )
             return _copies(ds, idx, extra)
-        seeds, nbrs, block = _smote_rows(ds, metric, ctx, k, rng, idx, extra)
+        seeds, nbrs, block = _smote_rows(ds, ctx, k, rng, idx, extra)
         # the block's cells are kernel operands: values and codes
         new_ops = [block[c.name] for c in ds.feature_columns]
-        d1 = paired_distances(metric, ctx, new_ops, encode_rows(ctx, seeds))
-        d2 = paired_distances(metric, ctx, new_ops, encode_rows(ctx, nbrs))
+        d1 = paired_distances(ctx, new_ops, encode_rows(ctx, seeds))
+        d2 = paired_distances(ctx, new_ops, encode_rows(ctx, nbrs))
         y1, y2 = y[seeds], y[nbrs]
         with np.errstate(invalid="ignore", divide="ignore"):
             new_y = np.where(d1 + d2 == 0, (y1 + y2) / 2.0,
@@ -282,7 +282,8 @@ def smoter(
                 "synthetic row to both its parents overflow to infinity; "
                 "--dist heom scales each feature by its range"
             )
-        block[ds.target] = new_y
+        # rounding can carry the weighted mean an ulp past both parents
+        block[ds.target] = np.clip(new_y, np.minimum(y1, y2), np.maximum(y1, y2))
         return seeds, block
 
     return _resample_bumps(ds, part, targets, _sample(rng, repl), grow, warnings)

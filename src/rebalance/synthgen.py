@@ -18,6 +18,14 @@ from .tabular import Column, ColumnKind, Dataset, TabularError
 __all__ = ["gen_imbc", "gen_imbr"]
 
 
+def _check_rows(n_rows: int) -> None:
+    """Refuse a row count below 1, or above what an array can index."""
+    if n_rows < 1:
+        raise TabularError("n_rows must be positive")
+    if n_rows > np.iinfo(np.intp).max:
+        raise TabularError(f"n_rows must be at most {np.iinfo(np.intp).max}")
+
+
 def gen_imbc(n_rows: int = 1000, seed: int | None = None) -> Dataset:
     """Three-class dataset with two localized rare classes.
 
@@ -27,8 +35,7 @@ def gen_imbc(n_rows: int = 1000, seed: int | None = None) -> Dataset:
     plus 40% of {X1 > 7, X2 = fish}; rare2 on 80% of {-1 < X1 < 0.5}
     plus 70% of {X1 < -7, X2 = fish}; normal everywhere else.
     """
-    if n_rows < 1:
-        raise TabularError("n_rows must be positive")
+    _check_rows(n_rows)
     rng = np.random.default_rng(seed)
     x1 = rng.normal(0.0, 4.0, size=n_rows)
 
@@ -80,8 +87,7 @@ def gen_imbr(n_rows: int = 1000, seed: int | None = None) -> Dataset:
     Gamma(1, 1) + 20, so the interesting high targets are also the
     geometrically unusual points.
     """
-    if n_rows < 1:
-        raise TabularError("n_rows must be positive")
+    _check_rows(n_rows)
     rng = np.random.default_rng(seed)
     n_ring = int(round(0.05 * n_rows))
     n_bulk = n_rows - n_ring

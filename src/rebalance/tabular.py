@@ -4,7 +4,7 @@ A Dataset is a small columnar table: every column is either Numeric
 (float64, NaN marks a missing cell) or Nominal.  One column is
 designated as the target.  The CSV layer is RFC-4180: empty fields are
 missing cells, everything else round-trips byte-for-byte (floats via
-shortest repr).
+shortest repr, an infinity as ``1e999`` or ``-1e999``).
 
 A nominal column is coded once, when it is built: ``values`` holds
 integer codes, -1 for a missing cell, and ``categories`` the present
@@ -863,10 +863,13 @@ def _fields(col: Column, quoted: list[str], rows: slice | np.ndarray,
     values = col.values[rows]
     if col.kind is ColumnKind.NOMINAL:
         return list(map(quoted.__getitem__, values.tolist()))
-    # repr of a Python float is the shortest string that round-trips
+    # repr of a Python float is the shortest string that round-trips;
+    # an infinity is spelled as a literal that reads back as one, where
+    # repr's "inf" would read as a label
     fields = list(map(float.__repr__, values.tolist()))
-    for i in np.flatnonzero(np.isnan(values)).tolist():
-        fields[i] = empty
+    spell = {"nan": empty, "inf": "1e999", "-inf": "-1e999"}
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        fields[i] = spell[fields[i]]
     return fields
 
 

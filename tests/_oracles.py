@@ -540,6 +540,40 @@ def imp_samp_mode_a_oracle(phi, bumps, targets, seed):
     return sorted(kept), seeds
 
 
+def group_targets_oracle(name, perc, counts, rare=None):
+    """The row target of each group that subcommand ``name`` resolves,
+    from the groups' row ``counts``: classes in label order, or bumps
+    in partition order, flagged by ``rare``.  ``perc`` is "balance",
+    "extreme" or, for classes, one percentage per class (None for a
+    class it does not name).
+    """
+    total, k = sum(counts), len(counts)
+    if isinstance(perc, list):
+        return [c if p is None else math.floor(p * c) for p, c in zip(perc, counts)]
+    extreme = perc == "extreme"
+    if name == "randunder":
+        m = min(counts)
+        return [m * m // c if extreme else m for c in counts]
+    if name == "randover":
+        m = max(counts)
+        return [round(m * m / c) if extreme else m for c in counts]
+    if name == "randunder-r":  # Normal bumps shrink toward the rare rows
+        r = sum(c for c, f in zip(counts, rare) if f)
+        return [c if f else min(r * r // c if extreme else r // (k - sum(rare)), c)
+                for c, f in zip(counts, rare)]
+    if name == "randover-r":  # Rare bumps grow by the largest Normal bump
+        m = max(c for c, f in zip(counts, rare) if not f)
+        return [c + (m * m // c if extreme else m) if f else c for c, f in zip(counts, rare)]
+    if extreme:  # shares of the total inversely proportional to the counts
+        s = sum(1.0 / c for c in counts)
+        return [round(total * (1.0 / c) / s) for c in counts]
+    if name == "impsamp":
+        return [total // k] * k
+    # trunc(total / k) for the first group, one less for the rest when
+    # the division is not exact
+    return [total // k] + [total // k - (total % k > 0)] * (k - 1)
+
+
 # a plain or scientific real literal; "inf", "nan" and "1_0" are not
 _NUMBER = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z")
 
@@ -607,8 +641,12 @@ def write_rows_oracle(ds, fh):
         row = []
         for c, v in zip(ds.columns, dataset_row(ds, i, feature_only=False)):
             if c.kind is ColumnKind.NUMERIC:
-                # repr of a float is the shortest string that round-trips
-                row.append("" if math.isnan(v) else repr(float(v)))
+                # repr of a float is the shortest string that round-trips;
+                # an infinity is a literal too large for a float
+                if math.isinf(v):
+                    row.append("-1e999" if v < 0 else "1e999")
+                else:
+                    row.append("" if math.isnan(v) else repr(float(v)))
             else:
                 row.append("" if v is None else v)
         writer.writerow(row)

@@ -177,7 +177,7 @@ def test_criterion_3_distances_match_oracles():
     mats = {}
     for name, fn in plain.items():
         ctx = build_context(Metric(name), ds_num)
-        mats[name] = pairwise(Metric(name), ctx)
+        mats[name] = pairwise(ctx)
         for i, j in pairs:
             want = fn(m[i], m[j])
             if abs(mats[name][i, j] - want) > 1e-10:
@@ -185,11 +185,11 @@ def test_criterion_3_distances_match_oracles():
                 break
     for p, base in ((1, "manhattan"), (2, "euclidean")):
         ctx = build_context(Metric("minkowsky", p=p), ds_num)
-        got = pairwise(Metric("minkowsky", p=p), ctx)
+        got = pairwise(ctx)
         if np.max(np.abs(got - mats[base])) > 1e-12:
             bad.append(f"minkowsky({p}) != {base}")
     ctx = build_context(Metric("minkowsky", p=3), ds_num)
-    got = pairwise(Metric("minkowsky", p=3), ctx)
+    got = pairwise(ctx)
     for i, j in pairs[:100]:
         want = oracle.minkowsky_oracle(m[i], m[j], 3)
         if abs(got[i, j] - want) > 1e-10:
@@ -223,8 +223,8 @@ def test_criterion_3_distances_match_oracles():
     tables = oracle.vdm_tables_oracle(rows, labels, kinds)
     heom_ctx = build_context(Metric("heom"), ds_mix)
     hvdm_ctx = build_context(Metric("hvdm"), ds_mix)
-    heom_mat = pairwise(Metric("heom"), heom_ctx)
-    hvdm_mat = pairwise(Metric("hvdm"), hvdm_ctx)
+    heom_mat = pairwise(heom_ctx)
+    hvdm_mat = pairwise(hvdm_ctx)
     for i, j in pairs:
         want = oracle.heom_oracle(rows[i], rows[j], kinds, ranges)
         if abs(heom_mat[i, j] - want) > 1e-10:
@@ -241,7 +241,7 @@ def test_criterion_3_distances_match_oracles():
         "cls",
     )
     ctx = build_context(Metric("overlap"), ds_nom)
-    mat = pairwise(Metric("overlap"), ctx)
+    mat = pairwise(ctx)
     for i, j in pairs:
         want = oracle.overlap_oracle(
             (noms1[i], noms2[i]), (noms1[j], noms2[j])
@@ -261,7 +261,7 @@ def test_criterion_4_neighbour_rule_properties():
     ds = gen_imbc(1000, seed=0)
     metric = Metric("heom")
     ctx = build_context(metric, ds)
-    d = pairwise(metric, ctx)
+    d = pairwise(ctx)
     labels = np.array(list(ds.target_column.labels))
     bad = []
 
@@ -324,7 +324,7 @@ def test_criterion_5_synthesis_geometry():
     tables = {}
     for label in np.unique(labels):
         idx = np.flatnonzero(labels == label)
-        dm = pairwise(metric, ctx, rows=idx)
+        dm = pairwise(ctx, rows=idx)
         np.fill_diagonal(dm, np.inf)
         order = np.argsort(dm, axis=1, kind="stable")[:, : min(5, len(idx) - 1)]
         tables[label] = (idx, order)

@@ -409,6 +409,20 @@ def test_gen_zero_rows_is_a_data_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: n_rows must be positive\n"
 
 
+@pytest.mark.parametrize("variant", ["imbc", "imbr"])
+@pytest.mark.parametrize("rows, message", [
+    # more bytes than any 57-bit address space: the allocation fails at once
+    ("100000000000000000", "error: Unable to allocate "),
+    ("100000000000000000000", f"error: n_rows must be at most {np.iinfo(np.intp).max}"),
+], ids=["unallocatable", "unindexable"])
+def test_gen_rows_no_array_can_hold_is_a_data_error(variant, rows, message, tmp_path,
+                                                     capsys):
+    out = tmp_path / "g.csv"
+    assert run(["gen", variant, "--rows", rows, "--out", str(out)]) == 1
+    assert one_error_line(capsys).startswith(message)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [["smote"], ["randover-r"]])
 def test_header_without_rows_is_a_data_error(args, tmp_path, capsys):
     # the empty target column would read as numeric, and each strategy
@@ -514,6 +528,34 @@ def test_hvdm_four_sd_that_overflows_is_a_data_error(tmp_path, capsys):
     assert err == ("error: column 'X1' has an infinite cell, or cells so far apart that "
                    "their spread overflows")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cells", [("1e999", "1"), ("1e300", "-1e300")],
+                         ids=["infinite", "overflowing"])
+def test_gaussian_noise_refuses_a_spread_it_cannot_draw_from(cells, tmp_path, capsys):
+    # the sd of class a's x was NaN (an infinite cell) or infinite (its
+    # squares overflow), and the noisy rows came out blank or infinite
+    src, out = tmp_path / "wide.csv", tmp_path / "o.csv"
+    src.write_text("x,c\n{},a\n{},a\n2,a\n4,b\n".format(*cells))
+    code = run(["gaussnoise", "--target", "c", "--c-perc", "a=2", "--seed", "1",
+                "--in", str(src), "--out", str(out)])
+    assert code == 1
+    assert one_error_line(capsys) == (
+        "error: column 'x' has an infinite cell, or cells so far apart that "
+        "their spread overflows")
+    assert not out.exists()
+
+
+def test_an_infinite_cell_reads_back_as_a_number(tmp_path):
+    # written as "inf", the cell read back as a label and x as nominal
+    src, out = tmp_path / "inf.csv", tmp_path / "o.csv"
+    src.write_text("x,c\n1e999,a\n-1e999,a\n2,b\n")
+    assert run(["randover", "--target", "c", "--seed", "0", "--in", str(src),
+                "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1:3] == ["1e999,a", "-1e999,a"]
+    back = read_dataset(str(out), target="c")
+    assert back.column("x").kind is ColumnKind.NUMERIC
+    assert back.column("x").values[:2].tolist() == [np.inf, -np.inf]
 
 
 @pytest.mark.parametrize("cmd", ["tomek", "enn"])

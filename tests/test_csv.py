@@ -49,9 +49,9 @@ NAMES = st.lists(st.sampled_from(["x", "g", "cls", "a,b", 'q"', "ä"]), min_size
 def tables(draw, exotic=True):
     """A Dataset of mixed columns.
 
-    With ``exotic`` the numeric cells include infinities and the
-    nominal cells include the empty string; the target may have
-    missing cells.  Without it the table reads back as written.
+    The numeric cells include infinities.  With ``exotic`` the nominal
+    cells include the empty string, and the target may have missing
+    cells.  Without it the table reads back as written.
     """
     names = draw(NAMES)
     target = draw(st.sampled_from(names))
@@ -60,7 +60,7 @@ def tables(draw, exotic=True):
     for name in names:
         missing = st.nothing() if name == target and not exotic else st.none()
         if draw(st.booleans()):
-            cells = (FLOATS | st.sampled_from([math.inf, -math.inf])) if exotic else FLOATS
+            cells = FLOATS | st.sampled_from([math.inf, -math.inf])
             values = [math.nan if v is None else v
                       for v in draw(st.lists(cells | missing, min_size=n, max_size=n))]
             cols.append((name, "num", values))

@@ -14,7 +14,7 @@ def ctx_for(name, ds, p=None):
 
 def pair(ctx, i, j):
     """The distance between rows i and j of the context's dataset."""
-    return pairwise(ctx.metric, ctx, [i, j])[0, 1]
+    return pairwise(ctx, [i, j])[0, 1]
 
 
 def numeric_ds(matrix, labels=None):
@@ -68,7 +68,7 @@ def test_plain_metrics_match_oracle():
         ds = numeric_ds(m)
         for name, fn in oracles.items():
             ctx = ctx_for(name, ds)
-            got = pairwise(ctx.metric, ctx)
+            got = pairwise(ctx)
             for i in range(len(m)):
                 for j in range(len(m)):
                     assert got[i, j] == pytest.approx(
@@ -80,10 +80,10 @@ def test_minkowsky_reduces_to_manhattan_and_euclidean():
     rng = np.random.default_rng(7)
     m = rng.normal(size=(6, 3)) * 5
     ds = numeric_ds(m)
-    base1 = pairwise(Metric("manhattan"), ctx_for("manhattan", ds))
-    base2 = pairwise(Metric("euclidean"), ctx_for("euclidean", ds))
-    mink1 = pairwise(Metric("minkowsky", p=1), ctx_for("minkowsky", ds, p=1))
-    mink2 = pairwise(Metric("minkowsky", p=2), ctx_for("minkowsky", ds, p=2))
+    base1 = pairwise(ctx_for("manhattan", ds))
+    base2 = pairwise(ctx_for("euclidean", ds))
+    mink1 = pairwise(ctx_for("minkowsky", ds, p=1))
+    mink2 = pairwise(ctx_for("minkowsky", ds, p=2))
     np.testing.assert_allclose(mink1, base1, atol=1e-12)
     np.testing.assert_allclose(mink2, base2, atol=1e-12)
 
@@ -93,7 +93,7 @@ def test_minkowsky_fractional_p_matches_oracle():
     m = rng.normal(size=(5, 3))
     ds = numeric_ds(m)
     ctx = ctx_for("minkowsky", ds, p=0.5)
-    got = pairwise(ctx.metric, ctx)
+    got = pairwise(ctx)
     for i in range(5):
         for j in range(5):
             assert got[i, j] == pytest.approx(
@@ -181,7 +181,7 @@ def test_overlap_counts_mismatches():
         },
     )
     ctx = ctx_for("overlap", ds)
-    got = pairwise(ctx.metric, ctx)
+    got = pairwise(ctx)
     expected = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
     np.testing.assert_allclose(got, expected)
 
@@ -242,7 +242,7 @@ def test_heom_matches_oracle_with_missing_cells():
         ctx = ctx_for("heom", ds)
         rows = [(noms[i], nums[i]) for i in range(n)]
         ranges = oracle.ranges_oracle(rows, ["nom", "num"])
-        got = pairwise(ctx.metric, ctx)
+        got = pairwise(ctx)
         for i in range(n):
             for j in range(n):
                 want = oracle.heom_oracle(rows[i], rows[j], ["nom", "num"], ranges)
@@ -271,7 +271,7 @@ def test_hvdm_missing_contributes_one():
     # a row missing both cells, code -1 and NaN, against row 0
     ds, ctx = toy_ctx()
     missing = [np.array([-1]), np.array([np.nan])]
-    d = paired_distances(ctx.metric, ctx, missing, encode_rows(ctx, [0]))[0]
+    d = paired_distances(ctx, missing, encode_rows(ctx, [0]))[0]
     assert d == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
 
@@ -280,7 +280,7 @@ def test_hvdm_all_missing_nominal_column_contributes_one():
     ds = labelled(["p", "q", "p"], {"c": ("nom", [None, None, None]),
                                      "x": ("num", [0.0, 1.0, 2.0])})
     ctx = ctx_for("hvdm", ds)
-    d = pairwise(ctx.metric, ctx)
+    d = pairwise(ctx)
     rows = [oracle.dataset_row(ds, i) for i in range(3)]
     kinds = ["nom", "num"]
     sds = oracle.sds_oracle(rows, kinds)
@@ -308,7 +308,7 @@ def test_hvdm_matches_oracle():
     ds, ctx = toy_ctx()
     sds = oracle.sds_oracle(TOY_ROWS, TOY_KINDS)
     tables = oracle.vdm_tables_oracle(TOY_ROWS, TOY_LABELS, TOY_KINDS)
-    got = pairwise(ctx.metric, ctx)
+    got = pairwise(ctx)
     for i in range(len(TOY_ROWS)):
         for j in range(len(TOY_ROWS)):
             want = oracle.hvdm_oracle(
@@ -332,13 +332,13 @@ def test_knn_ascending_with_index_ties():
     # rows 1 and 3 are equidistant from row 0; the lower index wins
     ds = numeric_ds([[0.0], [1.0], [3.0], [1.0], [0.5]])
     ctx = ctx_for("euclidean", ds)
-    assert knn_table(ctx.metric, ctx, 3)[0].tolist() == [4, 1, 3]
+    assert knn_table(ctx, 3)[0].tolist() == [4, 1, 3]
 
 
 def test_knn_excludes_query_by_default():
     ds = numeric_ds([[0.0], [5.0], [6.0]])
     ctx = ctx_for("euclidean", ds)
-    assert knn_table(ctx.metric, ctx, 2)[1].tolist() == [2, 0]
+    assert knn_table(ctx, 2)[1].tolist() == [2, 0]
 
 
 def test_knn_matches_oracle_on_random_data():
@@ -348,8 +348,8 @@ def test_knn_matches_oracle_on_random_data():
         m = rng.integers(0, 4, size=(n, 3)).astype(float)  # many ties
         ds = numeric_ds(m)
         ctx = ctx_for("manhattan", ds)
-        dmat = pairwise(ctx.metric, ctx)
-        table = knn_table(ctx.metric, ctx, 4)
+        dmat = pairwise(ctx)
+        table = knn_table(ctx, 4)
         for q in range(n):
             cands = [i for i in range(n) if i != q]
             want = oracle.knn_oracle(dmat[q], cands, 4)
@@ -361,6 +361,6 @@ def test_pairwise_is_symmetric_with_zero_diagonal():
     ds = numeric_ds(rng.normal(size=(7, 3)))
     for name in ("euclidean", "manhattan", "chebyshev"):
         ctx = ctx_for(name, ds)
-        d = pairwise(ctx.metric, ctx)
+        d = pairwise(ctx)
         np.testing.assert_allclose(d, d.T, atol=1e-12)
         assert np.all(np.diag(d) == 0)

@@ -18,7 +18,8 @@ equal values, a zero-scale feature, terms that underflow to 0 and
 missing cells.  Guard tests hold the walk to its pair budget and to a
 fraction of the n x n pairs on ``gen imbc``, on a table of four normal
 features and in CNN, and keep deleted the sorted walk it replaced,
-the scalar ``distance()`` path and the ``AddedRow`` list.
+the scalar ``distance()`` path and the ``AddedRow`` list; one more
+keeps every function from taking a metric beside a ``MetricContext``.
 """
 
 import ast
@@ -83,8 +84,8 @@ def cases(draw, min_rows=2):
     return ds, metric, context_or_refusal(metric, ds)
 
 
-def dense(metric, ctx, rows=None):
-    d = pairwise(metric, ctx, rows=rows)
+def dense(ctx, rows=None):
+    d = pairwise(ctx, rows=rows)
     np.fill_diagonal(d, np.inf)
     return d
 
@@ -103,11 +104,11 @@ def test_knn_table_matches_stable_argsort(case, data):
     n = ds.n_rows
     sub = np.array(data.draw(st.permutations(range(n)))[: data.draw(st.integers(2, n))])
     for rows in (None, sub):
-        order = np.argsort(dense(metric, ctx, rows), axis=1, kind="stable")
+        order = np.argsort(dense(ctx, rows), axis=1, kind="stable")
         for block in BLOCKS:
             with mock.patch.object(dist_mod, "BLOCK_PAIRS", block):
                 for k in range(1, len(order)):
-                    got = knn_table(metric, ctx, k, rows=rows)
+                    got = knn_table(ctx, k, rows=rows)
                     np.testing.assert_array_equal(got, order[:, :k])
 
 
@@ -119,22 +120,22 @@ def test_nearest_matches_argmin(case, data):
         return
     event(f"checked under {metric.name}")
     n = ds.n_rows
-    d = dense(metric, ctx)
+    d = dense(ctx)
     q = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=n)), dtype=np.intp)
     c = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)),
                  dtype=np.intp)
-    full = pairwise(metric, ctx)[np.ix_(q, c)]
+    full = pairwise(ctx)[np.ix_(q, c)]
     for block in BLOCKS:
         with mock.patch.object(dist_mod, "BLOCK_PAIRS", block):
-            got_d, got_pos = nearest(metric, ctx)
+            got_d, got_pos = nearest(ctx)
             np.testing.assert_array_equal(got_pos, d.argmin(axis=1))
             assert same_floats(got_d, d[np.arange(n), d.argmin(axis=1)])
-            got_d, got_pos = nearest(metric, ctx, q, c)
+            got_d, got_pos = nearest(ctx, q, c)
             np.testing.assert_array_equal(got_pos, full.argmin(axis=1))
             assert same_floats(got_d, full[np.arange(len(q)), full.argmin(axis=1)])
 
 
-def cnn_oracle_removed(ds, metric, ctx, important, seed):
+def cnn_oracle_removed(ds, ctx, important, seed):
     """Rows the full-matrix CNN loop drops, from cnn_classif's start set."""
     labels = list(ds.target_column.labels)
     rng = np.random.default_rng(seed)
@@ -142,7 +143,7 @@ def cnn_oracle_removed(ds, metric, ctx, important, seed):
     for label in sorted(set(labels) - set(important)):
         idx = [i for i, lab in enumerate(labels) if lab == label]
         kept[idx[rng.integers(len(idx))]] = True
-    want = oracle.cnn_full_matrix_oracle(pairwise(metric, ctx), labels, kept)
+    want = oracle.cnn_full_matrix_oracle(pairwise(ctx), labels, kept)
     return [i for i, k in enumerate(want) if not k]
 
 
@@ -156,7 +157,7 @@ def test_cnn_matches_full_matrix_loop(case, seed, data):
     event(f"checked under {metric.name}")
     important = data.draw(st.lists(st.sampled_from(classes), min_size=1,
                                     max_size=len(classes) - 1, unique=True))
-    removed = cnn_oracle_removed(ds, metric, ctx, important, seed)
+    removed = cnn_oracle_removed(ds, ctx, important, seed)
     for block in BLOCKS:
         with mock.patch.object(dist_mod, "BLOCK_PAIRS", block):
             out, _, _ = cnn_classif(ds, metric, cl=sorted(important), seed=seed)
@@ -178,7 +179,7 @@ def test_cnn_later_round_rows_win_ties_by_index():
         ds = make_ds([("x", "num", x), ("cls", "nom", list(labels))], "cls")
         ctx = build_context(metric, ds)
         out, _, _ = cnn_classif(ds, metric, cl=["a"], seed=seed)
-        assert out.removed == cnn_oracle_removed(ds, metric, ctx, ["a"], seed) == removed
+        assert out.removed == cnn_oracle_removed(ds, ctx, ["a"], seed) == removed
     # a blank cell has no euclidean distance, so no NaN order to break
     # ties by: CNN refuses the table
     x = [0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, np.nan]
@@ -196,14 +197,14 @@ def test_chunks_stay_within_the_pair_budget():
     shapes = []
     real_block = dist_mod._block
 
-    def spy(metric, ctx, rows_a, rows_b):
+    def spy(ctx, rows_a, rows_b):
         shapes.append((len(rows_a), len(rows_b)))
-        return real_block(metric, ctx, rows_a, rows_b)
+        return real_block(ctx, rows_a, rows_b)
 
     with mock.patch.object(dist_mod, "BLOCK_PAIRS", 120), \
             mock.patch.object(dist_mod, "_block", spy):
-        knn_table(metric, ctx, 3)
-        nearest(metric, ctx)
+        knn_table(ctx, 3)
+        nearest(ctx)
     assert shapes and all(a * b <= 120 for a, b in shapes)
     assert sum(a for a, _ in shapes) == 2 * n
 
@@ -214,7 +215,7 @@ def test_knn_table_rejects_k_out_of_range():
     ctx = build_context(metric, ds)
     for k in (0, 2):
         with pytest.raises(MetricError, match="k must satisfy"):
-            knn_table(metric, ctx, k)
+            knn_table(ctx, k)
 
 
 # the metrics under which the engine can prune, and the engine settings
@@ -271,24 +272,24 @@ def sortable_cases(draw):
     return ds, metric, build_context(metric, ds)
 
 
-def check_knn_table(metric, ctx, ks, rows=None):
-    order = np.argsort(dense(metric, ctx, rows), axis=1, kind="stable")
+def check_knn_table(ctx, ks, rows=None):
+    order = np.argsort(dense(ctx, rows), axis=1, kind="stable")
     for setting in SETTINGS:
         with engine(setting):
             for k in ks:
-                got = knn_table(metric, ctx, k, rows=rows)
+                got = knn_table(ctx, k, rows=rows)
                 np.testing.assert_array_equal(got, order[:, :k])
 
 
-def check_nearest(metric, ctx, q=None, c=None):
+def check_nearest(ctx, q=None, c=None):
     if c is None:
-        d = dense(metric, ctx, q)
+        d = dense(ctx, q)
     else:
-        d = pairwise(metric, ctx)[np.ix_(q, c)]
+        d = pairwise(ctx)[np.ix_(q, c)]
     best = d.argmin(axis=1)
     for setting in SETTINGS:
         with engine(setting):
-            got_d, got_pos = nearest(metric, ctx, q, c)
+            got_d, got_pos = nearest(ctx, q, c)
             np.testing.assert_array_equal(got_pos, best)
             assert same_floats(got_d, d[np.arange(len(d)), best])
 
@@ -299,10 +300,10 @@ def test_kd_walk_knn_table_matches_stable_argsort(case, data):
     ds, metric, ctx = case
     n = ds.n_rows
     ks = sorted({1, data.draw(st.integers(1, 8))})
-    check_knn_table(metric, ctx, ks)
+    check_knn_table(ctx, ks)
     # SMOTE passes the rows of one class or bump
     sub = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=10))))
-    check_knn_table(metric, ctx, [k for k in ks if k < len(sub)], rows=sub)
+    check_knn_table(ctx, [k for k in ks if k < len(sub)], rows=sub)
 
 
 @settings(max_examples=60, deadline=None)
@@ -310,17 +311,17 @@ def test_kd_walk_knn_table_matches_stable_argsort(case, data):
 def test_kd_walk_nearest_matches_argmin(case, data):
     ds, metric, ctx = case
     n = ds.n_rows
-    check_nearest(metric, ctx)
+    check_nearest(ctx)
     # CNN passes the rows not yet kept against the rows kept last round
     split = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     if split.all() or not split.any():
         split[0] = not split[0]
-    check_nearest(metric, ctx, np.flatnonzero(split), np.flatnonzero(~split))
+    check_nearest(ctx, np.flatnonzero(split), np.flatnonzero(~split))
     # and any rows against any cols, repeats included
     pos = st.integers(0, n - 1)
     q = np.array(data.draw(st.lists(pos, max_size=n)), dtype=np.intp)
     c = np.array(data.draw(st.lists(pos, min_size=1, max_size=n)), dtype=np.intp)
-    check_nearest(metric, ctx, q, c)
+    check_nearest(ctx, q, c)
 
 
 @settings(max_examples=40, deadline=None)
@@ -332,7 +333,7 @@ def test_kd_walk_cnn_matches_full_matrix_loop(case, seed, data):
         return
     important = data.draw(st.lists(st.sampled_from(classes), min_size=1,
                                     max_size=len(classes) - 1, unique=True))
-    removed = cnn_oracle_removed(ds, metric, ctx, important, seed)
+    removed = cnn_oracle_removed(ds, ctx, important, seed)
     for setting in SETTINGS:
         with engine(setting):
             out, _, _ = cnn_classif(ds, metric, cl=sorted(important), seed=seed)
@@ -356,9 +357,9 @@ def test_equal_sort_values_tie_at_a_zero_kth_distance(name):
     rng = np.random.default_rng(1)
     x = list(rng.choice([0.0, 0.0, 0.0, 1.0, 5.0], size=90))
     metric, ctx = edge_case(x, name)
-    check_knn_table(metric, ctx, [1, 3, 7])
-    check_nearest(metric, ctx)
-    check_nearest(metric, ctx, np.arange(0, 90, 3), np.arange(1, 90, 2))
+    check_knn_table(ctx, [1, 3, 7])
+    check_nearest(ctx)
+    check_nearest(ctx, np.arange(0, 90, 3), np.arange(1, 90, 2))
 
 
 @pytest.mark.parametrize("name", ["heom", "hvdm"])
@@ -368,14 +369,14 @@ def test_zero_scale_feature_is_not_sorted_by(name):
     rng = np.random.default_rng(2)
     x = [4.0] * 60
     metric, ctx = edge_case(x, name)
-    assert dist_mod._bounded_features(metric, ctx, np.arange(60), np.arange(60)) is None
-    check_knn_table(metric, ctx, [1, 4])
+    assert dist_mod._bounded_features(ctx, np.arange(60), np.arange(60)) is None
+    check_knn_table(ctx, [1, 4])
     ds = make_ds([("c", "num", x), ("x", "num", list(rng.normal(size=60))),
                   ("cls", "nom", ["a", "b"] * 30)], "cls")
     ctx = build_context(metric, ds)
-    assert dist_mod._bounded_features(metric, ctx, np.arange(60), np.arange(60)) == [1]
-    check_knn_table(metric, ctx, [1, 4])
-    check_nearest(metric, ctx)
+    assert dist_mod._bounded_features(ctx, np.arange(60), np.arange(60)) == [1]
+    check_knn_table(ctx, [1, 4])
+    check_nearest(ctx)
 
 
 def test_term_that_underflows_to_zero_keeps_its_candidates():
@@ -387,11 +388,11 @@ def test_term_that_underflows_to_zero_keeps_its_candidates():
     rng = np.random.default_rng(3)
     x = list(rng.permutation(np.arange(1, 80) * 1e-20)) + [1e300]
     metric, ctx = edge_case(x, "heom")
-    d = dense(metric, ctx)
+    d = dense(ctx)
     assert (d[:-1, :-1][~np.eye(79, dtype=bool)] == 0).all()
-    check_knn_table(metric, ctx, [1, 3])
-    check_nearest(metric, ctx)
-    check_nearest(metric, ctx, np.arange(40, 80), np.arange(40))
+    check_knn_table(ctx, [1, 3])
+    check_nearest(ctx)
+    check_nearest(ctx, np.arange(40, 80), np.arange(40))
 
 
 def test_row_missing_the_sort_feature_joins_every_block():
@@ -405,8 +406,8 @@ def test_row_missing_the_sort_feature_joins_every_block():
                   ("cls", "nom", list("pqqpqppqppqq"))], "cls")
     metric = Metric("hvdm")
     ctx = build_context(metric, ds)
-    check_knn_table(metric, ctx, [1, 2, 3])
-    check_nearest(metric, ctx)
+    check_knn_table(ctx, [1, 2, 3])
+    check_nearest(ctx)
 
 
 def measured(fn):
@@ -414,9 +415,9 @@ def measured(fn):
     sizes = []
     real_block = dist_mod._block
 
-    def spy(metric, ctx, rows_a, rows_b):
+    def spy(ctx, rows_a, rows_b):
         sizes.append(len(rows_a) * len(rows_b))
-        return real_block(metric, ctx, rows_a, rows_b)
+        return real_block(ctx, rows_a, rows_b)
 
     with mock.patch.object(dist_mod, "_block", spy):
         fn()
@@ -434,7 +435,7 @@ def test_kd_walk_prunes_gen_imbc_within_the_pair_budget(name):
     ds = gen_imbc(4000, seed=0)
     metric = Metric(name)
     ctx = build_context(metric, ds)
-    assert measured(lambda: knn_table(metric, ctx, 3)) < 0.15 * ds.n_rows ** 2
+    assert measured(lambda: knn_table(ctx, 3)) < 0.15 * ds.n_rows ** 2
 
 
 @pytest.mark.parametrize("name", ["heom", "euclidean"])
@@ -444,7 +445,7 @@ def test_walk_prunes_four_normal_features_within_the_pair_budget(name):
     ds = random_numeric_ds(np.random.default_rng(0), 4000, 4)
     metric = Metric(name)
     ctx = build_context(metric, ds)
-    assert measured(lambda: knn_table(metric, ctx, 3)) < 0.22 * ds.n_rows ** 2
+    assert measured(lambda: knn_table(ctx, 3)) < 0.22 * ds.n_rows ** 2
 
 
 def test_cnn_prunes_gen_imbc_within_the_pair_budget():
@@ -508,6 +509,21 @@ def callers(tree, name):
 
     visit(tree, ())
     return found
+
+
+def test_no_function_takes_a_metric_beside_its_context():
+    # a MetricContext carries its metric; a second metric argument could
+    # disagree with it
+    src = Path(dist_mod.__file__).parent
+    both = []
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                names = {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs)}
+                if {"metric", "ctx"} <= names:
+                    both.append(f"{path.stem}.{getattr(node, 'name', 'lambda')}")
+    assert both == []
 
 
 def test_strategy_outcomes_are_built_in_one_place():

@@ -7,9 +7,10 @@ are drawn from good and bad values of each subcommand's own options.
 Whatever the run, it must exit 0, 1 or 2, raise no exception and let
 no Python or numpy warning out.  Exit 0 writes the CSV and the report,
 and prints only the strategy's warnings, as the report lists them.
-Exit 1 prints one ``error:`` line and exit 2 argparse's usage and
-error lines.  Either leaves the directory as it was: no ``--out``, no
-``--report`` and no new file beside them.
+A column that reads as numeric from the input reads as numeric from
+the output too.  Exit 1 prints one ``error:`` line and exit 2
+argparse's usage and error lines.  Either leaves the directory as it
+was: no ``--out``, no ``--report`` and no new file beside them.
 """
 
 import contextlib
@@ -23,6 +24,7 @@ from pathlib import Path
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from rebalance import ColumnKind, read_dataset
 from rebalance.cli import COMMANDS, run
 
 NAMES = st.sampled_from(["x", "g", "t", "t", "", "ä", 'q"', " t"])
@@ -55,7 +57,9 @@ VALUES = {
     "o": (["0", "0.5", "2"], ["-1", "nan", "inf"]),
     "seed": (["0", "7"], ["-1", "x", "1e3"]),
     "rel": (["auto", "auto:high", "auto:low", "auto:both"], ["bogus"]),
-    "rows": (["1", "2", "3", "9"], ["-1", "0", "x"]),
+    # the huge counts need more bytes than any 57-bit address space
+    "rows": (["1", "2", "3", "9"],
+             ["-1", "0", "x", "100000000000000000", "100000000000000000000"]),
 }
 
 
@@ -107,6 +111,12 @@ def options(draw):
     return argv + ["--bogus"] * draw(one_in(20))
 
 
+def numeric_columns(path, target):
+    """The names of the numeric columns of the CSV file at ``path``."""
+    ds = read_dataset(path, target=target)
+    return {c.name for c in ds.columns if c.kind is ColumnKind.NUMERIC}
+
+
 def run_in(tmp, data, argv):
     """Run ``argv`` on an input file holding ``data`` in ``tmp``, with
     every warning made an error; the exit code and stderr."""
@@ -129,6 +139,11 @@ def run_in(tmp, data, argv):
 @example(data=b"t,x\na,1\nb\xff,2\n", argv=["ncl", "--target", "t"])
 # an infinite target: numpy's percentile warned
 @example(data=b"x,g,t\n,,1\n,,1e999", argv=["randunder-r", "--target", "t"])
+# an sd that is NaN: numpy warned, and the noisy rows were blank
+@example(data=b"x,t\n1e999,a\n1,a\n2,a\n4,b\n",
+         argv=["gaussnoise", "--target", "t", "--c-perc", "a=2", "--seed", "1"])
+# an infinite cell was written as "inf", which reads back as a label
+@example(data=b"x,t\n1e999,a\n2,b\n", argv=["randover", "--target", "t"])
 def test_cli_ends_in_an_exit_code_and_leaves_no_partial_output(data, argv):
     with tempfile.TemporaryDirectory() as tmp:
         code, err = run_in(tmp, data, argv)
@@ -142,6 +157,11 @@ def test_cli_ends_in_an_exit_code_and_leaves_no_partial_output(data, argv):
             report = json.loads((Path(tmp) / "report.json").read_text(encoding="utf-8"))
             # stderr holds the strategy's warnings, and nothing else
             assert lines == report.get("warnings", [])
+            if argv[0] != "gen":
+                # every numeric column reads back numeric
+                target = argv[argv.index("--target") + 1]
+                assert (numeric_columns(Path(tmp) / "in.csv", target)
+                        <= numeric_columns(Path(tmp) / "out.csv", target))
             return
         assert left == ["in.csv"]
         if code == 1:

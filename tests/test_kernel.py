@@ -130,7 +130,7 @@ def test_pairwise_and_engine_match_scalar_oracle(case):
     if ctx is None:
         return
     event(f"checked under {metric.name}")
-    got = pairwise(metric, ctx)
+    got = pairwise(ctx)
     assert matches(metric, got, oracle_matrix(metric, ctx, ds))
     # the order comes from the checked matrix: under minkowsky a last-bit
     # difference could flip two nearly equal distances
@@ -141,11 +141,11 @@ def test_pairwise_and_engine_match_scalar_oracle(case):
     order = np.argsort(off, axis=1, kind="stable")
     for block in BLOCKS:
         with mock.patch.object(dist_mod, "BLOCK_PAIRS", block):
-            got_d, got_pos = nearest(metric, ctx)
+            got_d, got_pos = nearest(ctx)
             np.testing.assert_array_equal(got_pos, best)
             assert same_floats(got_d, off[np.arange(n), best])
             for k in range(1, n):
-                np.testing.assert_array_equal(knn_table(metric, ctx, k), order[:, :k])
+                np.testing.assert_array_equal(knn_table(ctx, k), order[:, :k])
 
 
 @settings(max_examples=200, deadline=None)
@@ -160,7 +160,7 @@ def test_paired_form_matches_scalar_oracle(case, data):
     m = data.draw(st.integers(1, 12))
     ia = np.array(data.draw(st.lists(pos, min_size=m, max_size=m)), dtype=np.intp)
     ib = np.array(data.draw(st.lists(pos, min_size=m, max_size=m)), dtype=np.intp)
-    got = paired_distances(metric, ctx, encode_rows(ctx, ia), encode_rows(ctx, ib))
+    got = paired_distances(ctx, encode_rows(ctx, ia), encode_rows(ctx, ib))
     assert matches(metric, got, want[ia, ib])
 
 
@@ -181,5 +181,5 @@ def test_plain_metrics_match_scipy_cdist(name):
         ctx = build_context(metric, ds)
         kwargs = {"p": p} if p else {}
         want = sd.cdist(m, m, SCIPY_NAMES.get(name, name), **kwargs)
-        np.testing.assert_allclose(pairwise(metric, ctx), want, rtol=1e-12, atol=0,
+        np.testing.assert_allclose(pairwise(ctx), want, rtol=1e-12, atol=0,
                                    err_msg=f"{name} trial {trial}")

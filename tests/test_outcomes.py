@@ -13,6 +13,15 @@ or an option only with one of the library's own errors.
 Importance sampling's mode B draws its replicas from every input row,
 removed ones included, so there the check is the one both rules
 imply: the kept rows and the replicas' seeds are the output's origins.
+
+Two more properties hold the strategies to their definitions.  Every
+group (class or bump) that a strategy resolves a target for ends with
+that many rows, as ``group_targets_oracle`` resolves it.  Every SMOTE
+and SMOTER synthetic row lies in the box between its seed and one of
+the seed's k nearest rows in its group, in the order of a stable
+argsort of ``pairwise``: a numeric cell between the two ends, or NaN
+where an end is; a nominal cell equal to one end; SMOTER's target
+between the two parents' targets.
 """
 
 import math
@@ -22,10 +31,19 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from rebalance import ColumnKind, MetricError, RelevanceError, ResampleError, TabularError
+from rebalance import (
+    ColumnKind,
+    Metric,
+    MetricError,
+    RelevanceError,
+    ResampleError,
+    TabularError,
+    build_context,
+    pairwise,
+)
 from rebalance.cli import COMMANDS, _build_parser, _dispatch
 
-from _oracles import dataset_to_csv_bytes
+from _oracles import dataset_to_csv_bytes, group_targets_oracle
 from _toys import make_ds
 
 LIBRARY_ERRORS = (TabularError, MetricError, RelevanceError, ResampleError)
@@ -146,3 +164,89 @@ def test_outputs_keep_their_own_books(name, data):
     assert dataset_to_csv_bytes(again.dataset) == dataset_to_csv_bytes(out.dataset)
     assert again.removed == out.removed and again.warnings == out.warnings
     assert np.array_equal(again.seeds, seeds) and np.array_equal(again.synthetic, synthetic)
+
+
+# the subcommands that resolve a row target per group; impsamp-r in
+# mode A only
+TARGETED = ["randunder", "randover", "impsamp", "gaussnoise", "smote", "randunder-r",
+            "randover-r", "gaussnoise-r", "smote-r", "impsamp-r"]
+
+
+def groups_of(ds, out):
+    """The group of each input row, and each group's rows: classes in
+    label order, or the bumps of the strategy's partition."""
+    if out.partition is None:
+        codes = ds.target_column.values
+        return codes, [np.flatnonzero(codes == c) for c in range(len(ds.target_column.categories))]
+    group = np.empty(ds.n_rows, dtype=np.intp)
+    for i, b in enumerate(out.partition.bumps):
+        group[b.indices] = i
+    return group, [b.indices for b in out.partition.bumps]
+
+
+@pytest.mark.parametrize("name", TARGETED)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_each_group_ends_at_its_resolved_target(name, data):
+    ds, argv = data.draw(runs(name))
+    if "--u" in argv:
+        return
+    out = dispatched(ds, argv)
+    if out is None:
+        return
+    group, rows = groups_of(ds, out)
+    counts = [len(r) for r in rows]
+    perc = argv[argv.index("--c-perc") + 1] if "--c-perc" in argv else "balance"
+    if "=" in perc:
+        named = dict(kv.split("=") for kv in perc.split(","))
+        perc = [None if c not in named else float(named[c])
+                for c in ds.target_column.categories]
+    rare = [b.rare for b in out.partition.bumps] if out.partition else None
+    want = group_targets_oracle(name, perc, counts, rare)
+    # an output row belongs to its origin's group, a synthetic one to
+    # its seed's
+    origins = out.dataset.origins
+    members = np.concatenate([origins[origins >= 0], out.seeds[out.synthetic]])
+    got = np.bincount(group[members], minlength=len(rows)).tolist()
+    assert got == want
+    event("grows" if sum(want) > ds.n_rows else "shrinks" if sum(want) < ds.n_rows
+          else "keeps the total")
+
+
+def between(lo, hi, v):
+    """Whether ``v`` lies in the box of the cells ``lo`` and ``hi``: NaN
+    where either is NaN, else between them."""
+    if math.isnan(lo) or math.isnan(hi):
+        return math.isnan(v)
+    return min(lo, hi) <= v <= max(lo, hi)
+
+
+@pytest.mark.parametrize("name", ["smote", "smote-r"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_smote_rows_lie_between_a_seed_and_one_of_its_neighbours(name, data):
+    ds, argv = data.draw(runs(name))
+    out = dispatched(ds, argv)
+    if out is None:
+        return
+    args = _build_parser(argv).parse_args(argv)
+    ctx = build_context(Metric(args.dist), ds)
+    group, rows = groups_of(ds, out)
+    new = np.flatnonzero(out.dataset.origins < 0)
+    cells = [(c.kind, c.labels if c.kind is ColumnKind.NOMINAL else c.values)
+             for c in ds.columns]
+    made = [c.labels if c.kind is ColumnKind.NOMINAL else c.values for c in out.dataset.columns]
+    for r, s in zip(new, out.seeds[out.synthetic]):
+        idx = rows[group[s]]
+        if len(idx) == 1:  # a single row is copied
+            nbrs = idx
+        else:
+            d = pairwise(ctx, rows=idx)
+            np.fill_diagonal(d, np.inf)
+            order = np.argsort(d, axis=1, kind="stable")
+            nbrs = idx[order[np.flatnonzero(idx == s)[0], :min(args.k, len(idx) - 1)]]
+        assert any(all(between(v[s], v[n], m[r]) if kind is ColumnKind.NUMERIC
+                       else m[r] in (v[s], v[n])
+                       for (kind, v), m in zip(cells, made))
+                   for n in nbrs)
+    event("adds synthetic rows" if len(new) else "adds none")

@@ -299,6 +299,14 @@ def test_smoter_identical_features_average_targets():
     assert all(v == pytest.approx(8.0) for v in synth_y)
 
 
+def test_smoter_target_of_equal_parents_is_theirs():
+    # the weighted mean of two equal targets came out an ulp off them
+    ds = make_ds([("x", "num", [0.0, 1.0, 2.0, 3.0, 5.0, 5.3, 5.9]),
+                  ("y", "num", [0.0, 1.0, 2.0, 3.0, 7.3, 7.3, 7.3])], "y")
+    out = smoter(ds, RAMP, 0.5, BumpPercSpec.explicit([1.0, 10.0]), k=2, seed=0)
+    assert out.dataset.target_column.values[7:].tolist() == [7.3] * 27
+
+
 def test_smoter_single_row_bump_replicates_with_warning():
     ds = two_bump_ds(20, 1)
     out = smoter(ds, RAMP, 0.5, BumpPercSpec.explicit([1.0, 5.0]), seed=0)

@@ -89,7 +89,7 @@ def assert_edited(ds, out, removed):
 
 def tomek_reference(ds, metric, cl, rem):
     labels = list(ds.target_column.labels)
-    _, nn = nearest(metric, build_context(metric, ds))
+    _, nn = nearest(build_context(metric, ds))
     cl_set = set(_resolve_cl(cl, class_counts(ds)))
     return oracle.tomek_oracle(labels, nn, cl_set, rem)
 
@@ -116,7 +116,7 @@ def test_enn_matches_row_loop(case, seed, data):
         return
     out = enn_classif(ds, metric, k=k, cl=cl, seed=seed)
     labels = list(ds.target_column.labels)
-    nbrs = knn_table(metric, build_context(metric, ds), k)
+    nbrs = knn_table(build_context(metric, ds), k)
     cl_set = set(_resolve_cl(cl, class_counts(ds)))
     assert_edited(ds, out, oracle.enn_oracle(labels, nbrs, cl_set, k, seed))
 
@@ -149,7 +149,7 @@ def test_ncl_matches_row_loop(case):
         return
     out = ncl_classif(ds, metric, k=k, cl=cl)
     labels = list(ds.target_column.labels)
-    nbrs = knn_table(metric, build_context(metric, ds), k)
+    nbrs = knn_table(build_context(metric, ds), k)
     a1, a2 = oracle.ncl_oracle(labels, nbrs, key, k)
     assert_edited(ds, out, a1 | a2)
     assert out.warnings == ([] if a1 else ["ENNClassif found no examples to remove!"])
