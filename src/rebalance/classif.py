@@ -219,8 +219,13 @@ def _class_mask(labels: Sequence[str], chosen) -> np.ndarray:
     return np.array([c in chosen for c in labels], dtype=bool)
 
 
-def _class_groups(ds: Dataset, targets: Mapping[str, int]) -> list[tuple]:
-    """Driver groups: (label, row indices, target) in label order."""
+def _class_groups(ds: Dataset, resolve: Callable, spec: ClassPercSpec) -> list[tuple]:
+    """Driver groups: (label, row indices, target) in label order, each
+    target as ``resolve(counts, spec)`` gives it."""
+    counts = class_counts(ds)
+    if not counts:
+        raise ResampleError("empty dataset")
+    targets = resolve(counts, spec)
     return [(c, idx, targets[c]) for c, idx in _class_indices(ds).items()]
 
 
@@ -383,9 +388,9 @@ def rand_under_classif(
     seed: int | None = None,
 ) -> StrategyOutcome:
     """Randomly drop rows of the classes ``spec`` shrinks."""
-    targets = resolve_targets_under(class_counts(ds), spec)
+    groups = _class_groups(ds, resolve_targets_under, spec)
     rng = np.random.default_rng(seed)
-    return _resample(ds, _class_groups(ds, targets), _sample(rng, repl))
+    return _resample(ds, groups, _sample(rng, repl))
 
 
 def rand_over_classif(
@@ -394,9 +399,9 @@ def rand_over_classif(
     seed: int | None = None,
 ) -> StrategyOutcome:
     """Append uniformly chosen replicas until each class meets its target."""
-    targets = resolve_targets_over(class_counts(ds), spec)
+    groups = _class_groups(ds, resolve_targets_over, spec)
     rng = np.random.default_rng(seed)
-    return _resample(ds, _class_groups(ds, targets), _sample(rng), _replicas(rng))
+    return _resample(ds, groups, _sample(rng), _replicas(rng))
 
 
 def imp_samp_classif(
@@ -405,9 +410,9 @@ def imp_samp_classif(
     seed: int | None = None,
 ) -> StrategyOutcome:
     """Move every class toward its target by dropping or replicating."""
-    targets = _resolve_impsamp(class_counts(ds), spec)
+    groups = _class_groups(ds, _resolve_impsamp, spec)
     rng = np.random.default_rng(seed)
-    return _resample(ds, _class_groups(ds, targets), _sample(rng), _replicas(rng))
+    return _resample(ds, groups, _sample(rng), _replicas(rng))
 
 
 def _resolve_cl(cl, counts: Mapping[str, int]) -> list[str]:
@@ -619,9 +624,9 @@ def gauss_noise_classif(
     """
     if not (math.isfinite(pert) and pert >= 0):
         raise ResampleError("pert must be a finite non-negative number")
-    targets = _resolve_mixed(class_counts(ds), spec)
+    groups = _class_groups(ds, _resolve_mixed, spec)
     rng = np.random.default_rng(seed)
-    return _resample(ds, _class_groups(ds, targets), _sample(rng, repl),
+    return _resample(ds, groups, _sample(rng, repl),
                      lambda _, idx, extra: _noise_rows(ds, rng, pert, idx, extra))
 
 
@@ -643,7 +648,7 @@ def smote_classif(
     """
     if k < 1:
         raise ResampleError("k must be at least 1")
-    targets = _resolve_mixed(class_counts(ds), spec)
+    groups = _class_groups(ds, _resolve_mixed, spec)
     ctx = build_context(metric, ds)
     rng = np.random.default_rng(seed)
     warnings: list[str] = []
@@ -658,4 +663,4 @@ def smote_classif(
         seeds, _, block = _smote_rows(ds, ctx, k, rng, idx, extra)
         return seeds, block
 
-    return _resample(ds, _class_groups(ds, targets), _sample(rng, repl), grow, warnings)
+    return _resample(ds, groups, _sample(rng, repl), grow, warnings)

@@ -21,12 +21,12 @@ metric.  Under HVDM each nominal feature has a value-difference table.
 naming the column, so no distance is ever NaN.  A distance can still
 be infinite where a term overflows; it orders like any number.
 
-One kernel computes every distance.  Its operands are the context's
-operand arrays taken at the rows measured (``encode_rows``).  It has
-two forms: a block, query rows against candidate columns, which
-``pairwise`` and the neighbour engine use; and a paired form
-(``paired_distances``), row i against row i, which SMOTER uses for its
-synthetic rows.  Per feature, the kernel computes its term in place in
+One kernel computes every distance and every bound.  Its operands are
+the context's operand arrays taken at the rows measured
+(``encode_rows``).  It has two forms: a block, query rows against
+candidate columns, which ``pairwise`` and the neighbour engine use;
+and a paired form (``paired_distances``), row i against row i, which
+SMOTER uses for its synthetic rows.  Per feature, the kernel computes its term in place in
 one preallocated buffer and adds it to a second, and the first term
 goes straight into the result.  A missing cell makes a HEOM
 or HVDM term 1.  That override is applied only where a chunk's row or
@@ -55,13 +55,12 @@ are merged by distance, then position.
 
 The bound is exact:
 
-- Per numeric feature, the gap between a row's cell and a leaf's box,
-  ``max(lo - x, x - hi, 0)``, never exceeds the difference to any cell
-  in the box, since IEEE subtraction is monotone.  The kernel's own
-  operations (subtract, divide, square, add, ``maximum``, ``sqrt``, the
-  minkowsky power) are monotone too, so the bound never exceeds a true
-  distance; it is shrunk by a factor of 1 - 2^-20 against a last-bit
-  difference in a power.  A term that underflows to 0 bounds by 0.
+- It is the kernel's distance from the per-feature gaps between a
+  row's cell and a leaf's box, ``max(lo - x, x - hi, 0)``, to 0.  A gap
+  never exceeds the difference to any cell in the box, since IEEE
+  subtraction is monotone, and so are the kernel's operations.  It is
+  shrunk by a factor of 1 - 2^-20 against a last-bit difference in a
+  power.
 - Nominal features add nothing, and a feature takes no bound from a
   row missing it or from a leaf with a missing cell in it: under HVDM
   a gap over 4 sd would exceed the term of 1 a missing cell gets.
@@ -274,25 +273,17 @@ def _numeric_term(ctx: MetricContext, j: int, x: np.ndarray, y: np.ndarray,
     return term
 
 
-def _finish(metric: Metric, acc: np.ndarray) -> np.ndarray:
-    """Turn summed terms into distances, in place."""
-    if metric.name in SQUARED:
-        np.sqrt(acc, out=acc)
-    elif metric.name == "minkowsky":
-        acc **= 1.0 / metric.p
-    return acc
-
-
 @np.errstate(over="ignore")
-def _kernel(ctx: MetricContext, a: list, b: list, shape: tuple[int, ...]) -> np.ndarray:
-    """Distances between the operands ``a`` and ``b``, broadcast to shape.
+def _kernel(ctx: MetricContext, a: list, b: list) -> np.ndarray:
+    """Distances between the operands ``a`` and ``b``, broadcast together.
 
-    ``a[j]`` and ``b[j]`` hold feature j as ``encode_rows`` gives it:
-    columns (n, 1) against rows (1, m) for a block, or two 1-D arrays
-    for the paired form.  A term that overflows is infinite, and so is
-    its distance: it orders like any number.
+    ``a[j]`` and ``b[j]`` hold feature j: as ``encode_rows`` gives it,
+    (n, 1) against (1, m) for a block or 1-D for the paired form, or a
+    bound's gaps against 0.  A term that overflows is infinite, and so
+    is its distance: it orders like any number.
     """
     name = ctx.metric.name
+    shape = np.broadcast(a[0], b[0]).shape  # every feature's operands share it
     acc = np.empty(shape)
     tmp = np.empty(shape) if len(ctx.kinds) > 1 else None
     hits = None
@@ -329,14 +320,18 @@ def _kernel(ctx: MetricContext, a: list, b: list, shape: tuple[int, ...]) -> np.
             np.maximum(acc, term, out=acc)
         else:
             np.add(acc, term, out=acc)
-    return _finish(ctx.metric, acc)
+    if name in SQUARED:
+        np.sqrt(acc, out=acc)
+    elif name == "minkowsky":
+        acc **= 1.0 / ctx.metric.p
+    return acc
 
 
 def _block(ctx: MetricContext, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
     """Distance matrix between two index arrays."""
     a = [v[:, None] for v in encode_rows(ctx, rows_a)]
     b = [v[None, :] for v in encode_rows(ctx, rows_b)]
-    return _kernel(ctx, a, b, (len(rows_a), len(rows_b)))
+    return _kernel(ctx, a, b)
 
 
 def paired_distances(ctx: MetricContext, a: list, b: list) -> np.ndarray:
@@ -345,7 +340,7 @@ def paired_distances(ctx: MetricContext, a: list, b: list) -> np.ndarray:
     ``a`` and ``b`` are operands as ``encode_rows`` gives them, of
     equal length; rows built outside the dataset reuse its codes.
     """
-    return _kernel(ctx, a, b, (len(a[0]),))
+    return _kernel(ctx, a, b)
 
 
 def pairwise(ctx: MetricContext, rows=None) -> np.ndarray:
@@ -374,13 +369,14 @@ def _bounded_features(ctx: MetricContext, rows: np.ndarray,
     return feats or None
 
 
-def _kd_leaves(ctx: MetricContext, feats: list[int], idx: np.ndarray, size: int):
+def _kd_leaves(ctx: MetricContext, idx: np.ndarray, size: int):
     """Split ``idx`` into k-d leaves of at most ``size`` rows, or two
     where a leaf of one would leave another empty.
 
-    Level by level, every node splits at the median of the feature whose
-    values spread widest over it in units of its scale.  Returns the
-    positions in ``idx`` leaf by leaf, the leaves' bounds into that
+    ``ctx`` holds the bounded features alone, as ``_neighbours`` builds
+    it.  Level by level, every node splits at the median of the feature
+    whose values spread widest over it in units of its scale.  Returns
+    the positions in ``idx`` leaf by leaf, the leaves' bounds into that
     order, and their boxes, (features, leaves) arrays of per-feature
     minima and maxima; a leaf missing a cell of a feature has a NaN box
     in it.
@@ -389,8 +385,8 @@ def _kd_leaves(ctx: MetricContext, feats: list[int], idx: np.ndarray, size: int)
     depth = 0
     while -(-m // (1 << depth)) > size and 2 << depth <= m:
         depth += 1
-    vals = np.array([ctx.operands[j][idx] for j in feats])
-    scale = np.array([[ctx.scale[j]] for j in feats])
+    vals = np.array(encode_rows(ctx, idx))
+    scale = np.array([*ctx.scale.values()])[:, None]
     # each cell's place in its feature's order, missing cells last
     rank = np.empty(vals.size, dtype=np.intp)
     rank[np.argsort(vals, axis=1) + np.arange(0, vals.size, m)[:, None]] = np.arange(m)
@@ -414,34 +410,26 @@ def _kd_leaves(ctx: MetricContext, feats: list[int], idx: np.ndarray, size: int)
     return perm, bounds, lo, hi
 
 
-def _box_bound(ctx: MetricContext, feats: list[int], lo, hi, x_lo, x_hi) -> np.ndarray:
+def _box_bound(ctx: MetricContext, lo, hi, x_lo, x_hi) -> np.ndarray:
     """A lower bound on the distance between a row in the box [x_lo,
     x_hi] and a row in the box [lo, hi].
 
-    The boxes are (features, ...) arrays over the bounded features that
-    broadcast together.  Per feature, the gap between the boxes,
-    ``max(lo - x_hi, x_lo - hi, 0)``, goes through the kernel's own
-    operations.  A difference of cells never lies below its gap and
-    those operations are monotone, so the term never exceeds the true
-    term; nominal features add nothing, and a NaN box (a missing cell)
-    leaves a gap of 0.
+    ``ctx`` holds the bounded features alone, and the boxes are
+    (features, ...) arrays over them that broadcast together.  The
+    bound is the kernel's distance from the per-feature gaps between
+    the boxes, ``max(lo - x_hi, x_lo - hi, 0)``, to 0: a difference of
+    cells never lies below its gap, and the kernel's operations are
+    monotone.  Nominal features add nothing, and a NaN box (a missing
+    cell) leaves a gap of 0.
     """
-    acc = None
-    with np.errstate(over="ignore"):  # an infinite bound is still a bound
-        for f, j in enumerate(feats):
-            gap = np.fmax(np.fmax(lo[f] - x_hi[f], x_lo[f] - hi[f]), 0.0)
-            term = _numeric_term(ctx, j, gap, 0.0, gap)
-            if acc is None:
-                acc = term
-            elif ctx.metric.name == "chebyshev":
-                np.maximum(acc, term, out=acc)
-            else:
-                np.add(acc, term, out=acc)
-        # shrunk by a hair against a last-bit difference in a power
-        # between the bound and the kernel
-        acc = _finish(ctx.metric, acc)
-        acc *= 1.0 - 2.0**-20
-        return acc
+    gap = np.subtract(lo, x_hi)
+    np.fmax(gap, x_lo - hi, out=gap)
+    np.fmax(gap, 0.0, out=gap)
+    # shrunk by a hair against a last-bit difference in a power between
+    # the bound and the kernel
+    bound = _kernel(ctx, list(gap), [0.0] * len(gap))
+    bound *= 1.0 - 2.0**-20
+    return bound
 
 
 def _neighbours(ctx: MetricContext, rows: np.ndarray, cols: np.ndarray | None, k: int):
@@ -474,12 +462,16 @@ def _neighbours(ctx: MetricContext, rows: np.ndarray, cols: np.ndarray | None, k
         return d, p
 
     feats = None
-    if len(rows) and len(cols) >= k + self_pairs:
+    if len(cols) >= k + self_pairs:
         feats = _bounded_features(ctx, rows, cols)
     if feats is None:
         return measure(np.arange(len(rows)), np.arange(len(cols)))
 
-    perm, bounds, lo, hi = _kd_leaves(ctx, feats, cols, LEAF_ROWS)
+    # the bounded features alone, which the k-d split and the bound read
+    bctx = MetricContext(ctx.metric, ("num",) * len(feats), ctx.n_rows,
+                         [ctx.operands[j] for j in feats],
+                         {f: ctx.scale[j] for f, j in enumerate(feats)})
+    perm, bounds, lo, hi = _kd_leaves(bctx, cols, LEAF_ROWS)
     sizes = np.diff(bounds)
     # query chunks: subtrees of the cols' tree, or for other rows the
     # leaves of their own tree, each spanning about CHUNK_ROWS cols
@@ -488,8 +480,8 @@ def _neighbours(ctx: MetricContext, rows: np.ndarray, cols: np.ndarray | None, k
         q_bounds = np.append(bounds[:-1:max(1, CHUNK_ROWS // LEAF_ROWS)], len(cols))
     else:
         size = max(CHUNK_ROWS, CHUNK_ROWS * len(rows) // len(cols))
-        q_perm, q_bounds = _kd_leaves(ctx, feats, rows, size)[:2]
-    xs = np.array([ctx.operands[j][rows[q_perm]] for j in feats])
+        q_perm, q_bounds = _kd_leaves(bctx, rows, size)[:2]
+    xs = np.array(encode_rows(bctx, rows[q_perm]))
     q_lo = np.minimum.reduceat(xs, q_bounds[:-1], axis=1)[:, :, None]
     q_hi = np.maximum.reduceat(xs, q_bounds[:-1], axis=1)[:, :, None]
     lo, hi = lo[:, None], hi[:, None]
@@ -518,7 +510,7 @@ def _neighbours(ctx: MetricContext, rows: np.ndarray, cols: np.ndarray | None, k
         # nearest others, (2p - 1) x CHUNK_ROWS more cols over p bounded
         # features, since more features put more leaves beside a chunk;
         # k cols at least
-        box = _box_bound(ctx, feats, lo, hi, q_lo[:, g0:g1], q_hi[:, g0:g1])
+        box = _box_bound(bctx, lo, hi, q_lo[:, g0:g1], q_hi[:, g0:g1])
         order = np.argsort(box, axis=1)
         filled = np.cumsum(sizes[order], axis=1)
         touching = np.count_nonzero(box == 0, axis=1)
@@ -536,7 +528,7 @@ def _neighbours(ctx: MetricContext, rows: np.ndarray, cols: np.ndarray | None, k
             rest = o[first:np.searchsorted(box[g - g0, o], best_d[:, -1].max(), "right")]
             if len(rest):
                 x = xs[:, a:b, None]
-                bound = _box_bound(ctx, feats, lo[:, :, rest], hi[:, :, rest], x, x)
+                bound = _box_bound(bctx, lo[:, :, rest], hi[:, :, rest], x, x)
                 left = np.ones(len(rest), dtype=bool)
                 batch = first
                 while True:
@@ -562,11 +554,16 @@ def nearest(ctx: MetricContext, rows=None, cols=None) -> tuple[np.ndarray, np.nd
     ``rows`` defaults to all rows.  With ``cols`` omitted, the
     candidates are ``rows`` themselves minus the row itself.  The rule
     is ``argmin``'s: the lowest distance wins, and ties go to the
-    earlier position.
+    earlier position.  No rows give empty arrays; rows against an empty
+    ``cols`` raise ``MetricError``.
     """
     rows = np.arange(ctx.n_rows) if rows is None else np.asarray(rows, dtype=np.intp)
+    if not len(rows):
+        return np.empty(0), np.empty(0, dtype=np.intp)
     if cols is not None:
         cols = np.asarray(cols, dtype=np.intp)
+        if not len(cols):
+            raise MetricError("no candidate row to measure the rows against")
     dist, pos = _neighbours(ctx, rows, cols, 1)
     return dist[:, 0], pos[:, 0]
 

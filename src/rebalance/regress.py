@@ -186,6 +186,8 @@ def _mixed_bump_targets(spec: BumpPercSpec, part: BumpPartition,
                         rare_rule: str) -> list[int]:
     """Absolute per-bump targets for the shrink-and-grow strategies."""
     bumps = part.bumps
+    if not bumps:
+        raise ResampleError("empty dataset")
     counts = [b.count for b in bumps]
     total = sum(counts)
     if spec.mode == "balance":
@@ -213,8 +215,6 @@ def gauss_noise_regress(
     if not (math.isfinite(pert) and pert >= 0):
         raise ResampleError("pert must be a finite non-negative number")
     part = find_bumps(ds, fn, thr_rel)
-    if not part.bumps:
-        raise ResampleError("empty dataset")
     targets = _mixed_bump_targets(spec, part, "additive")
     rng = np.random.default_rng(seed)
     warnings: list[str] = []

@@ -8,7 +8,9 @@ names.  The input rows that no origin names must be ``removed``, the
 added rows (``seeds``) must be the output rows beyond the distinct
 kept rows, and the synthetic ones must be the rows without an origin.
 The same seed must give the same bytes.  A strategy may refuse a table
-or an option only with one of the library's own errors.
+or an option only with one of the library's own errors; on a table of
+no rows, each strategy either returns no rows or raises a
+``ResampleError``.
 
 Importance sampling's mode B draws its replicas from every input row,
 removed ones included, so there the check is the one both rules
@@ -32,15 +34,35 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from rebalance import (
+    BumpPercSpec,
+    ClassPercSpec,
     ColumnKind,
+    ImpSampParams,
     Metric,
     MetricError,
     RelevanceError,
     ResampleError,
     TabularError,
     build_context,
+    build_relevance_range,
+    cnn_classif,
+    enn_classif,
+    gauss_noise_classif,
+    gauss_noise_regress,
+    imp_samp_classif,
+    imp_samp_regress,
+    ncl_classif,
+    oss_classif,
     pairwise,
+    rand_over_classif,
+    rand_over_regress,
+    rand_under_classif,
+    rand_under_regress,
+    smote_classif,
+    smoter,
+    tomek_classif,
 )
+from rebalance.classif import WARN_TOMEK_NONE
 from rebalance.cli import COMMANDS, _build_parser, _dispatch
 
 from _oracles import dataset_to_csv_bytes, group_targets_oracle
@@ -250,3 +272,54 @@ def test_smote_rows_lie_between_a_seed_and_one_of_its_neighbours(name, data):
                        for (kind, v), m in zip(cells, made))
                    for n in nbrs)
     event("adds synthetic rows" if len(new) else "adds none")
+
+
+NO_ROWS = [("x", "num", [1.0, math.nan]), ("g", "nom", ["a", None])]
+NO_CLASSES = make_ds([*NO_ROWS, ("t", "nom", ["p", "q"])], "t").take([])
+NO_TARGETS = make_ds([*NO_ROWS, ("t", "num", [1.0, 8.0])], "t").take([])
+HEOM = Metric("heom")
+RAMP = build_relevance_range([(4, 0, 0), (6, 1, 0)])
+
+# each library strategy on a table of no rows, given "balance" or
+# "extreme": the warnings of its outcome of no rows, or the start of
+# the ResampleError it raises
+ON_NO_ROWS = {
+    "randunder": (lambda m: rand_under_classif(NO_CLASSES, ClassPercSpec(m)), "empty dataset"),
+    "randover": (lambda m: rand_over_classif(NO_CLASSES, ClassPercSpec(m)), "empty dataset"),
+    "impsamp": (lambda m: imp_samp_classif(NO_CLASSES, ClassPercSpec(m)), "empty dataset"),
+    "tomek": (lambda m: tomek_classif(NO_CLASSES, HEOM), [WARN_TOMEK_NONE]),
+    "cnn": (lambda m: cnn_classif(NO_CLASSES, HEOM)[0], "every class is marked important"),
+    "oss": (lambda m: oss_classif(NO_CLASSES, HEOM)[0], "every class is marked important"),
+    "enn": (lambda m: enn_classif(NO_CLASSES, HEOM), "k must satisfy"),
+    "ncl": (lambda m: ncl_classif(NO_CLASSES, HEOM), "k must satisfy"),
+    "gaussnoise": (lambda m: gauss_noise_classif(NO_CLASSES, ClassPercSpec(m)), "empty dataset"),
+    "smote": (lambda m: smote_classif(NO_CLASSES, ClassPercSpec(m), metric=HEOM),
+              "empty dataset"),
+    "randunder-r": (lambda m: rand_under_regress(NO_TARGETS, RAMP, spec=BumpPercSpec(m)),
+                    "no bump below"),
+    "randover-r": (lambda m: rand_over_regress(NO_TARGETS, RAMP, spec=BumpPercSpec(m)),
+                   "no bump above"),
+    "gaussnoise-r": (lambda m: gauss_noise_regress(NO_TARGETS, RAMP, spec=BumpPercSpec(m)),
+                     "empty dataset"),
+    "smote-r": (lambda m: smoter(NO_TARGETS, RAMP, spec=BumpPercSpec(m), metric=HEOM),
+                "no bump above"),
+    "impsamp-r": (lambda m: imp_samp_regress(NO_TARGETS, RAMP, ImpSampParams(0.5, BumpPercSpec(m))),
+                  "empty dataset"),
+    "impsamp-r, mode B": (lambda m: imp_samp_regress(NO_TARGETS, RAMP, ImpSampParams(u=0.5, o=1.0)),
+                          []),
+}
+
+
+@pytest.mark.parametrize("mode", ["balance", "extreme"])
+@pytest.mark.parametrize("name", ON_NO_ROWS)
+def test_a_table_of_no_rows_gives_no_rows_or_a_resample_error(name, mode):
+    # ResampleError and MetricError subclass ValueError, as do the bare
+    # errors of min() and max() of no counts
+    call, want = ON_NO_ROWS[name]
+    if isinstance(want, list):
+        out = call(mode)
+        assert out.dataset.n_rows == 0 and out.warnings == want
+        return
+    with pytest.raises(ResampleError, match=f"^{want}") as info:
+        call(mode)
+    assert type(info.value) is ResampleError
