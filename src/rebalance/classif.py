@@ -162,26 +162,18 @@ def _explicit_targets(counts: Mapping[str, int], percs: Mapping[str, float],
 
 def resolve_targets_under(counts: Mapping[str, int], spec: ClassPercSpec) -> dict[str, int]:
     """Per-class row targets for under-sampling strategies."""
-    labels = sorted(counts)
-    if spec.mode == "balance":
-        m = min(counts.values())
-        return {c: m for c in labels}
-    if spec.mode == "extreme":
-        m = min(counts.values())
-        return {c: m * m // counts[c] for c in labels}
-    return _explicit_targets(counts, spec.percs, "under")
+    if spec.mode == "explicit":
+        return _explicit_targets(counts, spec.percs, "under")
+    m = min(counts.values())
+    return {c: m if spec.mode == "balance" else m * m // counts[c] for c in sorted(counts)}
 
 
 def resolve_targets_over(counts: Mapping[str, int], spec: ClassPercSpec) -> dict[str, int]:
     """Per-class row targets for over-sampling strategies."""
-    labels = sorted(counts)
-    if spec.mode == "balance":
-        m = max(counts.values())
-        return {c: m for c in labels}
-    if spec.mode == "extreme":
-        m = max(counts.values())
-        return {c: round(m * m / counts[c]) for c in labels}
-    return _explicit_targets(counts, spec.percs, "over")
+    if spec.mode == "explicit":
+        return _explicit_targets(counts, spec.percs, "over")
+    m = max(counts.values())
+    return {c: m if spec.mode == "balance" else round(m * m / counts[c]) for c in sorted(counts)}
 
 
 def _resolve_mixed(counts: Mapping[str, int], spec: ClassPercSpec) -> dict[str, int]:
@@ -219,13 +211,18 @@ def _class_mask(labels: Sequence[str], chosen) -> np.ndarray:
     return np.array([c in chosen for c in labels], dtype=bool)
 
 
-def _class_groups(ds: Dataset, resolve: Callable, spec: ClassPercSpec) -> list[tuple]:
-    """Driver groups: (label, row indices, target) in label order, each
-    target as ``resolve(counts, spec)`` gives it."""
+def _counts(ds: Dataset) -> dict[str, int]:
+    """The class counts of ``ds``, which must hold a row."""
     counts = class_counts(ds)
     if not counts:
         raise ResampleError("empty dataset")
-    targets = resolve(counts, spec)
+    return counts
+
+
+def _class_groups(ds: Dataset, resolve: Callable, spec: ClassPercSpec) -> list[tuple]:
+    """Driver groups: (label, row indices, target) in label order, each
+    target as ``resolve(counts, spec)`` gives it."""
+    targets = resolve(_counts(ds), spec)
     return [(c, idx, targets[c]) for c, idx in _class_indices(ds).items()]
 
 
@@ -458,7 +455,9 @@ def tomek_classif(
     code, labels = ds.target_column.values, ds.target_column.categories
     in_cl = _class_mask(labels, _resolve_cl(cl, counts))[code]
     size = np.bincount(code)[code]
-    _, nn = nearest(build_context(metric, ds))
+    ctx = build_context(metric, ds)
+    # a lone row has no other row to link with: it is its own partner
+    nn = nearest(ctx)[1] if ds.n_rows > 1 else np.arange(ds.n_rows)
     link = (nn[nn] == np.arange(ds.n_rows)) & (code != code[nn])
     # a row drops when its partner's class may not lose rows, or under
     # "maj" when its own class is strictly bigger: a tied pair stays
@@ -476,11 +475,12 @@ def cnn_classif(
     """Condense the dataset while keeping it 1-NN-consistent.
 
     All rows of the important classes are kept, plus one random row per
-    remaining class; rows that the kept set misclassifies by 1-NN are
-    pulled in until every original row classifies correctly.  Returns
-    the outcome plus the important and unimportant class lists.
+    remaining class.  Each round asks ``nearest`` for every unkept
+    row's nearest kept row and pulls in the rows it misclassifies, until
+    every original row classifies correctly by 1-NN over the kept set.
+    Returns the outcome plus the important and unimportant class lists.
     """
-    important, unimportant = _important_classes(cl, class_counts(ds))
+    important, unimportant = _important_classes(cl, _counts(ds))
     code = ds.target_column.values
     kept_mask = _class_mask(ds.target_column.categories, important)[code]
     rng = np.random.default_rng(seed)
@@ -490,20 +490,12 @@ def cnn_classif(
         kept_mask[idx[rng.integers(len(idx))]] = True
 
     ctx = build_context(metric, ds)
-    # each row's nearest kept row so far, under argmin's order: the
-    # lowest distance, then the lowest index
-    best_d = np.full(ds.n_rows, np.inf)
-    best_i = np.full(ds.n_rows, ds.n_rows)
-    new = np.nonzero(kept_mask)[0]
+    # each round measures every unkept row against every kept row; the
+    # kept rows ascend, so nearest's tie rule picks the lowest index
     while True:
-        q = np.nonzero(~kept_mask)[0]
-        d, pos = nearest(ctx, q, new)
-        i = new[pos]
-        old_d, old_i = best_d[q], best_i[q]
-        better = (d < old_d) | ((d == old_d) & (i < old_i))
-        best_d[q[better]] = d[better]
-        best_i[q[better]] = i[better]
-        new = q[code[best_i[q]] != code[q]]
+        q, kept = np.flatnonzero(~kept_mask), np.flatnonzero(kept_mask)
+        _, pos = nearest(ctx, q, kept)
+        new = q[code[kept[pos]] != code[q]]
         if not len(new):
             break
         kept_mask[new] = True
@@ -525,7 +517,7 @@ def oss_classif(
     """
     if start not in ("cnn", "tomek"):
         raise ResampleError(f"start must be 'cnn' or 'tomek', not {start!r}")
-    important, unimportant = _important_classes(cl, class_counts(ds))
+    important, unimportant = _important_classes(cl, _counts(ds))
 
     if start == "cnn":
         first, _, _ = cnn_classif(ds, metric, cl=important, seed=seed)
@@ -555,10 +547,9 @@ def enn_classif(
     its k nearest neighbours share its class.  A class that would
     vanish entirely gets one uniformly chosen original row back.
     """
-    n = ds.n_rows
-    if not 1 <= k < n:
+    counts = _counts(ds)
+    if not 1 <= k < ds.n_rows:
         raise ResampleError("k must satisfy 1 <= k < number of rows")
-    counts = class_counts(ds)
     code, labels = ds.target_column.values, ds.target_column.categories
     in_cl = _class_mask(labels, _resolve_cl(cl, counts))[code]
     nbrs = knn_table(build_context(metric, ds), k)
@@ -586,10 +577,9 @@ def ncl_classif(
     neighbours of every key-class row and takes those belonging to a
     sufficiently populated outside class.
     """
-    n = ds.n_rows
-    if not 1 <= k < n:
+    counts = _counts(ds)
+    if not 1 <= k < ds.n_rows:
         raise ResampleError("k must satisfy 1 <= k < number of rows")
-    counts = class_counts(ds)
     key = _resolve_cl(cl, counts)
     if not key:
         raise ResampleError("no key classes to clean around")

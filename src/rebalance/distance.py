@@ -554,16 +554,17 @@ def nearest(ctx: MetricContext, rows=None, cols=None) -> tuple[np.ndarray, np.nd
     ``rows`` defaults to all rows.  With ``cols`` omitted, the
     candidates are ``rows`` themselves minus the row itself.  The rule
     is ``argmin``'s: the lowest distance wins, and ties go to the
-    earlier position.  No rows give empty arrays; rows against an empty
-    ``cols`` raise ``MetricError``.
+    earlier position.  No rows give empty arrays; rows with no
+    candidate, an empty ``cols`` or a lone row with ``cols`` omitted,
+    raise ``MetricError``.
     """
     rows = np.arange(ctx.n_rows) if rows is None else np.asarray(rows, dtype=np.intp)
     if not len(rows):
         return np.empty(0), np.empty(0, dtype=np.intp)
-    if cols is not None:
-        cols = np.asarray(cols, dtype=np.intp)
-        if not len(cols):
-            raise MetricError("no candidate row to measure the rows against")
+    cols = None if cols is None else np.asarray(cols, dtype=np.intp)
+    # a row is never its own candidate
+    if (len(rows) < 2) if cols is None else not len(cols):
+        raise MetricError("no candidate row to measure the rows against")
     dist, pos = _neighbours(ctx, rows, cols, 1)
     return dist[:, 0], pos[:, 0]
 

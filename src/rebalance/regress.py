@@ -104,6 +104,14 @@ def _explicit_targets(spec: BumpPercSpec, bumps: Sequence[Bump], what: str,
     return targets
 
 
+def _bumps(ds: Dataset, fn: RelevanceFn, thr_rel: float) -> BumpPartition:
+    """The bumps of ``ds``, which must hold a row."""
+    part = find_bumps(ds, fn, thr_rel)
+    if not part.bumps:
+        raise ResampleError("empty dataset")
+    return part
+
+
 def _resample_bumps(ds: Dataset, part: BumpPartition, targets: Sequence[int],
                     shrink: Callable, grow: Callable | None = None,
                     warnings: list[str] | None = None,
@@ -132,7 +140,7 @@ def rand_under_regress(
     seed: int | None = None,
 ) -> StrategyOutcome:
     """Randomly drop rows from the Normal bumps; Rare bumps stay whole."""
-    part = find_bumps(ds, fn, thr_rel)
+    part = _bumps(ds, fn, thr_rel)
     normals = part.normal_bumps
     rares = part.rare_bumps
     if not normals:
@@ -162,7 +170,7 @@ def rand_over_regress(
     seed: int | None = None,
 ) -> StrategyOutcome:
     """Append replicas inside the Rare bumps (additive percentages)."""
-    part = find_bumps(ds, fn, thr_rel)
+    part = _bumps(ds, fn, thr_rel)
     rares = part.rare_bumps
     normals = part.normal_bumps
     if not rares:
@@ -186,8 +194,6 @@ def _mixed_bump_targets(spec: BumpPercSpec, part: BumpPartition,
                         rare_rule: str) -> list[int]:
     """Absolute per-bump targets for the shrink-and-grow strategies."""
     bumps = part.bumps
-    if not bumps:
-        raise ResampleError("empty dataset")
     counts = [b.count for b in bumps]
     total = sum(counts)
     if spec.mode == "balance":
@@ -214,7 +220,7 @@ def gauss_noise_regress(
     """
     if not (math.isfinite(pert) and pert >= 0):
         raise ResampleError("pert must be a finite non-negative number")
-    part = find_bumps(ds, fn, thr_rel)
+    part = _bumps(ds, fn, thr_rel)
     targets = _mixed_bump_targets(spec, part, "additive")
     rng = np.random.default_rng(seed)
     warnings: list[str] = []
@@ -252,7 +258,7 @@ def smoter(
     """
     if k < 1:
         raise ResampleError("k must be at least 1")
-    part = find_bumps(ds, fn, thr_rel)
+    part = _bumps(ds, fn, thr_rel)
     if not part.rare_bumps:
         raise ResampleError("no bump above the relevance threshold to over-sample")
     targets = _mixed_bump_targets(spec, part, "over")
@@ -325,7 +331,7 @@ def imp_samp_regress(
     if mode_a:
         if params.thr_rel is None or params.spec is None:
             raise ResampleError("mode A needs both thr_rel and a bump spec")
-        part = find_bumps(ds, fn, params.thr_rel)
+        part = _bumps(ds, fn, params.thr_rel)
         targets = _mixed_bump_targets(params.spec, part, "additive")
 
         def shrink(bump, idx, t):

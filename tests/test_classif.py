@@ -278,6 +278,13 @@ def test_tomek_warns_when_no_links():
     assert out.removed == [] and out.warnings == [WARN_TOMEK_NONE]
 
 
+def test_tomek_keeps_a_lone_row():
+    # one row has no neighbour, so no link: it stays, with the warning
+    out = tomek_classif(line_ds([(0.0, "a")]), Metric("euclidean"), seed=0)
+    assert out.removed == [] and out.dataset.n_rows == 1
+    assert out.warnings == [WARN_TOMEK_NONE]
+
+
 def test_tomek_rejects_bad_rem():
     ds = line_ds([(0.0, "a"), (1.0, "b")])
     with pytest.raises(ResampleError, match="rem must be"):

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from rebalance import Metric, build_context, pairwise
+from rebalance import Metric, MetricError, build_context, pairwise
 from rebalance.distance import (
     METRIC_NAMES,
     PLAIN_METRICS,
@@ -141,9 +141,13 @@ def test_pairwise_and_engine_match_scalar_oracle(case):
     order = np.argsort(off, axis=1, kind="stable")
     for block in BLOCKS:
         with mock.patch.object(dist_mod, "BLOCK_PAIRS", block):
-            got_d, got_pos = nearest(ctx)
-            np.testing.assert_array_equal(got_pos, best)
-            assert same_floats(got_d, off[np.arange(n), best])
+            if n < 2:  # a lone row has no candidate but itself
+                with pytest.raises(MetricError, match="no candidate"):
+                    nearest(ctx)
+            else:
+                got_d, got_pos = nearest(ctx)
+                np.testing.assert_array_equal(got_pos, best)
+                assert same_floats(got_d, off[np.arange(n), best])
             for k in range(1, n):
                 np.testing.assert_array_equal(knn_table(ctx, k), order[:, :k])
 

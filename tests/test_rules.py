@@ -89,7 +89,8 @@ def assert_edited(ds, out, removed):
 
 def tomek_reference(ds, metric, cl, rem):
     labels = list(ds.target_column.labels)
-    _, nn = nearest(build_context(metric, ds))
+    # a lone row has no neighbour: give it itself, which links with nothing
+    nn = nearest(build_context(metric, ds))[1] if ds.n_rows > 1 else [0] * ds.n_rows
     cl_set = set(_resolve_cl(cl, class_counts(ds)))
     return oracle.tomek_oracle(labels, nn, cl_set, rem)
 
