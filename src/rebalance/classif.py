@@ -41,7 +41,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ._util import balanced_quota, floor_frac, inverted_quota, nominal_freqs, sample_sd
-from .distance import Metric, MetricContext, build_context, knn_table, nearest
+from .distance import Metric, MetricContext, build_context, knn_table
 from .relevance import BumpPartition
 from .tabular import ColumnKind, Dataset, class_counts, index_dtype
 
@@ -319,7 +319,8 @@ def _noise_rows(
     group.  A nominal feature is drawn from its frequencies within the
     group; it is copied from the seed when ``pert`` is 0 or the group
     has no present cell.  A nominal target is copied with no draw.  A
-    numeric column whose sd within the group is not finite is refused.
+    numeric column whose sd within the group is not finite is refused,
+    and so is one whose noise overflows a present seed's cell.
     """
     seeds = rng.choice(idx, size=extra, replace=True)
     block = {}
@@ -328,12 +329,15 @@ def _noise_rows(
         if col.kind is ColumnKind.NUMERIC:
             with np.errstate(over="ignore", invalid="ignore"):
                 sd = sample_sd(vals[idx])
+                new = vals[seeds] + rng.normal(0.0, 1.0, size=extra) * pert * sd
             if not math.isfinite(sd):
                 raise ResampleError(
                     f"column {col.name!r} has an infinite cell, or cells so "
                     "far apart that their spread overflows"
                 )
-            block[col.name] = vals[seeds] + rng.normal(0.0, 1.0, size=extra) * pert * sd
+            if not np.isfinite(new[~np.isnan(vals[seeds])]).all():
+                raise ResampleError(f"column {col.name!r}: the noise overflows; pert is too large")
+            block[col.name] = new
         elif pert == 0 or col.name == ds.target:
             block[col.name] = vals[seeds]
         else:
@@ -457,7 +461,7 @@ def tomek_classif(
     size = np.bincount(code)[code]
     ctx = build_context(metric, ds)
     # a lone row has no other row to link with: it is its own partner
-    nn = nearest(ctx)[1] if ds.n_rows > 1 else np.arange(ds.n_rows)
+    nn = knn_table(ctx, 1)[:, 0] if ds.n_rows > 1 else np.arange(ds.n_rows)
     link = (nn[nn] == np.arange(ds.n_rows)) & (code != code[nn])
     # a row drops when its partner's class may not lose rows, or under
     # "maj" when its own class is strictly bigger: a tied pair stays
@@ -475,7 +479,7 @@ def cnn_classif(
     """Condense the dataset while keeping it 1-NN-consistent.
 
     All rows of the important classes are kept, plus one random row per
-    remaining class.  Each round asks ``nearest`` for every unkept
+    remaining class.  Each round asks ``knn_table`` for every unkept
     row's nearest kept row and pulls in the rows it misclassifies, until
     every original row classifies correctly by 1-NN over the kept set.
     Returns the outcome plus the important and unimportant class lists.
@@ -491,10 +495,10 @@ def cnn_classif(
 
     ctx = build_context(metric, ds)
     # each round measures every unkept row against every kept row; the
-    # kept rows ascend, so nearest's tie rule picks the lowest index
+    # kept rows ascend, so the engine's tie rule picks the lowest index
     while True:
         q, kept = np.flatnonzero(~kept_mask), np.flatnonzero(kept_mask)
-        _, pos = nearest(ctx, q, kept)
+        pos = knn_table(ctx, 1, q, kept)[:, 0]
         new = q[code[kept[pos]] != code[q]]
         if not len(new):
             break

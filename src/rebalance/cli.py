@@ -23,7 +23,8 @@ unlinked if the run fails or is interrupted; a replaced file keeps its
 permission bits, and a new one gets those the umask leaves of 0o666, as
 ``open`` gives.  Any other target, a symlink, a device such as
 ``/dev/stdout`` or a pipe, is written in place, through the link, as is
-a target beside which no file can be made.
+a target beside which no file can be made.  Both naming one regular
+file or new path is a usage error.
 
 Exit codes: 0 for success (warnings included), 2 for usage errors, 1
 for data or parameter errors.  A fixed ``--seed`` makes the output CSV
@@ -444,6 +445,11 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
+    path = os.path.realpath(args.output)
+    if args.report and path == os.path.realpath(args.report) and (
+            os.path.isfile(path) or not os.path.exists(path)):
+        print("error: --out and --report name the same file", file=sys.stderr)
+        return 2
 
     started = time.perf_counter()
     # (new file, target) of each output written beside its target

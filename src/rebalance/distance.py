@@ -38,8 +38,8 @@ table, which is padded with a row and column of 1.0 that code -1
 (missing) indexes.  A block gathers a term with two 1-D ``take``s, one
 for the query rows' table rows and one for the candidate columns.
 
-The neighbour engine (``nearest`` and ``knn_table``) never holds the
-full n x m distance matrix.  It splits the candidates (cols) into k-d
+The neighbour engine (``knn_table``) never holds the full n x m
+distance matrix.  It splits the candidates (cols) into k-d
 leaves, level by level at the median of the numeric feature that
 spreads widest over a node in units of its scale, and keeps each leaf's
 per-feature box (Friedman, Bentley and Finkel 1977).  Query rows go in
@@ -50,8 +50,8 @@ row's k-th distance so far rules out every leaf whose bound from the
 row lies strictly above it, and the leaves left are measured, nearest
 first, for the rows that need them, tightening the k-th distances as
 they go.  Only the columns each block adds are measured, and each
-block is reduced once, to each row's nearest or k nearest; the lists
-are merged by distance, then position.
+block is reduced once, to each row's k nearest; the lists are merged
+by distance, then position.
 
 The bound is exact:
 
@@ -75,9 +75,9 @@ is wider), so peak memory is
 O(BLOCK_PAIRS + n*k) plus bounds of one chunk against the leaves,
 rather than O(n*m).
 
-Both reductions, ``nearest`` (Tomek links, OSS, CNN) and ``knn_table``
-(ENN, NCL, SMOTE, SMOTER), keep one tie rule: the lower distance wins,
-and on equal distance the lower position.
+Every neighbour method asks ``knn_table``, Tomek links, OSS and CNN
+with k = 1, and so keeps one tie rule: the lower distance wins, and on
+equal distance the lower position.
 """
 
 from __future__ import annotations
@@ -97,7 +97,6 @@ __all__ = [
     "build_context",
     "encode_rows",
     "knn_table",
-    "nearest",
     "paired_distances",
     "pairwise",
 ]
@@ -433,8 +432,8 @@ def _box_bound(ctx: MetricContext, lo, hi, x_lo, x_hi) -> np.ndarray:
 
 
 def _neighbours(ctx: MetricContext, rows: np.ndarray, cols: np.ndarray | None, k: int):
-    """Each row's k nearest cols: (distances, positions in cols), n x k,
-    ascending, ties to the lower position.
+    """Positions in cols of each row's k nearest cols, n x k, ascending,
+    ties to the lower position; each row has at least k candidates.
 
     With ``cols`` omitted, rows are measured against themselves and each
     row's distance to itself is infinite.
@@ -461,11 +460,9 @@ def _neighbours(ctx: MetricContext, rows: np.ndarray, cols: np.ndarray | None, k
             p[i:i + step] = c[best]
         return d, p
 
-    feats = None
-    if len(cols) >= k + self_pairs:
-        feats = _bounded_features(ctx, rows, cols)
+    feats = _bounded_features(ctx, rows, cols)
     if feats is None:
-        return measure(np.arange(len(rows)), np.arange(len(cols)))
+        return measure(np.arange(len(rows)), np.arange(len(cols)))[1]
 
     # the bounded features alone, which the k-d split and the bound read
     bctx = MetricContext(ctx.metric, ("num",) * len(feats), ctx.n_rows,
@@ -485,7 +482,6 @@ def _neighbours(ctx: MetricContext, rows: np.ndarray, cols: np.ndarray | None, k
     q_lo = np.minimum.reduceat(xs, q_bounds[:-1], axis=1)[:, :, None]
     q_hi = np.maximum.reduceat(xs, q_bounds[:-1], axis=1)[:, :, None]
     lo, hi = lo[:, None], hi[:, None]
-    dist = np.empty((len(rows), k))
     pos = np.empty((len(rows), k), dtype=np.intp)
 
     def members(leaves):
@@ -544,29 +540,8 @@ def _neighbours(ctx: MetricContext, rows: np.ndarray, cols: np.ndarray | None, k
                     best_d[sel], best_p[sel] = merge(best_d[sel], best_p[sel], d, p)
                     left &= ~leaves
                     batch *= 2
-            dist[q], pos[q] = best_d, best_p
-    return dist, pos
-
-
-def nearest(ctx: MetricContext, rows=None, cols=None) -> tuple[np.ndarray, np.ndarray]:
-    """Distance to, and position in ``cols`` of, each row's nearest col.
-
-    ``rows`` defaults to all rows.  With ``cols`` omitted, the
-    candidates are ``rows`` themselves minus the row itself.  The rule
-    is ``argmin``'s: the lowest distance wins, and ties go to the
-    earlier position.  No rows give empty arrays; rows with no
-    candidate, an empty ``cols`` or a lone row with ``cols`` omitted,
-    raise ``MetricError``.
-    """
-    rows = np.arange(ctx.n_rows) if rows is None else np.asarray(rows, dtype=np.intp)
-    if not len(rows):
-        return np.empty(0), np.empty(0, dtype=np.intp)
-    cols = None if cols is None else np.asarray(cols, dtype=np.intp)
-    # a row is never its own candidate
-    if (len(rows) < 2) if cols is None else not len(cols):
-        raise MetricError("no candidate row to measure the rows against")
-    dist, pos = _neighbours(ctx, rows, cols, 1)
-    return dist[:, 0], pos[:, 0]
+            pos[q] = best_p
+    return pos
 
 
 def _k_nearest(block: np.ndarray, k: int) -> np.ndarray:
@@ -586,16 +561,18 @@ def _k_nearest(block: np.ndarray, k: int) -> np.ndarray:
     return at[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
 
 
-def knn_table(ctx: MetricContext, k: int, rows=None) -> np.ndarray:
-    """Positions in ``rows`` (all rows by default) of each row's k nearest.
+def knn_table(ctx: MetricContext, k: int, rows=None, cols=None) -> np.ndarray:
+    """Positions of each row's k nearest candidates in ``cols``, or,
+    with ``cols`` omitted, in ``rows`` (all by default) less the row.
 
-    Row i of the result equals the first k entries of a stable argsort
-    of row i of ``pairwise(ctx, rows)`` with its diagonal set to
-    infinity: ascending distance, ties to the earlier position, as in
-    ``nearest``.  Requires 1 <= k < len(rows).
+    Row i equals the first k entries of a stable argsort of row i of
+    ``pairwise(ctx)[np.ix_(rows, cols)]``, or of ``pairwise(ctx, rows)``
+    with an infinite diagonal.  No rows give a (0, k) table; otherwise
+    1 <= k <= the number of candidates, ``len(cols)`` or ``len(rows) - 1``.
     """
     rows = np.arange(ctx.n_rows) if rows is None else np.asarray(rows, dtype=np.intp)
-    if not 1 <= k < len(rows):
-        raise MetricError("k must satisfy 1 <= k < number of rows")
-    return _neighbours(ctx, rows, None, k)[1]
+    cols = None if cols is None else np.asarray(cols, dtype=np.intp)
+    if k < 1 or len(rows) and k > (len(rows) - 1 if cols is None else len(cols)):
+        raise MetricError("k must lie between 1 and the number of candidate rows")
+    return _neighbours(ctx, rows, cols, k) if len(rows) else np.empty((0, k), dtype=np.intp)
 

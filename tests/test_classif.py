@@ -540,6 +540,18 @@ def test_gauss_noise_rejects_negative_pert():
         gauss_noise_classif(gauss_toy(), ClassPercSpec.balance(), pert=-1)
 
 
+def test_gauss_noise_refuses_noise_that_overflows():
+    # a draw times pert times sd overflowed: class a's cells came out
+    # infinite, and the one row of class b, whose sd is 0, gave NaN cells
+    # (blanks) as infinity times 0
+    ds = labelled(["a"] * 6 + ["b"], {"x": ("num", [0, 1, 2, 3, 4, 5, 10.0])})
+    for spec in ({"a": 2}, {"b": 30}):
+        with pytest.raises(ResampleError, match="^column 'x': the noise overflows"):
+            gauss_noise_classif(ds, ClassPercSpec.explicit(spec), pert=1e308, seed=0)
+    out = gauss_noise_classif(ds, ClassPercSpec.explicit({"a": 2}), pert=1e300, seed=0)
+    assert np.isfinite(out.dataset.column("x").values).all()
+
+
 def test_gauss_noise_deterministic():
     a = gauss_noise_classif(gauss_toy(), ClassPercSpec.balance(), seed=7)
     b = gauss_noise_classif(gauss_toy(), ClassPercSpec.balance(), seed=7)

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -546,6 +547,22 @@ def test_gaussian_noise_refuses_a_spread_it_cannot_draw_from(cells, tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["gaussnoise", "gaussnoise-r"])
+def test_gaussian_noise_refuses_a_pert_that_overflows(command, imbc_csv, imbr_csv,
+                                                      tmp_path, capsys):
+    # the product of a draw, pert and sd overflowed: the output held
+    # infinite cells, and blanks where sd was 0, under a raw numpy warning
+    src, target = (imbr_csv, "Tgt") if command.endswith("-r") else (imbc_csv, "Class")
+    out = tmp_path / "o.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run([command, "--target", target, "--pert", "1e308", "--seed", "0",
+                    "--in", str(src), "--out", str(out)])
+    assert code == 1
+    assert one_error_line(capsys) == "error: column 'X1': the noise overflows; pert is too large"
+    assert not out.exists()
+
+
 def test_an_infinite_cell_reads_back_as_a_number(tmp_path):
     # written as "inf", the cell read back as a label and x as nominal
     src, out = tmp_path / "inf.csv", tmp_path / "o.csv"
@@ -784,6 +801,28 @@ def test_symlinked_output_is_written_through_the_link(tmp_path):
     assert run(["gen", "imbc", "--rows", "50", "--out", str(tmp_path / "plain.csv")]) == 0
     assert real.read_bytes() == (tmp_path / "plain.csv").read_bytes()
     assert sorted(os.listdir(tmp_path)) == ["link.csv", "plain.csv", "real.csv"]
+
+
+@pytest.mark.parametrize("command", ["gen", "randover"])
+def test_out_and_report_naming_one_file_are_refused(command, imbc_csv, tmp_path,
+                                                    monkeypatch, capsys):
+    # the report would be written over the CSV: whether the file is new
+    # or old, and however the two paths spell it, the run writes nothing
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "old.csv").write_bytes(OLD_CSV)
+    (out / "link.csv").symlink_to(out / "old.csv")
+    (out / "dangling.csv").symlink_to(out / "new.csv")
+    monkeypatch.chdir(out)
+    args = (["gen", "imbc", "--rows", "50"] if command == "gen"
+            else ["randover", "--target", "Class", "--in", str(imbc_csv)])
+    for a, b in [("new.csv", "new.csv"), ("new.csv", "./new.csv"),
+                 ("old.csv", str(out / "old.csv")), ("link.csv", "old.csv"),
+                 ("old.csv", "link.csv"), ("dangling.csv", "new.csv")]:
+        assert run([*args, "--out", a, "--report", b]) == 2
+        assert capsys.readouterr().err == "error: --out and --report name the same file\n"
+    assert sorted(os.listdir(out)) == ["dangling.csv", "link.csv", "old.csv"]
+    assert (out / "old.csv").read_bytes() == OLD_CSV
 
 
 def test_output_is_written_in_place_where_no_file_can_be_made_beside_it(tmp_path, monkeypatch):

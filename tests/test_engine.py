@@ -1,8 +1,8 @@
 """The blocked neighbour engine against the dense matrix it replaces.
 
 ``knn_table`` must equal a stable argsort of ``pairwise`` with an
-infinite diagonal, ``nearest`` its ``argmin``, and CNN's rounds
-the old full-matrix loop, on random mixed-type data with repeated
+infinite diagonal, or of its rows at the candidate cols, and CNN's
+rounds the old full-matrix loop, on random mixed-type data with repeated
 values, missing and infinite cells, under all eight metrics.  A table
 the metric has no distance on (a missing cell under a plain metric, an
 infinite cell under any) must be refused by ``build_context``, naming
@@ -23,8 +23,9 @@ and in CNN, and its pairs per row flat as ``gen imbc`` grows; they
 keep deleted the sorted walk it replaced, the scalar ``distance()``
 path and the ``AddedRow`` list, and keep one feature loop, the
 kernel's, and one tie rule, the engine's, which CNN asks once a round
-against every kept row.  One more keeps every function from taking a metric beside
-a ``MetricContext``.
+against every kept row; ``knn_table`` stays the one neighbour query.
+One more keeps every function from taking a metric beside a
+``MetricContext``.
 """
 
 import ast
@@ -41,7 +42,7 @@ from hypothesis import strategies as st
 
 import rebalance
 from rebalance import Metric, MetricContext, MetricError, build_context, cnn_classif, pairwise
-from rebalance.distance import METRIC_NAMES, PLAIN_METRICS, knn_table, nearest
+from rebalance.distance import METRIC_NAMES, PLAIN_METRICS, knn_table
 from rebalance.synthgen import gen_imbc
 
 import _oracles as oracle
@@ -96,53 +97,25 @@ def dense(ctx, rows=None):
     return d
 
 
-def same_floats(a, b):
-    return bool(np.all((a == b) | (np.isnan(a) & np.isnan(b))))
-
-
 @settings(max_examples=150, deadline=None)
-@given(case=cases(), data=st.data())
+@given(case=cases(min_rows=1), data=st.data())
 def test_knn_table_matches_stable_argsort(case, data):
     ds, metric, ctx = case
     if ctx is None:
         return
     event(f"checked under {metric.name}")
     n = ds.n_rows
-    sub = np.array(data.draw(st.permutations(range(n)))[: data.draw(st.integers(2, n))])
+    budgets = [{"BLOCK_PAIRS": block} for block in BLOCKS]
+    sub = np.array(data.draw(st.permutations(range(n)))[: data.draw(st.integers(1, n))])
     for rows in (None, sub):
-        order = np.argsort(dense(ctx, rows), axis=1, kind="stable")
-        for block in BLOCKS:
-            with mock.patch.object(dist_mod, "BLOCK_PAIRS", block):
-                for k in range(1, len(order)):
-                    got = knn_table(ctx, k, rows=rows)
-                    np.testing.assert_array_equal(got, order[:, :k])
-
-
-@settings(max_examples=150, deadline=None)
-@given(case=cases(min_rows=1), data=st.data())
-def test_nearest_matches_argmin(case, data):
-    ds, metric, ctx = case
-    if ctx is None:
-        return
-    event(f"checked under {metric.name}")
-    n = ds.n_rows
-    d = dense(ctx)
-    q = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=n)), dtype=np.intp)
-    c = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)),
-                 dtype=np.intp)
-    full = pairwise(ctx)[np.ix_(q, c)]
-    for block in BLOCKS:
-        with mock.patch.object(dist_mod, "BLOCK_PAIRS", block):
-            if n < 2:  # a lone row has no candidate but itself
-                with pytest.raises(MetricError, match="no candidate"):
-                    nearest(ctx)
-            else:
-                got_d, got_pos = nearest(ctx)
-                np.testing.assert_array_equal(got_pos, d.argmin(axis=1))
-                assert same_floats(got_d, d[np.arange(n), d.argmin(axis=1)])
-            got_d, got_pos = nearest(ctx, q, c)
-            np.testing.assert_array_equal(got_pos, full.argmin(axis=1))
-            assert same_floats(got_d, full[np.arange(len(q)), full.argmin(axis=1)])
+        check_knn_table(ctx, None, rows, at=budgets)
+    # any rows against any cols, repeats included, and rows among the cols
+    pos = st.integers(0, n - 1)
+    q = np.array(data.draw(st.lists(pos, max_size=n)), dtype=np.intp)
+    c = np.array(data.draw(st.lists(pos, min_size=1, max_size=n)), dtype=np.intp)
+    inside = np.array(data.draw(st.lists(st.sampled_from(c), max_size=n)), dtype=np.intp)
+    for rows in (q, inside):
+        check_knn_table(ctx, None, rows, c, at=budgets)
 
 
 def cnn_oracle_removed(ds, ctx, important, seed):
@@ -214,7 +187,7 @@ def test_chunks_stay_within_the_pair_budget():
     with mock.patch.object(dist_mod, "BLOCK_PAIRS", 120), \
             mock.patch.object(dist_mod, "_block", spy):
         knn_table(ctx, 3)
-        nearest(ctx)
+        knn_table(ctx, 1)
     assert shapes and all(a * b <= 120 for a, b in shapes)
     assert sum(a for a, _ in shapes) == 2 * n
 
@@ -223,13 +196,12 @@ def test_nearest_of_no_rows_is_empty_and_with_no_candidate_refused():
     ds = make_ds([("x", "num", [0.0, 1.0]), ("cls", "nom", ["a", "b"])], "cls")
     ctx = build_context(Metric("euclidean"), ds)
     for cols in (None, [], [1]):
-        d, pos = nearest(ctx, [], cols)
-        assert d.shape == pos.shape == (0,)
+        assert knn_table(ctx, 1, [], cols).shape == (0, 1)
     # a row is not its own candidate: a lone row has none
     lone = build_context(Metric("euclidean"), ds.take([0]))
-    for call in (lambda: nearest(ctx, [0], []), lambda: nearest(ctx, [0]),
-                 lambda: nearest(lone)):
-        with pytest.raises(MetricError, match="no candidate"):
+    for call in (lambda: knn_table(ctx, 1, [0], []), lambda: knn_table(ctx, 1, [0]),
+                 lambda: knn_table(lone, 1)):
+        with pytest.raises(MetricError, match="^k must lie between 1 and"):
             call()
 
 
@@ -237,9 +209,9 @@ def test_knn_table_rejects_k_out_of_range():
     ds = make_ds([("x", "num", [0.0, 1.0]), ("cls", "nom", ["a", "b"])], "cls")
     metric = Metric("euclidean")
     ctx = build_context(metric, ds)
-    for k in (0, 2):
-        with pytest.raises(MetricError, match="k must satisfy"):
-            knn_table(ctx, k)
+    for k, cols in ((0, None), (2, None), (0, [0, 1]), (3, [0, 1]), (0, [])):
+        with pytest.raises(MetricError, match="^k must lie between 1 and"):
+            knn_table(ctx, k, cols=cols)
 
 
 # the metrics under which the engine can prune, and the engine settings
@@ -296,26 +268,24 @@ def sortable_cases(draw):
     return ds, metric, build_context(metric, ds)
 
 
-def check_knn_table(ctx, ks, rows=None):
-    order = np.argsort(dense(ctx, rows), axis=1, kind="stable")
-    for setting in SETTINGS:
+def check_knn_table(ctx, ks, rows=None, cols=None, at=SETTINGS):
+    """``knn_table(ctx, k, rows, cols)`` against the first k columns of
+    a stable argsort of the dense distances, at each engine setting in
+    ``at``, for each k in ``ks`` or, with ``ks`` None, every k from 1 to
+    the number of candidates.  One k more than the candidates is
+    refused, and no rows give an empty table."""
+    d = dense(ctx, rows) if cols is None else pairwise(ctx)[np.ix_(rows, cols)]
+    order = np.argsort(d, axis=1, kind="stable")
+    top = d.shape[1] - (cols is None)  # the number of candidates
+    for setting in at:
         with engine(setting):
-            for k in ks:
-                got = knn_table(ctx, k, rows=rows)
-                np.testing.assert_array_equal(got, order[:, :k])
-
-
-def check_nearest(ctx, q=None, c=None):
-    if c is None:
-        d = dense(ctx, q)
-    else:
-        d = pairwise(ctx)[np.ix_(q, c)]
-    best = d.argmin(axis=1)
-    for setting in SETTINGS:
-        with engine(setting):
-            got_d, got_pos = nearest(ctx, q, c)
-            np.testing.assert_array_equal(got_pos, best)
-            assert same_floats(got_d, d[np.arange(len(d)), best])
+            for k in range(1, top + 1) if ks is None else ks:
+                np.testing.assert_array_equal(knn_table(ctx, k, rows, cols), order[:, :k])
+            if len(d):
+                with pytest.raises(MetricError, match="^k must lie between 1 and"):
+                    knn_table(ctx, top + 1, rows, cols)
+            else:
+                assert knn_table(ctx, top + 1, rows, cols).shape == (0, top + 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -328,24 +298,21 @@ def test_kd_walk_knn_table_matches_stable_argsort(case, data):
     # SMOTE passes the rows of one class or bump
     sub = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=10))))
     check_knn_table(ctx, [k for k in ks if k < len(sub)], rows=sub)
-
-
-@settings(max_examples=60, deadline=None)
-@given(case=sortable_cases(), data=st.data())
-def test_kd_walk_nearest_matches_argmin(case, data):
-    ds, metric, ctx = case
-    n = ds.n_rows
-    check_nearest(ctx)
-    # CNN passes the rows not yet kept against the rows kept last round
+    # CNN passes the rows not yet kept against the rows kept so far
     split = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     if split.all() or not split.any():
         split[0] = not split[0]
-    check_nearest(ctx, np.flatnonzero(split), np.flatnonzero(~split))
-    # and any rows against any cols, repeats included
+    # and any rows against any cols, repeats included, and rows among
+    # the cols
     pos = st.integers(0, n - 1)
     q = np.array(data.draw(st.lists(pos, max_size=n)), dtype=np.intp)
     c = np.array(data.draw(st.lists(pos, min_size=1, max_size=n)), dtype=np.intp)
-    check_nearest(ctx, q, c)
+    inside = np.array(data.draw(st.lists(st.sampled_from(c), max_size=n)), dtype=np.intp)
+    for rows, cols in ((np.flatnonzero(split), np.flatnonzero(~split)), (q, c), (inside, c)):
+        # k = 1, the number of cols and one k between: every k at four
+        # settings would take about four times as long
+        ks = sorted({1, data.draw(st.integers(1, len(cols))), len(cols)})
+        check_knn_table(ctx, ks, rows, cols)
 
 
 @settings(max_examples=40, deadline=None)
@@ -379,7 +346,7 @@ def test_box_bound_never_exceeds_a_distance_to_the_leaf(case, size):
         return leaves[-1][1]
 
     with mock.patch.object(dist_mod, "_kd_leaves", spy):
-        nearest(ctx)
+        knn_table(ctx, 1)
     if not leaves:
         event("no feature to bound by")
         return
@@ -414,8 +381,7 @@ def test_equal_sort_values_tie_at_a_zero_kth_distance(name):
     x = list(rng.choice([0.0, 0.0, 0.0, 1.0, 5.0], size=90))
     metric, ctx = edge_case(x, name)
     check_knn_table(ctx, [1, 3, 7])
-    check_nearest(ctx)
-    check_nearest(ctx, np.arange(0, 90, 3), np.arange(1, 90, 2))
+    check_knn_table(ctx, [1, 3, 7], np.arange(0, 90, 3), np.arange(1, 90, 2))
 
 
 @pytest.mark.parametrize("name", ["heom", "hvdm"])
@@ -432,7 +398,6 @@ def test_zero_scale_feature_is_not_sorted_by(name):
     ctx = build_context(metric, ds)
     assert dist_mod._bounded_features(ctx, np.arange(60), np.arange(60)) == [1]
     check_knn_table(ctx, [1, 4])
-    check_nearest(ctx)
 
 
 def test_term_that_underflows_to_zero_keeps_its_candidates():
@@ -447,8 +412,7 @@ def test_term_that_underflows_to_zero_keeps_its_candidates():
     d = dense(ctx)
     assert (d[:-1, :-1][~np.eye(79, dtype=bool)] == 0).all()
     check_knn_table(ctx, [1, 3])
-    check_nearest(ctx)
-    check_nearest(ctx, np.arange(40, 80), np.arange(40))
+    check_knn_table(ctx, [1, 3], np.arange(40, 80), np.arange(40))
 
 
 def test_row_missing_the_sort_feature_joins_every_block():
@@ -463,7 +427,6 @@ def test_row_missing_the_sort_feature_joins_every_block():
     metric = Metric("hvdm")
     ctx = build_context(metric, ds)
     check_knn_table(ctx, [1, 2, 3])
-    check_nearest(ctx)
 
 
 def measured(fn):
@@ -523,7 +486,7 @@ def test_pairs_per_row_stay_flat_as_gen_imbc_grows():
     per_row = []
     for n in (8000, 32000):
         ctx = build_context(Metric("heom"), gen_imbc(n, seed=0))
-        per_row.append([measured(lambda: nearest(ctx)) / n,
+        per_row.append([measured(lambda: knn_table(ctx, 1)) / n,
                         measured(lambda: knn_table(ctx, 3)) / n])
     for small, large in zip(*per_row):
         assert large <= 1.2 * small
@@ -536,6 +499,20 @@ def test_the_sorted_walk_stays_deleted():
     defined = {node.name for node in ast.walk(tree)
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert not defined & {"_sort_feature", "_sorted_chunks"}
+
+
+def test_knn_table_stays_the_one_neighbour_query():
+    # k = 1 is knn_table's case, so no second query with a refusal of its
+    # own comes back beside it, and the strategies ask knn_table alone
+    tree = ast.parse(Path(dist_mod.__file__).read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert "nearest" not in defined | set(dist_mod.__all__)
+    tree = ast.parse(Path(classif_mod.__file__).read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "distance"
+                for alias in node.names}
+    assert imported - {"Metric", "MetricContext", "build_context"} == {"knn_table"}
 
 
 def test_the_scalar_distance_and_added_rows_stay_deleted():

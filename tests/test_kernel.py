@@ -26,7 +26,6 @@ from rebalance.distance import (
     PLAIN_METRICS,
     encode_rows,
     knn_table,
-    nearest,
     paired_distances,
 )
 
@@ -137,17 +136,12 @@ def test_pairwise_and_engine_match_scalar_oracle(case):
     n = ds.n_rows
     off = got.copy()
     np.fill_diagonal(off, np.inf)
-    best = off.argmin(axis=1)
     order = np.argsort(off, axis=1, kind="stable")
     for block in BLOCKS:
         with mock.patch.object(dist_mod, "BLOCK_PAIRS", block):
             if n < 2:  # a lone row has no candidate but itself
-                with pytest.raises(MetricError, match="no candidate"):
-                    nearest(ctx)
-            else:
-                got_d, got_pos = nearest(ctx)
-                np.testing.assert_array_equal(got_pos, best)
-                assert same_floats(got_d, off[np.arange(n), best])
+                with pytest.raises(MetricError, match="^k must lie between 1 and"):
+                    knn_table(ctx, 1)
             for k in range(1, n):
                 np.testing.assert_array_equal(knn_table(ctx, k), order[:, :k])
 

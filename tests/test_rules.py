@@ -31,7 +31,7 @@ from rebalance import (
     tomek_classif,
 )
 from rebalance.classif import ResampleError, _resolve_cl
-from rebalance.distance import knn_table, nearest
+from rebalance.distance import knn_table
 from rebalance.regress import _mixed_bump_targets
 from rebalance.tabular import class_counts
 
@@ -90,7 +90,7 @@ def assert_edited(ds, out, removed):
 def tomek_reference(ds, metric, cl, rem):
     labels = list(ds.target_column.labels)
     # a lone row has no neighbour: give it itself, which links with nothing
-    nn = nearest(build_context(metric, ds))[1] if ds.n_rows > 1 else [0] * ds.n_rows
+    nn = knn_table(build_context(metric, ds), 1)[:, 0] if ds.n_rows > 1 else [0] * ds.n_rows
     cl_set = set(_resolve_cl(cl, class_counts(ds)))
     return oracle.tomek_oracle(labels, nn, cl_set, rem)
 
