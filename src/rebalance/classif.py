@@ -41,7 +41,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ._util import balanced_quota, floor_frac, inverted_quota, nominal_freqs, sample_sd
-from .distance import Metric, MetricContext, build_context, knn_table
+from .distance import Metric, MetricContext, build_context, check_spread, knn_table
 from .relevance import BumpPartition
 from .tabular import ColumnKind, Dataset, class_counts, index_dtype
 
@@ -211,18 +211,30 @@ def _class_mask(labels: Sequence[str], chosen) -> np.ndarray:
     return np.array([c in chosen for c in labels], dtype=bool)
 
 
-def _counts(ds: Dataset) -> dict[str, int]:
-    """The class counts of ``ds``, which must hold a row."""
-    counts = class_counts(ds)
-    if not counts:
+def _nonempty(groups):
+    """A table's class counts or bumps, refused where there is none: the
+    table has no rows."""
+    if not groups:
         raise ResampleError("empty dataset")
-    return counts
+    return groups
+
+
+def _check_pert(pert: float) -> None:
+    """Refuse a noise scale that is negative or not finite."""
+    if not (math.isfinite(pert) and pert >= 0):
+        raise ResampleError("pert must be a finite non-negative number")
+
+
+def _check_k(k: int) -> None:
+    """Refuse a SMOTE neighbour count below 1."""
+    if k < 1:
+        raise ResampleError("k must be at least 1")
 
 
 def _class_groups(ds: Dataset, resolve: Callable, spec: ClassPercSpec) -> list[tuple]:
     """Driver groups: (label, row indices, target) in label order, each
     target as ``resolve(counts, spec)`` gives it."""
-    targets = resolve(_counts(ds), spec)
+    targets = resolve(_nonempty(class_counts(ds)), spec)
     return [(c, idx, targets[c]) for c, idx in _class_indices(ds).items()]
 
 
@@ -330,11 +342,7 @@ def _noise_rows(
             with np.errstate(over="ignore", invalid="ignore"):
                 sd = sample_sd(vals[idx])
                 new = vals[seeds] + rng.normal(0.0, 1.0, size=extra) * pert * sd
-            if not math.isfinite(sd):
-                raise ResampleError(
-                    f"column {col.name!r} has an infinite cell, or cells so "
-                    "far apart that their spread overflows"
-                )
+            check_spread(col.name, sd)
             if not np.isfinite(new[~np.isnan(vals[seeds])]).all():
                 raise ResampleError(f"column {col.name!r}: the noise overflows; pert is too large")
             block[col.name] = new
@@ -484,7 +492,7 @@ def cnn_classif(
     every original row classifies correctly by 1-NN over the kept set.
     Returns the outcome plus the important and unimportant class lists.
     """
-    important, unimportant = _important_classes(cl, _counts(ds))
+    important, unimportant = _important_classes(cl, _nonempty(class_counts(ds)))
     code = ds.target_column.values
     kept_mask = _class_mask(ds.target_column.categories, important)[code]
     rng = np.random.default_rng(seed)
@@ -521,7 +529,7 @@ def oss_classif(
     """
     if start not in ("cnn", "tomek"):
         raise ResampleError(f"start must be 'cnn' or 'tomek', not {start!r}")
-    important, unimportant = _important_classes(cl, _counts(ds))
+    important, unimportant = _important_classes(cl, _nonempty(class_counts(ds)))
 
     if start == "cnn":
         first, _, _ = cnn_classif(ds, metric, cl=important, seed=seed)
@@ -551,9 +559,7 @@ def enn_classif(
     its k nearest neighbours share its class.  A class that would
     vanish entirely gets one uniformly chosen original row back.
     """
-    counts = _counts(ds)
-    if not 1 <= k < ds.n_rows:
-        raise ResampleError("k must satisfy 1 <= k < number of rows")
+    counts = _nonempty(class_counts(ds))
     code, labels = ds.target_column.values, ds.target_column.categories
     in_cl = _class_mask(labels, _resolve_cl(cl, counts))[code]
     nbrs = knn_table(build_context(metric, ds), k)
@@ -581,9 +587,7 @@ def ncl_classif(
     neighbours of every key-class row and takes those belonging to a
     sufficiently populated outside class.
     """
-    counts = _counts(ds)
-    if not 1 <= k < ds.n_rows:
-        raise ResampleError("k must satisfy 1 <= k < number of rows")
+    counts = _nonempty(class_counts(ds))
     key = _resolve_cl(cl, counts)
     if not key:
         raise ResampleError("no key classes to clean around")
@@ -616,8 +620,7 @@ def gauss_noise_classif(
     sample standard deviation of that feature.  Nominal features are
     drawn from the within-class value frequencies.
     """
-    if not (math.isfinite(pert) and pert >= 0):
-        raise ResampleError("pert must be a finite non-negative number")
+    _check_pert(pert)
     groups = _class_groups(ds, _resolve_mixed, spec)
     rng = np.random.default_rng(seed)
     return _resample(ds, groups, _sample(rng, repl),
@@ -640,8 +643,7 @@ def smote_classif(
     one of the two ends at even odds.  A single-row class falls back to
     plain replication with a warning.
     """
-    if k < 1:
-        raise ResampleError("k must be at least 1")
+    _check_k(k)
     groups = _class_groups(ds, _resolve_mixed, spec)
     ctx = build_context(metric, ds)
     rng = np.random.default_rng(seed)

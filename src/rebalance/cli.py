@@ -187,9 +187,10 @@ def _read_rel_points(path: str) -> RelevanceFn:
 def _relevance_from(args: argparse.Namespace, ds: Dataset) -> RelevanceFn:
     if args.rel_points is not None:
         return _read_rel_points(args.rel_points)
-    if ds.target_column.kind is not ColumnKind.NUMERIC:  # its values would be codes
-        raise RelevanceError("target values must be present and numeric")
-    return build_relevance_extremes(ds.target_column.values, extr_type=args.rel)
+    col = ds.target_column
+    # a nominal column's values are codes, not numbers
+    values = col.values if col.kind is ColumnKind.NUMERIC else None
+    return build_relevance_extremes(values, extr_type=args.rel)
 
 
 def _bump_summary(bumps) -> list[dict]:

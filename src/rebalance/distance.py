@@ -88,7 +88,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import sample_sd
-from .tabular import ColumnKind, Dataset
+from .tabular import ColumnKind, Dataset, present_target
 
 __all__ = [
     "Metric",
@@ -202,17 +202,11 @@ def build_context(metric: Metric, ds: Dataset) -> MetricContext:
         with np.errstate(over="ignore", invalid="ignore"):
             span = float(present.max() - present.min()) if len(present) else 0.0
             scale = 4.0 * sample_sd(present) if metric.name == "hvdm" else 1.0
-        if not (math.isfinite(span) and math.isfinite(scale)):
-            raise MetricError(
-                f"column {col.name!r} has an infinite cell, or cells so "
-                "far apart that their spread overflows"
-            )
+        check_spread(col.name, span, scale)
         ctx.scale[j] = span if metric.name == "heom" else scale
 
     if metric.name == "hvdm":
-        y, classes = ds.target_column.values, ds.target_column.categories
-        if (y < 0).any():
-            raise MetricError("missing value in the target column")
+        y, classes = present_target(ds.target_column), ds.target_column.categories
         for j, codes in enumerate(ctx.operands):
             if kinds[j] != "nom":
                 continue
@@ -233,6 +227,13 @@ def build_context(metric: Metric, ds: Dataset) -> MetricContext:
             sq[:-1, :-1] = pair * pair
             ctx.vdm_sq[j] = sq
     return ctx
+
+
+def check_spread(name: str, *spreads: float) -> None:
+    """Refuse column ``name`` unless each of its spreads is finite."""
+    if not all(map(math.isfinite, spreads)):
+        raise MetricError(f"column {name!r} has an infinite cell, or cells so "
+                          "far apart that their spread overflows")
 
 
 def encode_rows(ctx: MetricContext, rows) -> list[np.ndarray]:
@@ -455,8 +456,7 @@ def _neighbours(ctx: MetricContext, rows: np.ndarray, cols: np.ndarray | None, k
                 at = np.minimum(np.searchsorted(c, qi), len(c) - 1)
                 hit = c[at] == qi
                 block[hit, at[hit]] = np.inf
-            best = _k_nearest(block, d.shape[1])
-            d[i:i + step] = block[np.arange(len(qi))[:, None], best]
+            d[i:i + step], best = _k_nearest(block, d.shape[1])
             p[i:i + step] = c[best]
         return d, p
 
@@ -544,21 +544,31 @@ def _neighbours(ctx: MetricContext, rows: np.ndarray, cols: np.ndarray | None, k
     return pos
 
 
-def _k_nearest(block: np.ndarray, k: int) -> np.ndarray:
-    """Columns of each row's k smallest entries, as a stable argsort
-    orders them: ascending, ties to the earlier column."""
-    if k == 1:
-        return block.argmin(axis=1)[:, None]
-    # every entry at or below the row's k-th smallest, in row-major
-    # order, then stably by row and entry; a row's first k are its answer
-    kth = np.partition(block, k - 1, axis=1)[:, k - 1]
-    at = np.flatnonzero(block <= kth[:, None])
-    r = at // block.shape[1]
-    at = at[np.lexsort((block.ravel()[at], r))] % block.shape[1]
-    if len(at) == k * len(block):  # no row kept more than k
-        return at.reshape(-1, k)
-    counts = np.bincount(r, minlength=len(block))
-    return at[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+def _k_nearest(block: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's k smallest entries and their columns, as a stable
+    argsort orders them: ascending, ties to the earlier column.
+
+    k argmin passes, each striking its picks out of ``block`` with inf:
+    once a row's least entry left is inf, its pick is its earliest
+    column not yet taken.
+    """
+    r = np.arange(len(block))
+    c = block.argmin(axis=1)
+    d = block[r, c]
+    if k == 1:  # one pass, with no buffers to fill
+        return d[:, None], c[:, None]
+    dist, cols = np.empty((len(block), k)), np.empty((len(block), k), dtype=np.intp)
+    dist[:, 0], cols[:, 0] = d, c
+    for j in range(1, k):
+        block[r, c] = np.inf
+        c = block.argmin(axis=1)
+        dist[:, j] = d = block[r, c]
+        stuck = np.flatnonzero(d == np.inf)
+        if len(stuck):
+            taken = (cols[stuck, :j, None] == np.arange(j + 1)).any(axis=1)
+            c[stuck] = taken.argmin(axis=1)
+        cols[:, j] = c
+    return dist, cols
 
 
 def knn_table(ctx: MetricContext, k: int, rows=None, cols=None) -> np.ndarray:

@@ -36,8 +36,11 @@ from .classif import (
     ResampleError,
     StrategyOutcome,
     _PercSpec,
+    _check_k,
+    _check_pert,
     _copies,
     _noise_rows,
+    _nonempty,
     _outcome,
     _replicas,
     _resample,
@@ -46,7 +49,7 @@ from .classif import (
 )
 from .distance import Metric, build_context, encode_rows, paired_distances
 from .relevance import Bump, BumpPartition, RelevanceFn, find_bumps
-from .tabular import ColumnKind, Dataset
+from .tabular import ColumnKind, Dataset, present_target
 
 __all__ = [
     "BumpPercSpec",
@@ -107,9 +110,16 @@ def _explicit_targets(spec: BumpPercSpec, bumps: Sequence[Bump], what: str,
 def _bumps(ds: Dataset, fn: RelevanceFn, thr_rel: float) -> BumpPartition:
     """The bumps of ``ds``, which must hold a row."""
     part = find_bumps(ds, fn, thr_rel)
-    if not part.bumps:
-        raise ResampleError("empty dataset")
+    _nonempty(part.bumps)
     return part
+
+
+def _rare_bumps(part: BumpPartition) -> tuple[Bump, ...]:
+    """The Rare bumps of ``part``, refused where there is none."""
+    rares = part.rare_bumps
+    if not rares:
+        raise ResampleError("no bump above the relevance threshold")
+    return rares
 
 
 def _resample_bumps(ds: Dataset, part: BumpPartition, targets: Sequence[int],
@@ -142,15 +152,12 @@ def rand_under_regress(
     """Randomly drop rows from the Normal bumps; Rare bumps stay whole."""
     part = _bumps(ds, fn, thr_rel)
     normals = part.normal_bumps
-    rares = part.rare_bumps
     if not normals:
         raise ResampleError("no bump below the relevance threshold to under-sample")
     if spec.mode == "explicit":
         targets = _explicit_targets(spec, normals, "Normal bump")
     else:
-        total_rare = sum(b.count for b in rares)
-        if total_rare == 0:
-            raise ResampleError("no bump above the relevance threshold")
+        total_rare = sum(b.count for b in _rare_bumps(part))
         if spec.mode == "balance":
             quota = total_rare // len(normals)
             targets = [min(quota, b.count) for b in normals]
@@ -171,10 +178,8 @@ def rand_over_regress(
 ) -> StrategyOutcome:
     """Append replicas inside the Rare bumps (additive percentages)."""
     part = _bumps(ds, fn, thr_rel)
-    rares = part.rare_bumps
+    rares = _rare_bumps(part)
     normals = part.normal_bumps
-    if not rares:
-        raise ResampleError("no bump above the relevance threshold to over-sample")
     if spec.mode == "explicit":
         targets = _explicit_targets(spec, rares, "Rare bump", "additive")
     else:
@@ -218,8 +223,7 @@ def gauss_noise_regress(
     N(0, pert * sd) with sd taken within the bump.  Explicit rare-bump
     percentages are additive, like random over-sampling.
     """
-    if not (math.isfinite(pert) and pert >= 0):
-        raise ResampleError("pert must be a finite non-negative number")
+    _check_pert(pert)
     part = _bumps(ds, fn, thr_rel)
     targets = _mixed_bump_targets(spec, part, "additive")
     rng = np.random.default_rng(seed)
@@ -256,11 +260,9 @@ def smoter(
     plain metric; a synthetic target that comes out NaN, because both
     its parent distances overflow to infinity, raises ResampleError.
     """
-    if k < 1:
-        raise ResampleError("k must be at least 1")
+    _check_k(k)
     part = _bumps(ds, fn, thr_rel)
-    if not part.rare_bumps:
-        raise ResampleError("no bump above the relevance threshold to over-sample")
+    _rare_bumps(part)
     targets = _mixed_bump_targets(spec, part, "over")
     ctx = build_context(metric, ds)
     rng = np.random.default_rng(seed)
@@ -323,10 +325,9 @@ def imp_samp_regress(
             "give either thr_rel with a bump spec (mode A) or u and o (mode B)"
         )
     rng = np.random.default_rng(seed)
-    y = ds.target_column.values
     if ds.target_column.kind is not ColumnKind.NUMERIC:
         raise ResampleError("importance sampling needs a numeric target")
-    phi = np.asarray(fn(y), dtype=np.float64)
+    phi = np.asarray(fn(present_target(ds.target_column)), dtype=np.float64)
 
     if mode_a:
         if params.thr_rel is None or params.spec is None:

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tabular import ColumnKind, Dataset
+from .tabular import ColumnKind, Dataset, present_target
 
 __all__ = [
     "ControlPoint",
@@ -175,14 +175,15 @@ def build_relevance_range(points) -> RelevanceFn:
 
 
 def build_relevance_extremes(values, extr_type: str = "both") -> RelevanceFn:
-    """Relevance from the boxplot of the observed target values."""
+    """Relevance from the boxplot of the observed target values, which
+    must be present numbers; None stands for a column of labels."""
     if extr_type not in ("high", "low", "both"):
         raise RelevanceError(f"unknown extremes type {extr_type!r}")
     try:
-        y = np.asarray(values, dtype=np.float64)
+        y = np.asarray(values, dtype=np.float64)  # None reads as NaN
     except (TypeError, ValueError):  # labels, not numbers
-        raise RelevanceError("target values must be present and numeric") from None
-    if len(y) == 0 or np.any(np.isnan(y)):
+        y = np.empty(0)
+    if not y.size or np.isnan(y).any():
         raise RelevanceError("target values must be present and numeric")
     if not np.isfinite(y).all():  # an infinite quartile has no fence
         raise RelevanceError("target values must be finite")
@@ -253,9 +254,7 @@ def find_bumps(ds: Dataset, fn: RelevanceFn, thr_rel: float) -> BumpPartition:
     col = ds.target_column
     if col.kind is not ColumnKind.NUMERIC:
         raise RelevanceError("bumps need a numeric target column")
-    y = col.values
-    if np.any(np.isnan(y)):
-        raise RelevanceError("missing value in the target column")
+    y = present_target(col)
     order = np.argsort(y, kind="stable")
     # the flags over slices of the order: the sorted targets and their
     # relevance are never held whole, and one buffer takes every slice,

@@ -40,9 +40,10 @@ A regular file whose front half holds ``SPLIT_ROWS // 2`` lines, no
 quote and no bare CR is read by two processes where two CPUs are free
 (``read_dataset``): a worker reads the records after the first line
 end past the middle and hands back its columns' state, which is
-merged in file order.  The result and every error are those of one
-process; any failure reads the file again in one process.  Both
-splits fork through ``_forked``.
+merged in file order; the text it kept is loaded only for a column
+nominal in front and numeric behind.  The result and every error are
+those of one process; any failure reads the file again in one
+process.  Both splits fork through ``_forked``.
 """
 
 from __future__ import annotations
@@ -326,10 +327,17 @@ def class_counts(ds: Dataset) -> ClassCounts:
     col = ds.target_column
     if col.kind is not ColumnKind.NOMINAL:
         raise TabularError("class counts need a nominal target column")
-    if (col.values < 0).any():
-        raise TabularError("missing value in the target column")
-    counts = np.bincount(col.values, minlength=len(col.categories))
+    counts = np.bincount(present_target(col), minlength=len(col.categories))
     return ClassCounts(zip(col.categories, counts.tolist()))
+
+
+def present_target(col: Column) -> np.ndarray:
+    """The values of target column ``col``, refused where a cell is
+    missing: a NaN value or a -1 code."""
+    vals = col.values
+    if (vals < 0 if col.kind is ColumnKind.NOMINAL else np.isnan(vals)).any():
+        raise TabularError("missing value in the target column")
+    return vals
 
 
 def read_dataset(
@@ -365,14 +373,16 @@ def read_dataset(
 
     # column errors wait for the end of the file, where a ragged row or
     # a read error anywhere has been raised first
+    built = []
     for col in columns:
         if col.bad is not None:
             raise TabularError(
                 f"column {col.name!r} declared numeric but cell {col.bad!r} is not"
             )
-        if col.is_target and col.has_empty:
-            raise TabularError("missing value in the target column")
-    return Dataset([col.column() for col in columns], target)
+        built.append(col.column())
+        if col.name == target:
+            present_target(built[-1])
+    return Dataset(built, target)
 
 
 def _read_serial(source, target: str, schema) -> list["_ColumnReader"]:
@@ -414,8 +424,7 @@ def _header(reader, target: str, schema) -> list["_ColumnReader"]:
                 raise TabularError(
                     f"schema gives column {name!r} the kind {kind!r}, not a ColumnKind"
                 )
-    return [_ColumnReader(name, schema.get(name) if schema else None, name == target)
-            for name in header]
+    return [_ColumnReader(name, schema.get(name) if schema else None) for name in header]
 
 
 def _read_records(reader, columns: list["_ColumnReader"], lineno: int) -> None:
@@ -445,13 +454,21 @@ def _read_split(path, target: str, schema) -> list["_ColumnReader"] | None:
                     return None
                 # before ``start`` lie the header and lines - 1 records
                 _read_records(islice(reader, lines - 1), columns, 2)
-                back = pickle.load(join())
+                tmp = join()
+                for col in columns:
+                    rest = pickle.load(tmp)
+                    size = int.from_bytes(tmp.read(8), "little")
+                    # only a column nominal in front codes the text the
+                    # back kept while numeric
+                    if col.numeric or not rest.numeric:
+                        tmp.seek(size, os.SEEK_CUR)
+                    else:
+                        rest.texts = pickle.loads(tmp.read(size))
+                    col.extend(rest)
     except Exception:
         # the serial reader reads the file again, and raises its own
         # error if there is one
         return None
-    for col, rest in zip(columns, back):
-        col.extend(rest)
     return columns
 
 
@@ -490,12 +507,21 @@ def _read_back(path, start: int, columns: list["_ColumnReader"], lineno: int,
                tmp: IO[bytes]) -> None:
     """In the forked worker: add the records from byte ``start`` of
     ``path`` on, the first being record ``lineno``, to ``columns``, and
-    dump the columns to ``tmp``."""
+    dump each column to ``tmp``: its state, then the pickle of its kept
+    text after that pickle's length, so that the parent can skip it."""
     with open(path, "rb") as raw:
         raw.seek(start)
         with io.TextIOWrapper(raw, encoding="utf-8", newline="") as fh:
             _read_records(csv.reader(fh), columns, lineno)
-    pickle.dump(columns, tmp, pickle.HIGHEST_PROTOCOL)
+    for col in columns:
+        text, col.texts = col.texts, []
+        pickle.dump(col, tmp, pickle.HIGHEST_PROTOCOL)
+        # the text's pickle streams out, held nowhere whole, after 8
+        # bytes that then take its length
+        at = tmp.seek(8, os.SEEK_CUR)
+        pickle.dump(text, tmp, pickle.HIGHEST_PROTOCOL)
+        tmp.flush()
+        os.pwrite(tmp.fileno(), (tmp.tell() - at).to_bytes(8, "little"), at - 8)
 
 
 class _ColumnReader:
@@ -511,13 +537,11 @@ class _ColumnReader:
     first cell that is not a number in ``bad`` and reads no further.
     """
 
-    __slots__ = ("name", "declared", "is_target", "numeric", "has_empty", "bad",
-                 "floats", "texts", "codes")
+    __slots__ = ("name", "declared", "numeric", "bad", "floats", "texts", "codes")
 
-    def __init__(self, name: str, declared: ColumnKind | None, is_target: bool) -> None:
-        self.name, self.declared, self.is_target = name, declared, is_target
+    def __init__(self, name: str, declared: ColumnKind | None) -> None:
+        self.name, self.declared = name, declared
         self.numeric = declared is not ColumnKind.NOMINAL
-        self.has_empty = False
         self.bad: str | None = None
         self.floats: list[np.ndarray] = []
         self.texts: list[str] = []
@@ -527,7 +551,6 @@ class _ColumnReader:
         if self.bad is not None:
             return
         has_empty = "" in cells
-        self.has_empty |= has_empty
         if self.numeric:
             text = ",".join(cells)
             present = list(filter(None, cells)) if has_empty else cells
@@ -557,13 +580,12 @@ class _ColumnReader:
 
     def extend(self, back: "_ColumnReader") -> None:
         """Take in the cells ``back`` read, which follow this reader's."""
-        self.has_empty |= back.has_empty
         if self.bad is None:
             self.bad = back.bad
         if self.numeric != back.numeric:
             (self if self.numeric else back)._code_text()
+        # the file ends with ``back``: no later block needs its text
         self.floats += back.floats
-        self.texts += back.texts
         self.codes += back.codes
 
     def column(self) -> Column:

@@ -429,10 +429,11 @@ def test_enn_reinserts_emptied_class():
 
 
 def test_enn_validates_k():
+    # knn_table's one k rule refuses it
     ds = enn_toy()
-    with pytest.raises(ResampleError, match="k must satisfy"):
+    with pytest.raises(MetricError, match="^k must lie between 1 and"):
         enn_classif(ds, Metric("euclidean"), k=0)
-    with pytest.raises(ResampleError, match="k must satisfy"):
+    with pytest.raises(MetricError, match="^k must lie between 1 and"):
         enn_classif(ds, Metric("euclidean"), k=8)
 
 
@@ -484,9 +485,9 @@ def test_ncl_a1_uses_enn_rule_on_outside_classes():
 @pytest.mark.parametrize("k", [0, 4])
 def test_ncl_validates_k(k):
     ds = line_ds([(0.0, "a"), (1.0, "a"), (2.0, "b"), (3.0, "b")])
-    with pytest.raises(ResampleError) as err:
+    with pytest.raises(MetricError) as err:
         ncl_classif(ds, Metric("euclidean"), k=k, cl=["a"])
-    assert str(err.value) == "k must satisfy 1 <= k < number of rows"
+    assert str(err.value) == "k must lie between 1 and the number of candidate rows"
 
 
 def test_ncl_needs_key_classes():

@@ -331,6 +331,9 @@ NUMERIC = {"x": ColumnKind.NUMERIC}
 # numeric in the front half and nominal in the back, and the other way
 @example(case=(b"x,cls\n" + b"1.50,p\n" * 8 + b"a,q\n" * 8, "cls", None), chunk=1)
 @example(case=(b"x,cls\r\n" + b"a,q\r\n" * 8 + b"1.50,p\r\n" * 8, "cls", None), chunk=2)
+# a label in one front row of one column only: the back's text of that
+# column is coded with its spelling, and that of the other is skipped
+@example(case=(b"x,y,cls\na,1,p\n" + b"1.50,2e0,p\n" * 12, "cls", None), chunk=1)
 @example(case=(b"x,cls\r" + b"1.50,p\r" * 10, "cls", None), chunk=3)
 # one bare CR in the front half, at the end of a chunk the scan reads
 @example(case=(b"x,cls\n1,p\r" + ROWS, "cls", None), chunk=1)
@@ -364,7 +367,9 @@ def test_split_reader_matches_serial_reader(case, chunk, tmp_path):
     splits = (end > 0 and b'"' not in front and front.count(b"\r") == front.count(b"\r\n")
               and front.count(b"\n") >= 2)
     with mock.patch.object(tabular, "SPLIT_ROWS", 4), \
-            mock.patch.object(tabular, "COPY_BYTES", chunk), two_cpus() as forks:
+            mock.patch.object(tabular, "COPY_BYTES", chunk), \
+            mock.patch.object(tabular, "_read_serial", wraps=tabular._read_serial) as again, \
+            two_cpus() as forks:
         got = outcome_of(read_dataset, path, target, schema)
     # a bad byte in the first chunk decoded fails the header, before a fork
     assert len(forks) == splits or (b"\xff" in data and not forks)
@@ -381,6 +386,8 @@ def test_split_reader_matches_serial_reader(case, chunk, tmp_path):
         return
     assert got == want
     assert dataset_to_csv_bytes(got) == dataset_to_csv_bytes(serial) == dataset_to_csv_bytes(want)
+    # a file one process reads is read by the split alone, not again
+    assert not (forks and again.called)
 
 
 @settings(max_examples=200, deadline=None)

@@ -25,7 +25,7 @@ path and the ``AddedRow`` list, and keep one feature loop, the
 kernel's, and one tie rule, the engine's, which CNN asks once a round
 against every kept row; ``knn_table`` stays the one neighbour query.
 One more keeps every function from taking a metric beside a
-``MetricContext``.
+``MetricContext``, and one each refusal's message raised at one place.
 """
 
 import ast
@@ -331,6 +331,36 @@ def test_kd_walk_cnn_matches_full_matrix_loop(case, seed, data):
             assert out.removed == removed
 
 
+@st.composite
+def overflowing_cases(draw):
+    """A table of 200 to 1,500 rows and 1 to 3 numeric features, whose
+    cells reach +-8e307, its metric and context.
+
+    Each cell is a uniform draw in [-1, 1) times 1, 1e150 or 8e307, so
+    every span stays finite but a difference of large cells overflows
+    when squared, cubed or summed: many distances are infinite, for
+    some rows every one, and the others finite.
+    """
+    name = draw(st.sampled_from(["euclidean", "manhattan", "minkowsky"]))
+    n = draw(st.integers(200, 1500))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = [(f"f{j}", "num", rng.uniform(-1, 1, n) * rng.choice([1.0, 1e150, 8e307], n))
+            for j in range(draw(st.integers(1, 3)))]
+    cols.append(("cls", "nom", rng.choice(["x", "y"], n).tolist()))
+    ds = make_ds(cols, "cls")
+    metric = Metric(name, p=3.0 if name == "minkowsky" else None)
+    return ds, metric, build_context(metric, ds)
+
+
+@settings(max_examples=12, deadline=None)
+@given(case=overflowing_cases())
+def test_kd_walk_orders_infinite_distances_like_any_number(case):
+    # an infinite k-th distance rules no leaf out: a leaf whose bound is
+    # infinite too may hold a candidate that ties it at a lower position
+    ds, metric, ctx = case
+    check_knn_table(ctx, [1, 3], at=({},))
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=sortable_cases(), size=st.integers(1, 24))
 def test_box_bound_never_exceeds_a_distance_to_the_leaf(case, size):
@@ -512,7 +542,7 @@ def test_knn_table_stays_the_one_neighbour_query():
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.module == "distance"
                 for alias in node.names}
-    assert imported - {"Metric", "MetricContext", "build_context"} == {"knn_table"}
+    assert imported - {"Metric", "MetricContext", "build_context", "check_spread"} == {"knn_table"}
 
 
 def test_the_scalar_distance_and_added_rows_stay_deleted():
@@ -543,6 +573,33 @@ def test_each_rule_stays_written_once():
     # one feature loop: the k-d bound is a call of the kernel
     tree = ast.parse(Path(dist_mod.__file__).read_text(encoding="utf-8"))
     assert callers(tree, "_numeric_term") == ["_kernel"]
+
+
+def raised_text(node):
+    """The message a ``raise`` passes as its first argument: a string
+    literal, or an f-string's literal parts with "{}" for each field;
+    None for any other raise."""
+    if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args):
+        return None
+    arg = node.exc.args[0]
+    if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+        return arg.value
+    if isinstance(arg, ast.JoinedStr):
+        return "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in arg.values)
+    return None
+
+
+def test_each_refusal_is_raised_at_one_place():
+    # a rule refused at two places can drift into two wordings or two
+    # exception types: each message is raised by one function, in the
+    # module that owns the data it checks, and every path calls it
+    places = {}
+    for path in sorted(Path(dist_mod.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            text = raised_text(node)
+            if text is not None:
+                places.setdefault(text, []).append(f"{path.name}:{node.lineno}")
+    assert {text: at for text, at in places.items() if len(at) > 1} == {}
 
 
 def test_cnn_keeps_no_tie_rule_of_its_own():

@@ -134,7 +134,7 @@ def test_rand_over_appends_replicas_only():
 
 def test_rand_over_needs_a_rare_bump():
     ds = regression_ds(np.linspace(0.0, 3.0, 10))
-    with pytest.raises(ResampleError, match="no bump above"):
+    with pytest.raises(ResampleError, match="^no bump above the relevance threshold$"):
         rand_over_regress(ds, RAMP, 0.5, BumpPercSpec.balance(), seed=0)
 
 
@@ -317,7 +317,7 @@ def test_smoter_single_row_bump_replicates_with_warning():
 
 def test_smoter_needs_a_rare_bump():
     ds = regression_ds(np.linspace(0.0, 3.0, 8))
-    with pytest.raises(ResampleError, match="no bump above"):
+    with pytest.raises(ResampleError, match="^no bump above the relevance threshold$"):
         smoter(ds, RAMP, 0.5, BumpPercSpec.balance(), seed=0)
 
 

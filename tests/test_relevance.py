@@ -222,6 +222,13 @@ def test_extremes_refuse_an_infinite_target(y):
         build_relevance_extremes(y)
 
 
+@pytest.mark.parametrize("values", [[], ["a", "b"], [1.0, np.nan, 2.0], None])
+def test_extremes_refuse_values_that_are_not_present_numbers(values):
+    # None stands for a column of labels, as the CLI passes a nominal one
+    with pytest.raises(RelevanceError, match="^target values must be present and numeric$"):
+        build_relevance_extremes(values)
+
+
 def test_extremes_no_spread_rejected():
     with pytest.raises(RelevanceError, match="no spread"):
         build_relevance_extremes([3.0, 3.0, 3.0, 3.0])

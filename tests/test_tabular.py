@@ -17,9 +17,15 @@ from rebalance import (
     Column,
     ColumnKind,
     Dataset,
+    ImpSampParams,
+    Metric,
     TabularError,
+    build_context,
+    build_relevance_range,
     class_counts,
+    find_bumps,
     gen_imbr,
+    imp_samp_regress,
     read_dataset,
     write_dataset,
 )
@@ -247,6 +253,27 @@ def test_class_counts_rejects_missing_labels():
     ds = make_ds([("cls", "nom", ["p", None])], "cls")
     with pytest.raises(TabularError, match="missing value in the target"):
         class_counts(ds)
+
+
+def test_dataset_refuses_a_target_it_lacks_and_names_no_column_it_lacks():
+    with pytest.raises(TabularError, match="^target column 'y' not present$"):
+        make_ds([("x", "num", [1.0])], "y")
+    with pytest.raises(TabularError, match="^no column named 'y'$"):
+        make_ds([("x", "num", [1.0])], "x").column("y")
+
+
+def test_every_path_refuses_a_missing_target_cell_as_the_reader_does():
+    # a table built without the reader gets the reader's refusal from
+    # each path that reads the target: HVDM's class-conditional tables,
+    # the bumps and importance sampling's mode B, which has no bumps
+    nominal = make_ds([("x", "num", [1.0, 2.0, 3.0]), ("cls", "nom", ["p", None, "q"])], "cls")
+    numeric = make_ds([("x", "num", [1.0, 2.0, 3.0]), ("y", "num", [1.0, np.nan, 3.0])], "y")
+    fn = build_relevance_range([(0.0, 0.0), (3.0, 1.0)])
+    for call in (lambda: build_context(Metric("hvdm"), nominal),
+                 lambda: find_bumps(numeric, fn, 0.5),
+                 lambda: imp_samp_regress(numeric, fn, ImpSampParams(u=0.5, o=1.0), seed=0)):
+        with pytest.raises(TabularError, match="^missing value in the target column$"):
+            call()
 
 
 # labels whose byte order differs from a case-folded or locale order
