@@ -139,6 +139,21 @@ _PERC_RULES = {
 }
 
 
+def _perc_targets(percs: Sequence[tuple[str, float, int, str]]) -> list[int]:
+    """Targets of explicit percentages, each (whose, perc, count, rule):
+    all must be finite, then each valid under ``_PERC_RULES[rule]``."""
+    for whose, perc, _, _ in percs:
+        if not math.isfinite(perc):
+            raise ResampleError(f"percentage{whose} must be finite")
+    targets = []
+    for whose, perc, count, rule in percs:
+        valid, error, target = _PERC_RULES[rule]
+        if not valid(perc):
+            raise ResampleError(error.format(whose))
+        targets.append(target(perc, count))
+    return targets
+
+
 def _explicit_targets(counts: Mapping[str, int], percs: Mapping[str, float],
                       rule: str) -> dict[str, int]:
     """Explicit-mode targets: for each class ``percs`` names, its
@@ -148,16 +163,9 @@ def _explicit_targets(counts: Mapping[str, int], percs: Mapping[str, float],
     unknown = sorted(set(percs) - set(counts))
     if unknown:
         raise ResampleError(f"percentages name unknown classes: {unknown}")
-    for c, perc in sorted(percs.items()):
-        if not math.isfinite(perc):
-            raise ResampleError(f"percentage for class {c!r} must be a finite number")
-    valid, error, target = _PERC_RULES[rule]
-    out = dict(sorted(counts.items()))
-    for c, perc in sorted(percs.items()):
-        if not valid(perc):
-            raise ResampleError(error.format(f" for class {c!r}"))
-        out[c] = target(perc, counts[c])
-    return out
+    targets = _perc_targets([(f" for class {c!r}", p, counts[c], rule)
+                             for c, p in sorted(percs.items())])
+    return {**dict(sorted(counts.items())), **dict(zip(sorted(percs), targets))}
 
 
 def resolve_targets_under(counts: Mapping[str, int], spec: ClassPercSpec) -> dict[str, int]:

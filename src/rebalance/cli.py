@@ -12,9 +12,10 @@ built from the table, with the options of the subcommand named on the
 command line only; each option reaches the strategy as the keyword
 of the same name (``--c-perc`` as ``spec``, ``--dist`` with ``--p`` as
 ``metric``), and the report's ``params`` record each option under its
-name.  Two kinds of entries carry a hook: ``impsamp-r`` picks mode A
-or mode B from its options, and ``cnn``/``oss`` report the important
-and unimportant class lists they return.
+name.  Two kinds of entries carry a hook: ``impsamp-r`` passes the
+options given, and mode A's defaults where no mode B option is, so that
+the strategy refuses options of both modes; ``cnn``/``oss`` report the
+important and unimportant class lists they return.
 
 ``--out`` and ``--report`` appear whole or not at all.  Each that names
 a regular file or a new path is written to a new file beside it, which
@@ -79,9 +80,9 @@ from .relevance import (
     build_relevance_range,
     copied_bumps,
     find_bumps,
+    numeric_target,
 )
 from .tabular import (
-    ColumnKind,
     Dataset,
     TabularError,
     class_counts,
@@ -155,9 +156,8 @@ def _seed(text: str) -> int:
 
 
 def _metric_from(args: argparse.Namespace) -> Metric:
-    if args.dist == "minkowsky":
-        return Metric("minkowsky", p=args.p)
-    return Metric(args.dist)
+    p = 2.0 if args.dist == "minkowsky" and args.p is None else args.p
+    return Metric(args.dist, p=p)  # any other metric refuses a p
 
 
 def _read_rel_points(path: str) -> RelevanceFn:
@@ -187,10 +187,7 @@ def _read_rel_points(path: str) -> RelevanceFn:
 def _relevance_from(args: argparse.Namespace, ds: Dataset) -> RelevanceFn:
     if args.rel_points is not None:
         return _read_rel_points(args.rel_points)
-    col = ds.target_column
-    # a nominal column's values are codes, not numbers
-    values = col.values if col.kind is ColumnKind.NUMERIC else None
-    return build_relevance_extremes(values, extr_type=args.rel)
+    return build_relevance_extremes(numeric_target(ds), extr_type=args.rel)
 
 
 def _bump_summary(bumps) -> list[dict]:
@@ -215,16 +212,16 @@ def _spec_repr(spec) -> str | dict | list:
 
 
 def _impsamp_r_mode(args: argparse.Namespace) -> tuple[dict, dict]:
-    """impsamp-r: mode B with --u/--o, else mode A with --thr-rel/--c-perc."""
-    if args.u is not None or args.o is not None:
-        if args.c_perc is not None:
-            raise ResampleError("--c-perc cannot be combined with --u/--o")
-        return {"params": ImpSampParams(u=args.u, o=args.o)}, {"u": args.u, "o": args.o}
-    spec = BumpPercSpec.balance() if args.c_perc is None else args.c_perc
-    return (
-        {"params": ImpSampParams(thr_rel=args.thr_rel, spec=spec)},
-        {"thr_rel": args.thr_rel, "c_perc": _spec_repr(spec)},
-    )
+    """impsamp-r: mode B with --u/--o, else mode A with --thr-rel (0.5)
+    and --c-perc (balance); the strategy refuses options of both."""
+    thr_rel, spec, u, o = args.thr_rel, args.c_perc, args.u, args.o
+    if u is None and o is None:
+        thr_rel = 0.5 if thr_rel is None else thr_rel
+        spec = BumpPercSpec.balance() if spec is None else spec
+        params = {"thr_rel": thr_rel, "c_perc": _spec_repr(spec)}
+    else:
+        params = {"u": u, "o": o}
+    return {"params": ImpSampParams(thr_rel, spec, u, o)}, params
 
 
 def _class_lists(result) -> tuple[StrategyOutcome, dict]:
@@ -310,7 +307,7 @@ COMMANDS = {
     # mode A uses --thr-rel/--c-perc; giving --u/--o switches to mode B
     "impsamp-r": Command(
         "imp_samp_regress", "importance sampling (regression)",
-        {"thr_rel": 0.5, "c_perc": None, "u": None, "o": None},
+        {"thr_rel": None, "c_perc": None, "u": None, "o": None},
         regress=True, prepare=_impsamp_r_mode),
 }
 
@@ -346,9 +343,7 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
                 )
             p.add_argument("--" + opt.replace("_", "-"), **settings)
             if opt == "dist":
-                p.add_argument(
-                    "--p", type=float, default=2.0, help="exponent for --dist minkowsky"
-                )
+                p.add_argument("--p", type=float, help="exponent for --dist minkowsky (default 2)")
 
     if named in (None, "gen"):
         p = sub.add_parser("gen", help="generate a synthetic dataset")

@@ -32,7 +32,6 @@ import numpy as np
 
 from ._util import balanced_quota, inverted_quota
 from .classif import (
-    _PERC_RULES,
     ResampleError,
     StrategyOutcome,
     _PercSpec,
@@ -42,14 +41,15 @@ from .classif import (
     _noise_rows,
     _nonempty,
     _outcome,
+    _perc_targets,
     _replicas,
     _resample,
     _sample,
     _smote_rows,
 )
 from .distance import Metric, build_context, encode_rows, paired_distances
-from .relevance import Bump, BumpPartition, RelevanceFn, find_bumps
-from .tabular import ColumnKind, Dataset, present_target
+from .relevance import Bump, BumpPartition, RelevanceFn, find_bumps, numeric_target
+from .tabular import Dataset
 
 __all__ = [
     "BumpPercSpec",
@@ -96,15 +96,8 @@ def _explicit_targets(spec: BumpPercSpec, bumps: Sequence[Bump], what: str,
         raise ResampleError(
             f"expected one percentage per {what} ({len(bumps)}), got {len(spec.percs)}"
         )
-    if not all(math.isfinite(p) for p in spec.percs):
-        raise ResampleError("bump percentages must be finite numbers")
-    targets = []
-    for p, b in zip(spec.percs, bumps):
-        valid, error, target = _PERC_RULES[rare_rule if b.rare else "under"]
-        if not valid(p):
-            raise ResampleError(error.format("s"))
-        targets.append(target(p, b.count))
-    return targets
+    return _perc_targets([("s", p, b.count, rare_rule if b.rare else "under")
+                          for p, b in zip(spec.percs, bumps)])
 
 
 def _bumps(ds: Dataset, fn: RelevanceFn, thr_rel: float) -> BumpPartition:
@@ -120,6 +113,14 @@ def _rare_bumps(part: BumpPartition) -> tuple[Bump, ...]:
     if not rares:
         raise ResampleError("no bump above the relevance threshold")
     return rares
+
+
+def _normal_bumps(part: BumpPartition) -> tuple[Bump, ...]:
+    """The Normal bumps of ``part``, refused where there is none."""
+    normals = part.normal_bumps
+    if not normals:
+        raise ResampleError("no bump below the relevance threshold")
+    return normals
 
 
 def _resample_bumps(ds: Dataset, part: BumpPartition, targets: Sequence[int],
@@ -151,9 +152,7 @@ def rand_under_regress(
 ) -> StrategyOutcome:
     """Randomly drop rows from the Normal bumps; Rare bumps stay whole."""
     part = _bumps(ds, fn, thr_rel)
-    normals = part.normal_bumps
-    if not normals:
-        raise ResampleError("no bump below the relevance threshold to under-sample")
+    normals = _normal_bumps(part)
     if spec.mode == "explicit":
         targets = _explicit_targets(spec, normals, "Normal bump")
     else:
@@ -179,13 +178,10 @@ def rand_over_regress(
     """Append replicas inside the Rare bumps (additive percentages)."""
     part = _bumps(ds, fn, thr_rel)
     rares = _rare_bumps(part)
-    normals = part.normal_bumps
     if spec.mode == "explicit":
         targets = _explicit_targets(spec, rares, "Rare bump", "additive")
     else:
-        if not normals:
-            raise ResampleError("no bump below the relevance threshold")
-        m = max(b.count for b in normals)
+        m = max(b.count for b in _normal_bumps(part))
         if spec.mode == "balance":
             extras = [m for _ in rares]
         else:
@@ -325,9 +321,7 @@ def imp_samp_regress(
             "give either thr_rel with a bump spec (mode A) or u and o (mode B)"
         )
     rng = np.random.default_rng(seed)
-    if ds.target_column.kind is not ColumnKind.NUMERIC:
-        raise ResampleError("importance sampling needs a numeric target")
-    phi = np.asarray(fn(present_target(ds.target_column)), dtype=np.float64)
+    phi = np.asarray(fn(numeric_target(ds)), dtype=np.float64)
 
     if mode_a:
         if params.thr_rel is None or params.spec is None:

@@ -44,6 +44,7 @@ __all__ = [
     "BumpSummary",
     "build_relevance_range",
     "build_relevance_extremes",
+    "numeric_target",
     "find_bumps",
     "copied_bumps",
 ]
@@ -176,20 +177,18 @@ def build_relevance_range(points) -> RelevanceFn:
 
 def build_relevance_extremes(values, extr_type: str = "both") -> RelevanceFn:
     """Relevance from the boxplot of the observed target values, which
-    must be present numbers; None stands for a column of labels."""
+    must be finite numbers (``numeric_target`` gives a dataset's)."""
     if extr_type not in ("high", "low", "both"):
         raise RelevanceError(f"unknown extremes type {extr_type!r}")
     try:
         y = np.asarray(values, dtype=np.float64)  # None reads as NaN
     except (TypeError, ValueError):  # labels, not numbers
-        y = np.empty(0)
-    if not y.size or np.isnan(y).any():
-        raise RelevanceError("target values must be present and numeric")
-    if not np.isfinite(y).all():  # an infinite quartile has no fence
-        raise RelevanceError("target values must be finite")
-    y_min, y_max = float(y.min()), float(y.max())
-    if y_min == y_max:
+        y = np.array(np.nan)
+    if not np.isfinite(y).all():  # a NaN or infinite quartile has no fence
+        raise RelevanceError("target values must be finite numbers")
+    if not y.size or y.min() == y.max():
         raise RelevanceError("target has no spread")
+    y_min, y_max = float(y.min()), float(y.max())
     q1, med, q3 = (float(q) for q in np.percentile(y, [25, 50, 75]))
     iqr = q3 - q1
     fence_low, fence_high = q1 - 1.5 * iqr, q3 + 1.5 * iqr
@@ -243,6 +242,13 @@ class BumpPartition:
         return sum(b.count for b in self.bumps)
 
 
+def numeric_target(ds: Dataset) -> np.ndarray:
+    """The target values of ``ds``: numbers, with no missing cell."""
+    if ds.target_column.kind is not ColumnKind.NUMERIC:
+        raise RelevanceError("relevance needs a numeric target column")
+    return present_target(ds.target_column)
+
+
 def find_bumps(ds: Dataset, fn: RelevanceFn, thr_rel: float) -> BumpPartition:
     """Split rows into alternating Normal / Rare bumps.
 
@@ -251,10 +257,7 @@ def find_bumps(ds: Dataset, fn: RelevanceFn, thr_rel: float) -> BumpPartition:
     """
     if not 0.0 <= thr_rel <= 1.0:
         raise RelevanceError("thr_rel must lie in [0, 1]")
-    col = ds.target_column
-    if col.kind is not ColumnKind.NUMERIC:
-        raise RelevanceError("bumps need a numeric target column")
-    y = present_target(col)
+    y = numeric_target(ds)
     order = np.argsort(y, kind="stable")
     # the flags over slices of the order: the sorted targets and their
     # relevance are never held whole, and one buffer takes every slice,

@@ -204,6 +204,14 @@ class Column:
         return Column._of(self.name, self.kind, values, self.categories)
 
 
+def _check_names(names: list[str], target: str) -> None:
+    """Refuse column ``names``, a dataset's or a header's, that repeat or lack ``target``."""
+    if len(set(names)) != len(names):
+        raise TabularError("duplicate column names")
+    if target not in names:
+        raise TabularError(f"target column {target!r} not present")
+
+
 @dataclass
 class Dataset:
     """A columnar table with one designated target column.
@@ -218,11 +226,7 @@ class Dataset:
     origins: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        names = [c.name for c in self.columns]
-        if len(set(names)) != len(names):
-            raise TabularError("duplicate column names")
-        if self.target not in names:
-            raise TabularError(f"target column {self.target!r} not present")
+        _check_names([c.name for c in self.columns], self.target)
         lengths = {len(c) for c in self.columns}
         if len(lengths) > 1:
             raise TabularError("columns differ in length")
@@ -409,10 +413,7 @@ def _header(reader, target: str, schema) -> list["_ColumnReader"]:
         raise TabularError("empty input: no header row") from None
     except csv.Error as exc:
         raise _csv_error(exc, 1) from None
-    if len(set(header)) != len(header):
-        raise TabularError("duplicate column names in header")
-    if target not in header:
-        raise TabularError(f"target column {target!r} not in header")
+    _check_names(header, target)
     if schema:
         unknown = set(schema) - set(header)
         if unknown:

@@ -596,9 +596,9 @@ def read_dataset_oracle(fh, target, schema=None):
     except StopIteration:
         raise TabularError("empty input: no header row") from None
     if len(set(header)) != len(header):
-        raise TabularError("duplicate column names in header")
+        raise TabularError("duplicate column names")
     if target not in header:
-        raise TabularError(f"target column {target!r} not in header")
+        raise TabularError(f"target column {target!r} not present")
     if schema:
         unknown = set(schema) - set(header)
         if unknown:

@@ -1,0 +1,141 @@
+"""Named one-line mutants of the engine and the editing rules.
+
+Run by hand from the repository root; pytest does not collect it:
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # the named ones
+
+Each mutant replaces one piece of code in ``src/rebalance``, found by
+its text, which must occur exactly once.  For each, the script copies
+``src``, ``tests`` and ``pyproject.toml`` to a temporary directory,
+applies the mutant there, runs ``TESTS`` with ``-x`` and prints
+``killed`` (a test failed) or ``survived``.  The unmutated copy must
+pass first.  The working tree is never edited.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TESTS = ("tests/test_engine.py", "tests/test_kernel.py", "tests/test_rules.py",
+         "tests/test_golden.py")
+# a mutant that loops for ever is killed by the clock
+TIMEOUT_S = 600
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str    # file under src/rebalance
+    code: str      # the text replaced, once in the module
+    mutant: str    # what replaces it
+
+
+MUTANTS = [
+    Mutant("merge without the position key", "distance.py",
+           "o = np.lexsort((p, d), axis=1)[:, :k]",
+           "o = np.argsort(d, axis=1, kind=\"stable\")[:, :k]"),
+    Mutant("np.maximum for np.fmax on the gaps", "distance.py",
+           "np.fmax(gap, x_lo - hi, out=gap)",
+           "np.maximum(gap, x_lo - hi, out=gap)"),
+    Mutant("no infinite self-distance", "distance.py",
+           "block[hit, at[hit]] = np.inf",
+           "pass"),
+    # _k_nearest's tie rule for a row whose entries left are all inf
+    Mutant("no earliest free column for a row of inf in _k_nearest", "distance.py",
+           "c[stuck] = taken.argmin(axis=1)",
+           "pass"),
+    Mutant("no HEOM override for a missing code", "distance.py",
+           "_override(hits, x < 0, y < 0, True)",
+           "pass"),
+    Mutant("first stage of k columns only", "distance.py",
+           "want = np.maximum(touched + (2 * len(feats) - 1) * CHUNK_ROWS, k + self_pairs)",
+           "want = np.full(g1 - g0, k + self_pairs)"),
+    Mutant("\"left\" for \"right\" in the rest cutoff", "distance.py",
+           "best_d[:, -1].max(), \"right\")",
+           "best_d[:, -1].max(), \"left\")"),
+    Mutant("< for <= in need", "distance.py",
+           "need = (bound <= best_d[:, -1:]) & left",
+           "need = (bound < best_d[:, -1:]) & left"),
+    Mutant("no 1 - 2^-20 shrink of the bound", "distance.py",
+           "bound *= 1.0 - 2.0**-20",
+           "pass"),
+    Mutant("Tomek link without the mutual test", "classif.py",
+           "link = (nn[nn] == np.arange(ds.n_rows)) & (code != code[nn])",
+           "link = code != code[nn]"),
+    Mutant("k // 2 for ceil(k/2) in ENN", "classif.py",
+           "marked = in_cl & (same < math.ceil(k / 2))",
+           "marked = in_cl & (same < k // 2)"),
+    Mutant("CNN's misclassified test on positions, not rows", "classif.py",
+           "new = q[code[kept[pos]] != code[q]]",
+           "new = q[code[pos] != code[q]]"),
+    Mutant("every outside class takeable in NCL", "classif.py",
+           "takeable = ~is_key & (sizes >= 0.5 * sizes[is_key].min())",
+           "takeable = ~is_key"),
+]
+
+
+def _copy(dest: Path) -> None:
+    shutil.copytree(ROOT / "src", dest / "src",
+                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    shutil.copytree(ROOT / "tests", dest / "tests",
+                    ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+    shutil.copy(ROOT / "pyproject.toml", dest)
+
+
+def _mutated(m: Mutant) -> str:
+    """The text of ``m``'s module with ``m`` applied."""
+    text = (ROOT / "src" / "rebalance" / m.module).read_text(encoding="utf-8")
+    if text.count(m.code) != 1:
+        raise SystemExit(f"{m.name}: {m.code!r} occurs {text.count(m.code)} times "
+                         f"in {m.module}, not once")
+    return text.replace(m.code, m.mutant)
+
+
+def _run_tests(dest: Path) -> tuple[str, float]:
+    """``TESTS`` run in ``dest``: killed, survived or timeout, and seconds."""
+    env = dict(os.environ, PYTHONPATH=str(dest / "src"))
+    start = time.perf_counter()
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *TESTS],
+            cwd=dest, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return "killed (timeout)", time.perf_counter() - start
+    return ("survived" if proc.returncode == 0 else "killed"), time.perf_counter() - start
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        raise SystemExit(f"unknown mutants: {sorted(unknown)}")
+    chosen = [(m, _mutated(m)) for m in MUTANTS if not names or m.name in names]
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp) / "base"
+        _copy(base)
+        outcome, secs = _run_tests(base)
+        if outcome != "survived":
+            raise SystemExit(f"the unmutated tests fail ({outcome}): {' '.join(TESTS)}")
+        print(f"unmutated: {' '.join(TESTS)} pass in {secs:.0f} s\n")
+        print("| mutant | module | result | s |")
+        print("|---|---|---|---|")
+        for m, text in chosen:
+            dest = Path(tmp) / "mutant"
+            _copy(dest)
+            (dest / "src" / "rebalance" / m.module).write_text(text, encoding="utf-8")
+            outcome, secs = _run_tests(dest)
+            print(f"| {m.name} | `{m.module}` | {outcome} | {secs:.0f} |", flush=True)
+            shutil.rmtree(dest)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

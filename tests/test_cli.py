@@ -238,7 +238,7 @@ SUBCOMMANDS = [*COMMANDS, "gen"]
 # each subcommand's parsed defaults, as a parser holding every
 # subcommand's options gave them
 _FILES = {"input": "i.csv", "output": "o.csv", "target": "t", "seed": 0, "report": None}
-_DIST = {"dist": "euclidean", "p": 2.0}
+_DIST = {"dist": "euclidean", "p": None}
 _REL = {"rel": "both", "rel_points": None, "thr_rel": 0.5}
 _CLASS, _BUMP = ClassPercSpec.balance(), BumpPercSpec.balance()
 DEFAULTS = {
@@ -256,7 +256,7 @@ DEFAULTS = {
     "randover-r": {**_FILES, **_REL, "c_perc": _BUMP},
     "gaussnoise-r": {**_FILES, **_REL, "c_perc": _BUMP, "pert": 0.1, "repl": False},
     "smote-r": {**_FILES, **_REL, **_DIST, "c_perc": _BUMP, "k": 5, "repl": False},
-    "impsamp-r": {**_FILES, **_REL, "c_perc": None, "u": None, "o": None},
+    "impsamp-r": {**_FILES, **_REL, "thr_rel": None, "c_perc": None, "u": None, "o": None},
     "gen": {"variant": "imbc", "rows": 1000, "seed": 0, "output": "o.csv", "report": None},
 }
 
@@ -439,7 +439,7 @@ def test_smote_r_on_a_nominal_target_is_a_data_error(imbc_csv, tmp_path, capsys)
     code = run(["smote-r", "--in", str(imbc_csv), "--out", str(tmp_path / "o.csv"),
                 "--target", "Class"])
     assert code == 1
-    assert capsys.readouterr().err == "error: target values must be present and numeric\n"
+    assert capsys.readouterr().err == "error: relevance needs a numeric target column\n"
 
 
 def one_error_line(capsys) -> str:

@@ -4,6 +4,7 @@ import pytest
 from rebalance import (
     BumpPercSpec,
     ImpSampParams,
+    RelevanceError,
     ResampleError,
     build_relevance_range,
     find_bumps,
@@ -431,9 +432,9 @@ def test_imp_samp_mode_needs_both_its_parameters(params, message):
 ])
 def test_imp_samp_needs_a_numeric_target(params):
     ds = make_ds([("x", "num", [1.0, 2.0, 3.0]), ("y", "nom", ["a", "b", "a"])], "y")
-    with pytest.raises(ResampleError) as err:
+    with pytest.raises(RelevanceError) as err:
         imp_samp_regress(ds, RAMP, params, seed=0)
-    assert str(err.value) == "importance sampling needs a numeric target"
+    assert str(err.value) == "relevance needs a numeric target column"
 
 
 def test_imp_samp_mode_b_validates_ranges():

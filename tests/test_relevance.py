@@ -218,14 +218,15 @@ def test_extremes_low_only():
 @pytest.mark.parametrize("y", [[1.0, np.inf], [-np.inf, 0.0, 1.0, 2.0], [np.inf, -np.inf]])
 def test_extremes_refuse_an_infinite_target(y):
     # an infinite quartile gives no fence; numpy's percentile warned
-    with pytest.raises(RelevanceError, match="^target values must be finite$"):
+    with pytest.raises(RelevanceError, match="^target values must be finite numbers$"):
         build_relevance_extremes(y)
 
 
 @pytest.mark.parametrize("values", [[], ["a", "b"], [1.0, np.nan, 2.0], None])
 def test_extremes_refuse_values_that_are_not_present_numbers(values):
-    # None stands for a column of labels, as the CLI passes a nominal one
-    with pytest.raises(RelevanceError, match="^target values must be present and numeric$"):
+    # labels and missing values have no quartile, and no values no spread
+    text = "target has no spread" if values == [] else "target values must be finite numbers"
+    with pytest.raises(RelevanceError, match=f"^{text}$"):
         build_relevance_extremes(values)
 
 
@@ -338,7 +339,7 @@ def test_find_bumps_needs_numeric_target():
 
     ds = labelled(["a", "b"], {"x": ("num", [1.0, 2.0])})
     fn = build_relevance_range(WAVE)
-    with pytest.raises(RelevanceError, match="numeric target"):
+    with pytest.raises(RelevanceError, match="^relevance needs a numeric target column$"):
         find_bumps(ds, fn, 0.5)
 
 

@@ -116,7 +116,7 @@ def test_duplicate_header_rejected():
 
 
 def test_target_must_exist():
-    with pytest.raises(TabularError, match="not in header"):
+    with pytest.raises(TabularError, match="^target column 'cls' not present$"):
         read_text("a,b\n1,2\n", target="cls")
 
 
