@@ -160,9 +160,7 @@ def _explicit_targets(counts: Mapping[str, int], percs: Mapping[str, float],
     percentage under ``_PERC_RULES[rule]``; every other class keeps its
     count.
     """
-    unknown = sorted(set(percs) - set(counts))
-    if unknown:
-        raise ResampleError(f"percentages name unknown classes: {unknown}")
+    _resolve_cl(percs, counts)  # the classes named must be known
     targets = _perc_targets([(f" for class {c!r}", p, counts[c], rule)
                              for c, p in sorted(percs.items())])
     return {**dict(sorted(counts.items())), **dict(zip(sorted(percs), targets))}
@@ -433,7 +431,8 @@ def imp_samp_classif(
 
 
 def _resolve_cl(cl, counts: Mapping[str, int]) -> list[str]:
-    """Interpret a class-list parameter: 'all', 'smaller', or labels."""
+    """Interpret a class list: 'all', 'smaller', or labels, each of
+    which must name a class of ``counts``."""
     if cl == "all":
         return sorted(counts)
     if cl == "smaller":

@@ -27,7 +27,7 @@ of output text, the writer holds one line per origin (``Dataset.origins``)
 that repeats in the rows it writes, formatted once and written again
 for each later copy.  A path that gets ``SPLIT_ROWS`` rows or more is
 written by two processes where two CPUs are free (``write_dataset``),
-split where both have equal formatting work, with the same bytes.  The
+split where both format as many lines, with the same bytes.  The
 reader parses and codes each column of a block while the block's
 records are alive, and keeps no cell as its own string: one scan of the
 block's joined cells over the ASCII characters of number literals,
@@ -39,11 +39,11 @@ holds no comma, so splitting at commas gives the cells back.
 A regular file whose front half holds ``SPLIT_ROWS // 2`` lines, no
 quote and no bare CR is read by two processes where two CPUs are free
 (``read_dataset``): a worker reads the records after the first line
-end past the middle and hands back its columns' state, which is
-merged in file order; the text it kept is loaded only for a column
-nominal in front and numeric behind.  The result and every error are
-those of one process; any failure reads the file again in one
-process.  Both splits fork through ``_forked``.
+end past the middle and hands back its columns' state without their
+text, which is merged in file order.  The result and every error are
+those of one process; any failure, and a column nominal in front and
+numeric behind, reads the file again in one process.  Both splits fork
+through ``_forked``.
 """
 
 from __future__ import annotations
@@ -108,9 +108,6 @@ BLOCK_ROWS = 1 << 11
 # for the split point COPY_BYTES at a time.
 SPLIT_ROWS = 8 * BLOCK_ROWS
 COPY_BYTES = 1 << 18
-# formatting a line takes this many times the work of writing a line
-# kept for a repeated origin again (``_split_row``)
-FORMAT_WORK = 16
 
 
 def parses_as_number(text: str) -> bool:
@@ -254,7 +251,7 @@ class Dataset:
         return [c for c in self.columns if c.name != self.target]
 
     def take(self, indices, block: Mapping[str, np.ndarray] | None = None) -> "Dataset":
-        """New dataset with the given rows (duplicates allowed, order kept).
+        """New dataset with the rows at integer ``indices`` (duplicates allowed, order kept).
 
         ``block``, if given, adds rows after them, one array per column
         in column form: values of a numeric column, codes into this
@@ -262,6 +259,8 @@ class Dataset:
         """
         idx = np.asarray(indices)
         if idx.dtype != np.intp:
+            if idx.size and idx.dtype.kind not in "iu":
+                raise TabularError(f"row indices must be integers, not {idx.dtype}")
             idx = idx.astype(index_dtype(self.n_rows), copy=False)
         return Dataset([c.take(idx, None if block is None else block[c.name])
                         for c in self.columns], self.target)
@@ -365,7 +364,8 @@ def read_dataset(
     ``SPLIT_ROWS // 2`` lines.  A forked worker reads the records after
     the split point while this process reads those before it.  The
     result is the one process's, and so is every error: if either side
-    fails, the whole file is read again by one process.  A stream, a
+    fails, or a column reads nominal before the split point and numeric
+    after it, the whole file is read again by one process.  A stream, a
     file whose front half holds a quote or a bare CR, or a smaller file
     is read by one process.
     """
@@ -440,7 +440,8 @@ def _read_records(reader, columns: list["_ColumnReader"], lineno: int) -> None:
 
 def _read_split(path, target: str, schema) -> list["_ColumnReader"] | None:
     """The columns of the file at ``path``, read by two processes, or
-    None if the file has no proven split point or either side fails."""
+    None if the file has no proven split point, either side fails or a
+    column reads nominal in front and numeric behind."""
     try:
         split = _split_point(path)
         if split is None:
@@ -455,17 +456,12 @@ def _read_split(path, target: str, schema) -> list["_ColumnReader"] | None:
                     return None
                 # before ``start`` lie the header and lines - 1 records
                 _read_records(islice(reader, lines - 1), columns, 2)
-                tmp = join()
-                for col in columns:
-                    rest = pickle.load(tmp)
-                    size = int.from_bytes(tmp.read(8), "little")
-                    # only a column nominal in front codes the text the
-                    # back kept while numeric
-                    if col.numeric or not rest.numeric:
-                        tmp.seek(size, os.SEEK_CUR)
-                    else:
-                        rest.texts = pickle.loads(tmp.read(size))
-                    col.extend(rest)
+                rests = pickle.load(join())
+                # the text the back kept while numeric stays in the worker
+                if any(back.numeric and not col.numeric for col, back in zip(columns, rests)):
+                    return None
+                for col, back in zip(columns, rests):
+                    col.extend(back)
     except Exception:
         # the serial reader reads the file again, and raises its own
         # error if there is one
@@ -508,21 +504,14 @@ def _read_back(path, start: int, columns: list["_ColumnReader"], lineno: int,
                tmp: IO[bytes]) -> None:
     """In the forked worker: add the records from byte ``start`` of
     ``path`` on, the first being record ``lineno``, to ``columns``, and
-    dump each column to ``tmp``: its state, then the pickle of its kept
-    text after that pickle's length, so that the parent can skip it."""
+    dump them to ``tmp`` in one pickle, without the text they kept."""
     with open(path, "rb") as raw:
         raw.seek(start)
         with io.TextIOWrapper(raw, encoding="utf-8", newline="") as fh:
             _read_records(csv.reader(fh), columns, lineno)
     for col in columns:
-        text, col.texts = col.texts, []
-        pickle.dump(col, tmp, pickle.HIGHEST_PROTOCOL)
-        # the text's pickle streams out, held nowhere whole, after 8
-        # bytes that then take its length
-        at = tmp.seek(8, os.SEEK_CUR)
-        pickle.dump(text, tmp, pickle.HIGHEST_PROTOCOL)
-        tmp.flush()
-        os.pwrite(tmp.fileno(), (tmp.tell() - at).to_bytes(8, "little"), at - 8)
+        col.texts = []
+    pickle.dump(columns, tmp, pickle.HIGHEST_PROTOCOL)
 
 
 class _ColumnReader:
@@ -580,12 +569,12 @@ class _ColumnReader:
         self.floats, self.texts = [], []
 
     def extend(self, back: "_ColumnReader") -> None:
-        """Take in the cells ``back`` read, which follow this reader's."""
+        """Take in the cells ``back`` read, which follow this reader's;
+        ``back`` keeps no text, and is nominal where this reader is."""
         if self.bad is None:
             self.bad = back.bad
-        if self.numeric != back.numeric:
-            (self if self.numeric else back)._code_text()
-        # the file ends with ``back``: no later block needs its text
+        if self.numeric and not back.numeric:
+            self._code_text()
         self.floats += back.floats
         self.codes += back.codes
 
@@ -657,8 +646,8 @@ def write_dataset(ds: Dataset, sink) -> None:
     free and this process runs one thread: a forked worker formats the
     back rows into a temporary file while this process writes the front
     rows, then appends the worker's bytes.  The split falls where both
-    sides have equal formatting work (``_split_row``).  The bytes are
-    those one process would write.
+    sides format as many lines (``_split_row``).  The bytes are those
+    one process would write.
 
     Each side holds one block of output text and, where ``ds`` was made
     by ``take``, the line of each origin that repeats in its rows: that
@@ -698,16 +687,15 @@ def _write_split(ds: Dataset, fh: IO[str]) -> None:
 
 def _split_row(ds: Dataset) -> int:
     """The first row of the worker's side, or ``n // 2`` for a dataset
-    without origins: the first row where the front's formatting work
-    reaches the back's.
+    without origins: the first row where the lines the front formats
+    reach those the back formats.
 
     A side formats the line of each of its rows without an origin and
-    of each origin it holds, once, at ``FORMAT_WORK``; every other row
-    reuses a line, at 1.  The front formats the first row of each
-    origin, and the back as many lines as it holds last rows of one.
-    Moving the split one row on adds that row's front work and takes
-    its back work, so the split is found from per-block sums, then row
-    by row in one block.
+    of each origin it holds, once; every other row reuses a line.  The
+    front formats the first row of each origin, and the back as many
+    lines as it holds last rows of one.  Moving the split one row on
+    adds that row's front line and takes its back line, so the split is
+    found from per-block counts, then row by row in one block.
     """
     n, origins = ds.n_rows, ds.origins
     if origins is None:
@@ -725,17 +713,14 @@ def _split_row(ds: Dataset) -> int:
         return none | (first[o] == rows), none | (last[o] == rows)
 
     starts = np.arange(0, n, BLOCK_ROWS)
-    # per block, the front's work and the back's: 1 a row, and
-    # FORMAT_WORK - 1 more a line formatted
-    work = (np.minimum(n - starts, BLOCK_ROWS)[:, None] + (FORMAT_WORK - 1)
-            * np.array([list(map(np.count_nonzero, formats(lo))) for lo in starts]))
-    # at each block's end, the front work before it less the back work
-    # after it; it rises to the whole front work at the last block
-    gap = np.cumsum(work.sum(axis=1)) - work[:, 1].sum()
+    # per block, the lines the front formats and those the back does
+    lines = np.array([list(map(np.count_nonzero, formats(lo))) for lo in starts])
+    # at each block's end, the front's lines before it less the back's
+    # after it; it rises to all the front's lines at the last block
+    gap = np.cumsum(lines.sum(axis=1)) - lines[:, 1].sum()
     b = int(np.searchsorted(gap, 0))
     front, back = formats(starts[b])
-    rows = (gap[b - 1] if b else -work[:, 1].sum()) + np.cumsum(
-        2 + (FORMAT_WORK - 1) * (front.astype(np.intp) + back))
+    rows = (gap[b - 1] if b else -lines[:, 1].sum()) + np.cumsum(front.astype(np.intp) + back)
     return int(starts[b]) + int(np.searchsorted(rows, 0)) + 1
 
 

@@ -1,4 +1,4 @@
-"""Named one-line mutants of the engine and the editing rules.
+"""Named one-line mutants of the engine, the editing rules and the CSV layer.
 
 Run by hand from the repository root; pytest does not collect it:
 
@@ -8,9 +8,9 @@ Run by hand from the repository root; pytest does not collect it:
 Each mutant replaces one piece of code in ``src/rebalance``, found by
 its text, which must occur exactly once.  For each, the script copies
 ``src``, ``tests`` and ``pyproject.toml`` to a temporary directory,
-applies the mutant there, runs ``TESTS`` with ``-x`` and prints
-``killed`` (a test failed) or ``survived``.  The unmutated copy must
-pass first.  The working tree is never edited.
+applies the mutant there, runs its module's ``TESTS`` with ``-x`` and
+prints ``killed`` (a test failed) or ``survived``.  The unmutated copy
+must pass each set of tests first.  The working tree is never edited.
 """
 
 from __future__ import annotations
@@ -25,8 +25,11 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-TESTS = ("tests/test_engine.py", "tests/test_kernel.py", "tests/test_rules.py",
-         "tests/test_golden.py")
+ENGINE_TESTS = ("tests/test_engine.py", "tests/test_kernel.py", "tests/test_rules.py",
+                "tests/test_golden.py")
+# the tests run against each mutated module
+TESTS = {"distance.py": ENGINE_TESTS, "classif.py": ENGINE_TESTS,
+         "tabular.py": ("tests/test_csv.py", "tests/test_tabular.py")}
 # a mutant that loops for ever is killed by the clock
 TIMEOUT_S = 600
 
@@ -79,6 +82,27 @@ MUTANTS = [
     Mutant("every outside class takeable in NCL", "classif.py",
            "takeable = ~is_key & (sizes >= 0.5 * sizes[is_key].min())",
            "takeable = ~is_key"),
+    Mutant("no '\"\"' for a one-column row's empty field", "tabular.py",
+           'empty = _quote("", dialect) if ds.n_cols == 1 else ""',
+           'empty = ""'),
+    Mutant("categories left unquoted", "tabular.py",
+           "_quote(v, dialect) if v else empty",
+           "v if v else empty"),
+    Mutant("inf for 1e999", "tabular.py",
+           '"inf": "1e999", "-inf": "-1e999"',
+           '"inf": "inf", "-inf": "-inf"'),
+    Mutant("no quote check in _split_point", "tabular.py",
+           "if (b'\"' in chunk or (cr and",
+           "if ((cr and"),
+    Mutant("no kind-flip fallback in _read_split", "tabular.py",
+           "if any(back.numeric and not col.numeric",
+           "if False and any(back.numeric and not col.numeric"),
+    Mutant("the one-process re-read for every split file", "tabular.py",
+           "if any(back.numeric and not col.numeric",
+           "if True or any(back.numeric and not col.numeric"),
+    Mutant("no final + 1 in _split_row", "tabular.py",
+           "int(np.searchsorted(rows, 0)) + 1",
+           "int(np.searchsorted(rows, 0))"),
 ]
 
 
@@ -99,13 +123,13 @@ def _mutated(m: Mutant) -> str:
     return text.replace(m.code, m.mutant)
 
 
-def _run_tests(dest: Path) -> tuple[str, float]:
-    """``TESTS`` run in ``dest``: killed, survived or timeout, and seconds."""
+def _run_tests(dest: Path, tests: tuple[str, ...]) -> tuple[str, float]:
+    """``tests`` run in ``dest``: killed, survived or timeout, and seconds."""
     env = dict(os.environ, PYTHONPATH=str(dest / "src"))
     start = time.perf_counter()
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *TESTS],
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
             cwd=dest, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
             timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
@@ -121,17 +145,19 @@ def main(names: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp) / "base"
         _copy(base)
-        outcome, secs = _run_tests(base)
-        if outcome != "survived":
-            raise SystemExit(f"the unmutated tests fail ({outcome}): {' '.join(TESTS)}")
-        print(f"unmutated: {' '.join(TESTS)} pass in {secs:.0f} s\n")
+        for tests in dict.fromkeys(TESTS[m.module] for m, _ in chosen):
+            outcome, secs = _run_tests(base, tests)
+            if outcome != "survived":
+                raise SystemExit(f"the unmutated tests fail ({outcome}): {' '.join(tests)}")
+            print(f"unmutated: {' '.join(tests)} pass in {secs:.0f} s")
+        print()
         print("| mutant | module | result | s |")
         print("|---|---|---|---|")
         for m, text in chosen:
             dest = Path(tmp) / "mutant"
             _copy(dest)
             (dest / "src" / "rebalance" / m.module).write_text(text, encoding="utf-8")
-            outcome, secs = _run_tests(dest)
+            outcome, secs = _run_tests(dest, TESTS[m.module])
             print(f"| {m.name} | `{m.module}` | {outcome} | {secs:.0f} |", flush=True)
             shutil.rmtree(dest)
     return 0

@@ -30,6 +30,7 @@ from rebalance import (
     TabularError,
     build_relevance_extremes,
     build_relevance_range,
+    cnn_classif,
     find_bumps,
     gauss_noise_classif,
     gauss_noise_regress,
@@ -41,6 +42,7 @@ from rebalance import (
     rand_under_regress,
     read_dataset,
     smoter,
+    tomek_classif,
 )
 from rebalance.cli import run
 
@@ -216,6 +218,28 @@ NOT_FINITE_BUMPS = [
 ])
 def test_a_percentage_that_is_not_finite_is_refused_in_one_text(path, text, tmp_path, capsys):
     assert refusal(path, tmp_path, capsys) == text
+
+
+EUCLIDEAN = Metric("euclidean")
+UNKNOWN_CLASS = [
+    # a class list (--cl)
+    lib(lambda: tomek_classif(CLASSES, EUCLIDEAN, cl=["a", "z"]), "tomek_classif"),
+    lib(lambda: cnn_classif(CLASSES, EUCLIDEAN, cl="z"), "cnn_classif"),
+    cli("tomek", "--cl", "a,z"),
+    cli("ncl", "--cl", "z"),
+    # the classes given percentages (--c-perc)
+    lib(lambda: rand_under_classif(CLASSES, ClassPercSpec.explicit({"z": 0.5})),
+        "rand_under_classif"),
+    lib(lambda: imp_samp_classif(CLASSES, ClassPercSpec.explicit({"a": 1.0, "z": 2.0})),
+        "imp_samp_classif"),
+    cli("randunder", "--c-perc", "z=0.5"),
+    cli("randover", "--c-perc", "a=2,z=3"),
+]
+
+
+@pytest.mark.parametrize("path", UNKNOWN_CLASS)
+def test_a_class_the_data_does_not_hold_is_refused_in_one_text(path, tmp_path, capsys):
+    assert refusal(path, tmp_path, capsys) == "unknown classes: ['z']"
 
 
 BOTH_MODES = [

@@ -185,6 +185,19 @@ def test_take_counts_negative_indices_from_the_end():
     assert list(grown.target_column.labels) == ["q", "r"]
 
 
+@pytest.mark.parametrize("indices", [np.array([True, False, True]), np.array([0.9, 2.7]),
+                                     [1.0], np.array([0, None], dtype=object)],
+                         ids=["bool mask", "floats", "float list", "objects"])
+def test_take_refuses_indices_that_are_not_integers(indices):
+    # a cast to integers would read a bool mask as rows 1, 0, 1 and truncate floats
+    ds = labelled(["p", "q", "r"], {"x": ("num", [1.0, 2.0, 3.0])})
+    with pytest.raises(TabularError, match=f"^row indices must be integers, not "
+                                           f"{np.asarray(indices).dtype}$"):
+        ds.take(indices)
+    # no rows at all are taken, whatever their dtype
+    assert ds.take([]).n_rows == ds.take(np.array([], dtype=bool)).n_rows == 0
+
+
 @pytest.mark.parametrize("dtype", [np.intp, np.int32])
 def test_take_keeps_no_tie_to_its_index_array(dtype):
     # the rows taken are the output's cells: changing the index array
