@@ -4,6 +4,8 @@ One subcommand per resampling strategy (classification strategies by
 name, regression twins with a ``-r`` suffix) plus ``gen`` for the
 bundled synthetic dataset generators.  Input and output are CSV files
 with a header row; an optional JSON report captures what the run did.
+Every command, ``gen`` included, writes its CSV, warnings and report
+through one tail of ``run``.
 
 ``COMMANDS`` is the one table of resampling subcommands.  An entry
 names its strategy function, looked up in this module each time the
@@ -457,44 +459,25 @@ def run(argv: list[str]) -> int:
             from .synthgen import gen_imbc, gen_imbr
 
             gen = gen_imbc if args.variant == "imbc" else gen_imbr
-            ds = gen(args.rows, seed=args.seed)
-            write_dataset(ds, output)
-            if report:
-                payload = {
-                    "command": "gen",
-                    "params": {"variant": args.variant, "rows": args.rows},
-                    "seed": args.seed,
-                    "output": args.output,
-                    "n_rows": ds.n_rows,
-                    "elapsed_seconds": time.perf_counter() - started,
-                }
-                _write_report(report, payload)
+            data = gen(args.rows, seed=args.seed)
+            params = {"variant": args.variant, "rows": args.rows}
+            warnings, fields = [], {"n_rows": data.n_rows}
         else:
             ds = read_dataset(args.input, target=args.target)
             if not ds.n_rows:
                 raise TabularError(f"{args.input} has a header but no data rows")
-            out, params, extra = _dispatch(args, ds)
-
-            write_dataset(out.dataset, output)
-            for warning in out.warnings:
-                print(warning, file=sys.stderr)
-            if report:
-                payload = {
-                    "command": args.command,
-                    "input": args.input,
-                    "output": args.output,
-                    "target": args.target,
-                    "seed": args.seed,
-                    "params": params,
-                    "n_rows_before": ds.n_rows,
-                    "n_rows_after": out.dataset.n_rows,
-                    "removed": len(out.removed),
-                    "added": len(out.seeds),
-                    "warnings": out.warnings,
-                    "elapsed_seconds": time.perf_counter() - started,
-                }
-                payload.update(extra)
-                _write_report(report, payload)
+            out, params, fields = _dispatch(args, ds)
+            data, warnings = out.dataset, out.warnings
+            fields.update(input=args.input, target=args.target, n_rows_before=ds.n_rows,
+                          n_rows_after=data.n_rows, removed=len(out.removed),
+                          added=len(out.seeds), warnings=warnings)
+        write_dataset(data, output)
+        for warning in warnings:
+            print(warning, file=sys.stderr)
+        if report:
+            _write_report(report, {**fields, "command": args.command, "output": args.output,
+                                   "seed": args.seed, "params": params,
+                                   "elapsed_seconds": time.perf_counter() - started})
         # only now, with every output written
         for tmp, target in moves:
             os.replace(tmp, target)

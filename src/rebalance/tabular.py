@@ -441,7 +441,8 @@ def _read_records(reader, columns: list["_ColumnReader"], lineno: int) -> None:
 def _read_split(path, target: str, schema) -> list["_ColumnReader"] | None:
     """The columns of the file at ``path``, read by two processes, or
     None if the file has no proven split point, either side fails or a
-    column reads nominal in front and numeric behind."""
+    column reads nominal in front and holds a number behind (the kind
+    flip).  A back column with no present cell takes the front's kind."""
     try:
         split = _split_point(path)
         if split is None:
@@ -458,10 +459,8 @@ def _read_split(path, target: str, schema) -> list["_ColumnReader"] | None:
                 _read_records(islice(reader, lines - 1), columns, 2)
                 rests = pickle.load(join())
                 # the text the back kept while numeric stays in the worker
-                if any(back.numeric and not col.numeric for col, back in zip(columns, rests)):
+                if not all(col.extend(back) for col, back in zip(columns, rests)):
                     return None
-                for col, back in zip(columns, rests):
-                    col.extend(back)
     except Exception:
         # the serial reader reads the file again, and raises its own
         # error if there is one
@@ -568,15 +567,24 @@ class _ColumnReader:
             self.codes.append(_codes(joined.split(","), ""))
         self.floats, self.texts = [], []
 
-    def extend(self, back: "_ColumnReader") -> None:
-        """Take in the cells ``back`` read, which follow this reader's;
-        ``back`` keeps no text, and is nominal where this reader is."""
+    def extend(self, back: "_ColumnReader") -> bool:
+        """Take in the cells ``back`` read, which follow this reader's, and
+        return True; or return False, the kind flip, where this reader is
+        nominal and ``back``, which keeps no text, holds a number.  A
+        numeric ``back`` with no present cell takes a nominal reader's
+        kind, each cell coded -1."""
+        if back.numeric and not self.numeric:
+            # a number literal never parses to NaN: NaN is a missing cell
+            if not all(np.isnan(f).all() for f in back.floats):
+                return False
+            back.codes, back.floats = [(np.full(len(f), -1, np.int8), ()) for f in back.floats], []
+        elif self.numeric and not back.numeric:
+            self._code_text()
         if self.bad is None:
             self.bad = back.bad
-        if self.numeric and not back.numeric:
-            self._code_text()
         self.floats += back.floats
         self.codes += back.codes
+        return True
 
     def column(self) -> Column:
         """The column read; the reader lets go of its blocks."""

@@ -52,15 +52,42 @@ def test_gen_writes_deterministic_csv(tmp_path):
 
 def test_gen_report(tmp_path):
     out = tmp_path / "g.csv"
-    rep = tmp_path / "g.json"
-    assert run(
-        ["gen", "imbr", "--seed", "2", "--rows", "300",
-         "--out", str(out), "--report", str(rep)]
-    ) == 0
+    reports = []
+    for name in ("a.json", "b.json"):
+        rep = tmp_path / name
+        assert run(
+            ["gen", "imbr", "--seed", "2", "--rows", "300",
+             "--out", str(out), "--report", str(rep)]
+        ) == 0
+        # the same bytes on each run, but for the wall time
+        reports.append(re.sub(rb' *"elapsed_seconds": [^\n]*\n', b"", rep.read_bytes()))
+    assert reports[0] == reports[1]
     payload = json.loads(rep.read_text())
     assert payload["command"] == "gen"
     assert payload["n_rows"] == 300
     assert payload["params"] == {"variant": "imbr", "rows": 300}
+
+
+GEN_KEYS = {"command", "params", "seed", "output", "n_rows", "elapsed_seconds"}
+STRATEGY_KEYS = {"command", "params", "seed", "output", "input", "target", "n_rows_before",
+                 "n_rows_after", "removed", "added", "warnings", "elapsed_seconds"}
+CLASS_KEYS = STRATEGY_KEYS | {"class_counts_before", "class_counts_after"}
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["gen", "imbc"], GEN_KEYS),
+    (["randunder", "--target", "Class"], CLASS_KEYS),
+    (["cnn", "--target", "Class", "--dist", "heom"],
+     CLASS_KEYS | {"important_classes", "unimportant_classes"}),
+    (["randover-r", "--target", "Tgt"], STRATEGY_KEYS | {"bumps_before", "bumps_after"}),
+    (["impsamp-r", "--target", "Tgt", "--u", "0.5", "--o", "1.0"], STRATEGY_KEYS),
+], ids=["gen", "class", "cnn", "bump", "impsamp-r-b"])
+def test_report_keys_per_family(argv, keys, imbc_csv, imbr_csv, tmp_path):
+    rep = tmp_path / "r.json"
+    source = imbr_csv if "Tgt" in argv else imbc_csv
+    inputs = [] if argv[0] == "gen" else ["--in", str(source)]
+    assert run([*argv, *inputs, "--out", str(tmp_path / "o.csv"), "--report", str(rep)]) == 0
+    assert set(json.loads(rep.read_text())) == keys
 
 
 def test_randunder_balance_end_to_end(imbc_csv, tmp_path):
