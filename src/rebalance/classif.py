@@ -3,9 +3,9 @@
 Each strategy takes a Dataset with a nominal target and returns a
 StrategyOutcome: the resampled dataset, the original rows it dropped,
 and the rows it added as two arrays, each added row's seed row and
-whether it is synthetic rather than a replica.  All randomized strategies draw from a single seeded
-generator per invocation, so a fixed seed reproduces the output
-exactly.
+whether it is synthetic rather than a replica.  All randomized
+strategies draw from a single seeded generator per invocation, so a
+fixed seed reproduces the output exactly.
 
 Class percentage specs come in three modes.  Balance and Extreme
 derive per-class targets from the class counts alone; explicit mode
@@ -18,11 +18,13 @@ their bump twins in ``rebalance.regress``) run through one driver,
 ``_resample``: a shrink callback picks the rows each group above its
 target keeps (a uniform sample, ``_sample``, or regression importance
 sampling's relevance-weighted drop), a grow callback adds rows to each
-group below it, and ``_outcome`` builds the output, its origins and
-the removed/added bookkeeping once.  Groups are classes in label order
-or bumps in partition order.  Two synthesisers serve classes and bumps
-alike: ``_noise_rows`` (Gaussian noise) and ``_smote_rows`` (SMOTE
-interpolation).
+group below it and returns them as (seed rows, block or None), and
+``_outcome`` builds from the list of those pairs the output, its
+origins and the removed/added bookkeeping, once.  Groups are classes
+in label order or bumps in partition order.  The driver writes the
+one-row warnings.  Two synthesisers serve classes and bumps alike:
+``_noise_rows`` (Gaussian noise) and ``_smote_rows`` (SMOTE
+interpolation, which copies a one-row group's row).
 
 The editing rules (Tomek links, ENN, NCL and the Tomek pass of OSS) are
 array expressions over one k-NN or 1-NN table and each row's class
@@ -115,7 +117,8 @@ class StrategyOutcome:
     added row's seed row and ``synthetic`` whether that row is new
     rather than a copy: first the extra copies of rows kept more than
     once, then the rows each grown group added, in group order.  A bump
-    strategy keeps the input's bump ``partition``.
+    strategy keeps the input's bump ``partition``.  ``_outcome`` builds
+    every outcome, and no field is set after it.
     """
 
     dataset: Dataset
@@ -249,7 +252,8 @@ def _resample(
     groups: Sequence[tuple],
     shrink: Callable,
     grow: Callable | None = None,
-    warnings: list[str] | None = None,
+    lone: str | None = None,
+    partition: BumpPartition | None = None,
 ) -> StrategyOutcome:
     """The shrink/grow driver shared by the class and bump strategies.
 
@@ -258,45 +262,44 @@ def _resample(
     returns.  Any other group keeps every row, and when it is below its
     target ``grow(key, idx, extra)`` adds ``extra`` rows: it returns
     their seed rows and a column block, or None for plain replicas of
-    the seeds.  The callbacks run in group order.
+    the seeds.  The callbacks run in group order.  A grown one-row group
+    warns with ``lone``, if given, formatted with its key.  The outcome
+    keeps a bump strategy's ``partition``.
     """
-    parts, replicas, blocks, grown = [], [], [], []
+    parts, added, warnings = [], [], []
     for key, idx, t in groups:
         if t < len(idx):
             parts.append(shrink(key, idx, t))
             continue
         parts.append(idx)
         if t > len(idx):
-            seeds, block = grow(key, idx, t - len(idx))
-            if block is None:
-                replicas.append(seeds)
-            else:
-                blocks.append(block)
-            grown.append((seeds, block is not None))
-    kept = np.sort(np.concatenate(parts))
-    return _outcome(ds, kept, replicas, blocks, grown, warnings)
+            if lone and len(idx) == 1:
+                warnings.append(lone.format(key))
+            added.append(grow(key, idx, t - len(idx)))
+    return _outcome(ds, np.sort(np.concatenate(parts)), added, warnings, partition)
 
 
 def _outcome(
     ds: Dataset,
     kept: np.ndarray,
-    replicas: Sequence[np.ndarray] = (),
-    blocks: Sequence[dict] = (),
-    grown: Sequence[tuple[np.ndarray, bool]] = (),
+    added: Sequence[tuple[np.ndarray, dict | None]] = (),
     warnings: list[str] | None = None,
+    partition: BumpPartition | None = None,
 ) -> StrategyOutcome:
     """The output and bookkeeping of kept rows plus added ones.
 
-    The output holds ``kept`` (row order, a row may repeat), then the
-    replicas, then the column blocks; its ``origins`` are those rows,
-    then -1 per block row.  ``grown`` describes the replicas and block
-    rows: per grown group, its seed rows and whether they are
-    synthetic.  A row kept twice is one more added copy.
+    ``added`` holds (seed rows, block | None) per grown group: a column
+    block of synthetic rows, or None for replicas of the seeds.  The
+    output holds ``kept`` (row order, a row may repeat), then the
+    replicas, then the blocks; its ``origins`` are those rows, then -1
+    per block row.  A row kept twice is one more added copy.
     """
+    blocks = [b for _, b in added if b is not None]
     block = ({c: np.concatenate([b[c] for b in blocks]) for c in blocks[0]}
              if blocks else None)
     # in the dtype of the output's origins, which it becomes
-    idx = np.concatenate([kept, *replicas], dtype=index_dtype(ds.n_rows))
+    idx = np.concatenate([kept, *(s for s, b in added if b is None)],
+                         dtype=index_dtype(ds.n_rows))
     out = ds.take(idx, block)
     if blocks:
         idx = np.concatenate([idx, np.full(out.n_rows - len(idx), -1, idx.dtype)])
@@ -304,10 +307,10 @@ def _outcome(
     counts = np.bincount(kept, minlength=ds.n_rows)
     removed = np.flatnonzero(counts == 0).tolist()
     repeated = np.flatnonzero(counts > 1)
-    seeds = [np.repeat(repeated, counts[repeated] - 1), *(s for s, _ in grown)]
-    synthetic = np.repeat([False, *(f for _, f in grown)], list(map(len, seeds)))
+    seeds = [np.repeat(repeated, counts[repeated] - 1), *(s for s, _ in added)]
+    synthetic = np.repeat([False, *(b is not None for _, b in added)], list(map(len, seeds)))
     return StrategyOutcome(out, removed, np.concatenate(seeds).astype(np.intp, copy=False),
-                           synthetic, warnings or [])
+                           synthetic, warnings or [], partition)
 
 
 def _sample(rng: np.random.Generator, repl: bool = False) -> Callable:
@@ -318,12 +321,6 @@ def _sample(rng: np.random.Generator, repl: bool = False) -> Callable:
 def _replicas(rng: np.random.Generator) -> Callable:
     """Grow callback: replicas of rows drawn uniformly from the group."""
     return lambda key, idx, extra: (rng.choice(idx, size=extra, replace=True), None)
-
-
-def _copies(ds: Dataset, idx: np.ndarray, extra: int) -> tuple[np.ndarray, dict]:
-    """Grow a single-row group with synthetic rows that copy it."""
-    seeds = np.repeat(idx, extra)
-    return seeds, {c.name: c.values[seeds] for c in ds.columns}
 
 
 def _noise_rows(
@@ -366,18 +363,23 @@ def _noise_rows(
 def _smote_rows(
     ds: Dataset, ctx: MetricContext, k: int, rng: np.random.Generator,
     idx: np.ndarray, extra: int,
-) -> tuple[np.ndarray, np.ndarray, dict]:
+) -> tuple[np.ndarray, dict, np.ndarray]:
     """SMOTE synthesis, shared by classes and bumps.
 
-    Each new row takes a seed row drawn uniformly from ``idx`` (two rows
-    or more) and one of its min(k, len(idx) - 1) nearest neighbours
-    within ``idx``.  A numeric column moves a uniform fraction of the
-    way from the seed to the neighbour, a nominal feature copies one of
-    the two ends at even odds, and a nominal target is copied from the
-    seed.  The draws come in one order: seed positions, neighbour
-    picks, fractions, then one coin per nominal feature in column
-    order.  Returns the seeds, their neighbours and the block.
+    Each new row takes a seed row drawn uniformly from ``idx`` and one
+    of its min(k, len(idx) - 1) nearest neighbours within ``idx``.  A
+    numeric column moves a uniform fraction of the way from the seed to
+    the neighbour, a nominal feature copies one of the two ends at even
+    odds, and a nominal target is copied from the seed.  The draws come
+    in one order: seed positions, neighbour picks, fractions, then one
+    coin per nominal feature in column order.  A one-row group has no
+    neighbour: its new rows copy the row, which is each one's seed and
+    neighbour, and nothing is drawn.  Returns the seeds, the block and
+    the neighbours.
     """
+    if len(idx) == 1:
+        seeds = np.repeat(idx, extra)
+        return seeds, {c.name: c.values[seeds] for c in ds.columns}, seeds
     k_eff = min(k, len(idx) - 1)
     nbr_table = knn_table(ctx, k_eff, rows=idx)
     seed_pos = rng.integers(0, len(idx), size=extra)
@@ -393,7 +395,7 @@ def _smote_rows(
             block[col.name] = s_vals
         else:
             block[col.name] = np.where(rng.random(size=extra) < 0.5, s_vals, n_vals)
-    return seeds, nbrs, block
+    return seeds, block, nbrs
 
 
 def rand_under_classif(
@@ -654,16 +656,7 @@ def smote_classif(
     groups = _class_groups(ds, _resolve_mixed, spec)
     ctx = build_context(metric, ds)
     rng = np.random.default_rng(seed)
-    warnings: list[str] = []
-
-    def grow(label, idx, extra):
-        if len(idx) == 1:
-            warnings.append(
-                f"SmoteClassif: class {label!r} has a single example; "
-                "synthetic rows are plain replicas"
-            )
-            return _copies(ds, idx, extra)
-        seeds, _, block = _smote_rows(ds, ctx, k, rng, idx, extra)
-        return seeds, block
-
-    return _resample(ds, groups, _sample(rng, repl), grow, warnings)
+    return _resample(ds, groups, _sample(rng, repl),
+                     lambda _, idx, extra: _smote_rows(ds, ctx, k, rng, idx, extra)[:2],
+                     "SmoteClassif: class {!r} has a single example; "
+                     "synthetic rows are plain replicas")

@@ -85,6 +85,7 @@ from .relevance import (
     numeric_target,
 )
 from .tabular import (
+    ColumnKind,
     Dataset,
     TabularError,
     class_counts,
@@ -107,6 +108,9 @@ def _parse_c_perc_classif(text: str) -> ClassPercSpec:
             raise argparse.ArgumentTypeError(
                 f"bad class percentage {item!r}; expected label=number"
             )
+        if name in percs:
+            raise argparse.ArgumentTypeError(
+                f"class {name!r} is given more than one percentage")
         try:
             percs[name] = float(value)
         except ValueError:
@@ -463,7 +467,10 @@ def run(argv: list[str]) -> int:
             params = {"variant": args.variant, "rows": args.rows}
             warnings, fields = [], {"n_rows": data.n_rows}
         else:
-            ds = read_dataset(args.input, target=args.target)
+            # a class command reads its target as labels, digits included
+            schema = (None if COMMANDS[args.command].regress
+                      else {args.target: ColumnKind.NOMINAL})
+            ds = read_dataset(args.input, target=args.target, schema=schema)
             if not ds.n_rows:
                 raise TabularError(f"{args.input} has a header but no data rows")
             out, params, fields = _dispatch(args, ds)

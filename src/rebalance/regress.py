@@ -14,12 +14,14 @@ targets from the bump sizes alone.
 SMOTER is SMOTE on bumps, and the random and Gaussian-noise strategies
 follow their classification twins: all of them run through the
 shrink/grow driver and the synthesisers of ``rebalance.classif``, with
-bumps, in partition order, standing in for classes.  SMOTER adds its
-distance-weighted target on top of the shared SMOTE rows.
-Importance sampling's mode A runs through the driver too, with a
-relevance-weighted drop as its shrink callback and relevance-weighted
-replicas as its grow callback; mode B has no bumps and builds its
-outcome with the driver's ``_outcome``.
+bumps, in partition order, standing in for classes.  The driver
+writes the one-row warnings and hands each outcome its partition.
+SMOTER adds its distance-weighted target on top of the shared SMOTE
+rows.  Importance sampling's mode A runs through the driver too, with
+a relevance-weighted drop as its shrink callback and
+relevance-weighted replicas as its grow callback; mode B has no bumps
+and hands the driver's ``_outcome`` its replicas as one grown group,
+(seeds, None).
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .classif import (
     _PercSpec,
     _check_k,
     _check_pert,
-    _copies,
     _noise_rows,
     _nonempty,
     _outcome,
@@ -125,21 +126,19 @@ def _normal_bumps(part: BumpPartition) -> tuple[Bump, ...]:
 
 def _resample_bumps(ds: Dataset, part: BumpPartition, targets: Sequence[int],
                     shrink: Callable, grow: Callable | None = None,
-                    warnings: list[str] | None = None,
-                    rare: bool | None = None) -> StrategyOutcome:
+                    lone: str | None = None, rare: bool | None = None) -> StrategyOutcome:
     """The shrink/grow driver over every bump of ``part``, in partition order.
 
     ``targets`` covers the bumps of one side (``rare``) or all of them
-    (None); the other side keeps its size.  The outcome keeps ``part``.
+    (None); the other side keeps its size.  ``lone`` is the driver's
+    one-row warning.  The outcome keeps ``part``.
     """
     it = iter(targets)
     groups = [
         (b, b.indices, next(it) if rare is None or b.rare == rare else b.count)
         for b in part.bumps
     ]
-    out = _resample(ds, groups, shrink, grow, warnings)
-    out.partition = part
-    return out
+    return _resample(ds, groups, shrink, grow, lone, part)
 
 
 def rand_under_regress(
@@ -223,17 +222,10 @@ def gauss_noise_regress(
     part = _bumps(ds, fn, thr_rel)
     targets = _mixed_bump_targets(spec, part, "additive")
     rng = np.random.default_rng(seed)
-    warnings: list[str] = []
-
-    def grow(bump, idx, extra):
-        if len(idx) == 1:
-            warnings.append(
-                "GaussNoiseRegress: a single-example bump was grown with "
-                "noise-free replicas"
-            )
-        return _noise_rows(ds, rng, pert, idx, extra)
-
-    return _resample_bumps(ds, part, targets, _sample(rng, repl), grow, warnings)
+    return _resample_bumps(ds, part, targets, _sample(rng, repl),
+                           lambda _, idx, extra: _noise_rows(ds, rng, pert, idx, extra),
+                           "GaussNoiseRegress: a single-example bump was grown with "
+                           "noise-free replicas")
 
 
 def smoter(
@@ -263,15 +255,9 @@ def smoter(
     ctx = build_context(metric, ds)
     rng = np.random.default_rng(seed)
     y = ds.target_column.values
-    warnings: list[str] = []
 
-    def grow(bump, idx, extra):
-        if len(idx) == 1:
-            warnings.append(
-                "SmoteRegress: a single-example bump was grown with plain replicas"
-            )
-            return _copies(ds, idx, extra)
-        seeds, nbrs, block = _smote_rows(ds, ctx, k, rng, idx, extra)
+    def grow(_, idx, extra):
+        seeds, block, nbrs = _smote_rows(ds, ctx, k, rng, idx, extra)
         # the block's cells are kernel operands: values and codes
         new_ops = [block[c.name] for c in ds.feature_columns]
         d1 = paired_distances(ctx, new_ops, encode_rows(ctx, seeds))
@@ -290,7 +276,8 @@ def smoter(
         block[ds.target] = np.clip(new_y, np.minimum(y1, y2), np.maximum(y1, y2))
         return seeds, block
 
-    return _resample_bumps(ds, part, targets, _sample(rng, repl), grow, warnings)
+    return _resample_bumps(ds, part, targets, _sample(rng, repl), grow,
+                           "SmoteRegress: a single-example bump was grown with plain replicas")
 
 
 def _proportional(w: np.ndarray) -> np.ndarray | None:
@@ -357,4 +344,4 @@ def imp_samp_regress(
     m = int(math.floor(o * total_phi))
     seeds = (rng.choice(ds.n_rows, size=m, p=phi / total_phi) if m > 0
              else np.empty(0, dtype=np.intp))
-    return _outcome(ds, np.flatnonzero(~drop), [seeds], [], [(seeds, False)])
+    return _outcome(ds, np.flatnonzero(~drop), [(seeds, None)])

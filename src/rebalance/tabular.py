@@ -253,15 +253,17 @@ class Dataset:
     def take(self, indices, block: Mapping[str, np.ndarray] | None = None) -> "Dataset":
         """New dataset with the rows at integer ``indices`` (duplicates allowed, order kept).
 
-        ``block``, if given, adds rows after them, one array per column
-        in column form: values of a numeric column, codes into this
-        dataset's categories of a nominal one.
+        The indices index the rows as numpy indexes an array, in their
+        own dtype: a negative one counts from the end, and one out of
+        range raises IndexError.  ``block``, if given, adds rows after
+        them, one array per column in column form: values of a numeric
+        column, codes into this dataset's categories of a nominal one.
         """
         idx = np.asarray(indices)
-        if idx.dtype != np.intp:
-            if idx.size and idx.dtype.kind not in "iu":
+        if idx.dtype.kind not in "iu":
+            if idx.size:
                 raise TabularError(f"row indices must be integers, not {idx.dtype}")
-            idx = idx.astype(index_dtype(self.n_rows), copy=False)
+            idx = idx.astype(np.intp)  # ``take([])``: numpy reads [] as floats
         return Dataset([c.take(idx, None if block is None else block[c.name])
                         for c in self.columns], self.target)
 

@@ -26,7 +26,9 @@ def strategy_output(ds, rows, block=None):
     """``ds``'s ``rows`` in order, then the rows of ``block`` (column
     form), as a strategy outputs them: with ``origins``, built by
     ``classif._outcome``."""
-    return _outcome(ds, np.asarray(rows, dtype=np.intp), blocks=[block] if block else []).dataset
+    # the block rows' seeds are unknown here; the output records none
+    added = [(np.full(len(block[ds.target]), -1), block)] if block else []
+    return _outcome(ds, np.asarray(rows, dtype=np.intp), added).dataset
 
 
 def labelled(labels, features=None, target="cls"):

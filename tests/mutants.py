@@ -1,4 +1,5 @@
-"""Named one-line mutants of the engine, the editing rules, the CSV layer and the CLI.
+"""Named one-line mutants of the engine, the editing rules, the shrink/grow driver,
+the CSV layer and the CLI.
 
 Run by hand from the repository root; pytest does not collect it:
 
@@ -91,6 +92,18 @@ MUTANTS = [
     Mutant("every outside class takeable in NCL", "classif.py",
            "takeable = ~is_key & (sizes >= 0.5 * sizes[is_key].min())",
            "takeable = ~is_key"),
+    Mutant("_outcome marks the replicas synthetic", "classif.py",
+           "*(b is not None for _, b in added)",
+           "*(b is None for _, b in added)"),
+    Mutant("_outcome drops the blocks", "classif.py",
+           "blocks = [b for _, b in added if b is not None]",
+           "blocks = []"),
+    Mutant("a one-row SMOTE group draws", "classif.py",
+           "if len(idx) == 1:\n        seeds = np.repeat(idx, extra)",
+           "if False:\n        seeds = np.repeat(idx, extra)"),
+    Mutant("the driver never warns for a one-row group", "classif.py",
+           "warnings.append(lone.format(key))",
+           "pass"),
     Mutant("no '\"\"' for a one-column row's empty field", "tabular.py",
            'empty = _quote("", dialect) if ds.n_cols == 1 else ""',
            'empty = ""'),

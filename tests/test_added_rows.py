@@ -52,7 +52,7 @@ def record_driver(monkeypatch):
     calls = []
     real = classif._resample
 
-    def spy(ds, groups, shrink, grow=None, warnings=None):
+    def spy(ds, groups, shrink, grow=None, lone=None, partition=None):
         call = {"groups": [(idx, t) for _, idx, t in groups], "shrunk": [], "grown": []}
         calls.append(call)
 
@@ -66,7 +66,7 @@ def record_driver(monkeypatch):
             call["grown"].append((seeds, block is not None))
             return seeds, block
 
-        return real(ds, groups, shrink_spy, grow and grow_spy, warnings)
+        return real(ds, groups, shrink_spy, grow and grow_spy, lone, partition)
 
     monkeypatch.setattr(classif, "_resample", spy)
     monkeypatch.setattr(regress, "_resample", spy)

@@ -108,6 +108,18 @@ def test_randunder_balance_end_to_end(imbc_csv, tmp_path):
     assert payload["seed"] == 5
 
 
+@pytest.mark.parametrize("argv", [["randover"], ["tomek"], ["ncl", "--dist", "hvdm"]],
+                         ids=" ".join)
+def test_a_class_command_reads_a_numeric_class_column_as_labels(argv, tmp_path):
+    src, out, rep = tmp_path / "in.csv", tmp_path / "o.csv", tmp_path / "r.json"
+    src.write_text("x,y\n" + "".join(f"{i},{int(i % 3 == 0)}\n" for i in range(12)))
+    assert run([*argv, "--in", str(src), "--out", str(out), "--target", "y", "--seed", "1",
+                "--report", str(rep)]) == 0
+    assert {line.split(",")[1] for line in out.read_text().splitlines()[1:]} == {"0", "1"}
+    payload = json.loads(rep.read_text())
+    assert set(payload["class_counts_before"]) == set(payload["class_counts_after"]) == {"0", "1"}
+
+
 def test_explicit_c_perc_parsing(imbc_csv, tmp_path):
     out = tmp_path / "out.csv"
     code = run(

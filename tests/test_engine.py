@@ -41,7 +41,8 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import rebalance
-from rebalance import Metric, MetricContext, MetricError, build_context, cnn_classif, pairwise
+from rebalance import (Metric, MetricContext, MetricError, StrategyOutcome, build_context,
+                       cnn_classif, pairwise)
 from rebalance.distance import METRIC_NAMES, PLAIN_METRICS, knn_table
 from rebalance.synthgen import gen_imbc
 
@@ -613,22 +614,28 @@ def test_cnn_keeps_no_tie_rule_of_its_own():
     assert not bound & {"best_d", "best_i", "better"}
 
 
-def callers(tree, name):
-    """The dotted names of the functions and classes in which ``name``
-    is called."""
+def enclosing(tree, hit):
+    """The dotted names of the functions and classes around each node
+    of ``tree`` for which ``hit(node)`` holds."""
     found = []
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             where = (*where, node.name)
-        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
-                                                   getattr(node.func, "attr", None)):
+        if hit(node):
             found.append(".".join(where))
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
     visit(tree, ())
     return found
+
+
+def callers(tree, name):
+    """The dotted names of the functions and classes in which ``name``
+    is called."""
+    return enclosing(tree, lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)))
 
 
 def test_no_function_takes_a_metric_beside_its_context():
@@ -656,6 +663,14 @@ def test_strategy_outcomes_are_built_in_one_place():
     built = [(mod, where) for mod, tree in trees.items()
              for where in callers(tree, "StrategyOutcome")]
     assert built == [("classif", "_outcome")]
+    # and no attribute of one is set anywhere else: a field stored
+    # after _outcome is a second record of what the strategy did
+    fields = {f.name for f in dataclasses.fields(StrategyOutcome)}
+    stored = [(mod, where) for mod, tree in trees.items()
+              for where in enclosing(tree, lambda node: isinstance(node, ast.Attribute)
+                                     and node.attr in fields
+                                     and isinstance(node.ctx, (ast.Store, ast.Del)))]
+    assert [s for s in stored if s != ("classif", "_outcome")] == []
     assert not [node for node in ast.walk(trees["tabular"])
                 if isinstance(node, ast.Attribute) and node.attr == "origins"
                 and isinstance(node.ctx, ast.Store)]

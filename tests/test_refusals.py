@@ -283,3 +283,14 @@ def test_minkowsky_without_p_is_minkowsky_with_p_2(tmp_path):
         assert run(["smote-r", "--in", str(src), "--out", str(out), "--target", "Tgt",
                     "--dist", "minkowsky", *p]) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_a_class_given_two_percentages_is_a_usage_error(tmp_path, capsys):
+    # neither percentage silently wins; the parser refuses before any read
+    out = tmp_path / "o.csv"
+    assert run(["randunder", "--in", "i.csv", "--out", str(out), "--target", "cls",
+                "--c-perc", "a=0.5,a=0.1"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "rebalance randunder: error: argument --c-perc: "
+        "class 'a' is given more than one percentage")
+    assert not out.exists()

@@ -185,6 +185,16 @@ def test_take_counts_negative_indices_from_the_end():
     assert list(grown.target_column.labels) == ["q", "r"]
 
 
+def test_take_indexes_rows_as_numpy_does():
+    # an index in any integer dtype is used as it is: one past the rows
+    # is numpy's IndexError, not wrapped onto a row by a narrower cast
+    ds = make_ds([("x", "num", [1.0, 2.0, 3.0, 4.0, 5.0])], "x")
+    for dtype in (np.uint64, np.int64):
+        with pytest.raises(IndexError):
+            ds.take(np.array([2**32 + 1], dtype=dtype))
+    assert ds.take(np.array([4, 1], dtype=np.uint8)) == ds.take([4, 1])
+
+
 @pytest.mark.parametrize("indices", [np.array([True, False, True]), np.array([0.9, 2.7]),
                                      [1.0], np.array([0, None], dtype=object)],
                          ids=["bool mask", "floats", "float list", "objects"])
