@@ -112,17 +112,19 @@ class ClassPercSpec(_PercSpec):
 class StrategyOutcome:
     """A strategy's output and what it did to the input's rows.
 
-    ``removed`` lists the input rows not kept; only importance
-    sampling's mode B may add a replica of one.  ``seeds`` holds each
-    added row's seed row and ``synthetic`` whether that row is new
-    rather than a copy: first the extra copies of rows kept more than
-    once, then the rows each grown group added, in group order.  A bump
+    ``removed`` holds the input rows not kept, ascending; only
+    importance sampling's mode B may add a replica of one.  ``seeds``
+    holds each added row's seed row and ``synthetic`` whether that row
+    is new rather than a copy: first the extra copies of rows kept more
+    than once, then the rows each grown group added, in group order.
+    ``removed`` and ``seeds`` are arrays in ``index_dtype`` of the
+    input's row count, the dtype of the output's ``origins``.  A bump
     strategy keeps the input's bump ``partition``.  ``_outcome`` builds
     every outcome, and no field is set after it.
     """
 
     dataset: Dataset
-    removed: list[int]
+    removed: np.ndarray
     seeds: np.ndarray
     synthetic: np.ndarray
     warnings: list[str]
@@ -288,29 +290,34 @@ def _outcome(
 ) -> StrategyOutcome:
     """The output and bookkeeping of kept rows plus added ones.
 
-    ``added`` holds (seed rows, block | None) per grown group: a column
-    block of synthetic rows, or None for replicas of the seeds.  The
-    output holds ``kept`` (row order, a row may repeat), then the
-    replicas, then the blocks; its ``origins`` are those rows, then -1
-    per block row.  A row kept twice is one more added copy.
+    ``kept`` ascends, and a row may repeat in it.  ``added`` holds
+    (seed rows, block | None) per grown group: a column block of
+    synthetic rows, or None for replicas of the seeds.  The output
+    holds ``kept``, then the replicas, then the blocks; its ``origins``
+    are those rows, then -1 per block row.  A row kept twice is one
+    more added copy.  ``removed`` and ``seeds`` are in the origins'
+    dtype.
     """
     blocks = [b for _, b in added if b is not None]
     block = ({c: np.concatenate([b[c] for b in blocks]) for c in blocks[0]}
              if blocks else None)
     # in the dtype of the output's origins, which it becomes
-    idx = np.concatenate([kept, *(s for s, b in added if b is None)],
-                         dtype=index_dtype(ds.n_rows))
+    dtype = index_dtype(ds.n_rows)
+    idx = np.concatenate([kept, *(s for s, b in added if b is None)], dtype=dtype)
     out = ds.take(idx, block)
+    kept = idx[:len(kept)]
     if blocks:
-        idx = np.concatenate([idx, np.full(out.n_rows - len(idx), -1, idx.dtype)])
+        idx = np.concatenate([idx, np.full(out.n_rows - len(idx), -1, dtype)])
     out.origins = idx
-    counts = np.bincount(kept, minlength=ds.n_rows)
-    removed = np.flatnonzero(counts == 0).tolist()
-    repeated = np.flatnonzero(counts > 1)
-    seeds = [np.repeat(repeated, counts[repeated] - 1), *(s for s, _ in added)]
-    synthetic = np.repeat([False, *(b is not None for _, b in added)], list(map(len, seeds)))
-    return StrategyOutcome(out, removed, np.concatenate(seeds).astype(np.intp, copy=False),
-                           synthetic, warnings or [], partition)
+    gone = np.ones(ds.n_rows, dtype=bool)
+    gone[kept] = False
+    removed = np.arange(ds.n_rows, dtype=dtype)[gone]
+    # the ascending kept rows hold each extra copy beside its row
+    copies = kept[1:][kept[1:] == kept[:-1]]
+    seeds = np.concatenate([copies, *(s for s, _ in added)], dtype=dtype)
+    synthetic = np.repeat([False, *(b is not None for _, b in added)],
+                          [len(copies), *(len(s) for s, _ in added)])
+    return StrategyOutcome(out, removed, seeds, synthetic, warnings or [], partition)
 
 
 def _sample(rng: np.random.Generator, repl: bool = False) -> Callable:

@@ -69,8 +69,10 @@ def _limit_slopes(ys: np.ndarray, phis: np.ndarray, raw: np.ndarray) -> np.ndarr
     """Fritsch-Carlson admissibility filter for user slopes.
 
     A slope is kept as supplied when the segment cubics around it stay
-    monotone; otherwise it is zeroed (flat or opposing segments) or
-    capped at 3x the smaller adjacent secant.
+    monotone; otherwise it is zeroed (opposing segments) or capped at 3x
+    the smaller adjacent secant, which is zero beside a flat segment.
+    Such a zero may keep the sign of the user's slope, which moves at
+    most the sign of a zero relevance; no strategy reads that sign.
     """
     n = len(ys)
     # points closer than 1/max-float overflow their secant to inf, which
@@ -84,9 +86,6 @@ def _limit_slopes(ys: np.ndarray, phis: np.ndarray, raw: np.ndarray) -> np.ndarr
             adjacent.append(secants[k - 1])
         if k < n - 1:
             adjacent.append(secants[k])
-        if any(s == 0 for s in adjacent):
-            m[k] = 0.0
-            continue
         signs = {math.copysign(1.0, s) for s in adjacent}
         if len(signs) > 1:
             m[k] = 0.0
@@ -175,6 +174,26 @@ def build_relevance_range(points) -> RelevanceFn:
     return RelevanceFn(tuple(pts), ys, phis, slopes)
 
 
+def _quartiles(y: np.ndarray) -> tuple[float, float, float]:
+    """``np.percentile(y, [25, 50, 75])`` of two or more values, bit for
+    bit: numpy's linear method over the partition it makes.
+    ``np.percentile`` imports ``numpy.ma`` on its first call, about 1.3
+    MiB of peak RSS.
+    """
+    n = len(y)
+    at = [(n - 1) * q for q in (0.25, 0.5, 0.75)]  # exact, as in numpy
+    lows = [math.floor(v) for v in at]
+    # numpy's positions, -1 among them, so that equal values, -0.0 and
+    # 0.0, land where its partition puts them
+    part = np.partition(y, [-1, *sorted({0, *lows, *(i + 1 for i in lows)})])
+    quartiles = []
+    for v, i in zip(at, lows):
+        a, b, g = float(part[i]), float(part[i + 1]), v - i
+        # numpy's lerp: from the nearer end
+        quartiles.append(b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g)
+    return tuple(quartiles)
+
+
 def build_relevance_extremes(values, extr_type: str = "both") -> RelevanceFn:
     """Relevance from the boxplot of the observed target values, which
     must be finite numbers (``numeric_target`` gives a dataset's)."""
@@ -189,7 +208,7 @@ def build_relevance_extremes(values, extr_type: str = "both") -> RelevanceFn:
     if not y.size or y.min() == y.max():
         raise RelevanceError("target has no spread")
     y_min, y_max = float(y.min()), float(y.max())
-    q1, med, q3 = (float(q) for q in np.percentile(y, [25, 50, 75]))
+    q1, med, q3 = _quartiles(y.ravel())
     iqr = q3 - q1
     fence_low, fence_high = q1 - 1.5 * iqr, q3 + 1.5 * iqr
     has_low, has_high = bool(np.any(y < fence_low)), bool(np.any(y > fence_high))

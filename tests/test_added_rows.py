@@ -19,6 +19,7 @@ import rebalance.classif as classif
 import rebalance.cli as cli
 import rebalance.regress as regress
 from rebalance import Metric, find_bumps, read_dataset, tomek_classif
+from rebalance.tabular import index_dtype
 
 import _oracles as oracle
 
@@ -128,7 +129,9 @@ def test_added_rows_match_the_row_by_row_list(case, inputs, tmp_path, monkeypatc
         want = oracle.driver_added_oracle(ds.n_rows, call["groups"], call["shrunk"],
                                           call["grown"])
     assert want and oracle.added_rows(out) == want
-    assert out.seeds.dtype == np.intp and out.synthetic.dtype == bool
+    # at the table's width, the dtype of the output's origins
+    assert out.seeds.dtype == out.removed.dtype == index_dtype(ds.n_rows)
+    assert out.synthetic.dtype == bool
     assert json.loads(report.read_text())["added"] == len(out.seeds)
 
     # a bump strategy returns its partition; the CLI partitions the output only

@@ -187,7 +187,7 @@ def test_rand_under_keeps_row_order():
 def test_rand_under_deterministic():
     a = rand_under_classif(under_toy(), ClassPercSpec.balance(), seed=9)
     b = rand_under_classif(under_toy(), ClassPercSpec.balance(), seed=9)
-    assert a.dataset == b.dataset and a.removed == b.removed
+    assert a.dataset == b.dataset and a.removed.tolist() == b.removed.tolist()
 
 
 def test_rand_under_extreme_can_empty_a_class():
@@ -204,7 +204,7 @@ def test_rand_over_balance_appends_replicas():
     assert dict(class_counts(out.dataset)) == {"a": 4, "b": 4}
     # originals stay in place as a prefix
     assert list(out.dataset.column("x").values[:6]) == [0, 1, 2, 3, 4, 5]
-    assert out.removed == []
+    assert out.removed.tolist() == []
     assert len(out.seeds) == 2
     assert not out.synthetic.any()
     for s in out.seeds:
@@ -249,39 +249,39 @@ def test_tomek_removes_mutual_cross_pair():
     ds = line_ds([(0.0, "a"), (1.0, "a"), (1.2, "b"), (5.0, "b"), (9.0, "a")])
     out = tomek_classif(ds, Metric("euclidean"), cl="all", rem="both", seed=0)
     # rows 1 and 2 are mutual nearest neighbours across classes
-    assert out.removed == [1, 2]
+    assert out.removed.tolist() == [1, 2]
     assert out.warnings == []
 
 
 def test_tomek_maj_removes_larger_class_end():
     ds = line_ds([(0.0, "a"), (1.0, "a"), (1.2, "b"), (20.0, "b"), (10.0, "a")])
     out = tomek_classif(ds, Metric("euclidean"), cl="all", rem="maj", seed=0)
-    assert out.removed == [1]  # 'a' outnumbers 'b' 3:2
+    assert out.removed.tolist() == [1]  # 'a' outnumbers 'b' 3:2
 
 
 def test_tomek_maj_tie_removes_neither():
     ds = line_ds([(0.0, "a"), (1.0, "a"), (1.2, "b"), (5.0, "b")])
     out = tomek_classif(ds, Metric("euclidean"), cl="all", rem="maj", seed=0)
-    assert out.removed == []
+    assert out.removed.tolist() == []
     assert out.warnings == [WARN_TOMEK_NONE]
 
 
 def test_tomek_cl_limits_removal():
     ds = line_ds([(0.0, "a"), (1.0, "a"), (1.2, "b"), (5.0, "b"), (9.0, "a")])
     out = tomek_classif(ds, Metric("euclidean"), cl=["b"], rem="both", seed=0)
-    assert out.removed == [2]
+    assert out.removed.tolist() == [2]
 
 
 def test_tomek_warns_when_no_links():
     ds = line_ds([(0.0, "a"), (1.0, "a"), (50.0, "b"), (51.0, "b")])
     out = tomek_classif(ds, Metric("euclidean"), seed=0)
-    assert out.removed == [] and out.warnings == [WARN_TOMEK_NONE]
+    assert out.removed.tolist() == [] and out.warnings == [WARN_TOMEK_NONE]
 
 
 def test_tomek_keeps_a_lone_row():
     # one row has no neighbour, so no link: it stays, with the warning
     out = tomek_classif(line_ds([(0.0, "a")]), Metric("euclidean"), seed=0)
-    assert out.removed == [] and out.dataset.n_rows == 1
+    assert out.removed.tolist() == [] and out.dataset.n_rows == 1
     assert out.warnings == [WARN_TOMEK_NONE]
 
 
@@ -381,7 +381,7 @@ def test_oss_tomek_first_with_nothing_left_to_condense():
     assert (important, unimportant) == (["a"], ["b"])
     assert out.dataset.column("x").values.tolist() == [0.0, 10.0]
     assert list(out.dataset.target_column.labels) == ["a", "a"]
-    assert out.removed == [1] and out.warnings == [] and len(out.seeds) == 0
+    assert out.removed.tolist() == [1] and out.warnings == [] and len(out.seeds) == 0
 
 
 def test_oss_rejects_bad_start():
@@ -409,13 +409,13 @@ def enn_toy():
 def test_enn_removes_disagreeing_row():
     out = enn_classif(enn_toy(), Metric("euclidean"), k=3, seed=0)
     # only the positive row stranded in the negative cluster goes
-    assert out.removed == [3]
+    assert out.removed.tolist() == [3]
     assert out.warnings == []
 
 
 def test_enn_respects_cl():
     out = enn_classif(enn_toy(), Metric("euclidean"), k=3, cl=["neg"], seed=0)
-    assert out.removed == []
+    assert out.removed.tolist() == []
     assert out.warnings == [WARN_ENN_NONE]
 
 
@@ -424,7 +424,7 @@ def test_enn_reinserts_emptied_class():
     out = enn_classif(line_ds(pts), Metric("euclidean"), k=3, seed=0)
     # the lone positive fails the vote but is put back
     assert dict(class_counts(out.dataset))["pos"] == 1
-    assert out.removed == []
+    assert out.removed.tolist() == []
     assert out.warnings == [WARN_ENN_NONE]
 
 
@@ -450,7 +450,7 @@ def test_ncl_removes_majority_row_between_minority_rows():
 def test_ncl_unchanged_when_separated():
     ds = line_ds([(0.0, "a"), (1.0, "a"), (50.0, "b"), (51.0, "b"), (52.0, "b")])
     out = ncl_classif(ds, Metric("euclidean"), k=1, cl=["a"], seed=0)
-    assert out.removed == []
+    assert out.removed.tolist() == []
     assert out.warnings == [WARN_ENN_NONE]
 
 

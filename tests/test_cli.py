@@ -631,10 +631,14 @@ def test_distances_that_overflow_print_no_warning(cmd, tmp_path):
 
 
 def _python_m(args, text=True, stdin=None):
+    return _python(["-m", *args], text, stdin)
+
+
+def _python(args, text=True, stdin=None):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", *args], env=env, input=stdin,
+    return subprocess.run([sys.executable, *args], env=env, input=stdin,
                           capture_output=True, text=text, timeout=60)
 
 
@@ -643,6 +647,20 @@ def test_python_m_entry_points(module):
     proc = _python_m([module, "--help"])
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: rebalance ")
+
+
+def test_impsamp_r_leaves_numpy_ma_unimported(tmp_path):
+    # np.percentile and np.unique import numpy.ma, about 1.3 MiB of peak
+    # RSS; the relevance boxplot and the outcome bookkeeping need neither
+    src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    assert run(["gen", "imbr", "--rows", "500", "--out", str(src)]) == 0
+    code = ("import sys\nfrom rebalance.cli import run\nstatus = run(sys.argv[1:])\n"
+            "print('numpy.ma' in sys.modules)\n"
+            "sys.exit(status)")
+    proc = _python(["-c", code, "impsamp-r", "--in", str(src), "--out", str(out),
+                    "--target", "Tgt", "--u", "0.5", "--o", "1.0"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+    assert out.exists()
 
 
 def test_large_output_to_dev_stdout(tmp_path):

@@ -145,7 +145,7 @@ def test_cnn_matches_full_matrix_loop(case, seed, data):
     for block in BLOCKS:
         with mock.patch.object(dist_mod, "BLOCK_PAIRS", block):
             out, _, _ = cnn_classif(ds, metric, cl=sorted(important), seed=seed)
-            assert out.removed == removed
+            assert out.removed.tolist() == removed
 
 
 def test_cnn_later_round_rows_win_ties_by_index():
@@ -163,7 +163,7 @@ def test_cnn_later_round_rows_win_ties_by_index():
         ds = make_ds([("x", "num", x), ("cls", "nom", list(labels))], "cls")
         ctx = build_context(metric, ds)
         out, _, _ = cnn_classif(ds, metric, cl=["a"], seed=seed)
-        assert out.removed == cnn_oracle_removed(ds, ctx, ["a"], seed) == removed
+        assert out.removed.tolist() == cnn_oracle_removed(ds, ctx, ["a"], seed) == removed
     # a blank cell has no euclidean distance, so no NaN order to break
     # ties by: CNN refuses the table
     x = [0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, np.nan]
@@ -329,7 +329,7 @@ def test_kd_walk_cnn_matches_full_matrix_loop(case, seed, data):
     for setting in SETTINGS:
         with engine(setting):
             out, _, _ = cnn_classif(ds, metric, cl=sorted(important), seed=seed)
-            assert out.removed == removed
+            assert out.removed.tolist() == removed
 
 
 @st.composite

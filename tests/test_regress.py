@@ -124,7 +124,7 @@ def test_rand_over_extreme_total():
 def test_rand_over_appends_replicas_only():
     ds = two_bump_ds(12, 4)
     out = rand_over_regress(ds, RAMP, 0.5, BumpPercSpec.explicit([1.0]), seed=3)
-    assert out.removed == []
+    assert out.removed.tolist() == []
     assert out.dataset.n_rows == 20
     head = dataset_to_csv_bytes(out.dataset.take(range(16)))
     assert head == dataset_to_csv_bytes(ds)
@@ -374,7 +374,7 @@ def test_imp_samp_mode_b_identity_when_off():
     ds = two_bump_ds(20, 5)
     out = imp_samp_regress(ds, RAMP, ImpSampParams(u=0.0, o=0.0), seed=0)
     assert out.dataset == ds
-    assert out.removed == [] and len(out.seeds) == 0
+    assert out.removed.tolist() == [] and len(out.seeds) == 0
 
 
 def test_imp_samp_mode_b_never_drops_full_relevance():

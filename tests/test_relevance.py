@@ -7,12 +7,19 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from rebalance import (
+    ClassPercSpec,
     ControlPoint,
+    ImpSampParams,
     RelevanceError,
     build_relevance_extremes,
     build_relevance_range,
     find_bumps,
+    gen_imbc,
     gen_imbr,
+    imp_samp_regress,
+    rand_over_classif,
+    rand_under_classif,
+    rand_under_regress,
 )
 import rebalance.relevance as relevance
 from rebalance.relevance import copied_bumps
@@ -264,6 +271,19 @@ def test_extremes_bad_type():
         build_relevance_extremes([1.0, 2.0, 3.0], extr_type="middle")
 
 
+@settings(max_examples=300, deadline=None)
+@given(y=st.lists(st.sampled_from([-0.0, 0.0, 0.1, 0.7, 1.0]) | st.floats(-1e300, 1e300),
+                  min_size=2, max_size=60))
+# an even count's median, which numpy's lerp takes from the upper value
+@example(y=[0.1, 0.7])
+# ties of -0.0 and 0.0 at every quartile
+@example(y=[0.0, -0.0, 0.0, -0.0, -0.0, 0.0, -0.0])
+def test_quartiles_equal_numpys_percentile(y):
+    y = np.array(y)
+    want = np.percentile(y, [25, 50, 75])
+    assert np.array(relevance._quartiles(y)).tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------- bumps
 
 def wave_ds(n=201):
@@ -410,6 +430,36 @@ def test_find_bumps_memory_is_bounded():
     # relevance, held whole, took 16 more, and the cubic over all rows
     # at once about 104
     assert peak < n * 12
+
+
+# bytes per input row that each strategy may peak at on a 200k-row
+# table, just above what it took with ``removed`` and ``seeds`` in int32
+# and no n-row bincount (17.6, 40.0, 27.5 and 65.7); a list of
+# ``removed`` ints and an int64 bincount took 63.2, 65.2, 61.0 and 87.0
+STRATEGY_PEAKS = {"rand_under_classif": 19, "imp_samp_regress u 0.5 o 1.0": 42,
+                  "rand_under_regress": 29, "rand_over_classif": 67}
+
+
+def test_strategy_bookkeeping_memory_is_bounded():
+    n = 200_000
+    imbc, imbr = gen_imbc(n, seed=0), gen_imbr(n, seed=0)
+    fn = build_relevance_extremes(imbr.target_column.values)
+    runs = {
+        "rand_under_classif": lambda: rand_under_classif(imbc, ClassPercSpec.balance(), seed=0),
+        "imp_samp_regress u 0.5 o 1.0":
+            lambda: imp_samp_regress(imbr, fn, ImpSampParams(u=0.5, o=1.0), seed=0),
+        "rand_under_regress": lambda: rand_under_regress(imbr, fn, seed=0),
+        "rand_over_classif": lambda: rand_over_classif(imbc, ClassPercSpec.balance(), seed=0),
+    }
+    peaks = {}
+    for name, strategy in runs.items():
+        tracemalloc.start()
+        try:
+            strategy()
+            peaks[name] = tracemalloc.get_traced_memory()[1] / n
+        finally:
+            tracemalloc.stop()
+    assert all(peaks[name] < bound for name, bound in STRATEGY_PEAKS.items()), peaks
 
 
 
