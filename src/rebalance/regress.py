@@ -325,7 +325,10 @@ def imp_samp_regress(
                     f"{bump.y_low!r} to {bump.y_high!r} must lose {drop} rows but holds "
                     f"only {np.count_nonzero(p)} with relevance below 1"
                 )
-            return np.setdiff1d(idx, rng.choice(idx, size=drop, replace=False, p=p))
+            # a mask over positions: np.setdiff1d would import numpy.ma
+            gone = np.zeros(len(idx), dtype=bool)
+            gone[rng.choice(len(idx), size=drop, replace=False, p=p)] = True
+            return idx[~gone]
 
         def grow(_, idx, extra):
             return rng.choice(idx, size=extra, replace=True, p=_proportional(phi[idx])), None

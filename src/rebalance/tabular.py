@@ -41,9 +41,10 @@ quote and no bare CR is read by two processes where two CPUs are free
 (``read_dataset``): a worker reads the records after the first line
 end past the middle and hands back its columns' state without their
 text, which is merged in file order.  The result and every error are
-those of one process; any failure, and a column nominal in front and
-numeric behind, reads the file again in one process.  Both splits fork
-through ``_forked``.
+those of one process; a failure of the caller, and a column nominal in
+front and numeric behind, reads the file again in one process.  Both
+splits fork through ``_forked``; where the fork or the worker fails,
+the caller does the back half itself.
 """
 
 from __future__ import annotations
@@ -364,12 +365,13 @@ def read_dataset(
     thread, if a scan of its front half proves a split point
     (``_split_point``): no ``"``, no CR outside a CRLF pair and at least
     ``SPLIT_ROWS // 2`` lines.  A forked worker reads the records after
-    the split point while this process reads those before it.  The
-    result is the one process's, and so is every error: if either side
-    fails, or a column reads nominal before the split point and numeric
-    after it, the whole file is read again by one process.  A stream, a
-    file whose front half holds a quote or a bare CR, or a smaller file
-    is read by one process.
+    the split point while this process reads those before it; if the
+    fork or the worker fails, this process reads them after its own.
+    The result is the one process's, and so is every error: if this
+    process fails, or a column reads nominal before the split point and
+    numeric after it, the whole file is read again by one process.  A
+    stream, a file whose front half holds a quote or a bare CR, or a
+    smaller file is read by one process.
     """
     columns = None
     if isinstance(source, (str, Path)) and _may_fork():
@@ -442,9 +444,11 @@ def _read_records(reader, columns: list["_ColumnReader"], lineno: int) -> None:
 
 def _read_split(path, target: str, schema) -> list["_ColumnReader"] | None:
     """The columns of the file at ``path``, read by two processes, or
-    None if the file has no proven split point, either side fails or a
+    None if the file has no proven split point, this process fails or a
     column reads nominal in front and holds a number behind (the kind
-    flip).  A back column with no present cell takes the front's kind."""
+    flip).  If the fork or the worker fails, this process reads the back
+    records too.  A back column with no present cell takes the front's
+    kind."""
     try:
         split = _split_point(path)
         if split is None:
@@ -453,15 +457,14 @@ def _read_split(path, target: str, schema) -> list["_ColumnReader"] | None:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             columns = _header(reader, target, schema)
-            with _forked(lambda tmp: _read_back(path, start, columns, lines + 1, tmp),
-                         f"the process reading {path} from byte {start}") as join:
-                if join is None:
-                    return None
+            with _forked(lambda tmp: _read_back(path, start, columns, lines + 1, tmp)) as join:
                 # before ``start`` lie the header and lines - 1 records
                 _read_records(islice(reader, lines - 1), columns, 2)
-                rests = pickle.load(join())
+                tmp = join()
+                if tmp is None:
+                    _read_records(reader, columns, lines + 1)
                 # the text the back kept while numeric stays in the worker
-                if not all(col.extend(back) for col, back in zip(columns, rests)):
+                elif not all(col.extend(back) for col, back in zip(columns, pickle.load(tmp))):
                     return None
     except Exception:
         # the serial reader reads the file again, and raises its own
@@ -655,7 +658,8 @@ def write_dataset(ds: Dataset, sink) -> None:
     ``SPLIT_ROWS`` rows is written by two processes when two CPUs are
     free and this process runs one thread: a forked worker formats the
     back rows into a temporary file while this process writes the front
-    rows, then appends the worker's bytes.  The split falls where both
+    rows, then appends the worker's bytes, or, if the fork or the worker
+    fails, writes the back rows itself.  The split falls where both
     sides format as many lines (``_split_row``).  The bytes are those
     one process would write.
 
@@ -682,17 +686,17 @@ def _may_fork() -> bool:
 
 def _write_split(ds: Dataset, fh: IO[str]) -> None:
     """Write the front rows of ``ds`` to ``fh`` while a forked worker
-    formats the back rows; then append the worker's bytes."""
+    formats the back rows; then append the worker's bytes, or, if the
+    fork or the worker failed, write the back rows here."""
     mid = _split_row(ds)
-    with _forked(lambda tmp: _write_back(ds, tmp, mid),
-                 f"the process formatting rows {mid + 1}-{ds.n_rows} of {fh.name}") as join:
-        if join is None:
-            _write_rows(ds, fh)
-            return
+    with _forked(lambda tmp: _write_back(ds, tmp, mid)) as join:
         _write_rows(ds, fh, stop=mid)
         tmp = join()
-        fh.flush()
-        shutil.copyfileobj(tmp, fh.buffer, COPY_BYTES)
+        if tmp is None:
+            _write_rows(ds, fh, start=mid, header=False)
+        else:
+            fh.flush()
+            shutil.copyfileobj(tmp, fh.buffer, COPY_BYTES)
 
 
 def _split_row(ds: Dataset) -> int:
@@ -758,39 +762,31 @@ def _write_back(ds: Dataset, tmp: IO[bytes], start: int) -> None:
 
 
 @contextmanager
-def _forked(work: Callable[[IO[bytes]], None], what: str
-            ) -> Iterator[Callable[[], IO[bytes]] | None]:
+def _forked(work: Callable[[IO[bytes]], None]) -> Iterator[Callable[[], IO[bytes] | None]]:
     """Run ``work(tmp)`` in a forked worker, ``tmp`` being an unlinked
     temporary file in the temp dir, so that any output path works,
     /dev/stdout included.
 
-    Yields None if the fork fails, else ``join``: it reaps the worker
-    and gives back ``tmp`` at its start, or raises a TabularError that
-    says ``what`` exited with which status and, if the worker raised,
-    the exception's type and message.  On leaving, a worker not yet
-    reaped is killed and reaped.
+    Yields ``join``: it reaps the worker and gives back ``tmp`` at its
+    start, or None if the fork failed or the worker exited with a
+    non-zero status, in which case the caller does the worker's part
+    itself.  On leaving, a worker not yet reaped is killed and reaped.
     """
     with tempfile.TemporaryFile() as tmp:
         try:
             pid = os.fork()
         except OSError:
-            yield None
+            yield lambda: None
             return
         if pid == 0:
             _child(work, tmp)
 
-        def join() -> IO[bytes]:
+        def join() -> IO[bytes] | None:
             nonlocal pid
             _, status = os.waitpid(pid, 0)
             pid = 0
-            code = os.waitstatus_to_exitcode(status)
             tmp.seek(0)
-            if code:
-                # status 1 comes from ``_child``, which left the exception in tmp
-                why = tmp.read().decode("utf-8", "replace") if code == 1 else ""
-                raise TabularError(f"{what} exited with status {code}"
-                                   + (f": {why}" if why else ""))
-            return tmp
+            return None if status else tmp
 
         try:
             yield join
@@ -802,24 +798,17 @@ def _forked(work: Callable[[IO[bytes]], None], what: str
 
 def _child(work: Callable[[IO[bytes]], None], tmp: IO[bytes]) -> NoReturn:
     """In the forked worker: run ``work(tmp)``, then exit without running
-    any of the parent's clean-up.  If it raises, ``tmp`` holds the
-    exception's type and message in place of its output."""
+    any of the parent's clean-up, with status 0, or 1 if it raised."""
+    code = 1
     try:
         # a collection could finalise, and so flush, a file object the
         # parent owns
         gc.disable()
         work(tmp)
         tmp.flush()
-    except BaseException as exc:
-        try:
-            why = f"{type(exc).__name__}: {exc}".removesuffix(": ")
-            os.ftruncate(tmp.fileno(), 0)
-            os.pwrite(tmp.fileno(), why.encode("utf-8", "replace"), 0)
-        finally:
-            # before ``exc`` goes, with its frames and any file object
-            # they hold that could flush into tmp
-            os._exit(1)
-    os._exit(0)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _write_rows(ds: Dataset, fh: IO[str], start: int = 0, stop: int | None = None,

@@ -187,8 +187,17 @@ MUTANTS = [
            "if not all(np.isnan(f).all() for f in back.floats):",
            "if True:"),
     Mutant("the one-process re-read for every split file", "tabular.py",
-           "if not all(col.extend(back) for col, back in zip(columns, rests)):",
-           "if True:"),
+           "elif not all(col.extend(back) for col, back in zip(columns, pickle.load(tmp))):",
+           "elif True:"),
+    Mutant("a failed worker's output joined", "tabular.py",
+           "return None if status else tmp",
+           "return tmp"),
+    Mutant("no back read in this process after a failed worker", "tabular.py",
+           "_read_records(reader, columns, lines + 1)",
+           "pass"),
+    Mutant("no back write in this process after a failed worker", "tabular.py",
+           "_write_rows(ds, fh, start=mid, header=False)",
+           "pass"),
     Mutant("no final + 1 in _split_row", "tabular.py",
            "int(np.searchsorted(rows, 0)) + 1",
            "int(np.searchsorted(rows, 0))"),

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import re
@@ -649,18 +650,29 @@ def test_python_m_entry_points(module):
     assert proc.stdout.startswith("usage: rebalance ")
 
 
-def test_impsamp_r_leaves_numpy_ma_unimported(tmp_path):
-    # np.percentile and np.unique import numpy.ma, about 1.3 MiB of peak
-    # RSS; the relevance boxplot and the outcome bookkeeping need neither
+def _leaves_numpy_ma_unimported(tmp_path, *options):
+    """Run ``impsamp-r`` with ``options`` on a ``gen imbr`` table in a
+    new process, and check that it never imports numpy.ma."""
     src, out = tmp_path / "in.csv", tmp_path / "out.csv"
     assert run(["gen", "imbr", "--rows", "500", "--out", str(src)]) == 0
     code = ("import sys\nfrom rebalance.cli import run\nstatus = run(sys.argv[1:])\n"
             "print('numpy.ma' in sys.modules)\n"
             "sys.exit(status)")
     proc = _python(["-c", code, "impsamp-r", "--in", str(src), "--out", str(out),
-                    "--target", "Tgt", "--u", "0.5", "--o", "1.0"])
+                    "--target", "Tgt", *options])
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
     assert out.exists()
+
+
+def test_impsamp_r_leaves_numpy_ma_unimported(tmp_path):
+    # np.percentile and np.unique import numpy.ma, about 1.3 MiB of peak
+    # RSS; the relevance boxplot and the outcome bookkeeping need neither
+    _leaves_numpy_ma_unimported(tmp_path, "--u", "0.5", "--o", "1.0")
+
+
+def test_impsamp_r_mode_a_leaves_numpy_ma_unimported(tmp_path):
+    # mode A's shrink would import it through np.setdiff1d
+    _leaves_numpy_ma_unimported(tmp_path, "--thr-rel", "0.5", "--c-perc", "balance")
 
 
 def test_large_output_to_dev_stdout(tmp_path):
@@ -794,12 +806,30 @@ def old_outputs(tmp_path):
     assert sorted(os.listdir(out.parent)) == ["g.csv", "g.json"]
 
 
-def test_failed_write_worker_keeps_the_old_outputs(old_outputs, monkeypatch, capsys):
-    fail_formatting_in("worker", monkeypatch)
+def test_failed_split_write_keeps_the_old_outputs(old_outputs, monkeypatch, capsys):
+    # the failure is in this process, which kills its worker; two_cpus
+    # checks on leaving that it was reaped
+    fail_formatting_in("parent", monkeypatch)
     with two_cpus() as forks:
         assert run(["gen", "imbc", "--rows", "50", *old_outputs]) == 1
     assert forks
-    assert capsys.readouterr().err.endswith(" exited with status 1: MemoryError: formatting failed\n")
+    assert capsys.readouterr() == ("", "error: formatting failed\n")
+
+
+def test_failed_write_worker_replaces_the_outputs(tmp_path, monkeypatch, capsys):
+    out, rep, serial = tmp_path / "g.csv", tmp_path / "g.json", tmp_path / "serial.csv"
+    out.write_bytes(OLD_CSV)
+    rep.write_bytes(OLD_REPORT)
+    assert run(["gen", "imbc", "--rows", "50", "--out", str(serial)]) == 0
+    # this process writes the rows its worker failed to format
+    fail_formatting_in("worker", monkeypatch)
+    with two_cpus() as forks:
+        assert run(["gen", "imbc", "--rows", "50", "--out", str(out), "--report", str(rep)]) == 0
+    assert forks
+    assert capsys.readouterr() == ("", "")
+    assert out.read_bytes() == serial.read_bytes()
+    assert json.loads(rep.read_text())["n_rows"] == 50
+    assert sorted(os.listdir(tmp_path)) == ["g.csv", "g.json", "serial.csv"]
 
 
 def test_failed_report_write_keeps_the_old_outputs(old_outputs, monkeypatch, capsys):
@@ -811,6 +841,25 @@ def test_failed_report_write_keeps_the_old_outputs(old_outputs, monkeypatch, cap
     monkeypatch.setattr(cli, "_write_report", write_half)
     assert run(["gen", "imbc", "--rows", "50", *old_outputs]) == 1
     assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+
+
+def test_failed_write_names_the_target_not_the_file_beside_it(old_outputs, monkeypatch, capsys):
+    def full(ds, sink):
+        raise OSError(errno.ENOSPC, "No space left on device", sink)
+
+    monkeypatch.setattr(cli, "write_dataset", full)
+    assert run(["gen", "imbc", "--rows", "50", *old_outputs]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 28] No space left on device: {old_outputs[1]!r}\n"
+    assert ".tmp" not in err
+
+
+def test_output_under_a_regular_file_is_one_error_line(tmp_path, capsys):
+    (tmp_path / "file").write_bytes(OLD_CSV)
+    out = tmp_path / "file" / "g.csv"
+    assert run(["gen", "imbc", "--rows", "50", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 20] Not a directory: {str(out)!r}\n"
+    assert os.listdir(tmp_path) == ["file"]
 
 
 def test_interrupted_write_keeps_the_old_outputs(old_outputs, monkeypatch):

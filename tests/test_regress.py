@@ -346,6 +346,15 @@ def test_imp_samp_mode_a_balance_counts():
     assert abs(got[0] - 500) <= 1 and abs(got[1] - 500) <= 1
 
 
+def test_imp_samp_mode_a_shrinks_a_bump_of_full_relevance_uniformly():
+    # each row of the rare bump has relevance 1, so its weights 1 - phi
+    # sum to 0 and the rows it drops are drawn uniformly
+    params = ImpSampParams(thr_rel=0.5, spec=BumpPercSpec.balance())
+    out = imp_samp_regress(two_bump_ds(5, 15), RAMP, params, seed=0)
+    assert totals(out) == (10, 10)
+    assert len(out.removed) == 5 and out.removed.min() >= 5
+
+
 def test_imp_samp_mode_a_removals_prefer_low_relevance():
     # phi rises within the rare-side bump, so surviving rows should skew
     # toward high phi when the bump is shrunk
