@@ -36,15 +36,15 @@ text is checked a cell at a time.  A column numeric so far also keeps
 each block's text as one comma-joined string, so that it can be coded
 from its own spelling if a later block holds a label: a number literal
 holds no comma, so splitting at commas gives the cells back.
-A regular file whose front half holds ``SPLIT_ROWS // 2`` lines, no
-quote and no bare CR is read by two processes where two CPUs are free
-(``read_dataset``): a worker reads the records after the first line
-end past the middle and hands back its columns' state without their
-text, which is merged in file order.  The result and every error are
-those of one process; a failure of the caller, and a column nominal in
-front and numeric behind, reads the file again in one process.  Both
-splits fork through ``_forked``; where the fork or the worker fails,
-the caller does the back half itself.
+A file is opened and read once.  A regular file whose front half
+holds ``SPLIT_ROWS // 2`` lines, no quote and no bare CR is read by two
+processes where two CPUs are free (``read_dataset``): a worker reads
+the records after the first line end past the middle and hands back
+its columns' state without their text, which is merged in file order.
+Both splits fork through ``_forked``.  Where the temporary file, the
+fork or the worker fails, and where a column reads nominal in front and
+holds a number behind, the caller does the back half itself, so the
+result and every error are those of one process.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ import signal
 import stat
 import tempfile
 import threading
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import compress, islice
@@ -360,24 +360,31 @@ def read_dataset(
     (``parses_as_number``; one too large for a float reads as
     infinity).  A missing cell in the target column is an error.
 
-    ``source`` is a path or a text stream.  A regular file is read by
-    two processes when two CPUs are free and this process runs one
-    thread, if a scan of its front half proves a split point
-    (``_split_point``): no ``"``, no CR outside a CRLF pair and at least
-    ``SPLIT_ROWS // 2`` lines.  A forked worker reads the records after
-    the split point while this process reads those before it; if the
-    fork or the worker fails, this process reads them after its own.
-    The result is the one process's, and so is every error: if this
-    process fails, or a column reads nominal before the split point and
-    numeric after it, the whole file is read again by one process.  A
-    stream, a file whose front half holds a quote or a bare CR, or a
-    smaller file is read by one process.
+    ``source`` is a path or a text stream, opened once and read once.
+    A regular file is read by two processes when two CPUs are free and
+    this process runs one thread, if a scan of its front half proves a
+    split point (``_split_point``): no ``"``, no CR outside a CRLF pair
+    and at least ``SPLIT_ROWS // 2`` lines.  A forked worker reads the
+    records after the split point while this process reads those before
+    it (``_read_split``).  The result is the one process's, and so is
+    every error.  A stream, a file whose front half holds a quote or a
+    bare CR, or a smaller file is read by this process alone.
     """
-    columns = None
-    if isinstance(source, (str, Path)) and _may_fork():
-        columns = _read_split(source, target, schema)
-    if columns is None:
-        columns = _read_serial(source, target, schema)
+    owned = isinstance(source, (str, Path))
+    fh = open(source, "r", encoding="utf-8-sig", newline="") if owned else source
+    try:
+        reader = csv.reader(fh)
+        columns = _header(reader, target, schema)
+        split = _split_point(fh.fileno()) if owned and _may_fork() else None
+        if split is None:
+            _read_records(reader, columns, 2)
+        else:
+            _read_split(reader, columns, source, *split)
+    except UnicodeDecodeError as exc:
+        raise TabularError(f"input is not UTF-8 text: {exc}") from None
+    finally:
+        if owned:
+            fh.close()
 
     # column errors wait for the end of the file, where a ragged row or
     # a read error anywhere has been raised first
@@ -391,22 +398,6 @@ def read_dataset(
         if col.name == target:
             present_target(built[-1])
     return Dataset(built, target)
-
-
-def _read_serial(source, target: str, schema) -> list["_ColumnReader"]:
-    """The columns of ``source``, read by this process alone."""
-    owned = isinstance(source, (str, Path))
-    fh = open(source, "r", encoding="utf-8-sig", newline="") if owned else source
-    try:
-        reader = csv.reader(fh)
-        columns = _header(reader, target, schema)
-        _read_records(reader, columns, 2)
-    except UnicodeDecodeError as exc:
-        raise TabularError(f"input is not UTF-8 text: {exc}") from None
-    finally:
-        if owned:
-            fh.close()
-    return columns
 
 
 def _header(reader, target: str, schema) -> list["_ColumnReader"]:
@@ -442,65 +433,61 @@ def _read_records(reader, columns: list["_ColumnReader"], lineno: int) -> None:
         del records, cells  # before the next block is read
 
 
-def _read_split(path, target: str, schema) -> list["_ColumnReader"] | None:
-    """The columns of the file at ``path``, read by two processes, or
-    None if the file has no proven split point, this process fails or a
-    column reads nominal in front and holds a number behind (the kind
-    flip).  If the fork or the worker fails, this process reads the back
-    records too.  A back column with no present cell takes the front's
-    kind."""
-    try:
-        split = _split_point(path)
-        if split is None:
-            return None
-        start, lines = split
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
-            columns = _header(reader, target, schema)
-            with _forked(lambda tmp: _read_back(path, start, columns, lines + 1, tmp)) as join:
-                # before ``start`` lie the header and lines - 1 records
-                _read_records(islice(reader, lines - 1), columns, 2)
-                tmp = join()
-                if tmp is None:
-                    _read_records(reader, columns, lines + 1)
-                # the text the back kept while numeric stays in the worker
-                elif not all(col.extend(back) for col, back in zip(columns, pickle.load(tmp))):
-                    return None
-    except Exception:
-        # the serial reader reads the file again, and raises its own
-        # error if there is one
-        return None
-    return columns
+def _read_split(reader, columns: list["_ColumnReader"], path, start: int,
+                lines: int) -> None:
+    """Add the records of ``reader``, which has read the header of the
+    file at ``path``, to ``columns``: those before byte ``start``, the
+    header and ``lines - 1`` records, here, and those after it in a
+    forked worker, whose columns are then merged in file order.
+
+    If the temporary file, the fork or the worker fails, or a column
+    reads nominal in front and holds a number behind (the kind flip),
+    this process reads the back records itself from ``reader``, which
+    decodes the chunks one process decodes, so its result and errors
+    are those of one process.  A worker that meets any error fails.
+    """
+    with _forked(lambda tmp: _read_back(path, start, columns, lines + 1, tmp)) as join:
+        _read_records(islice(reader, lines - 1), columns, 2)
+        tmp = join()
+        # the text the back kept while numeric stays in the worker
+        backs = None if tmp is None else pickle.load(tmp)
+        if backs is None or any(map(_ColumnReader.flips, columns, backs)):
+            backs = None  # not held while the back records are read here
+            _read_records(reader, columns, lines + 1)
+        else:
+            for col, back in zip(columns, backs):
+                col.extend(back)
 
 
-def _split_point(path) -> tuple[int, int] | None:
+def _split_point(fd: int) -> tuple[int, int] | None:
     """``(p, L)``: ``p`` the byte after the first LF at or past the
-    middle of the regular file at ``path``, ``L`` the LFs before it.
+    middle of the regular file open at ``fd``, ``L`` the LFs before it.
 
     None unless bytes ``[0, p)`` hold no ``"``, no CR outside a CRLF
     pair and at least ``SPLIT_ROWS // 2`` LFs.  Then each line before
     ``p`` is one record, so ``p`` starts record ``L + 1``, the header
-    being record 1.  The file is read ``COPY_BYTES`` at a time.
+    being record 1.  The file is read ``COPY_BYTES`` at a time, by
+    position, so ``fd``'s offset does not move.
     """
+    st = os.fstat(fd)
     # a pipe would be drained by the scan
-    if not stat.S_ISREG(os.stat(path).st_mode):
+    if not stat.S_ISREG(st.st_mode):
         return None
-    with open(path, "rb") as raw:
-        half = os.fstat(raw.fileno()).st_size // 2
-        pos = lines = 0
-        cr = False  # the last chunk ended in a CR
-        while chunk := raw.read(COPY_BYTES):
-            end = chunk.find(b"\n", max(half - pos, 0)) + 1
-            if end:
-                chunk = chunk[:end]
-            if (b'"' in chunk or (cr and not chunk.startswith(b"\n"))
-                    or chunk.count(b"\r") - chunk.endswith(b"\r") > chunk.count(b"\r\n")):
-                return None
-            cr = chunk.endswith(b"\r")
-            lines += chunk.count(b"\n")
-            pos += len(chunk)
-            if end:
-                return (pos, lines) if lines >= SPLIT_ROWS // 2 else None
+    half = st.st_size // 2
+    pos = lines = 0
+    cr = False  # the last chunk ended in a CR
+    while chunk := os.pread(fd, COPY_BYTES, pos):
+        end = chunk.find(b"\n", max(half - pos, 0)) + 1
+        if end:
+            chunk = chunk[:end]
+        if (b'"' in chunk or (cr and not chunk.startswith(b"\n"))
+                or chunk.count(b"\r") - chunk.endswith(b"\r") > chunk.count(b"\r\n")):
+            return None
+        cr = chunk.endswith(b"\r")
+        lines += chunk.count(b"\n")
+        pos += len(chunk)
+        if end:
+            return (pos, lines) if lines >= SPLIT_ROWS // 2 else None
     return None
 
 
@@ -572,16 +559,18 @@ class _ColumnReader:
             self.codes.append(_codes(joined.split(","), ""))
         self.floats, self.texts = [], []
 
-    def extend(self, back: "_ColumnReader") -> bool:
-        """Take in the cells ``back`` read, which follow this reader's, and
-        return True; or return False, the kind flip, where this reader is
-        nominal and ``back``, which keeps no text, holds a number.  A
-        numeric ``back`` with no present cell takes a nominal reader's
-        kind, each cell coded -1."""
+    def flips(self, back: "_ColumnReader") -> bool:
+        """Whether this reader is nominal and ``back``, which keeps no
+        text, holds a number: the kind flip, which ``extend`` cannot take."""
+        # a number literal never parses to NaN: NaN is a missing cell
+        return (back.numeric and not self.numeric
+                and not all(np.isnan(f).all() for f in back.floats))
+
+    def extend(self, back: "_ColumnReader") -> None:
+        """Take in the cells ``back`` read, which follow this reader's;
+        ``flips(back)`` is False.  A numeric ``back`` with no present cell
+        takes a nominal reader's kind, each cell coded -1."""
         if back.numeric and not self.numeric:
-            # a number literal never parses to NaN: NaN is a missing cell
-            if not all(np.isnan(f).all() for f in back.floats):
-                return False
             back.codes, back.floats = [(np.full(len(f), -1, np.int8), ()) for f in back.floats], []
         elif self.numeric and not back.numeric:
             self._code_text()
@@ -589,7 +578,6 @@ class _ColumnReader:
             self.bad = back.bad
         self.floats += back.floats
         self.codes += back.codes
-        return True
 
     def column(self) -> Column:
         """The column read; the reader lets go of its blocks."""
@@ -768,12 +756,14 @@ def _forked(work: Callable[[IO[bytes]], None]) -> Iterator[Callable[[], IO[bytes
     /dev/stdout included.
 
     Yields ``join``: it reaps the worker and gives back ``tmp`` at its
-    start, or None if the fork failed or the worker exited with a
-    non-zero status, in which case the caller does the worker's part
-    itself.  On leaving, a worker not yet reaped is killed and reaped.
+    start, or None if the temporary file or the fork could not be made
+    or the worker exited with a non-zero status, in which case the
+    caller does the worker's part itself.  On leaving, a worker not yet
+    reaped is killed and reaped.
     """
-    with tempfile.TemporaryFile() as tmp:
+    with ExitStack() as stack:
         try:
+            tmp = stack.enter_context(tempfile.TemporaryFile())
             pid = os.fork()
         except OSError:
             yield lambda: None

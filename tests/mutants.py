@@ -1,5 +1,6 @@
 """Named one-line mutants of the engine, the editing rules, the shrink/grow driver,
-the relevance function, the regression strategies, the CSV layer and the CLI.
+the relevance function, the regression strategies, the CSV layer and the CLI's
+option parsers and output tail.
 
 Run by hand from the repository root; pytest does not collect it:
 
@@ -37,7 +38,7 @@ REGRESS_TESTS = ("tests/test_relevance.py", "tests/test_regress.py", "tests/test
 TESTS = {"distance.py": ENGINE_TESTS, "classif.py": ENGINE_TESTS,
          "relevance.py": REGRESS_TESTS, "regress.py": REGRESS_TESTS,
          "tabular.py": ("tests/test_csv.py", "tests/test_tabular.py"),
-         "cli.py": ("tests/test_cli.py", "tests/test_golden.py")}
+         "cli.py": ("tests/test_cli.py", "tests/test_golden.py", "tests/test_refusals.py")}
 # a mutant that loops for ever is killed by the clock
 TIMEOUT_S = 600
 
@@ -180,15 +181,24 @@ MUTANTS = [
     Mutant("no quote check in _split_point", "tabular.py",
            "if (b'\"' in chunk or (cr and",
            "if ((cr and"),
-    Mutant("no kind-flip fallback in _read_split", "tabular.py",
-           "if not all(np.isnan(f).all() for f in back.floats):",
-           "if False:"),
-    Mutant("the one-process re-read for a back column all empty", "tabular.py",
-           "if not all(np.isnan(f).all() for f in back.floats):",
+    Mutant("no kind-flip check in _read_split", "tabular.py",
+           "if backs is None or any(map(_ColumnReader.flips, columns, backs)):",
+           "if backs is None:"),
+    Mutant("flips always False", "tabular.py",
+           "return (back.numeric and not self.numeric",
+           "return False and (back.numeric and not self.numeric"),
+    Mutant("the caller reads the back for a back column all empty", "tabular.py",
+           "and not all(np.isnan(f).all() for f in back.floats))",
+           "and True)"),
+    Mutant("the caller reads the back of every split file", "tabular.py",
+           "if backs is None or any(map(_ColumnReader.flips, columns, backs)):",
            "if True:"),
-    Mutant("the one-process re-read for every split file", "tabular.py",
-           "elif not all(col.extend(back) for col, back in zip(columns, pickle.load(tmp))):",
-           "elif True:"),
+    Mutant("the caller always reads the back, the worker's columns dropped", "tabular.py",
+           "backs = None if tmp is None else pickle.load(tmp)",
+           "backs = None"),
+    Mutant("a temporary file that cannot be made raises", "tabular.py",
+           "        try:\n            tmp = stack.enter_context(tempfile.TemporaryFile())\n",
+           "        tmp = stack.enter_context(tempfile.TemporaryFile())\n        try:\n"),
     Mutant("a failed worker's output joined", "tabular.py",
            "return None if status else tmp",
            "return tmp"),
@@ -201,6 +211,36 @@ MUTANTS = [
     Mutant("no final + 1 in _split_row", "tabular.py",
            "int(np.searchsorted(rows, 0)) + 1",
            "int(np.searchsorted(rows, 0))"),
+    Mutant("an empty class name taken in --c-perc", "cli.py",
+           "if not sep or not name:",
+           "if not sep:"),
+    Mutant("a class given twice in --c-perc keeps the last percentage", "cli.py",
+           "if name in percs:",
+           "if False:"),
+    Mutant("--c-perc extreme read as balance for classes", "cli.py",
+           "return ClassPercSpec.extreme()",
+           "return ClassPercSpec.balance()"),
+    Mutant("--c-perc balance read as extreme for bumps", "cli.py",
+           "return BumpPercSpec.balance()",
+           "return BumpPercSpec.extreme()"),
+    Mutant("an empty bump percentage skipped", "cli.py",
+           'percs = [float(item) for item in text.split(",")]',
+           'percs = [float(item) for item in text.split(",") if item]'),
+    Mutant("relevance point lines counted from 0", "cli.py",
+           "enumerate(rows, start=1)",
+           "enumerate(rows, start=0)"),
+    Mutant("a relevance point of four fields taken", "cli.py",
+           "if len(row) not in (2, 3):",
+           "if len(row) not in (2, 3, 4):"),
+    Mutant("a blank line ends the relevance points", "cli.py",
+           "if not row:\n            continue",
+           "if not row:\n            break"),
+    Mutant("a byte-order mark read as part of the relevance points", "cli.py",
+           'with open(path, "r", encoding="utf-8-sig", newline="") as fh:',
+           'with open(path, "r", encoding="utf-8", newline="") as fh:'),
+    Mutant("relevance points that are not UTF-8 end in a traceback", "cli.py",
+           "except UnicodeDecodeError as exc:\n            raise RelevanceError(",
+           "except LookupError as exc:\n            raise RelevanceError("),
     Mutant("gen's report gains warnings", "cli.py",
            'warnings, fields = [], {"n_rows": data.n_rows}',
            'warnings, fields = [], {"n_rows": data.n_rows, "warnings": []}'),

@@ -744,6 +744,10 @@ def test_rel_picks_the_boxplot_tails(rel, side, imbr_csv, tmp_path):
     (["randover-r", "--c-perc", "1,a"],
      "argument --c-perc: bad bump percentages '1,a'; expected balance, extreme, or "
      "comma-separated numbers"),
+    # an empty item is refused, not skipped
+    (["randover-r", "--c-perc", "1,,2"],
+     "argument --c-perc: bad bump percentages '1,,2'; expected balance, extreme, or "
+     "comma-separated numbers"),
 ])
 def test_bad_option_values_are_usage_errors(args, message, tmp_path, capsys):
     out = tmp_path / "o.csv"

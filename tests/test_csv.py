@@ -330,11 +330,11 @@ NUMERIC = {"x": ColumnKind.NUMERIC}
 # numeric in the front half and nominal in the back, and the other way
 @example(case=(b"x,cls\n" + b"1.50,p\n" * 8 + b"a,q\n" * 8, "cls", None), chunk=1)
 @example(case=(b"x,cls\r\n" + b"a,q\r\n" * 8 + b"1.50,p\r\n" * 8, "cls", None), chunk=2)
-# a label in one front row of one column only: the file is read again
-# by one process
+# a label in one front row of one column only: the kind flip, so this
+# process reads the back records
 @example(case=(b"x,y,cls\na,1,p\n" + b"1.50,2e0,p\n" * 12, "cls", None), chunk=1)
 # a nominal column all empty behind, the split falling at byte 33: the
-# back takes the front's kind, with no second read
+# back takes the front's kind, and this process reads no back record
 @example(case=(b"x,cls\n" + b"a,p\n" * 6 + b",q\n" * 10, "cls", None), chunk=2)
 @example(case=(b"x,cls\r" + b"1.50,p\r" * 10, "cls", None), chunk=3)
 # one bare CR in the front half, at the end of a chunk the scan reads
@@ -370,11 +370,13 @@ def test_split_reader_matches_serial_reader(case, chunk, tmp_path):
               and front.count(b"\n") >= 2)
     with mock.patch.object(tabular, "SPLIT_ROWS", 4), \
             mock.patch.object(tabular, "COPY_BYTES", chunk), \
-            mock.patch.object(tabular, "_read_serial", wraps=tabular._read_serial) as again, \
+            mock.patch.object(tabular, "_header", wraps=tabular._header) as headers, \
+            mock.patch.object(tabular, "_read_records", wraps=tabular._read_records) as reads, \
             two_cpus() as forks:
         got = outcome_of(read_dataset, path, target, schema)
     # a bad byte in the first chunk decoded fails the header, before a fork
     assert len(forks) == splits or (b"\xff" in data and not forks)
+    assert headers.call_count == 1
 
     with open(path, encoding="utf-8", newline="") as fh:
         serial = outcome_of(read_dataset, fh, target, schema)
@@ -388,9 +390,9 @@ def test_split_reader_matches_serial_reader(case, chunk, tmp_path):
         return
     assert got == want
     assert dataset_to_csv_bytes(got) == dataset_to_csv_bytes(serial) == dataset_to_csv_bytes(want)
-    # a split file is read again by one process exactly where the
-    # drawn data has a kind flip
-    assert not forks or again.called == kind_flip(data, end, schema)
+    # this process reads the back records of a split file, after the
+    # front ones, exactly where the drawn data has a kind flip
+    assert not forks or (reads.call_count == 2) == kind_flip(data, end, schema)
 
 
 def kind_flip(data, end, schema):

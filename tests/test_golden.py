@@ -218,14 +218,17 @@ def test_golden_digest(name, inputs, capsys):
 
 @pytest.mark.parametrize("name", sorted(ALL_CASES))
 def test_golden_digest_on_two_cpus(name, inputs, capsys):
-    # no read falls back to one process
-    serial = mock.patch.object(tabular, "_read_serial",
-                               side_effect=AssertionError("read by one process"))
-    with mock.patch.object(tabular, "SPLIT_ROWS", 4), serial, two_cpus() as forks:
+    header = mock.patch.object(tabular, "_header", wraps=tabular._header)
+    records = mock.patch.object(tabular, "_read_records", wraps=tabular._read_records)
+    with mock.patch.object(tabular, "SPLIT_ROWS", 4), header as headers, records as reads, \
+            two_cpus() as forks:
         check_outcome(name, inputs, capsys)
     # one fork to read the input, and one to write the output unless the
     # case is an error
     assert len(forks) == 1 + (name not in ERRORS)
+    # the input is read once, and this process reads its front records
+    # only: no kind flip and no failed worker
+    assert headers.call_count == reads.call_count == 1
 
 
 if __name__ == "__main__":

@@ -1,8 +1,11 @@
 import ast
+import errno
 import io
 import math
 import os
+import pickle
 import subprocess
+import tempfile
 import threading
 import tracemalloc
 from contextlib import nullcontext
@@ -518,7 +521,11 @@ def test_parent_failure_kills_the_worker(monkeypatch, tmp_path):
     assert forks
 
 
-@pytest.mark.parametrize("why", ["thread", "one_cpu", "fork_fails"])
+def no_space(*args, **kwargs):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("why", ["thread", "one_cpu", "fork_fails", "temp_fails"])
 def test_writer_stays_serial_unless_it_can_fork(why, monkeypatch, tmp_path):
     def fork():
         if why == "fork_fails":
@@ -526,6 +533,8 @@ def test_writer_stays_serial_unless_it_can_fork(why, monkeypatch, tmp_path):
         raise AssertionError("the writer forked")
 
     monkeypatch.setattr(tabular, "SPLIT_ROWS", 2)
+    if why == "temp_fails":
+        monkeypatch.setattr(tempfile, "TemporaryFile", no_space)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0} if why == "one_cpu" else {0, 1})
     monkeypatch.setattr(os, "fork", fork)
     ds = toy_mixed_ds()
@@ -561,7 +570,7 @@ def test_a_byte_order_mark_is_not_part_of_the_header(split, monkeypatch, tmp_pat
 
 
 @pytest.mark.parametrize("why", ["split", "stream", "quote", "bare_cr", "small", "thread",
-                                 "one_cpu", "fork_fails"])
+                                 "one_cpu", "fork_fails", "temp_fails"])
 def test_reader_splits_only_where_it_can(why, monkeypatch, tmp_path):
     text = {
         "quote": SPLIT_TEXT.replace("g1", '"g1"', 1),
@@ -575,16 +584,18 @@ def test_reader_splits_only_where_it_can(why, monkeypatch, tmp_path):
         def fork():
             raise OSError("fork: resource temporarily unavailable")
         monkeypatch.setattr(os, "fork", fork)
+    if why == "temp_fails":
+        monkeypatch.setattr(tempfile, "TemporaryFile", no_space)
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait, args=(60,))
     if why == "thread":
         thread.start()
     # over two_cpus, and undone before it is
     one_cpu = mock.patch.object(os, "sched_getaffinity", return_value={0})
-    serial = mock.patch.object(tabular, "_read_serial", wraps=tabular._read_serial)
+    header = mock.patch.object(tabular, "_header", wraps=tabular._header)
     try:
         with two_cpus() as forks, one_cpu if why == "one_cpu" else nullcontext(), \
-                serial as again:
+                header as headers:
             if why == "stream":
                 with open(path, encoding="utf-8", newline="") as fh:
                     ds = read_dataset(fh, target="cls")
@@ -596,8 +607,9 @@ def test_reader_splits_only_where_it_can(why, monkeypatch, tmp_path):
         thread.join(10)
         assert not thread.is_alive()
     assert len(forks) == (why == "split")
-    # where the fork fails, this process reads the back records itself
-    assert again.called == (why not in ("split", "fork_fails"))
+    # one read: where the temporary file or the fork fails, this process
+    # reads the back records itself
+    assert headers.call_count == 1
     with open(path, encoding="utf-8", newline="") as fh:
         assert ds == read_dataset(fh, target="cls")
 
@@ -615,13 +627,67 @@ def test_failed_read_worker_gives_the_serial_result(monkeypatch, tmp_path):
     monkeypatch.setattr(tabular, "SPLIT_ROWS", 16)
     path = tmp_path / "in.csv"
     path.write_text(SPLIT_TEXT, encoding="utf-8", newline="")
-    with mock.patch.object(tabular, "_read_serial", wraps=tabular._read_serial) as again, \
+    with mock.patch.object(tabular, "_header", wraps=tabular._header) as headers, \
             two_cpus() as forks:
         ds = read_dataset(path, target="cls")
     assert forks
     # this process reads the back records after its own, not the file again
-    assert not again.called
+    assert headers.call_count == 1
     assert ds == read_text(SPLIT_TEXT, "cls")
+
+
+def test_a_failure_of_the_calling_process_ends_the_read(monkeypatch, tmp_path):
+    # the worker's columns are half of the result, which one process
+    # would hold as well; the file is not read a second time
+    def load(fh):
+        raise MemoryError("loading the worker's columns")
+
+    monkeypatch.setattr(pickle, "load", load)
+    monkeypatch.setattr(tabular, "SPLIT_ROWS", 16)
+    path = tmp_path / "in.csv"
+    path.write_text(SPLIT_TEXT, encoding="utf-8", newline="")
+    with mock.patch.object(tabular, "_header", wraps=tabular._header) as headers, \
+            two_cpus() as forks, pytest.raises(MemoryError, match="worker's columns"):
+        read_dataset(path, target="cls")
+    assert forks
+    assert headers.call_count == 1
+
+
+# 40 records of 5 kB; a last line of up to 200 kB lies behind the split
+WIDE_TEXT = "x,g,cls\n" + "".join(f"{i % 7}.50,{'w' * 5000},c{i % 2}\n" for i in range(40))
+
+
+@pytest.mark.parametrize("last", ["1.50,g0,c0,9\n", "1.50," + "w" * 140_000 + ",c0\n"],
+                         ids=["ragged", "field_too_long"])
+def test_an_error_behind_the_split_is_the_one_process_error(last, monkeypatch, tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_text(WIDE_TEXT + last, encoding="utf-8", newline="")
+    monkeypatch.setattr(tabular, "SPLIT_ROWS", 16)
+    with open(path, encoding="utf-8", newline="") as fh, \
+            pytest.raises(tabular.TabularError) as serial:
+        read_dataset(fh, target="cls")
+    assert str(serial.value).startswith("row 42 ")
+    with mock.patch.object(tabular, "_header", wraps=tabular._header) as headers, \
+            two_cpus() as forks, pytest.raises(tabular.TabularError) as split:
+        read_dataset(path, target="cls")
+    # the worker fails, and this process reads the back records itself
+    assert forks
+    assert headers.call_count == 1
+    assert str(split.value) == str(serial.value)
+
+
+@pytest.mark.parametrize("what", ["missing", "directory"])
+def test_a_path_that_cannot_be_read_gives_the_one_process_error(what, tmp_path):
+    path = tmp_path / "in.csv"
+    if what == "directory":
+        path.mkdir()
+    errors = []
+    for cpus in ({0}, {0, 1}):
+        with mock.patch.object(os, "sched_getaffinity", return_value=cpus), \
+                pytest.raises(OSError) as exc:
+            read_dataset(path, target="cls")
+        errors.append((type(exc.value), str(exc.value)))
+    assert errors[0] == errors[1]
 
 
 def test_a_fifo_is_read_by_one_process(monkeypatch, tmp_path):
